@@ -3,9 +3,10 @@
 Define-by-run tape: every operation appends a node carrying its input slots
 and one vector-Jacobian closure per input.  ``Tape.backward`` walks the node
 list once in reverse, so topological order is guaranteed by construction.
-The op set is deliberately small (enough for MLP training) plus a
-custom-Jacobian node that lets an externally solved map participate in
-backpropagation with a supplied Jacobian.
+The op set is exactly what the VAE loss uses, plus a batched
+custom-Jacobian node that lets an externally solved map (the manifold
+projection) participate in backpropagation with supplied per-sample
+Jacobians.  Every op result and adjoint is checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -37,30 +38,6 @@ class Tensor:
         self.tape = tape
         self.slot = slot
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, slot={self.slot})"
-
-    # convenience operators used when assembling losses
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
 
 @dataclass
 class _Node:
@@ -73,20 +50,18 @@ class _Node:
 class Tape:
     """Append-only record of operations for one forward pass.
 
-    ``check_finite=True`` rejects NaN/Inf in every op result and adjoint;
-    the nets here are tiny so the cost is negligible and it surfaces
-    numerical failures at their source.
+    NaN/Inf in any op result or adjoint raises ``NonFiniteError``, which
+    surfaces numerical failures at their source.
     """
 
-    def __init__(self, check_finite: bool = True):
-        self.check_finite = check_finite
+    def __init__(self):
         self._nodes: list[_Node] = []
         self._leaves: dict[str, Tensor] = {}
         self._n_slots = 0
 
     def _wrap(self, data, op: str) -> Tensor:
         arr = np.asarray(data, dtype=np.float64)
-        if self.check_finite and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"non-finite values produced by op '{op}'")
         t = Tensor(arr, self, self._n_slots)
         self._n_slots += 1
@@ -134,7 +109,7 @@ class Tape:
                 if vjp is None:
                     continue
                 contrib = vjp(g)
-                if self.check_finite and not np.all(np.isfinite(contrib)):
+                if not np.all(np.isfinite(contrib)):
                     raise NonFiniteError(f"non-finite adjoint from op '{node.op}'")
                 if slot in adjoint:
                     adjoint[slot] = adjoint[slot] + contrib
@@ -162,21 +137,9 @@ def _same_tape(*tensors) -> Tape:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     A, B = a.data, b.data
-    if A.ndim == 2 and B.ndim == 2:
-        if A.shape[1] != B.shape[0]:
-            raise ShapeError(f"matmul: {A.shape} @ {B.shape}")
-        vjps = (lambda g: g @ B.T, lambda g: A.T @ g)
-    elif A.ndim == 2 and B.ndim == 1:
-        if A.shape[1] != B.shape[0]:
-            raise ShapeError(f"matmul: {A.shape} @ {B.shape}")
-        vjps = (lambda g: np.outer(g, B), lambda g: A.T @ g)
-    elif A.ndim == 1 and B.ndim == 2:
-        if A.shape[0] != B.shape[0]:
-            raise ShapeError(f"matmul: {A.shape} @ {B.shape}")
-        vjps = (lambda g: B @ g, lambda g: np.outer(A, g))
-    else:
-        raise ShapeError(f"matmul expects 1-D/2-D operands, got {A.shape} @ {B.shape}")
-    return tape.record("matmul", A @ B, (a, b), vjps)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ShapeError(f"matmul: {A.shape} @ {B.shape}")
+    return tape.record("matmul", A @ B, (a, b), (lambda g: g @ B.T, lambda g: A.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -207,15 +170,13 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a scalar (shape ())."""
+    """Elementwise product; the right operand may be a scalar (shape ())."""
     tape = _same_tape(a, b)
     A, B = a.data, b.data
     if A.shape == B.shape:
         vjps = (lambda g: g * B, lambda g: g * A)
     elif B.shape == ():
         vjps = (lambda g: g * B, lambda g: np.sum(g * A))
-    elif A.shape == ():
-        vjps = (lambda g: np.sum(g * B), lambda g: g * A)
     else:
         raise ShapeError(f"mul: {A.shape} vs {B.shape}")
     return tape.record("mul", A * B, (a, b), vjps)
@@ -233,13 +194,6 @@ def neg(x: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
     return x.tape.record("exp", out, (x,), (lambda g: g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise ValueError("log: non-positive input")
-    X = x.data
-    return x.tape.record("log", np.log(X), (x,), (lambda g: g / X,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -264,52 +218,6 @@ def ssum(x: Tensor) -> Tensor:
     return x.tape.record("sum", x.data.sum(), (x,), (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
-def mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    shape = x.data.shape
-    return x.tape.record(
-        "mean", x.data.mean(), (x,), (lambda g: np.broadcast_to(g / n, shape).copy(),)
-    )
-
-
-def pair_norm(x: Tensor) -> Tensor:
-    """Euclidean norm over consecutive index pairs of the last axis.
-
-    (..., 2k) -> (..., k).  Undefined (raises) when any pair has zero norm.
-    """
-    X = x.data
-    if X.shape[-1] % 2 != 0:
-        raise ShapeError(f"pair_norm: last axis must be even, got {X.shape}")
-    pairs = X.reshape(X.shape[:-1] + (X.shape[-1] // 2, 2))
-    norms = np.sqrt((pairs**2).sum(axis=-1))
-    if np.any(norms == 0.0):
-        raise ValueError("pair_norm: zero-norm pair, gradient undefined")
-
-    def vjp(g):
-        return (pairs * (g / norms)[..., None]).reshape(X.shape)
-
-    return x.tape.record("pair_norm", norms, (x,), (vjp,))
-
-
-def custom_jacobian(x: Tensor, output_value: np.ndarray, jacobian: np.ndarray) -> Tensor:
-    """Insert an externally computed map with a supplied Jacobian.
-
-    ``output_value`` (p,) was computed outside the tape from x (n,);
-    ``jacobian`` is d(output)/d(x) with shape (p, n).  Backward contributes
-    jacobian^T @ grad_out to x.
-    """
-    out = np.asarray(output_value, dtype=np.float64)
-    jac = np.asarray(jacobian, dtype=np.float64)
-    if x.data.ndim != 1 or out.ndim != 1:
-        raise ShapeError("custom_jacobian expects vector input/output")
-    if jac.shape != (out.shape[0], x.data.shape[0]):
-        raise ShapeError(
-            f"custom_jacobian: jacobian {jac.shape} does not match "
-            f"output {out.shape} x input {x.data.shape}"
-        )
-    return x.tape.record("custom_jacobian", out, (x,), (lambda g: jac.T @ g,))
-
-
 def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.ndarray) -> Tensor:
     """Per-sample custom-Jacobian node: x (B,n), outputs (B,p), jacobians (B,p,n)."""
     out = np.asarray(output_values, dtype=np.float64)
@@ -328,34 +236,6 @@ def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.nd
         (x,),
         (lambda g: np.einsum("bpn,bp->bn", jac, g),),
     )
-
-
-OPS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "bias_add": bias_add,
-    "mul": mul,
-    "scale": scale,
-    "neg": neg,
-    "exp": exp,
-    "log": log,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "square": square,
-    "sum": ssum,
-    "mean": mean,
-    "pair_norm": pair_norm,
-}
-
-
-def forward_op(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by name; the registry is the supported op set."""
-    try:
-        fn = OPS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind '{op_kind}'") from None
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +258,8 @@ class Rng:
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
-    def integers(self, low, high, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def derive(self, *keys: int) -> "Rng":
-        """Independent child stream, deterministic in (seed, keys)."""
-        ss = np.random.SeedSequence((self.seed,) + tuple(int(k) for k in keys))
-        child = Rng.__new__(Rng)
-        child.seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-        child._gen = np.random.Generator(np.random.PCG64(ss))
-        return child
 
 
 def glorot_init(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Both fit an optimal linear subspace from snapshot data via truncated SVD.
 DMD additionally fits a linear one-step operator in that subspace; POD keeps
-the subspace and evolves the reduced coordinates either through the Galerkin
-projection of the Burgers right-hand side (default) or through a fitted
-linear map (behind the ``mode`` flag).
+the subspace and evolves the reduced coordinates through the Galerkin
+projection of the Burgers right-hand side.
 """
 
 from __future__ import annotations
@@ -14,22 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burgers import spectral_derivative, spectral_second_derivative
-
-
-@dataclass
-class SnapshotMatrix:
-    """Paired snapshot matrices; column i of xp is column i of x advanced by tau."""
-
-    x: np.ndarray
-    xp: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.xp = np.asarray(self.xp, dtype=np.float64)
-        if self.x.shape != self.xp.shape or self.x.ndim != 2:
-            raise ValueError(
-                f"snapshot matrices must have equal shapes, got {self.x.shape} vs {self.xp.shape}"
-            )
 
 
 def svd(matrix: np.ndarray):
@@ -51,18 +34,24 @@ class DmdModel:
 
 
 def fit_dmd(x: np.ndarray, xp: np.ndarray, rank: int) -> DmdModel:
-    """Exact DMD: truncated SVD of x, reduced operator U^T xp V S^{-1}."""
-    snaps = SnapshotMatrix(x, xp)
-    n, m = snaps.x.shape
+    """Exact DMD: truncated SVD of x, reduced operator U^T xp V S^{-1}.
+
+    Column i of xp is column i of x advanced by tau.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xp = np.asarray(xp, dtype=np.float64)
+    if x.shape != xp.shape or x.ndim != 2:
+        raise ValueError(f"snapshot matrices must have equal shapes, got {x.shape} vs {xp.shape}")
+    n, m = x.shape
     if rank > min(n, m):
         raise ValueError(f"rank {rank} exceeds data size min{(n, m)}")
-    U, s, V = svd(snaps.x)
+    U, s, V = svd(x)
     if s[rank - 1] / s[0] < 1e-12:
         raise ValueError(f"rank too high for data: sigma_{rank}/sigma_1 < 1e-12")
     Ur, sr, Vr = U[:, :rank], s[:rank], V[:, :rank]
-    a_tilde = Ur.T @ snaps.xp @ Vr / sr
+    a_tilde = Ur.T @ xp @ Vr / sr
     eigvals, W = np.linalg.eig(a_tilde)
-    modes = snaps.xp @ Vr / sr @ W
+    modes = xp @ Vr / sr @ W
     return DmdModel(rank, Ur, a_tilde, eigvals, modes)
 
 
@@ -81,26 +70,10 @@ class PodModel:
     nu: float
     tau: float
     substeps: int = 20
-    mode: str = "galerkin"  # galerkin | linear-fit
-    reduced_op: np.ndarray | None = None  # linear-fit one-step operator
 
 
-def fit_pod(
-    x: np.ndarray,
-    rank: int,
-    nu: float,
-    tau: float,
-    xp: np.ndarray | None = None,
-    mode: str = "galerkin",
-    substeps: int = 20,
-) -> PodModel:
-    """POD basis from snapshot SVD plus precomputed reduced Burgers tensors.
-
-    ``mode="linear-fit"`` instead fits a least-squares one-step operator in
-    the subspace (requires the advanced snapshots xp).
-    """
-    if mode not in ("galerkin", "linear-fit"):
-        raise ValueError(f"unknown POD mode '{mode}'")
+def fit_pod(x: np.ndarray, rank: int, nu: float, tau: float, substeps: int = 20) -> PodModel:
+    """POD basis from snapshot SVD plus precomputed reduced Burgers tensors."""
     X = np.asarray(x, dtype=np.float64)
     n, m = X.shape
     if rank > min(n, m):
@@ -116,15 +89,7 @@ def fit_pod(
     d2 = np.stack([spectral_second_derivative(Ur[:, j]) for j in range(rank)], axis=1)
     diffusion = nu * (Ur.T @ d2)
     advection = -np.einsum("xi,xj,xk->ijk", Ur, Ur, d1)
-
-    reduced_op = None
-    if mode == "linear-fit":
-        if xp is None:
-            raise ValueError("linear-fit POD needs the advanced snapshots")
-        cx = Ur.T @ X
-        cxp = Ur.T @ np.asarray(xp, dtype=np.float64)
-        reduced_op = cxp @ np.linalg.pinv(cx)
-    return PodModel(rank, Ur, diffusion, advection, nu, tau, substeps, mode, reduced_op)
+    return PodModel(rank, Ur, diffusion, advection, nu, tau, substeps)
 
 
 def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
@@ -135,9 +100,6 @@ def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
 def pod_predict(model: PodModel, u: np.ndarray, n_steps: int) -> np.ndarray:
     """Integrate the reduced system over n_steps * tau and lift back."""
     c = model.basis.T @ np.asarray(u, dtype=np.float64)
-    if model.mode == "linear-fit":
-        c = np.linalg.matrix_power(model.reduced_op, n_steps) @ c
-        return model.basis @ c
     dt = model.tau / model.substeps
     for _ in range(n_steps * model.substeps):
         k1 = _reduced_rhs(model, c)

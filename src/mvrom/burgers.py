@@ -63,17 +63,6 @@ class SpectralField:
         n = self.coefficients.shape[0]
         return np.arange(-n // 2, n // 2)
 
-    def conjugate_symmetry_defect(self) -> float:
-        """Max |c_{-k} - conj(c_k)| over representable pairs (real signals -> ~0)."""
-        c = self.coefficients
-        k = self.wavenumbers
-        defect = 0.0
-        for i, ki in enumerate(k):
-            if -ki in k and ki > 0:
-                j = int(np.where(k == -ki)[0][0])
-                defect = max(defect, abs(c[j] - np.conj(c[i])))
-        return defect
-
 
 @dataclass(frozen=True)
 class BurgersConfig:

@@ -162,10 +162,13 @@ def cmd_eval(args) -> int:
     errors = ex.evaluate_burgers_model(model, test_pairs, config, horizons)
     table = ex.ErrorTable(list(errors))
     for col, val in errors.items():
-        table.add("vae-checkpoint", model.latent_dim, "", col, val)
+        if np.isfinite(val):
+            table.add("vae-checkpoint", model.latent_dim, "", col, val)
+        else:
+            table.mark_failed("vae-checkpoint", model.latent_dim, "", col)
     table.write_csv(out / "errors.csv")
     print(f"wrote errors to {out / 'errors.csv'}")
-    return 0
+    return 1 if table.num_failed else 0
 
 
 def cmd_export_trace(args) -> int:

@@ -43,15 +43,21 @@ def save_pairs(path, X: np.ndarray, Y: np.ndarray, param1: float = 0.0, param2: 
 
 
 def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a pair-dataset file (bad magic {magic!r})")
-        dim, count, p1, p2 = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.fromfile(fh, dtype="<f8", count=2 * count * dim)
-    if data.size != 2 * count * dim:
-        raise ValueError(f"{path}: truncated data section")
-    interleaved = data.reshape(2 * count, dim)
+    """Read a pair file; its size must be exactly what its header implies."""
+    data = Path(path).read_bytes()
+    magic = data[: len(MAGIC)]
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a pair-dataset file (bad magic {magic!r})")
+    start = len(MAGIC) + _HEADER.size
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated header")
+    dim, count, p1, p2 = _HEADER.unpack_from(data, len(MAGIC))
+    expected = start + 16 * count * dim
+    if len(data) != expected:
+        raise ValueError(
+            f"{path}: {len(data)} bytes, but {count} pairs of dimension {dim} need {expected}"
+        )
+    interleaved = np.frombuffer(data, "<f8", 2 * count * dim, start).reshape(2 * count, dim)
     return (
         interleaved[0::2].copy(),
         interleaved[1::2].copy(),

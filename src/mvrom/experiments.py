@@ -9,6 +9,7 @@ isolation from its checkpoint plus the resolved config written next to it.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -72,8 +73,8 @@ class ErrorTable:
         if column not in self.columns:
             raise KeyError(f"unknown column '{column}'")
         value = float(value)
-        if value < 0:
-            raise ValueError("error entries must be nonnegative")
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"error entries must be finite and nonnegative, got {value}")
         self.rows.setdefault((method, str(dim), sweep), {})[column] = value
 
     def mark_failed(self, method: str, dim, sweep: str, column: str | None = None):
@@ -264,6 +265,14 @@ def burgers_config(cfg: ExperimentConfig) -> bg.BurgersConfig:
     )
 
 
+def klein_config(cfg: ExperimentConfig) -> mf.KleinConfig:
+    return mf.KleinConfig(
+        cfg.get_float("model", "klein_a"),
+        cfg.get_float("model", "klein_b"),
+        cfg.get_int("model", "klein_resolution"),
+    )
+
+
 def make_latent(cfg: ExperimentConfig, latent_kind: str | None = None) -> vae.LatentSpec:
     kind = latent_kind or cfg.get("model", "latent")
     policy = cfg.get("model", "projection_policy")
@@ -274,12 +283,7 @@ def make_latent(cfg: ExperimentConfig, latent_kind: str | None = None) -> vae.La
     if kind == "torus":
         return vae.torus_latent(policy)
     if kind == "klein":
-        config = mf.KleinConfig(
-            cfg.get_float("model", "klein_a"),
-            cfg.get_float("model", "klein_b"),
-            cfg.get_int("model", "klein_resolution"),
-        )
-        return vae.klein_latent(config, policy)
+        return vae.klein_latent(klein_config(cfg), policy)
     if kind == "pointcloud":
         path = cfg.get("model", "pointcloud_file")
         if not path:
@@ -419,7 +423,7 @@ def export_latent_trace(model: vae.VaeModel, pairs, path, n_steps: int = 4):
     columns = ["alpha", "t", "step"] + [f"z{i}" for i in range(model.latent_dim)]
     rows = []
     for p in pairs:
-        _, z, _ = vae.encode(model, p.input.values)
+        z = vae.encode(model, p.input.values)
         current = z[0]
         for k in range(n_steps + 1):
             if k > 0:
@@ -505,15 +509,7 @@ def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: i
     if kind == "arm-torus":
         clean = mech.generate_arm_torus(mech.ArmConfig(), m, base_seed)
     elif kind == "klein":
-        clean = mech.generate_klein(
-            mf.KleinConfig(
-                cfg.get_float("model", "klein_a"),
-                cfg.get_float("model", "klein_b"),
-                cfg.get_int("model", "klein_resolution"),
-            ),
-            m,
-            base_seed,
-        )
+        clean = mech.generate_klein(klein_config(cfg), m, base_seed)
     else:
         raise ConfigError(f"unknown mechanics dataset kind '{kind}'")
     noisy = mech.add_noise(clean, sigma, base_seed + 7)
@@ -581,33 +577,44 @@ def _run_cells(cells, runner, workers: int):
     return results
 
 
+def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: ErrorTable, row):
+    """Run ``runner`` on every (outer, inner) cell and reduce into ``table``.
+
+    Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
+    names its table row as (method, dim, sweep).  A cell that raised or
+    returned a non-finite value is marked failed; otherwise its values are
+    added.
+    """
+    seed = cfg.get_int("experiment", "seed")
+    cells = [
+        ((a, b), (cfg.sections, str(out), a, b, seed + 100 * i + j))
+        for i, a in enumerate(outer)
+        for j, b in enumerate(inner)
+    ]
+    results = _run_cells(cells, runner, cfg.get_int("experiment", "workers"))
+    for (a, b), res in results.items():
+        method, dim, sweep = row(a, b)
+        if isinstance(res, Exception) or not all(math.isfinite(v) for v in res.values()):
+            table.mark_failed(method, dim, sweep)
+        else:
+            for col, val in res.items():
+                table.add(method, dim, sweep, col, val)
+    return table
+
+
 def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     config = burgers_config(cfg)
     betas = cfg.get_list("sweep", "beta") or [cfg.get_float("train", "beta")]
     gammas = cfg.get_list("sweep", "gamma") or [cfg.get_float("train", "gamma")]
     horizons = cfg.get_list("sweep", "horizons", int)
     columns = [horizon_label(0)] + [horizon_label(k * config.tau) for k in horizons]
-    table = ErrorTable(columns)
     method = f"vae-{cfg.get('model', 'variant')}"
     dim = make_latent(cfg).dim
-    seed = cfg.get_int("experiment", "seed")
 
-    cells = []
-    for i, beta in enumerate(betas):
-        for j, gamma in enumerate(gammas):
-            cell_seed = seed + 100 * i + j
-            cells.append(
-                ((beta, gamma), (cfg.sections, str(out), beta, gamma, cell_seed))
-            )
-    results = _run_cells(cells, _burgers_vae_cell, cfg.get_int("experiment", "workers"))
-    for (beta, gamma), res in results.items():
-        sweep = f"beta={beta:g};gamma={gamma:g}"
-        if isinstance(res, Exception):
-            table.mark_failed(method, dim, sweep)
-        else:
-            for col, val in res.items():
-                table.add(method, dim, sweep, col, val)
-    return table
+    def row(beta, gamma):
+        return method, dim, f"beta={beta:g};gamma={gamma:g}"
+
+    return _run_grid(cfg, out, _burgers_vae_cell, betas, gammas, ErrorTable(columns), row)
 
 
 def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
@@ -669,26 +676,11 @@ def run_mech_recon(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     ]
     marks = cfg.get_list("sweep", "eval_epochs", int)
     columns = [str(m) for m in marks] + ["final"]
-    table = ErrorTable(columns)
-    seed = cfg.get_int("experiment", "seed")
 
-    cells = []
-    for i, latent_kind in enumerate(latents):
-        for j, sigma in enumerate(sigmas):
-            cell_seed = seed + 100 * i + j
-            cells.append(
-                ((latent_kind, sigma), (cfg.sections, str(out), latent_kind, sigma, cell_seed))
-            )
-    results = _run_cells(cells, _mech_cell, cfg.get_int("experiment", "workers"))
-    for (latent_kind, sigma), res in results.items():
-        method, dim = _latent_row(latent_kind, cfg)
-        sweep = f"sigma={sigma:g}"
-        if isinstance(res, Exception):
-            table.mark_failed(method, dim, sweep)
-        else:
-            for col, val in res.items():
-                table.add(method, dim, sweep, col, val)
-    return table
+    def row(latent_kind, sigma):
+        return (*_latent_row(latent_kind, cfg), f"sigma={sigma:g}")
+
+    return _run_grid(cfg, out, _mech_cell, latents, sigmas, ErrorTable(columns), row)
 
 
 RUNNERS = {

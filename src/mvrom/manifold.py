@@ -18,6 +18,10 @@ the solution); the Jacobian always uses the full Hessian including the
 residual-curvature term, which is what makes off-manifold gradients exact.
 At zero residual the formula reduces to the orthogonal tangent-space
 projector.
+
+Every manifold offers one batch method, ``project(W) -> (Z, J, flagged)``:
+projected points, per-sample Jacobians dLambda/dw and a mask of samples
+whose projection is unusable.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from . import autodiff as ad
 CENTER_EPS = 1e-8
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+CANDIDATES = 4  # nearest cloud points refined per sample
 COND_LIMIT = 1e12
 
 
@@ -53,16 +58,11 @@ class AnalyticTorus:
     m = 2
     n = 4
 
-    def project(self, w: np.ndarray) -> np.ndarray:
-        z, _ = self.project_with_jacobian(w)
-        return z
-
-    def project_with_jacobian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = np.asarray(w, dtype=np.float64)
-        single = w.ndim == 1
-        W = w[None, :] if single else w
-        if W.shape[-1] != 4:
-            raise ProjectionError(f"torus projection expects 4 coordinates, got {W.shape}")
+    def project(self, W: np.ndarray):
+        """(Z, Jacobians, flagged) for a (B, 4) batch; nothing is ever flagged."""
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2 or W.shape[1] != 4:
+            raise ProjectionError(f"torus projection expects (B, 4) inputs, got {W.shape}")
         pairs = W.reshape(-1, 2, 2)
         norms = np.linalg.norm(pairs, axis=-1)
         if np.any(norms < CENTER_EPS):
@@ -76,14 +76,7 @@ class AnalyticTorus:
         J = np.zeros((W.shape[0], 4, 4))
         J[:, 0:2, 0:2] = blocks[:, 0]
         J[:, 2:4, 2:4] = blocks[:, 1]
-        if single:
-            return Z[0], J[0]
-        return Z, J
-
-
-def project_torus(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each coordinate pair onto the unit torus; returns (z, Jacobian)."""
-    return AnalyticTorus().project_with_jacobian(w)
+        return Z, J, np.zeros(W.shape[0], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +334,11 @@ class PointCloudManifold:
             return self.surface.canonicalize(U)
         return U
 
+    def project(self, W: np.ndarray):
+        """(Z, Jacobians, flagged) for a batch; degraded or singular rows are flagged."""
+        batch = nearest_point_batch(W, self)
+        return batch.z, batch.jacobian, batch.degraded | batch.singular
+
     # -- plain-text persistence ------------------------------------------
 
     def save(self, path):
@@ -423,49 +421,23 @@ def build_torus_pointcloud(resolution: int = 256, radii=(1.0, 1.0)) -> PointClou
 # nearest-point projection
 
 @dataclass
-class ProjectionResult:
-    z: np.ndarray  # (n,) point on the manifold
-    chart_id: int
-    u: np.ndarray  # (m,) chart parameters (canonical)
-    jacobian: np.ndarray  # (n, n) dLambda/dw
-    phi: float  # 0.5 |w - z|^2 at the solution
-    grad_norm: float  # |grad_u Phi| at the solution
-    coarse_index: int  # nearest cloud point (coarse phase)
-    degraded: bool = False  # Newton failed; fell back to the coarse point
-    singular: bool = False  # Hessian near-singular; pseudo-inverse Jacobian
-
-
-@dataclass
 class BatchProjection:
-    z: np.ndarray  # (B, n)
+    z: np.ndarray  # (B, n) points on the manifold
     chart_id: np.ndarray  # (B,)
-    u: np.ndarray  # (B, m)
-    jacobian: np.ndarray  # (B, n, n)
-    phi: np.ndarray
-    grad_norm: np.ndarray
-    coarse_index: np.ndarray
-    degraded: np.ndarray  # (B,) bool
-    singular: np.ndarray  # (B,) bool
-
-    def __getitem__(self, b: int) -> ProjectionResult:
-        return ProjectionResult(
-            self.z[b].copy(),
-            int(self.chart_id[b]),
-            self.u[b].copy(),
-            self.jacobian[b].copy(),
-            float(self.phi[b]),
-            float(self.grad_norm[b]),
-            int(self.coarse_index[b]),
-            bool(self.degraded[b]),
-            bool(self.singular[b]),
-        )
+    u: np.ndarray  # (B, m) chart parameters (canonical)
+    jacobian: np.ndarray  # (B, n, n) dLambda/dw
+    phi: np.ndarray  # (B,) 0.5 |w - z|^2 at the solution
+    grad_norm: np.ndarray  # (B,) |grad_u Phi| at the solution
+    coarse_index: np.ndarray  # (B,) nearest cloud point (coarse phase)
+    degraded: np.ndarray  # (B,) bool: Newton failed; fell back to the coarse point
+    singular: np.ndarray  # (B,) bool: Hessian near-singular; pseudo-inverse Jacobian
 
 
 def _phi_value(W, sigma):
     return 0.5 * np.sum((W - sigma) ** 2, axis=-1)
 
 
-def _refine(manifold, W, ids, tol, max_iter):
+def _refine(manifold, W, ids):
     """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each sample's chart.
 
     Backtracked Newton on the full Hessian of Phi wherever that Hessian is
@@ -479,11 +451,11 @@ def _refine(manifold, W, ids, tol, max_iter):
     sigma, jac, hess = manifold.chart_frames(ids, U)
     phi = _phi_value(W, sigma)
     gnorm = np.full(len(ids), np.inf)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         residual = W - sigma
         G = -np.einsum("bnm,bn->bm", jac, residual)
         gnorm = np.linalg.norm(G, axis=-1)
-        if np.all(gnorm <= tol):
+        if np.all(gnorm <= NEWTON_TOL):
             break
         JtJ = np.einsum("bni,bnj->bij", jac, jac)
         A = JtJ - np.einsum("bn,bnij->bij", residual, hess)
@@ -511,10 +483,10 @@ def _refine(manifold, W, ids, tol, max_iter):
 
 
 def _ift_jacobians(jac, hess, residual):
-    """dLambda/dw = J A^{-1} J^T with A the full Hessian of Phi.
+    """Full Hessian A of Phi and its condition numbers, for dLambda/dw = J A^{-1} J^T.
 
-    Returns (jacobians, hessians, condition numbers); callers pick the solve
-    or pseudo-inverse path per sample based on the condition number.
+    Returns (hessians, condition numbers); callers pick the solve or
+    pseudo-inverse path per sample based on the condition number.
     """
     A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
     s = np.linalg.svd(A, compute_uv=False)
@@ -523,13 +495,7 @@ def _ift_jacobians(jac, hess, residual):
     return A, cond
 
 
-def nearest_point_batch(
-    W: np.ndarray,
-    manifold: PointCloudManifold,
-    candidates: int = 4,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> BatchProjection:
+def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
     """Project each row of W onto the manifold; coarse k-NN then Gauss-Newton.
 
     Among refined candidates the minimal Phi wins; exact ties break to the
@@ -543,7 +509,7 @@ def nearest_point_batch(
     if not np.all(np.isfinite(W)):
         raise ProjectionError("projection input must be finite")
     B = W.shape[0]
-    K = min(candidates, manifold.num_points)
+    K = min(CANDIDATES, manifold.num_points)
 
     dists, idx = manifold.tree.query(W, k=K)
     if K == 1:
@@ -555,12 +521,12 @@ def nearest_point_batch(
 
     flat_ids = idx.reshape(-1)
     flat_W = np.repeat(W, K, axis=0)
-    U, sigma, phi, gnorm = _refine(manifold, flat_W, flat_ids, tol, max_iter)
+    U, sigma, phi, gnorm = _refine(manifold, flat_W, flat_ids)
 
     phi_k = phi.reshape(B, K)
     ids_k = idx
     # minimal Phi wins; ties (within solver tolerance) go to the lowest chart id
-    quant = np.round(phi_k / max(tol, 1e-14))
+    quant = np.round(phi_k / max(NEWTON_TOL, 1e-14))
     pick = np.lexsort((ids_k, quant), axis=1)[:, 0]
     take = np.arange(B) * K + pick
     U = U[take]
@@ -569,7 +535,7 @@ def nearest_point_batch(
     gnorm = gnorm[take]
     chart_id = ids_k[np.arange(B), pick]
 
-    degraded = gnorm > max(10 * tol, 1e-9)
+    degraded = gnorm > max(10 * NEWTON_TOL, 1e-9)
     if np.any(degraded):
         # fall back to the coarse cloud point for samples Newton could not place
         chart_id = np.where(degraded, coarse, chart_id)
@@ -604,104 +570,25 @@ def nearest_point_batch(
     )
 
 
-def nearest_point(
-    w: np.ndarray,
-    manifold: PointCloudManifold,
-    candidates: int = 4,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> ProjectionResult:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise ProjectionError(f"nearest_point expects a single point, got shape {w.shape}")
-    return nearest_point_batch(w[None, :], manifold, candidates, tol, max_iter)[0]
-
-
-def lambda_jacobian(manifold: PointCloudManifold, result: ProjectionResult, w: np.ndarray) -> np.ndarray:
-    """Implicit-function-theorem Jacobian of the projection at a solved point.
-
-    Raises when the Hessian of Phi is numerically singular (w near the
-    medial axis); ``nearest_point`` converts that case into a flagged
-    pseudo-inverse result instead.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    ids = np.array([result.chart_id])
-    U = np.asarray(result.u, dtype=np.float64)[None, :]
-    sigma, jac, hess = manifold.chart_frames(ids, U)
-    residual = (w[None, :] - sigma)
-    A, cond = _ift_jacobians(jac, hess, residual)
-    if not np.isfinite(cond[0]) or cond[0] > COND_LIMIT:
-        raise ProjectionError(
-            f"projection Jacobian singular (medial axis): cond={cond[0]:.3e}"
-        )
-    X = np.linalg.solve(A[0], jac[0].T)
-    return jac[0] @ X
-
-
-def tangent_projector(jac: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto span of the chart Jacobian columns."""
-    JtJ = jac.T @ jac
-    return jac @ np.linalg.solve(JtJ, jac.T)
-
-
 # ---------------------------------------------------------------------------
 # tape integration
 
-class ManifoldLatent:
-    """Latent-space projection layer: euclidean pre-image to manifold point.
 
-    ``kind`` "torus" uses the closed-form circle-pair normalization;
-    "pointcloud" uses nearest-point projection on the supplied cloud.  The
-    per-sample Jacobians enter the tape through a batched custom-Jacobian
-    node, so training gradients follow the implicit-function-theorem
-    linearization of the projection.
-    """
-
-    def __init__(self, kind: str, manifold=None, candidates: int = 4):
-        if kind not in ("torus", "pointcloud"):
-            raise ValueError(f"unknown manifold latent kind '{kind}'")
-        if kind == "pointcloud" and manifold is None:
-            raise ValueError("pointcloud latent needs a PointCloudManifold")
-        self.kind = kind
-        self.manifold = manifold if kind == "pointcloud" else AnalyticTorus()
-        self.candidates = candidates
-
-    @property
-    def dim(self) -> int:
-        return self.manifold.n
-
-    def project_with_jacobian(self, W: np.ndarray):
-        """(Z, jacobians, degraded_mask) for a batch of pre-images."""
-        W = np.asarray(W, dtype=np.float64)
-        if self.kind == "torus":
-            Z, J = self.manifold.project_with_jacobian(W)
-            flagged = np.zeros(W.shape[0], dtype=bool)
-            return Z, J, flagged
-        batch = nearest_point_batch(W, self.manifold, candidates=self.candidates)
-        return batch.z, batch.jacobian, batch.degraded | batch.singular
-
-
-def manifold_encode_layer(
-    w: "ad.Tensor", latent: ManifoldLatent, policy: str = "raise"
-) -> tuple["ad.Tensor", np.ndarray]:
+def manifold_encode_layer(w: "ad.Tensor", manifold, policy: str = "raise"):
     """Project a batch of encoder outputs onto the latent manifold, on-tape.
 
-    Returns the projected tensor and a per-sample validity mask.  Policy
-    "raise" fails the batch on any flagged projection; "skip" zeroes the
-    flagged samples' Jacobians (no gradient flows) and marks them invalid so
-    the loss can drop them.
+    The per-sample Jacobians enter the tape through a batched
+    custom-Jacobian node, so gradients follow the implicit-function-theorem
+    linearization of the projection.  Returns the projected tensor and a
+    per-sample validity mask.  Policy "raise" fails the batch on any flagged
+    projection; "skip" zeroes the flagged samples' Jacobians (no gradient
+    flows) and marks them invalid so the loss can drop them.  ``LatentSpec``
+    validates the policy.
     """
-    if policy not in ("raise", "skip"):
-        raise ValueError(f"unknown projection policy '{policy}'")
-    W = w.data
-    Z, J, flagged = latent.project_with_jacobian(W)
+    Z, J, flagged = manifold.project(w.data)
     if np.any(flagged):
         if policy == "raise":
             bad = np.flatnonzero(flagged)
-            raise ProjectionError(
-                f"projection flagged for batch samples {bad.tolist()}"
-            )
-        J = J.copy()
+            raise ProjectionError(f"projection flagged for batch samples {bad.tolist()}")
         J[flagged] = 0.0
-    z = ad.batch_custom_jacobian(w, Z, J)
-    return z, ~flagged
+    return ad.batch_custom_jacobian(w, Z, J), ~flagged

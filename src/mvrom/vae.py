@@ -19,8 +19,9 @@ is defined.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +42,27 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class LatentSpec:
-    """Latent-space choice: euclidean R^d or a manifold with projection."""
+    """Latent-space choice: euclidean R^d or a manifold with projection.
+
+    ``manifold`` is None (euclidean), an ``AnalyticTorus`` or a
+    ``PointCloudManifold``.  ``policy`` says what a flagged projection does:
+    "raise" fails the batch, "skip" drops the sample from the loss.
+    """
 
     kind: str = "euclidean"  # euclidean | torus | klein | pointcloud
     dim: int = 2  # embedding dimension seen by encoder/decoder
-    layer: mf.ManifoldLatent | None = None
+    manifold: mf.AnalyticTorus | mf.PointCloudManifold | None = None
     policy: str = "raise"
     klein: mf.KleinConfig | None = None  # retained for checkpointing
 
+    def __post_init__(self):
+        if self.policy not in ("raise", "skip"):
+            raise ValueError(f"unknown projection policy '{self.policy}'")
+
     def project_batch(self, w: "ad.Tensor"):
-        if self.layer is None:
+        if self.manifold is None:
             return w, np.ones(w.data.shape[0], dtype=bool)
-        return mf.manifold_encode_layer(w, self.layer, self.policy)
+        return mf.manifold_encode_layer(w, self.manifold, self.policy)
 
 
 def euclidean_latent(dim: int) -> LatentSpec:
@@ -60,17 +70,16 @@ def euclidean_latent(dim: int) -> LatentSpec:
 
 
 def torus_latent(policy: str = "raise") -> LatentSpec:
-    return LatentSpec("torus", 4, mf.ManifoldLatent("torus"), policy)
+    return LatentSpec("torus", 4, mf.AnalyticTorus(), policy)
 
 
 def klein_latent(config: mf.KleinConfig | None = None, policy: str = "raise") -> LatentSpec:
     config = config or mf.KleinConfig()
-    cloud = mf.build_klein_pointcloud(config)
-    return LatentSpec("klein", 4, mf.ManifoldLatent("pointcloud", cloud), policy, config)
+    return LatentSpec("klein", 4, mf.build_klein_pointcloud(config), policy, config)
 
 
 def pointcloud_latent(cloud: mf.PointCloudManifold, policy: str = "raise") -> LatentSpec:
-    return LatentSpec("pointcloud", cloud.n, mf.ManifoldLatent("pointcloud", cloud), policy)
+    return LatentSpec("pointcloud", cloud.n, cloud, policy)
 
 
 @dataclass
@@ -82,7 +91,6 @@ class TrainConfig:
     epochs: int = 1000
     seed: int = 0
     eval_every: int = 0  # 0: never; else epochs between eval_fn calls
-    eval_times: tuple = ()  # horizon times used by experiment evaluation
 
     def __post_init__(self):
         if self.beta < 0 or self.gamma < 0:
@@ -117,7 +125,6 @@ class VaeModel:
     sigma_d: float = 4e-3
     sigma_0: float = 1.0
     flow: str = "exp-decay"  # exp-decay | identity
-    learn_sigmas: bool = False
 
     @property
     def input_dim(self) -> int:
@@ -130,19 +137,6 @@ class VaeModel:
     @property
     def latent_dim(self) -> int:
         return self.encoder_sizes[-1]
-
-    def current_sigma_e(self) -> float:
-        if self.learn_sigmas:
-            return float(np.exp(self.params["log_sigma_e"]))
-        return self.sigma_e
-
-    def current_sigma_d(self) -> float:
-        if self.learn_sigmas:
-            return float(np.exp(self.params["log_sigma_d"]))
-        return self.sigma_d
-
-    def clone(self) -> "VaeModel":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
 
 def _mlp_params(rng: ad.Rng, prefix: str, sizes) -> dict:
@@ -165,7 +159,6 @@ def build_vae(
     sigma_d: float = 4e-3,
     sigma_0: float = 1.0,
     flow: str = "exp-decay",
-    learn_sigmas: bool = False,
     lambda0_init: float = 0.5,
     seed: int = 0,
 ) -> VaeModel:
@@ -182,9 +175,6 @@ def build_vae(
     params.update(_mlp_params(rng, "dec_", decoder_sizes))
     if flow == "exp-decay":
         params["lambda0"] = np.array(lambda0_init)
-    if learn_sigmas:
-        params["log_sigma_e"] = np.array(np.log(sigma_e))
-        params["log_sigma_d"] = np.array(np.log(sigma_d))
     return VaeModel(
         encoder_sizes,
         decoder_sizes,
@@ -197,7 +187,6 @@ def build_vae(
         sigma_d,
         sigma_0,
         flow,
-        learn_sigmas,
     )
 
 
@@ -231,23 +220,18 @@ def _mlp_tape(model: VaeModel, leaves, prefix: str, sizes, x: "ad.Tensor") -> "a
     return h
 
 
-def encode(model: VaeModel, X: np.ndarray, rng: ad.Rng | None = None):
-    """(mean a, latent z, pre-projection w); rng=None gives the mean encoding."""
+def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
+    """Mean encoding z: the encoder mean, projected onto a manifold latent."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     a = mlp_forward(model, "enc_", model.encoder_sizes, X)
-    if rng is not None:
-        w = a + model.current_sigma_e() * rng.normal(a.shape)
-    else:
-        w = a.copy()
-    if model.latent.layer is not None:
-        z, _, flagged = model.latent.layer.project_with_jacobian(w)
-        if np.any(flagged) and model.latent.policy == "raise":
-            raise mf.ProjectionError(
-                f"projection flagged for samples {np.flatnonzero(flagged).tolist()}"
-            )
-    else:
-        z = w.copy()
-    return a, z, w
+    if model.latent.manifold is None:
+        return a
+    z, _, flagged = model.latent.manifold.project(a)
+    if np.any(flagged) and model.latent.policy == "raise":
+        raise mf.ProjectionError(
+            f"projection flagged for samples {np.flatnonzero(flagged).tolist()}"
+        )
+    return z
 
 
 def decode(model: VaeModel, z: np.ndarray) -> np.ndarray:
@@ -278,7 +262,7 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 
     Row k is the prediction at t + k*tau; row 0 is the plain reconstruction.
     """
-    _, z, _ = encode(model, X, rng=None)
+    z = encode(model, X)
     outputs = []
     current = z
     for k in range(n_steps + 1):
@@ -295,10 +279,10 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng: ad.Rng):
     """Build the loss graph for one batch; returns (total, tape, breakdown).
 
-    Training minimizes the negative of ``total``.  Flagged projections under
-    the "skip" policy are removed from every term by zero row weights, with
-    the mean renormalized over surviving samples.  With ``learn_sigmas`` the
-    noise scales enter the graph as exp(log-variance) leaves.
+    Training minimizes the negative of ``total``.  The noise scales are
+    fixed model constants.  Flagged projections under the "skip" policy are
+    removed from every term by zero row weights, with the mean renormalized
+    over surviving samples.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -307,29 +291,18 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng
     B = X.shape[0]
     d_lat = model.latent_dim
     n_out = model.output_dim
-    sig_e, sig_d, sig_0 = model.current_sigma_e(), model.current_sigma_d(), model.sigma_0
+    sig_e, sig_d, sig_0 = model.sigma_e, model.sigma_d, model.sigma_0
 
     tape = ad.Tape()
     leaves = {name: tape.leaf(name, value) for name, value in model.params.items()}
     Xc, Yc = tape.constant(X), tape.constant(Y)
 
     def encoder_noise(a):
-        eps = rng.normal((B, d_lat))
-        if model.learn_sigmas:
-            return ad.add(a, ad.mul(tape.constant(eps), ad.exp(leaves["log_sigma_e"])))
-        return ad.add(a, tape.constant(sig_e * eps))
+        return ad.add(a, tape.constant(sig_e * rng.normal((B, d_lat))))
 
     def gaussian_loglik(pred, weights):
         """Weighted batch mean of log p(y | pred) under N(pred, sigma_d^2 I)."""
         s = ad.ssum(ad.mul(ad.square(ad.sub(pred, Yc)), weights))
-        if model.learn_sigmas:
-            log_sd = leaves["log_sigma_d"]
-            half_inv_var = ad.scale(ad.exp(ad.scale(log_sd, -2.0)), 0.5)
-            const = ad.add(
-                ad.scale(log_sd, -float(n_out)),
-                tape.constant(-0.5 * n_out * np.log(2 * np.pi)),
-            )
-            return ad.add(ad.neg(ad.mul(s, half_inv_var)), const)
         const = -0.5 * n_out * np.log(2 * np.pi * sig_d**2)
         return ad.add(ad.scale(s, -1.0 / (2 * sig_d**2)), tape.constant(const))
 
@@ -363,21 +336,8 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng
 
     # closed-form Gaussian KL on the pre-projection mean
     kl_var = ad.scale(ad.ssum(ad.mul(ad.square(a), w_lat)), 1.0 / (2 * sig_0**2))
-    if model.learn_sigmas:
-        log_se = leaves["log_sigma_e"]
-        kl_const = ad.add(
-            ad.scale(log_se, -float(d_lat)),
-            tape.constant(d_lat * (np.log(sig_0) - 0.5)),
-        )
-        kl_const = ad.add(
-            kl_const,
-            ad.scale(ad.exp(ad.scale(log_se, 2.0)), d_lat / (2 * sig_0**2)),
-        )
-        kl_mean = ad.add(kl_var, kl_const)
-    else:
-        kl_const = d_lat * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
-        kl_mean = ad.add(kl_var, tape.constant(kl_const))
-    kl = ad.scale(kl_mean, -config.beta)
+    kl_const = d_lat * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
+    kl = ad.scale(ad.add(kl_var, tape.constant(kl_const)), -config.beta)
 
     if use_rr:
         x_hat2 = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z2)
@@ -482,14 +442,13 @@ def save_checkpoint(model: VaeModel, path):
         "sigma_d": model.sigma_d,
         "sigma_0": model.sigma_0,
         "flow": model.flow,
-        "learn_sigmas": model.learn_sigmas,
         "params": [[n, list(model.params[n].shape)] for n in names],
     }
     if model.latent.kind == "klein":
         cfg = model.latent.klein or mf.KleinConfig()
         header["klein"] = [cfg.a, cfg.b, cfg.resolution]
     if model.latent.kind == "pointcloud":
-        model.latent.layer.manifold.save(path.with_name(path.name + ".manifold"))
+        model.latent.manifold.save(path.with_name(path.name + ".manifold"))
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -503,20 +462,36 @@ def save_checkpoint(model: VaeModel, path):
 
 
 def load_checkpoint(path) -> VaeModel:
+    """Read a checkpoint; its size must be exactly what its header implies."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        version, blob_len = struct.unpack("<II", fh.read(8))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(blob_len).decode())
-        params = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.fromfile(fh, dtype="<f8", count=count)
-            params[name] = arr.reshape(shape) if shape else arr.reshape(())
+    data = path.read_bytes()
+    magic = data[: len(_CKPT_MAGIC)]
+    if magic != _CKPT_MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
+    start = len(_CKPT_MAGIC) + 8
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, blob_len = struct.unpack_from("<II", data, len(_CKPT_MAGIC))
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if len(data) < start + blob_len:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(data[start : start + blob_len].decode())
+        shapes = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint header ({exc})") from None
+    counts = [math.prod(shape) for _, shape in shapes]
+    expected = start + blob_len + 8 * sum(counts)
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, but its header implies {expected}")
+    if header.get("learn_sigmas", False):
+        raise ValueError(f"{path}: learnable noise scales are no longer supported")
+    params = {}
+    offset = start + blob_len
+    for (name, shape), count in zip(shapes, counts):
+        params[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
 
     kind = header["latent_kind"]
     policy = header["latent_policy"]
@@ -545,5 +520,4 @@ def load_checkpoint(path) -> VaeModel:
         header["sigma_d"],
         header["sigma_0"],
         header["flow"],
-        header["learn_sigmas"],
     )

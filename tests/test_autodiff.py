@@ -89,10 +89,10 @@ def test_backward_square():
 def test_backward_matvec_column_sums():
     tape = ad.Tape()
     a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-    b = tape.leaf("b", [1.0, 1.0])
+    b = tape.leaf("b", [[1.0], [1.0]])
     out = ad.ssum(ad.matmul(a, b))
     grads = tape.backward(out)
-    np.testing.assert_allclose(grads["b"], [4.0, 6.0])
+    np.testing.assert_allclose(grads["b"], [[4.0], [6.0]])
 
 
 def test_backward_requires_scalar():
@@ -131,15 +131,19 @@ def test_shape_errors_name_op_and_shapes():
     b = tape.leaf("b", np.ones((2, 3)))
     with pytest.raises(ad.ShapeError, match="matmul"):
         ad.matmul(a, b)
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(a, tape.constant(np.ones(3)))  # only 2-D operands
     with pytest.raises(ad.ShapeError, match="bias_add"):
         ad.bias_add(a, tape.constant(np.ones(2)))
 
 
 def test_check_finite_rejects_nan():
     tape = ad.Tape()
-    x = tape.leaf("x", [-1.0])
-    with pytest.raises(ValueError):
-        ad.log(x)
+    with pytest.raises(ad.NonFiniteError, match="leaf:x"):
+        tape.leaf("x", [np.nan])
+    x = tape.leaf("y", [1000.0])
+    with pytest.raises(ad.NonFiniteError, match="exp"), np.errstate(over="ignore"):
+        ad.exp(x)
 
 
 @pytest.mark.parametrize(
@@ -152,24 +156,12 @@ def test_check_finite_rejects_nan():
         ("neg", lambda x: ad.neg(x)),
         ("exp", lambda x: ad.exp(x)),
         ("square", lambda x: ad.square(x)),
-        ("mean", lambda x: ad.exp(ad.mean(x))),
-        ("pair_norm", lambda x: ad.pair_norm(x)),
     ],
 )
 def test_elementwise_ops_match_finite_differences(name, builder):
     rng = np.random.default_rng(42)
     x = rng.uniform(-2.0, 2.0, size=8)
-    if name == "pair_norm":
-        x += np.sign(x) * 0.5  # keep pairs away from the origin
     f, fg = scalar_loss(builder)
-    g_fd = central_diff(lambda v: f(v), x)
-    assert_grad_close(fg(x), g_fd)
-
-
-def test_log_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(0.5, 2.5, size=6)
-    f, fg = scalar_loss(lambda t: ad.log(t))
     g_fd = central_diff(lambda v: f(v), x)
     assert_grad_close(fg(x), g_fd)
 
@@ -230,7 +222,7 @@ def test_composed_mlp_matches_finite_differences():
             h = ad.bias_add(ad.matmul(h, leaves[f"W{i}"]), leaves[f"b{i}"])
             if i < len(sizes) - 2:
                 h = ad.leaky_relu(h, 0.01)
-        out = ad.mean(ad.square(ad.sub(h, tape.constant(Y))))
+        out = ad.scale(ad.ssum(ad.square(ad.sub(h, tape.constant(Y)))), 1.0 / Y.size)
         if want_grads:
             return tape.backward(out)
         return out.data.item()
@@ -246,25 +238,28 @@ def test_composed_mlp_matches_finite_differences():
 
 def test_custom_jacobian_identity_passthrough():
     tape = ad.Tape()
-    x = tape.leaf("x", [1.0, 2.0, 3.0])
-    y = ad.custom_jacobian(x, x.data * 2.0, 2.0 * np.eye(3))
+    x = tape.leaf("x", [[1.0, 2.0, 3.0]])
+    y = ad.batch_custom_jacobian(x, x.data * 2.0, 2.0 * np.eye(3)[None])
     grads = tape.backward(ad.ssum(y))
-    np.testing.assert_allclose(grads["x"], [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(grads["x"], [[2.0, 2.0, 2.0]])
 
 
 def test_custom_jacobian_zero_blocks_gradient():
     tape = ad.Tape()
-    x = tape.leaf("x", [1.0, 2.0])
-    y = ad.custom_jacobian(x, np.array([5.0, 5.0]), np.zeros((2, 2)))
+    x = tape.leaf("x", [[1.0, 2.0], [3.0, 4.0]])
+    jacs = np.stack([np.zeros((2, 2)), np.eye(2)])
+    y = ad.batch_custom_jacobian(x, np.full((2, 2), 5.0), jacs)
     grads = tape.backward(ad.ssum(ad.square(y)))
-    np.testing.assert_array_equal(grads["x"], [0.0, 0.0])
+    np.testing.assert_array_equal(grads["x"], [[0.0, 0.0], [10.0, 10.0]])
 
 
 def test_custom_jacobian_shape_validation():
     tape = ad.Tape()
-    x = tape.leaf("x", [1.0, 2.0])
+    x = tape.leaf("x", [[1.0, 2.0]])
     with pytest.raises(ad.ShapeError):
-        ad.custom_jacobian(x, np.array([1.0]), np.eye(2))
+        ad.batch_custom_jacobian(x, np.array([[1.0]]), np.eye(2)[None])
+    with pytest.raises(ad.ShapeError):
+        ad.batch_custom_jacobian(x, np.array([1.0, 2.0]), np.eye(2)[None])
 
 
 def test_batch_custom_jacobian_matches_loop():
@@ -281,20 +276,8 @@ def test_batch_custom_jacobian_matches_loop():
     g_batch = tape.backward(loss)["x"]
 
     for b in range(5):
-        tape_b = ad.Tape()
-        xb = tape_b.leaf("x", X[b])
-        yb = ad.custom_jacobian(xb, outs[b], jacs[b])
-        gb = tape_b.backward(ad.ssum(ad.square(yb)))["x"]
-        np.testing.assert_allclose(g_batch[b], gb, rtol=1e-12)
-
-
-def test_forward_op_dispatch():
-    tape = ad.Tape()
-    x = tape.leaf("x", [1.0, -1.0])
-    out = ad.forward_op("relu", x)
-    np.testing.assert_array_equal(out.data, [1.0, 0.0])
-    with pytest.raises(ValueError, match="unknown op"):
-        ad.forward_op("conv2d", x)
+        # d/dx_b sum |J_b x_b|^2 = 2 J_b^T (J_b x_b)
+        np.testing.assert_allclose(g_batch[b], 2.0 * jacs[b].T @ outs[b], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +322,6 @@ def test_rng_identical_seed_identical_stream():
     a, b = ad.Rng(123), ad.Rng(123)
     np.testing.assert_array_equal(a.normal(100), b.normal(100))
     np.testing.assert_array_equal(a.uniform(size=50), b.uniform(size=50))
-
-
-def test_rng_derive_is_deterministic_and_independent():
-    a = ad.Rng(9).derive(4)
-    b = ad.Rng(9).derive(4)
-    c = ad.Rng(9).derive(5)
-    np.testing.assert_array_equal(a.normal(10), b.normal(10))
-    assert not np.array_equal(ad.Rng(9).derive(4).normal(10), c.normal(10))
 
 
 def test_glorot_bounds():

@@ -52,7 +52,12 @@ def test_parseval_and_conjugate_symmetry():
     lhs = np.sum(v**2)
     rhs = 128 * np.sum(np.abs(spec.coefficients) ** 2)
     assert abs(lhs - rhs) < 1e-10
-    assert spec.conjugate_symmetry_defect() < 1e-12
+    # c_{-k} = conj(c_k) for every representable pair k = 1 .. n/2 - 1
+    c = spec.coefficients
+    k = spec.wavenumbers
+    pos = np.flatnonzero(k > 0)
+    neg = np.searchsorted(k, -k[pos])
+    assert np.abs(c[neg] - np.conj(c[pos])).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from mvrom import burgers as bg
 from mvrom import cli
 from mvrom import datafiles
 from mvrom import experiments as ex
+from mvrom import manifold as mf
 from mvrom import vae
 
 
@@ -66,6 +67,10 @@ def test_error_table_validation():
         table.add("m", 1, "", "b", 0.5)
     with pytest.raises(ValueError):
         table.add("m", 1, "", "a", -0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            table.add("m", 1, "", "a", bad)
+    assert table.rows == {}
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +223,60 @@ def test_failed_cell_is_recorded_not_raised(tmp_path):
     assert table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")]["0.00s"] == ex.FAILED
 
 
+def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
+    def nan_cell(sections, out, beta, gamma, seed):
+        return {"0.00s": 0.1, "0.25s": float("nan"), "1.00s": 0.2}
+
+    monkeypatch.setattr(ex, "_burgers_vae_cell", nan_cell)
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides())
+    table, failed = ex.run_experiment(cfg, tmp_path / "nan")
+    assert failed == 3
+    assert set(table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")].values()) == {ex.FAILED}
+    assert "nan" not in (tmp_path / "nan" / "errors.csv").read_text()
+
+
+def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
+    cloud_file = tmp_path / "torus.cloud"
+    points = mf.build_torus_pointcloud(resolution=64).points
+    mf.PointCloudManifold(2, 4, points, "quadratic").save(cloud_file)
+    trained = {}
+    save_checkpoint = vae.save_checkpoint
+
+    def save_and_keep(model, path):
+        trained[path] = model
+        save_checkpoint(model, path)
+
+    monkeypatch.setattr(vae, "save_checkpoint", save_and_keep)
+    out = tmp_path / "mech"
+    overrides = [
+        "experiment.kind=mech-recon",
+        "dataset.m=64",
+        "model.hidden=8,8",
+        "model.klein_resolution=64",
+        f"model.pointcloud_file={cloud_file}",
+        "train.epochs=2",
+        "sweep.latent=klein,pointcloud",
+        "sweep.sigma=0.05",
+    ]
+    argv = ["sweep", "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    assert ex.read_table_csv(out / "errors.csv").num_failed == 0
+    assert sorted(p.parent.name for p in trained) == [
+        "latent=klein_sigma=0.05",
+        "latent=pointcloud_sigma=0.05",
+    ]
+    X = np.random.default_rng(0).normal(size=(5, 4))
+    for path, model in trained.items():
+        loaded = vae.load_checkpoint(path)
+        assert loaded.latent.kind == model.latent.kind
+        for x in X:
+            np.testing.assert_array_equal(
+                vae.predict_multistep(loaded, x, 0), vae.predict_multistep(model, x, 0)
+            )
+
+
 # ---------------------------------------------------------------------------
 # latent trace export
 
@@ -314,6 +373,21 @@ def test_cli_train_eval_trace_roundtrip(tmp_path):
     )
     assert rc == 0
     assert len(trace.read_text().strip().splitlines()) == 1 + 2 * 5
+
+
+def test_cli_eval_marks_nonfinite_error_failed(tmp_path, monkeypatch):
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.euclidean_latent(2), hidden=(4,)), ckpt)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[dataset]\nn_x = 64\nm_train = 4\nm_test = 2\n[sweep]\nhorizons = 1\n")
+    errors = {"0.00s": 0.1, "0.25s": float("nan")}
+    monkeypatch.setattr(ex, "evaluate_burgers_model", lambda *args: errors)
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(ckpt), "--config", str(ini), "--out", str(out)]
+    assert cli.main(argv) == 1
+    table = ex.read_table_csv(out / "errors.csv")
+    assert table.cell("vae-checkpoint", 2, "", "0.00s") == 0.1
+    assert table.cell("vae-checkpoint", 2, "", "0.25s") == ex.FAILED
 
 
 def test_cli_eval_custom_input_field(tmp_path):

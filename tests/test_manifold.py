@@ -30,18 +30,25 @@ def fd_jacobian(fn, w, h=1e-5):
     return np.stack(cols, axis=-1)
 
 
+def project_torus(w):
+    """(z, J) of the analytic torus projection of one point."""
+    Z, J, flagged = mf.AnalyticTorus().project(np.asarray(w)[None, :])
+    assert not flagged.any()
+    return Z[0], J[0]
+
+
 # ---------------------------------------------------------------------------
 # analytic torus projection
 
 
 def test_project_torus_axis_points():
-    z, _ = mf.project_torus(np.array([2.0, 0.0, 0.0, 3.0]))
+    z, _ = project_torus(np.array([2.0, 0.0, 0.0, 3.0]))
     np.testing.assert_allclose(z, [1.0, 0.0, 0.0, 1.0])
 
 
 def test_project_torus_idempotent_on_manifold():
     w = np.array([np.cos(0.3), np.sin(0.3), np.cos(2.1), np.sin(2.1)])
-    z, J = mf.project_torus(w)
+    z, J = project_torus(w)
     np.testing.assert_allclose(z, w, atol=1e-15)
     # tangent projector blocks: symmetric, idempotent
     np.testing.assert_allclose(J, J.T, atol=1e-14)
@@ -52,7 +59,7 @@ def test_project_torus_idempotent_on_manifold():
 def test_project_torus_constraint_residual():
     rng = np.random.default_rng(0)
     W = rng.normal(size=(50, 4)) * 2 + 0.5
-    Z, _ = mf.project_torus(W)
+    Z, _, _ = mf.AnalyticTorus().project(W)
     np.testing.assert_allclose(np.sum(Z[:, :2] ** 2, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.sum(Z[:, 2:] ** 2, axis=1), 1.0, atol=1e-12)
 
@@ -62,14 +69,16 @@ def test_project_torus_jacobian_matches_finite_differences():
     for _ in range(20):
         w = rng.normal(size=4)
         w[[0, 2]] += np.sign(w[[0, 2]]) * 0.5  # keep pairs off the centers
-        _, J = mf.project_torus(w)
-        J_fd = fd_jacobian(lambda v: mf.project_torus(v)[0], w)
+        _, J = project_torus(w)
+        J_fd = fd_jacobian(lambda v: project_torus(v)[0], w)
         assert np.abs(J - J_fd).max() / (1 + np.abs(J_fd).max()) < 1e-8
 
 
 def test_project_torus_rejects_center():
     with pytest.raises(mf.ProjectionError, match="circle center"):
-        mf.project_torus(np.array([0.0, 0.0, 1.0, 0.0]))
+        mf.AnalyticTorus().project(np.array([[0.0, 0.0, 1.0, 0.0]]))
+    with pytest.raises(mf.ProjectionError, match="\\(B, 4\\)"):
+        mf.AnalyticTorus().project(np.array([1.0, 0.0, 1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +166,8 @@ def test_coarse_phase_matches_brute_force(klein_cloud):
 
 def test_projection_far_point_snaps_to_outer_circle(klein_cloud):
     w = 2.0 * np.array([3.0, 0.0, 0.0, 0.0])  # 2 * (a + b) along the first axis
-    res = mf.nearest_point(w, klein_cloud)
-    np.testing.assert_allclose(res.z, [3.0, 0.0, 0.0, 0.0], atol=1e-8)
+    res = mf.nearest_point_batch(w[None], klein_cloud)
+    np.testing.assert_allclose(res.z[0], [3.0, 0.0, 0.0, 0.0], atol=1e-8)
     # brute force over the dense cloud agrees
     d2 = ((klein_cloud.points - w) ** 2).sum(axis=1)
     np.testing.assert_allclose(
@@ -174,7 +183,7 @@ def test_pointcloud_torus_matches_analytic_projection(torus_cloud):
     keep = (np.linalg.norm(W[:, :2], axis=1) > 0.3) & (np.linalg.norm(W[:, 2:], axis=1) > 0.3)
     W = W[keep]
     batch = mf.nearest_point_batch(W, torus_cloud)
-    Z, _ = mf.project_torus(W)
+    Z, _, _ = mf.AnalyticTorus().project(W)
     assert np.abs(batch.z - Z).max() < 1e-6
 
 
@@ -210,7 +219,9 @@ def test_projection_nonexpansive_near_manifold(torus_cloud):
 
 def test_projection_input_validation(klein_cloud):
     with pytest.raises(mf.ProjectionError):
-        mf.nearest_point(np.array([[1.0, 0, 0, 0]]), klein_cloud)
+        mf.nearest_point_batch(np.array([1.0, 0, 0, 0]), klein_cloud)
+    with pytest.raises(mf.ProjectionError):
+        mf.nearest_point_batch(np.array([[1.0, 0, 0]]), klein_cloud)
     with pytest.raises(mf.ProjectionError):
         mf.nearest_point_batch(np.array([[np.nan, 0, 0, 0]]), klein_cloud)
 
@@ -220,11 +231,11 @@ def test_projection_input_validation(klein_cloud):
 
 
 def test_circle_curvature_correction(circle_cloud):
-    res = mf.nearest_point(np.array([2.0, 0.0]), circle_cloud)
-    np.testing.assert_allclose(res.z, [1.0, 0.0], atol=1e-10)
-    np.testing.assert_allclose(res.jacobian, [[0.0, 0.0], [0.0, 0.5]], atol=1e-9)
-    jac = mf.lambda_jacobian(circle_cloud, res, np.array([2.0, 0.0]))
-    np.testing.assert_allclose(jac, [[0.0, 0.0], [0.0, 0.5]], atol=1e-9)
+    # at distance 2 from the center the tangential gain is 1/2, not 1
+    res = mf.nearest_point_batch(np.array([[2.0, 0.0]]), circle_cloud)
+    np.testing.assert_allclose(res.z[0], [1.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(res.jacobian[0], [[0.0, 0.0], [0.0, 0.5]], atol=1e-9)
+    assert not res.singular[0] and not res.degraded[0]
 
 
 def test_on_manifold_jacobian_is_tangent_projector(klein_cloud):
@@ -264,17 +275,17 @@ def test_jacobian_rows_lie_in_tangent_space(klein_cloud):
     batch = mf.nearest_point_batch(W, klein_cloud)
     _, jac, _ = klein_cloud.chart_frames(batch.chart_id, klein_cloud.canonical_params(batch.u))
     for b in range(len(ids)):
-        P = mf.tangent_projector(jac[b])
+        P = jac[b] @ np.linalg.solve(jac[b].T @ jac[b], jac[b].T)  # J (J^T J)^-1 J^T
         defect = (np.eye(4) - P) @ batch.jacobian[b]
         assert np.abs(defect).max() < 1e-8
 
 
-def test_medial_axis_is_flagged_and_lambda_jacobian_raises(circle_cloud):
-    center = np.array([0.0, 0.0])
-    res = mf.nearest_point(center, circle_cloud)
-    assert res.singular
-    with pytest.raises(mf.ProjectionError, match="medial axis"):
-        mf.lambda_jacobian(circle_cloud, res, center)
+def test_medial_axis_is_flagged_singular(circle_cloud):
+    res = mf.nearest_point_batch(np.array([[0.0, 0.0], [1.5, 0.0]]), circle_cloud)
+    np.testing.assert_array_equal(res.singular, [True, False])
+    assert np.all(np.isfinite(res.jacobian))  # pseudo-inverse Jacobian, no raise
+    _, _, flagged = circle_cloud.project(np.array([[0.0, 0.0]]))
+    assert flagged[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +309,7 @@ def test_monge_projection_tracks_analytic(torus_quad_cloud):
     ids = rng.choice(torus_quad_cloud.num_points, size=100, replace=False)
     W = torus_quad_cloud.points[ids] + rng.normal(size=(100, 4)) * 0.05
     batch = mf.nearest_point_batch(W, torus_quad_cloud)
-    Z, _ = mf.project_torus(W)
+    Z, _, _ = mf.AnalyticTorus().project(W)
     assert np.abs(batch.z - Z).max() < 1e-4
 
 
@@ -310,9 +321,7 @@ def test_adjacent_quadratic_charts_agree(torus_quad_cloud):
     _, nbr = torus_quad_cloud.tree.query(W, k=2)
     z = []
     for col in range(2):
-        U, sigma, _, _ = mf._refine(
-            torus_quad_cloud, W, nbr[:, col], mf.NEWTON_TOL, mf.NEWTON_MAX_ITER
-        )
+        U, sigma, _, _ = mf._refine(torus_quad_cloud, W, nbr[:, col])
         z.append(sigma)
     assert np.abs(z[0] - z[1]).max() < 1e-4
 
@@ -353,9 +362,9 @@ def test_pointcloud_roundtrip_quadratic(tmp_path, torus_quad_cloud):
     loaded = mf.load_pointcloud(path)
     assert loaded.chart_kind == "quadratic"
     np.testing.assert_allclose(loaded.points, torus_quad_cloud.points, atol=1e-12)
-    w = torus_quad_cloud.points[123] * 1.05
-    a = mf.nearest_point(w, torus_quad_cloud)
-    b = mf.nearest_point(w, loaded)
+    w = torus_quad_cloud.points[123:124] * 1.05
+    a = mf.nearest_point_batch(w, torus_quad_cloud)
+    b = mf.nearest_point_batch(w, loaded)
     np.testing.assert_allclose(a.z, b.z, atol=1e-12)
 
 
@@ -367,16 +376,15 @@ def test_encode_layer_identity_on_manifold(torus_cloud):
     rng = np.random.default_rng(16)
     ids = rng.choice(torus_cloud.num_points, size=8, replace=False)
     W = torus_cloud.points[ids]
-    latent = mf.ManifoldLatent("pointcloud", torus_cloud)
     tape = ad.Tape()
     w = tape.leaf("w", W)
-    z, mask = mf.manifold_encode_layer(w, latent)
+    z, mask = mf.manifold_encode_layer(w, torus_cloud)
     assert mask.all()
     np.testing.assert_allclose(z.data, W, atol=1e-9)
 
 
 def test_encode_layer_gradients_match_finite_differences():
-    latent = mf.ManifoldLatent("torus")
+    torus = mf.AnalyticTorus()
     rng = np.random.default_rng(17)
     W = rng.normal(size=(6, 4))
     W[:, [0, 2]] += np.sign(W[:, [0, 2]]) * 0.5
@@ -385,7 +393,7 @@ def test_encode_layer_gradients_match_finite_differences():
     def loss_and_grad(Wv, want_grad=False):
         tape = ad.Tape()
         w = tape.leaf("w", Wv)
-        z, _ = mf.manifold_encode_layer(w, latent)
+        z, _ = mf.manifold_encode_layer(w, torus)
         out = ad.ssum(ad.square(ad.sub(z, tape.constant(target))))
         if want_grad:
             return tape.backward(out)["w"]
@@ -409,30 +417,45 @@ def test_analytic_and_pointcloud_torus_gradients_agree(torus_cloud):
     W[:, [0, 2]] += np.sign(W[:, [0, 2]]) * 0.5
     target = rng.normal(size=(10, 4))
 
-    def grad_through(latent):
+    def grad_through(manifold):
         tape = ad.Tape()
         w = tape.leaf("w", W)
-        z, _ = mf.manifold_encode_layer(w, latent)
+        z, _ = mf.manifold_encode_layer(w, manifold)
         out = ad.ssum(ad.square(ad.sub(z, tape.constant(target))))
         return tape.backward(out)["w"]
 
-    g_analytic = grad_through(mf.ManifoldLatent("torus"))
-    g_cloud = grad_through(mf.ManifoldLatent("pointcloud", torus_cloud))
+    g_analytic = grad_through(mf.AnalyticTorus())
+    g_cloud = grad_through(torus_cloud)
     assert np.abs(g_analytic - g_cloud).max() < 1e-5
 
 
 def test_encode_layer_policies(circle_cloud):
-    latent = mf.ManifoldLatent("pointcloud", circle_cloud)
     W = np.array([[1.5, 0.0], [0.0, 0.0]])  # second point sits on the medial axis
     tape = ad.Tape()
     w = tape.leaf("w", W)
     with pytest.raises(mf.ProjectionError, match="samples \\[1\\]"):
-        mf.manifold_encode_layer(w, latent, policy="raise")
+        mf.manifold_encode_layer(w, circle_cloud, policy="raise")
     tape2 = ad.Tape()
     w2 = tape2.leaf("w", W)
-    z, mask = mf.manifold_encode_layer(w2, latent, policy="skip")
+    z, mask = mf.manifold_encode_layer(w2, circle_cloud, policy="skip")
     np.testing.assert_array_equal(mask, [True, False])
     target = tape2.constant(np.array([[0.0, 1.0], [0.0, 1.0]]))
     grads = tape2.backward(ad.ssum(ad.square(ad.sub(z, target))))
     np.testing.assert_array_equal(grads["w"][1], [0.0, 0.0])
     assert np.any(grads["w"][0] != 0.0)
+
+
+class _FlagSecond:
+    """Identity projection that flags the second sample but keeps its Jacobian."""
+
+    def project(self, W):
+        return W.copy(), np.repeat(np.eye(W.shape[1])[None], len(W), axis=0), np.array([False, True])
+
+
+def test_skip_policy_blocks_gradient_of_flagged_sample():
+    tape = ad.Tape()
+    w = tape.leaf("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    z, mask = mf.manifold_encode_layer(w, _FlagSecond(), policy="skip")
+    np.testing.assert_array_equal(mask, [True, False])
+    grads = tape.backward(ad.ssum(ad.square(z)))
+    np.testing.assert_array_equal(grads["w"], [[2.0, 4.0], [0.0, 0.0]])
