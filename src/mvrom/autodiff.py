@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Define-by-run tape: every operation appends a node carrying its input slots
-and one vector-Jacobian closure per input.  ``Tape.backward`` walks the node
-list once in reverse, so topological order is guaranteed by construction.
-The op set is exactly what the VAE loss uses, plus a batched
-custom-Jacobian node that lets an externally solved map (the manifold
-projection) participate in backpropagation with supplied per-sample
-Jacobians.  Every op result and adjoint is checked for NaN/Inf.
+A ``Tape`` records one forward pass as a list of nodes, each an elemental
+function with a hand-derived adjoint (Griewank & Walther, *Evaluating
+Derivatives*, 2008): its input slots and one ``backward(g)`` returning one
+contribution (or ``None``) per input.  ``Tape.backward`` walks the list once
+in reverse.  The generic nodes are a sum, a scalar multiple, a row-weighted
+sum of squares and a batched custom-Jacobian node that lets the manifold
+projection join backpropagation; the model adds fused nodes of its own.
+Every node output and adjoint is checked for NaN/Inf.  Nothing the tape
+stores refers back to it, so reference counting alone frees a dead tape.
 """
 
 from __future__ import annotations
@@ -28,60 +30,57 @@ class Tensor:
     """Immutable float64 array bound to a tape slot.
 
     Values are never mutated after creation; reuse of a tensor in several
-    downstream ops is fine and its adjoint contributions accumulate.
+    downstream nodes is fine and its adjoint contributions accumulate.  A
+    constant has no slot: nothing differentiates past it.
     """
 
     __slots__ = ("data", "tape", "slot")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", slot: int):
+    def __init__(self, data: np.ndarray, tape: "Tape", slot: int | None):
         self.data = data
         self.tape = tape
         self.slot = slot
 
 
-@dataclass
-class _Node:
-    op: str
-    out_slot: int
-    in_slots: tuple
-    vjps: tuple  # one closure per input: grad_out -> grad_in contribution
+def _checked(data, op: str) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
+    return arr
 
 
 class Tape:
-    """Append-only record of operations for one forward pass.
+    """Append-only record of nodes for one forward pass.
 
-    NaN/Inf in any op result or adjoint raises ``NonFiniteError``, which
+    NaN/Inf in any node output or adjoint raises ``NonFiniteError``, which
     surfaces numerical failures at their source.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
-        self._leaves: dict[str, Tensor] = {}
+        self._nodes: list[tuple] = []  # (op, out slot, input slots, backward)
+        self._leaves: dict[str, tuple[int, np.ndarray]] = {}
         self._n_slots = 0
 
     def _wrap(self, data, op: str) -> Tensor:
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"non-finite values produced by op '{op}'")
-        t = Tensor(arr, self, self._n_slots)
         self._n_slots += 1
-        return t
+        return Tensor(_checked(data, op), self, self._n_slots - 1)
 
     def leaf(self, name: str, value) -> Tensor:
         """Register a trainable leaf; backward reports a gradient for it."""
         if name in self._leaves:
             raise ValueError(f"leaf '{name}' already registered")
         t = self._wrap(value, f"leaf:{name}")
-        self._leaves[name] = t
+        self._leaves[name] = (t.slot, t.data)
         return t
 
     def constant(self, value) -> Tensor:
         """A non-trainable input; backward never differentiates past it."""
-        return self._wrap(value, "constant")
+        return Tensor(_checked(value, "constant"), self, None)
 
-    def record(self, op: str, out_data, inputs: tuple, vjps: tuple) -> Tensor:
+    def record(self, op: str, out_data, inputs: tuple, backward) -> Tensor:
+        """Append a node; ``backward`` must not hold a tensor or the tape."""
         out = self._wrap(out_data, op)
-        self._nodes.append(_Node(op, out.slot, tuple(t.slot for t in inputs), vjps))
+        self._nodes.append((op, out.slot, tuple(t.slot for t in inputs), backward))
         return out
 
     @property
@@ -101,121 +100,50 @@ class Tape:
                 f"backward requires a scalar output, got shape {output.data.shape}"
             )
         adjoint: dict[int, np.ndarray] = {output.slot: np.ones(())}
-        for node in reversed(self._nodes):
-            g = adjoint.pop(node.out_slot, None)
+        for op, out_slot, in_slots, node_backward in reversed(self._nodes):
+            g = adjoint.pop(out_slot, None)
             if g is None:
                 continue
-            for slot, vjp in zip(node.in_slots, node.vjps):
-                if vjp is None:
+            for slot, contrib in zip(in_slots, node_backward(g)):
+                if contrib is None or slot is None:
                     continue
-                contrib = vjp(g)
                 if not np.all(np.isfinite(contrib)):
-                    raise NonFiniteError(f"non-finite adjoint from op '{node.op}'")
-                if slot in adjoint:
-                    adjoint[slot] = adjoint[slot] + contrib
-                else:
-                    adjoint[slot] = contrib
+                    raise NonFiniteError(f"non-finite adjoint from op '{op}'")
+                adjoint[slot] = adjoint[slot] + contrib if slot in adjoint else contrib
         grads = {}
-        for name, t in self._leaves.items():
-            g = adjoint.get(t.slot)
-            grads[name] = np.zeros_like(t.data) if g is None else np.asarray(g)
+        for name, (slot, value) in self._leaves.items():
+            g = adjoint.get(slot)
+            grads[name] = np.zeros_like(value) if g is None else np.asarray(g)
         return grads
 
 
-def _same_tape(*tensors) -> Tape:
-    tape = tensors[0].tape
-    for t in tensors[1:]:
-        if t.tape is not tape:
-            raise ValueError("operands come from different tapes")
-    return tape
-
-
 # ---------------------------------------------------------------------------
-# ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeError(f"matmul: {A.shape} @ {B.shape}")
-    return tape.record("matmul", A @ B, (a, b), (lambda g: g @ B.T, lambda g: A.T @ g))
+# generic nodes
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    return tape.record("add", a.data + b.data, (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    return tape.record("sub", a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: x is (batch, n), b is (n,)."""
-    tape = _same_tape(x, b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"bias_add: {x.data.shape} + {b.data.shape}")
-    return tape.record(
-        "bias_add",
-        x.data + b.data[None, :],
-        (x, b),
-        (lambda g: g, lambda g: g.sum(axis=0)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; the right operand may be a scalar (shape ())."""
-    tape = _same_tape(a, b)
-    A, B = a.data, b.data
-    if A.shape == B.shape:
-        vjps = (lambda g: g * B, lambda g: g * A)
-    elif B.shape == ():
-        vjps = (lambda g: g * B, lambda g: np.sum(g * A))
-    else:
-        raise ShapeError(f"mul: {A.shape} vs {B.shape}")
-    return tape.record("mul", A * B, (a, b), vjps)
+    return a.tape.record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return x.tape.record("scale", x.data * c, (x,), (lambda g: g * c,))
+    return x.tape.record("scale", x.data * c, (x,), lambda g: (g * c,))
 
 
-def neg(x: Tensor) -> Tensor:
-    return x.tape.record("neg", -x.data, (x,), (lambda g: -g,))
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return x.tape.record("exp", out, (x,), (lambda g: g * out,))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return x.tape.record("relu", np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
-
-
-def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    if not 0.0 <= slope < 1.0:
-        raise ValueError(f"leaky_relu: slope must be in [0, 1), got {slope}")
-    factor = np.where(x.data > 0, 1.0, slope)
-    return x.tape.record("leaky_relu", x.data * factor, (x,), (lambda g: g * factor,))
-
-
-def square(x: Tensor) -> Tensor:
-    X = x.data
-    return x.tape.record("square", X * X, (x,), (lambda g: 2.0 * g * X,))
-
-
-def ssum(x: Tensor) -> Tensor:
-    shape = x.data.shape
-    return x.tape.record("sum", x.data.sum(), (x,), (lambda g: np.broadcast_to(g, shape).copy(),))
+def weighted_sq_sum(x: Tensor, row_w, target: np.ndarray | None = None) -> Tensor:
+    """sum_b row_w[b] * |x_b - target_b|^2 for x (B, n); target is constant."""
+    w = np.asarray(row_w, dtype=np.float64)
+    if x.data.ndim != 2 or w.shape != x.data.shape[:1]:
+        raise ShapeError(f"weighted_sq_sum: x {x.data.shape}, row weights {w.shape}")
+    if target is not None and np.shape(target) != x.data.shape:
+        raise ShapeError(f"weighted_sq_sum: x {x.data.shape}, target {np.shape(target)}")
+    d = x.data if target is None else x.data - target
+    w = w[:, None]
+    return x.tape.record(
+        "weighted_sq_sum", (d * d * w).sum(), (x,), lambda g: ((2.0 * (g * w)) * d,)
+    )
 
 
 def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.ndarray) -> Tensor:
@@ -231,10 +159,7 @@ def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.nd
             f"outputs {out.shape} x inputs {x.data.shape}"
         )
     return x.tape.record(
-        "batch_custom_jacobian",
-        out,
-        (x,),
-        (lambda g: np.einsum("bpn,bp->bn", jac, g),),
+        "batch_custom_jacobian", out, (x,), lambda g: (np.einsum("bpn,bp->bn", jac, g),)
     )
 
 

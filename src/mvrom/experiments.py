@@ -9,6 +9,7 @@ isolation from its checkpoint plus the resolved config written next to it.
 from __future__ import annotations
 
 import configparser
+import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -582,8 +583,9 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
     names its table row as (method, dim, sweep).  A cell that raised or
-    returned a non-finite value is marked failed; otherwise its values are
-    added.
+    returned a non-finite value is marked failed and gets a row in
+    ``failures.csv`` (method, dim, sweep, error); otherwise its values are
+    added.  ``failures.csv`` exists only when some cell failed.
     """
     seed = cfg.get_int("experiment", "seed")
     cells = [
@@ -592,13 +594,24 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
         for j, b in enumerate(inner)
     ]
     results = _run_cells(cells, runner, cfg.get_int("experiment", "workers"))
+    failures = []
     for (a, b), res in results.items():
         method, dim, sweep = row(a, b)
-        if isinstance(res, Exception) or not all(math.isfinite(v) for v in res.values()):
-            table.mark_failed(method, dim, sweep)
+        if isinstance(res, Exception):
+            error = f"{type(res).__name__}: {res}"
         else:
+            error = next((f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
+        if error is None:
             for col, val in res.items():
                 table.add(method, dim, sweep, col, val)
+        else:
+            table.mark_failed(method, dim, sweep)
+            failures.append((method, dim, sweep, error))
+    path = out / "failures.csv"
+    path.unlink(missing_ok=True)
+    if failures:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("method", "dim", "sweep", "error"), *failures])
     return table
 
 

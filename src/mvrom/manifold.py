@@ -27,6 +27,7 @@ whose projection is unusable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -356,24 +357,49 @@ class PointCloudManifold:
 
 
 def load_pointcloud(path) -> PointCloudManifold:
-    with open(path) as fh:
-        header = fh.readline().split()
+    """Read a cloud written by ``PointCloudManifold.save``.
+
+    The header must parse, the file must end in a newline, and the body must
+    hold exactly ``count`` finite rows of n (quadratic) or n + m (analytic)
+    columns; any other file raises a ValueError naming it.
+    """
+    text = Path(path).read_text()
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}: truncated point-cloud file (no final newline)")
+    header_line, _, body = text.partition("\n")
+    header = header_line.split()
+    try:
         m, n, count, kind = int(header[0]), int(header[1]), int(header[2]), header[3]
-        rows = np.loadtxt(fh)
-    rows = np.atleast_2d(rows)
-    if rows.shape[0] != count:
-        raise ValueError(f"{path}: expected {count} rows, found {rows.shape[0]}")
+        if not 0 < m < n or count < 1:
+            raise ValueError(f"need 0 < m < n and rows > 0, got {m}, {n}, {count}")
+        if kind == "quadratic":
+            k_neighbors, width = int(header[4]) if len(header) > 4 else 12, n
+        elif kind == "klein":
+            surface, width = KleinSurface(float(header[4]), float(header[5])), n + m
+        elif kind == "circles":
+            surface, width = ProductCirclesSurface([float(v) for v in header[4:]]), n + m
+        else:
+            raise ValueError(f"unknown chart kind '{kind}'")
+        if kind != "quadratic" and (surface.m, surface.n) != (m, n):
+            raise ValueError(f"a {kind} surface has m={surface.m}, n={surface.n}")
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: corrupt point-cloud header ({exc})") from None
+    lines = body.splitlines()
+    if len(lines) != count:
+        raise ValueError(f"{path}: expected {count} rows, found {len(lines)}")
+    try:
+        rows = np.loadtxt(lines, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable point-cloud rows ({exc})") from None
+    if rows.shape[1] != width:
+        raise ValueError(f"{path}: expected {width} columns, found {rows.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in data row {bad[0] + 1}")
     if kind == "quadratic":
-        k_neighbors = int(header[4]) if len(header) > 4 else 12
-        return PointCloudManifold(m, n, rows[:, :n], "quadratic", k_neighbors=k_neighbors)
-    if kind == "klein":
-        surface = KleinSurface(float(header[4]), float(header[5]))
-    elif kind == "circles":
-        surface = ProductCirclesSurface([float(v) for v in header[4:]])
-    else:
-        raise ValueError(f"{path}: unknown chart kind '{kind}'")
+        return PointCloudManifold(m, n, rows, "quadratic", k_neighbors=k_neighbors)
     return PointCloudManifold(
-        m, n, rows[:, :n], "analytic", surface=surface, chart_params=rows[:, n : n + m]
+        m, n, rows[:, :n], "analytic", surface=surface, chart_params=rows[:, n:]
     )
 
 

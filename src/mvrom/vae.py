@@ -165,6 +165,8 @@ def build_vae(
     """Assemble a model; ``hidden=()`` gives the single-affine linear variant."""
     if activation not in ("relu", "leaky_relu"):
         raise ValueError(f"unknown activation '{activation}'")
+    if activation == "leaky_relu" and not 0.0 <= leaky_slope < 1.0:
+        raise ValueError(f"leaky_relu: slope must be in [0, 1), got {leaky_slope}")
     if flow not in ("exp-decay", "identity"):
         raise ValueError(f"unknown flow '{flow}'")
     output_dim = input_dim if output_dim is None else output_dim
@@ -191,33 +193,65 @@ def build_vae(
 
 
 # ---------------------------------------------------------------------------
-# forward passes (numpy inference path and tape training path)
+# forward passes: one MLP forward serves inference and the training tape
 
 
-def _act_np(model: VaeModel, h: np.ndarray) -> np.ndarray:
-    if model.activation == "relu":
-        return np.maximum(h, 0.0)
-    return np.where(h > 0, h, model.leaky_slope * h)
+def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray, cache=None) -> np.ndarray:
+    """The MLP ``prefix`` on the rows of X.
 
-
-def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray) -> np.ndarray:
+    With a ``cache`` list (training), every pre-activation must be finite
+    (ReLU would hide an overflow to -inf); each layer appends its input and
+    activation slope for the MLP node's backward pass.
+    """
     h = np.asarray(X, dtype=np.float64)
     n_layers = len(sizes) - 1
     for i in range(n_layers):
-        h = h @ model.params[f"{prefix}W{i}"] + model.params[f"{prefix}b{i}"]
+        pre = h @ model.params[f"{prefix}W{i}"] + model.params[f"{prefix}b{i}"]
+        if cache is not None and not np.all(np.isfinite(pre)):
+            raise ad.NonFiniteError(f"non-finite pre-activation in layer {prefix}{i}")
+        slope = None
         if i < n_layers - 1:
-            h = _act_np(model, h)
+            if model.activation == "relu":
+                slope = pre > 0
+                pre = np.where(slope, pre, 0.0)
+            else:
+                slope = np.where(pre > 0, 1.0, model.leaky_slope)
+                pre = pre * slope
+        if cache is not None:
+            cache.append((h, slope))
+        h = pre
     return h
 
 
 def _mlp_tape(model: VaeModel, leaves, prefix: str, sizes, x: "ad.Tensor") -> "ad.Tensor":
-    h = x
-    n_layers = len(sizes) - 1
-    for i in range(n_layers):
-        h = ad.bias_add(ad.matmul(h, leaves[f"{prefix}W{i}"]), leaves[f"{prefix}b{i}"])
-        if i < n_layers - 1:
-            h = ad.relu(h) if model.activation == "relu" else ad.leaky_relu(h, model.leaky_slope)
-    return h
+    """One MLP pass as one tape node over its input and every layer's W and b."""
+    cache = []
+    out = mlp_forward(model, prefix, sizes, x.data, cache)
+    names = [f"{prefix}{kind}{i}" for i in range(len(sizes) - 1) for kind in "Wb"]
+    weights = [leaves[n].data for n in names[::2]]
+    input_grad = x.slot is not None
+
+    def backward(g):
+        grads = []
+        for i in reversed(range(len(weights))):
+            h, slope = cache[i]
+            if slope is not None:
+                g = g * slope
+            grads += [g.sum(axis=0), h.T @ g]
+            g = g @ weights[i].T if i > 0 or input_grad else None
+        return (g, *grads[::-1])
+
+    return x.tape.record("mlp", out, (x, *(leaves[n] for n in names)), backward)
+
+
+def _flow_tape(model: VaeModel, lam: "ad.Tensor", z: "ad.Tensor") -> "ad.Tensor":
+    """The exp-decay flow z' = exp(-lambda0 tau) z as one node over (lambda0, z)."""
+    factor, tau, zd = flow_factor(model), model.tau, z.data
+
+    def backward(g):
+        return (np.sum(g * zd) * factor) * -tau, g * factor
+
+    return z.tape.record("flow", zd * factor, (lam, z), backward)
 
 
 def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
@@ -300,9 +334,9 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng
     def encoder_noise(a):
         return ad.add(a, tape.constant(sig_e * rng.normal((B, d_lat))))
 
-    def gaussian_loglik(pred, weights):
+    def gaussian_loglik(pred, row_w):
         """Weighted batch mean of log p(y | pred) under N(pred, sigma_d^2 I)."""
-        s = ad.ssum(ad.mul(ad.square(ad.sub(pred, Yc)), weights))
+        s = ad.weighted_sq_sum(pred, row_w, Y)
         const = -0.5 * n_out * np.log(2 * np.pi * sig_d**2)
         return ad.add(ad.scale(s, -1.0 / (2 * sig_d**2)), tape.constant(const))
 
@@ -323,25 +357,19 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng
     if n_valid == 0:
         raise mf.ProjectionError("every sample in the batch was flagged by the projection")
     row_w = valid.astype(np.float64) / n_valid
-    w_out = tape.constant(np.repeat(row_w[:, None], n_out, axis=1))
-    w_lat = tape.constant(np.repeat(row_w[:, None], d_lat, axis=1))
 
-    if model.flow == "exp-decay":
-        factor = ad.exp(ad.scale(leaves["lambda0"], -model.tau))
-        z_prime = ad.mul(z, factor)
-    else:
-        z_prime = z
+    z_prime = _flow_tape(model, leaves["lambda0"], z) if model.flow == "exp-decay" else z
     x_hat = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z_prime)
-    re = gaussian_loglik(x_hat, w_out)
+    re = gaussian_loglik(x_hat, row_w)
 
     # closed-form Gaussian KL on the pre-projection mean
-    kl_var = ad.scale(ad.ssum(ad.mul(ad.square(a), w_lat)), 1.0 / (2 * sig_0**2))
+    kl_var = ad.scale(ad.weighted_sq_sum(a, row_w), 1.0 / (2 * sig_0**2))
     kl_const = d_lat * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
     kl = ad.scale(ad.add(kl_var, tape.constant(kl_const)), -config.beta)
 
     if use_rr:
         x_hat2 = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z2)
-        rr = ad.scale(gaussian_loglik(x_hat2, w_out), config.gamma)
+        rr = ad.scale(gaussian_loglik(x_hat2, row_w), config.gamma)
     else:
         rr = tape.constant(0.0)
 
@@ -396,7 +424,7 @@ def train(
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: loss {minimized:.3e}", history
                 )
-            grads = tape.backward(ad.neg(total))
+            grads = tape.backward(ad.scale(total, -1.0))
             ad.adam_step(model.params, grads, state, lr=config.lr)
             sums += [
                 breakdown.total,
@@ -462,7 +490,7 @@ def save_checkpoint(model: VaeModel, path):
 
 
 def load_checkpoint(path) -> VaeModel:
-    """Read a checkpoint; its size must be exactly what its header implies."""
+    """Read a checkpoint; its size must match its header and its weights be finite."""
     path = Path(path)
     data = path.read_bytes()
     magic = data[: len(_CKPT_MAGIC)]
@@ -492,6 +520,8 @@ def load_checkpoint(path) -> VaeModel:
     for (name, shape), count in zip(shapes, counts):
         params[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape).copy()
         offset += 8 * count
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"{path}: parameter '{name}' has non-finite values")
 
     kind = header["latent_kind"]
     policy = header["latent_policy"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvrom import autodiff as ad
+from mvrom import vae
 
 
 def central_diff(f, x, h=1e-5):
@@ -22,91 +23,124 @@ def central_diff(f, x, h=1e-5):
     return g
 
 
-def assert_grad_close(g_ad, g_fd, tol=1e-6, mask=None):
+def assert_grad_close(g_ad, g_fd, tol=1e-6):
     err = np.abs(g_ad - g_fd)
     denom = np.maximum(1.0, np.maximum(np.abs(g_ad), np.abs(g_fd)))
     rel = err / denom
-    if mask is not None:
-        rel = rel[mask]
     assert rel.size == 0 or rel.max() < tol, f"max rel err {rel.max():.3e}"
 
 
-def scalar_loss(op_builder):
-    """Wrap an op builder x -> Tensor into a leaf-in scalar-out function pair."""
+ROW_W = np.array([0.5, 1.0, 0.0, 2.0])
+TARGET = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 2))
+FLOW = vae.build_vae(2, vae.euclidean_latent(2), hidden=(), lambda0_init=0.3)
+
+
+def scalar_loss(loss_builder):
+    """Wrap a builder leaf -> scalar Tensor into a value and a gradient function."""
 
     def f_value(x):
         tape = ad.Tape()
-        t = tape.leaf("x", x)
-        return ad.ssum(ad.square(op_builder(t))).data.item()
+        return loss_builder(tape.leaf("x", x)).data.item()
 
     def f_grad(x):
         tape = ad.Tape()
-        t = tape.leaf("x", x)
-        out = ad.ssum(ad.square(op_builder(t)))
-        return tape.backward(out)["x"]
+        return tape.backward(loss_builder(tape.leaf("x", x)))["x"]
 
     return f_value, f_grad
 
 
-def test_matmul_column_selection():
+def mlp_model(sizes, activation="relu", slope=1e-6, seed=11):
+    """A model whose encoder is the MLP ``sizes``; tests use its 'enc_' pass."""
+    latent = vae.euclidean_latent(sizes[-1])
+    return vae.build_vae(sizes[0], latent, hidden=tuple(sizes[1:-1]), activation=activation,
+                         leaky_slope=slope, seed=seed)
+
+
+def mlp_loss(model, X, row_w, target=None, want_grads=False):
+    """Row-weighted squared error of the encoder MLP node, input X a leaf."""
     tape = ad.Tape()
-    a = tape.leaf("a", [[1.0, 2.0], [3.0, 4.0]])
-    b = tape.constant([[1.0], [0.0]])
-    out = ad.matmul(a, b)
+    leaves = {k: tape.leaf(k, v) for k, v in model.params.items() if k.startswith("enc_")}
+    x = tape.leaf("X", X)
+    out = ad.weighted_sq_sum(vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, x),
+                             row_w, target)
+    return tape.backward(out) if want_grads else out.data.item()
+
+
+def check_mlp_gradients(model, X, row_w, target=None):
+    """Every encoder parameter and the input against central differences."""
+    grads = mlp_loss(model, X, row_w, target, want_grads=True)
+    inputs = {k: v for k, v in model.params.items() if k.startswith("enc_")}
+    inputs["X"] = X
+    assert set(grads) == set(inputs)
+    for name, value in inputs.items():  # perturbed in place, then restored
+        g_fd = central_diff(lambda _: mlp_loss(model, X, row_w, target), value)
+        assert_grad_close(grads[name], g_fd)
+
+
+def test_matmul_column_selection():
+    model = mlp_model([2, 1])
+    model.params["enc_W0"] = np.array([[1.0], [0.0]])
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    tape = ad.Tape()
+    leaves = {k: tape.leaf(k, v) for k, v in model.params.items()}
+    out = vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, tape.constant(X))
     np.testing.assert_array_equal(out.data, [[1.0], [3.0]])
 
 
+def hidden_activation(model, pre):
+    """The activation of one hidden layer, read from the forward cache."""
+    model.params["enc_W0"] = np.ones((1, len(pre)))
+    model.params["enc_b0"] = np.array(pre)
+    cache = []
+    vae.mlp_forward(model, "enc_", model.encoder_sizes, np.zeros((1, 1)), cache)
+    return cache[1][0][0]
+
+
 def test_relu_definition():
-    tape = ad.Tape()
-    x = tape.leaf("x", [-1.0, 0.0, 2.0])
-    np.testing.assert_array_equal(ad.relu(x).data, [0.0, 0.0, 2.0])
+    model = mlp_model([1, 3, 1])
+    np.testing.assert_array_equal(hidden_activation(model, [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
 
 
 def test_leaky_relu_paper_slope():
-    tape = ad.Tape()
-    x = tape.leaf("x", [-1.0, 2.0])
-    out = ad.leaky_relu(x, 1e-6)
-    np.testing.assert_allclose(out.data, [-1e-6, 2.0])
+    model = mlp_model([1, 2, 1], activation="leaky_relu", slope=1e-6)
+    np.testing.assert_allclose(hidden_activation(model, [-1.0, 2.0]), [-1e-6, 2.0])
 
 
 def test_leaky_relu_slope_domain():
-    tape = ad.Tape()
-    x = tape.leaf("x", [1.0])
-    with pytest.raises(ValueError):
-        ad.leaky_relu(x, 1.0)
-    with pytest.raises(ValueError):
-        ad.leaky_relu(x, -0.1)
+    for slope in (1.0, -0.1):
+        with pytest.raises(ValueError, match="slope"):
+            mlp_model([2, 3, 1], activation="leaky_relu", slope=slope)
+    mlp_model([2, 3, 1], activation="relu", slope=1.0)  # unused by ReLU
 
 
 def test_backward_square():
     tape = ad.Tape()
-    a = tape.leaf("a", 3.0)
-    out = ad.square(a)
-    grads = tape.backward(out)
-    assert grads["a"] == pytest.approx(6.0)
+    a = tape.leaf("a", [[3.0]])
+    grads = tape.backward(ad.weighted_sq_sum(a, [1.0]))
+    assert grads["a"].item() == pytest.approx(6.0)
 
 
 def test_backward_matvec_column_sums():
-    tape = ad.Tape()
-    a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-    b = tape.leaf("b", [[1.0], [1.0]])
-    out = ad.ssum(ad.matmul(a, b))
-    grads = tape.backward(out)
-    np.testing.assert_allclose(grads["b"], [[4.0], [6.0]])
+    # row weights 1/(2 y) make the adjoint of y all ones, so dW = X^T 1
+    model = mlp_model([2, 1])
+    model.params["enc_W0"] = np.array([[1.0], [1.0]])
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    grads = mlp_loss(model, X, np.array([1 / 6, 1 / 14]), want_grads=True)
+    np.testing.assert_allclose(grads["enc_W0"], [[4.0], [6.0]], rtol=1e-15)
 
 
 def test_backward_requires_scalar():
     tape = ad.Tape()
     x = tape.leaf("x", [1.0, 2.0])
     with pytest.raises(ad.ShapeError):
-        tape.backward(ad.square(x))
+        tape.backward(ad.add(x, x))
 
 
 def test_off_path_leaf_gets_zeros():
     tape = ad.Tape()
-    x = tape.leaf("x", [1.0, 2.0])
+    x = tape.leaf("x", [[1.0, 2.0]])
     y = tape.leaf("y", [[3.0, 4.0]])
-    out = ad.ssum(ad.square(x))
+    out = ad.weighted_sq_sum(x, [1.0])
     grads = tape.backward(out)
     np.testing.assert_array_equal(grads["y"], np.zeros((1, 2)))
     assert grads["y"].shape == y.data.shape
@@ -115,11 +149,11 @@ def test_off_path_leaf_gets_zeros():
 def test_backward_independent_of_unrelated_nodes():
     def grads_with_extra(extra):
         tape = ad.Tape()
-        x = tape.leaf("x", [1.5, -0.5, 2.0])
-        out = ad.ssum(ad.square(x))
+        x = tape.leaf("x", [[1.5, -0.5, 2.0]])
+        out = ad.weighted_sq_sum(x, [1.0])
         if extra:
-            z = tape.leaf("z", [5.0, 5.0])
-            ad.ssum(ad.exp(ad.scale(z, 0.1)))  # dangling subgraph
+            z = tape.leaf("z", [[5.0, 5.0]])
+            ad.weighted_sq_sum(ad.scale(z, 0.1), [1.0])  # dangling subgraph
         return tape.backward(out)["x"]
 
     np.testing.assert_array_equal(grads_with_extra(False), grads_with_extra(True))
@@ -128,39 +162,40 @@ def test_backward_independent_of_unrelated_nodes():
 def test_shape_errors_name_op_and_shapes():
     tape = ad.Tape()
     a = tape.leaf("a", np.ones((2, 3)))
-    b = tape.leaf("b", np.ones((2, 3)))
-    with pytest.raises(ad.ShapeError, match="matmul"):
-        ad.matmul(a, b)
-    with pytest.raises(ad.ShapeError, match="matmul"):
-        ad.matmul(a, tape.constant(np.ones(3)))  # only 2-D operands
-    with pytest.raises(ad.ShapeError, match="bias_add"):
-        ad.bias_add(a, tape.constant(np.ones(2)))
+    with pytest.raises(ad.ShapeError, match=r"add: \(2, 3\) vs \(3,\)"):
+        ad.add(a, tape.constant(np.ones(3)))
+    with pytest.raises(ad.ShapeError, match=r"weighted_sq_sum: x \(2, 3\), row weights \(3,\)"):
+        ad.weighted_sq_sum(a, np.ones(3))
+    with pytest.raises(ad.ShapeError, match=r"weighted_sq_sum: x \(2, 3\), target \(2,\)"):
+        ad.weighted_sq_sum(a, np.ones(2), np.ones(2))
 
 
 def test_check_finite_rejects_nan():
     tape = ad.Tape()
     with pytest.raises(ad.NonFiniteError, match="leaf:x"):
         tape.leaf("x", [np.nan])
-    x = tape.leaf("y", [1000.0])
-    with pytest.raises(ad.NonFiniteError, match="exp"), np.errstate(over="ignore"):
-        ad.exp(x)
+    x = tape.leaf("y", [1e308])
+    with pytest.raises(ad.NonFiniteError, match="scale"), np.errstate(over="ignore"):
+        ad.scale(x, 10.0)
 
 
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("add", lambda x: ad.add(x, x)),
-        ("sub", lambda x: ad.sub(ad.exp(x), x)),
-        ("mul", lambda x: ad.mul(x, ad.exp(x))),
-        ("scale", lambda x: ad.scale(x, -1.7)),
-        ("neg", lambda x: ad.neg(x)),
-        ("exp", lambda x: ad.exp(x)),
-        ("square", lambda x: ad.square(x)),
+        ("add", lambda x: ad.weighted_sq_sum(ad.add(x, x), ROW_W)),
+        ("sub", lambda x: ad.weighted_sq_sum(x, ROW_W, TARGET)),  # difference to a target
+        ("mul", lambda x: ad.weighted_sq_sum(x, ROW_W)),  # product with the row weights
+        ("scale", lambda x: ad.weighted_sq_sum(ad.scale(x, -1.7), ROW_W)),
+        ("neg", lambda x: ad.scale(ad.weighted_sq_sum(x, ROW_W), -1.0)),
+        # exp-decay flow, through its latent input (lambda0 is checked in test_vae)
+        ("exp", lambda x: ad.weighted_sq_sum(
+            vae._flow_tape(FLOW, x.tape.leaf("lambda0", FLOW.params["lambda0"]), x), ROW_W)),
+        ("square", lambda x: ad.weighted_sq_sum(x, np.ones(4))),
     ],
 )
 def test_elementwise_ops_match_finite_differences(name, builder):
     rng = np.random.default_rng(42)
-    x = rng.uniform(-2.0, 2.0, size=8)
+    x = rng.uniform(-2.0, 2.0, size=(4, 2))
     f, fg = scalar_loss(builder)
     g_fd = central_diff(lambda v: f(v), x)
     assert_grad_close(fg(x), g_fd)
@@ -168,13 +203,18 @@ def test_elementwise_ops_match_finite_differences(name, builder):
 
 @pytest.mark.parametrize("slope", [0.0, 1e-6, 0.2])
 def test_relu_family_matches_finite_differences_away_from_kink(slope):
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-2.0, 2.0, size=40)
-    mask = np.abs(x) > 1e-3
-    builder = (lambda t: ad.relu(t)) if slope == 0.0 else (lambda t: ad.leaky_relu(t, slope))
-    f, fg = scalar_loss(builder)
-    g_fd = central_diff(lambda v: f(v), x)
-    assert_grad_close(fg(x), g_fd, tol=1e-4, mask=mask)
+    # the MLP node: every parameter and the input, for ReLU and leaky ReLU
+    activation = "relu" if slope == 0.0 else "leaky_relu"
+    model = mlp_model([3, 6, 5, 2], activation, slope, seed=3)
+    for name in ("enc_b0", "enc_b1"):
+        model.params[name] = np.random.default_rng(4).uniform(-0.5, 0.5, model.params[name].shape)
+    X = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 3))
+    cache = []
+    vae.mlp_forward(model, "enc_", model.encoder_sizes, X, cache)
+    for i in (1, 2):  # hidden pre-activations stay clear of the kink by 1e-3
+        pre = cache[i - 1][0] @ model.params[f"enc_W{i - 1}"] + model.params[f"enc_b{i - 1}"]
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+    check_mlp_gradients(model, X, np.array([0.25, 0.5, 1.0, 0.0]), TARGET)
 
 
 @given(
@@ -185,63 +225,29 @@ def test_relu_family_matches_finite_differences_away_from_kink(slope):
 )
 @settings(max_examples=30, deadline=None)
 def test_matmul_matches_finite_differences(m, k, n, seed):
+    # a single affine layer: the MLP node's matmul and bias adjoints
     rng = np.random.default_rng(seed)
-    A = rng.uniform(-2, 2, size=(m, k))
-    B = rng.uniform(-2, 2, size=(k, n))
-
-    def run(A_, B_, want_grads=False):
-        tape = ad.Tape()
-        a = tape.leaf("A", A_)
-        b = tape.leaf("B", B_)
-        out = ad.ssum(ad.square(ad.matmul(a, b)))
-        if want_grads:
-            return tape.backward(out)
-        return out.data.item()
-
-    grads = run(A, B, want_grads=True)
-    assert_grad_close(grads["A"], central_diff(lambda X: run(X, B), A.copy()))
-    assert_grad_close(grads["B"], central_diff(lambda X: run(A, X), B.copy()))
+    model = mlp_model([k, n])
+    model.params["enc_W0"] = rng.uniform(-2, 2, size=(k, n))
+    model.params["enc_b0"] = rng.uniform(-2, 2, size=n)
+    check_mlp_gradients(model, rng.uniform(-2, 2, size=(m, k)), np.ones(m))
 
 
 def test_composed_mlp_matches_finite_differences():
-    # two-layer net, scalar loss; checks every parameter against central differences
+    # two-layer net, mean squared error; checks every parameter and the input
+    model = mlp_model([5, 7, 3], "leaky_relu", 0.01)
     rng = ad.Rng(11)
-    sizes = [5, 7, 3]
-    params = {}
-    for i, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params[f"W{i}"] = ad.glorot_init(rng, fi, fo)
-        params[f"b{i}"] = np.zeros(fo)
     X = rng.uniform(-1, 1, size=(4, 5))
     Y = rng.uniform(-1, 1, size=(4, 3))
-
-    def run(p, want_grads=False):
-        tape = ad.Tape()
-        leaves = {k: tape.leaf(k, v) for k, v in p.items()}
-        h = tape.constant(X)
-        for i in range(len(sizes) - 1):
-            h = ad.bias_add(ad.matmul(h, leaves[f"W{i}"]), leaves[f"b{i}"])
-            if i < len(sizes) - 2:
-                h = ad.leaky_relu(h, 0.01)
-        out = ad.scale(ad.ssum(ad.square(ad.sub(h, tape.constant(Y)))), 1.0 / Y.size)
-        if want_grads:
-            return tape.backward(out)
-        return out.data.item()
-
-    grads = run(params, want_grads=True)
-    for name in params:
-        def f(v, name=name):
-            q = {k: (v if k == name else w) for k, w in params.items()}
-            return run(q)
-
-        assert_grad_close(grads[name], central_diff(f, params[name].copy()), tol=1e-6)
+    check_mlp_gradients(model, X, np.full(4, 1.0 / Y.size), Y)
 
 
 def test_custom_jacobian_identity_passthrough():
     tape = ad.Tape()
     x = tape.leaf("x", [[1.0, 2.0, 3.0]])
     y = ad.batch_custom_jacobian(x, x.data * 2.0, 2.0 * np.eye(3)[None])
-    grads = tape.backward(ad.ssum(y))
-    np.testing.assert_allclose(grads["x"], [[2.0, 2.0, 2.0]])
+    grads = tape.backward(ad.weighted_sq_sum(y, [0.25]))
+    np.testing.assert_allclose(grads["x"], [[2.0, 4.0, 6.0]])  # J^T (2 * 0.25 * y)
 
 
 def test_custom_jacobian_zero_blocks_gradient():
@@ -249,7 +255,7 @@ def test_custom_jacobian_zero_blocks_gradient():
     x = tape.leaf("x", [[1.0, 2.0], [3.0, 4.0]])
     jacs = np.stack([np.zeros((2, 2)), np.eye(2)])
     y = ad.batch_custom_jacobian(x, np.full((2, 2), 5.0), jacs)
-    grads = tape.backward(ad.ssum(ad.square(y)))
+    grads = tape.backward(ad.weighted_sq_sum(y, np.ones(2)))
     np.testing.assert_array_equal(grads["x"], [[0.0, 0.0], [10.0, 10.0]])
 
 
@@ -264,7 +270,6 @@ def test_custom_jacobian_shape_validation():
 
 def test_batch_custom_jacobian_matches_loop():
     rng = np.random.default_rng(0)
-    W = rng.normal(size=(3, 4))
     jacs = rng.normal(size=(5, 3, 4))
     X = rng.normal(size=(5, 4))
     outs = np.einsum("bpn,bn->bp", jacs, X)
@@ -272,12 +277,28 @@ def test_batch_custom_jacobian_matches_loop():
     tape = ad.Tape()
     x = tape.leaf("x", X)
     y = ad.batch_custom_jacobian(x, outs, jacs)
-    loss = ad.ssum(ad.square(y))
-    g_batch = tape.backward(loss)["x"]
+    g_batch = tape.backward(ad.weighted_sq_sum(y, np.ones(5)))["x"]
 
     for b in range(5):
         # d/dx_b sum |J_b x_b|^2 = 2 J_b^T (J_b x_b)
         np.testing.assert_allclose(g_batch[b], 2.0 * jacs[b].T @ outs[b], rtol=1e-12)
+
+
+def test_weighted_sq_sum_target_and_zero_rows():
+    rng = np.random.default_rng(8)
+    X, T = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    row_w = np.array([0.5, 0.0, 2.0])
+    tape = ad.Tape()
+    x = tape.leaf("x", X)
+    out = ad.weighted_sq_sum(x, row_w, T)
+    assert out.data == pytest.approx(np.sum(row_w[:, None] * (X - T) ** 2), rel=1e-14)
+    g = tape.backward(out)["x"]
+    np.testing.assert_allclose(g, 2.0 * row_w[:, None] * (X - T), rtol=1e-14)
+    np.testing.assert_array_equal(g[1], 0.0)  # a zero-weight row gets no gradient
+    # a zero-weight row does not count, whatever its values
+    X[1] = 1e150
+    tape = ad.Tape()
+    assert ad.weighted_sq_sum(tape.leaf("x", X), row_w, T).data == out.data
 
 
 # ---------------------------------------------------------------------------

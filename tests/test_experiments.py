@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +235,51 @@ def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
     assert failed == 3
     assert set(table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")].values()) == {ex.FAILED}
     assert "nan" not in (tmp_path / "nan" / "errors.csv").read_text()
+
+
+def test_failed_cells_keep_their_error(tmp_path, monkeypatch):
+    def one_bad_cell(sections, out, beta, gamma, seed):
+        if beta == 2.0:
+            raise RuntimeError('diverged, "badly"')
+        if gamma == 0.0:
+            return {"0.00s": 0.1, "0.25s": float("inf"), "1.00s": 0.2}
+        return {"0.00s": 0.1, "0.25s": 0.2, "1.00s": 0.3}
+
+    monkeypatch.setattr(ex, "_burgers_vae_cell", one_bad_cell)
+    cfg = ex.ExperimentConfig.from_file(
+        None, overrides=tiny_overrides(["sweep.beta=1,2", "sweep.gamma=0.5,0"])
+    )
+    out = tmp_path / "sweep"
+    table, failed = ex.run_experiment(cfg, out)
+    assert failed == 3 * 3  # beta=2 (both gammas) and gamma=0 at beta=1, three columns each
+    with open(out / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["method", "dim", "sweep", "error"],
+        ["vae-nonlinear", "2", "beta=1;gamma=0", "non-finite 0.25s"],
+        ["vae-nonlinear", "2", "beta=2;gamma=0.5", 'RuntimeError: diverged, "badly"'],
+        ["vae-nonlinear", "2", "beta=2;gamma=0", 'RuntimeError: diverged, "badly"'],
+    ]
+    assert (out / "errors.csv").read_text().splitlines()[0] == "method,dim,sweep,0.00s,0.25s,1.00s"
+    # a rerun without failures leaves no stale failure file
+    good = {"0.00s": 0.1, "0.25s": 0.2, "1.00s": 0.3}
+    monkeypatch.setattr(ex, "_burgers_vae_cell", lambda *args: good)
+    assert ex.run_experiment(cfg, out)[1] == 0
+    assert not (out / "failures.csv").exists()
+
+
+def test_cli_eval_rejects_nonfinite_checkpoint(tmp_path):
+    model = vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0)
+    model.params["dec_b0"][3] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(model, ckpt)
+    field = tmp_path / "field.txt"
+    np.savetxt(field, np.sin(2 * np.pi * np.arange(64) / 64))
+    out_dir = tmp_path / "rollout"
+    with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*'dec_b0'"):
+        cli.main(["eval", "--checkpoint", str(ckpt), "--input-field", str(field),
+                  "--out", str(out_dir), "--steps", "2"])
+    assert not (out_dir / "rollout.csv").exists()
 
 
 def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):

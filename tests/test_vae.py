@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +97,70 @@ def test_identity_flow_has_no_lambda_parameter():
     np.testing.assert_array_equal(vae.latent_step(model, z, 4), z)
 
 
+def test_mlp_forward_cache_is_bit_identical():
+    for activation in ("relu", "leaky_relu"):
+        model = small_model(activation=activation, leaky_slope=0.2)
+        X, _ = toy_batch(model)
+        cache = []
+        cached = vae.mlp_forward(model, "enc_", model.encoder_sizes, X, cache)
+        plain = vae.mlp_forward(model, "enc_", model.encoder_sizes, X)
+        np.testing.assert_array_equal(cached, plain)
+        assert len(cache) == len(model.encoder_sizes) - 1
+
+
+def test_negative_infinite_preactivation_raises():
+    # ReLU maps -inf to 0: only the pre-activation check sees the overflow
+    model = small_model()
+    model.params["enc_b0"] = np.full(16, -1e308)
+    model.params["enc_W0"] = np.full((6, 16), -1e308)
+    X = np.ones((2, 6))
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(vae.mlp_forward(model, "enc_", model.encoder_sizes, X)))
+        with pytest.raises(ad.NonFiniteError, match="layer enc_0"):
+            vae.mlp_forward(model, "enc_", model.encoder_sizes, X, cache=[])
+        with pytest.raises(ad.NonFiniteError, match="layer enc_0"):
+            vae.loss(model, X, np.zeros((2, 6)), vae.TrainConfig(), ad.Rng(0))
+
+
+def test_flow_node_lambda_gradient_matches_finite_differences():
+    model = small_model()
+    z = np.random.default_rng(6).normal(size=(3, 2))
+    target = np.random.default_rng(7).normal(size=(3, 2))
+
+    def run(want_grad=False):
+        tape = ad.Tape()
+        lam = tape.leaf("lambda0", model.params["lambda0"])
+        out = ad.weighted_sq_sum(vae._flow_tape(model, lam, tape.constant(z)), np.ones(3), target)
+        return tape.backward(out)["lambda0"] if want_grad else out.data.item()
+
+    for lam in (0.0, 0.5, -1.3):
+        model.params["lambda0"] = np.array(lam)
+        h = 1e-6
+        model.params["lambda0"] = np.array(lam + h)
+        fp = run()
+        model.params["lambda0"] = np.array(lam - h)
+        fm = run()
+        model.params["lambda0"] = np.array(lam)
+        assert run(want_grad=True) == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "latent", [vae.euclidean_latent(2), vae.torus_latent(policy="skip")], ids=["euclidean", "torus"]
+)
+def test_loss_tape_is_freed_without_cycle_collector(latent):
+    model = small_model(latent=latent)
+    X, Y = toy_batch(model)
+    gc.disable()
+    try:
+        total, tape, _ = vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+        tape.backward(ad.scale(total, -1.0))
+        ref = weakref.ref(tape)
+        del total, tape
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -127,7 +193,7 @@ def test_gamma_zero_kills_rr_term_and_gradients():
     total, tape, b = vae.loss(model, X, Y, config, ad.Rng(0))
     assert b.regularization == 0.0
     # same rng draws, gamma > 0: gradients differ only through the target path
-    grads0 = tape.backward(ad.neg(total))
+    grads0 = tape.backward(ad.scale(total, -1.0))
     assert set(grads0) == set(model.params)
 
 
@@ -175,7 +241,7 @@ def test_reparameterized_gradient_matches_analytic():
         tape = ad.Tape()
         a = tape.leaf("a", np.repeat(a_val, 500, axis=0))
         z = ad.add(a, tape.constant(sigma * eps[i : i + 500]))
-        out = ad.scale(ad.ssum(ad.square(z)), 1.0 / 500)
+        out = ad.weighted_sq_sum(z, np.full(500, 1.0 / 500))
         grads += tape.backward(out)["a"].sum(axis=0) / (n / 500)
     band = 3 * 2 * sigma / np.sqrt(n)
     np.testing.assert_allclose(grads, 2 * a_val[0], atol=band)
