@@ -598,7 +598,7 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
     for (a, b), res in results.items():
         method, dim, sweep = row(a, b)
         if isinstance(res, Exception):
-            error = f"{type(res).__name__}: {res}"
+            error = _error_text(res)
         else:
             error = next((f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
         if error is None:
@@ -607,12 +607,22 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
         else:
             table.mark_failed(method, dim, sweep)
             failures.append((method, dim, sweep, error))
+    _write_failures(out, failures)
+    return table
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _write_failures(out: Path, failures) -> None:
+    """Write ``failures.csv`` (method, dim, sweep, error) when some cell
+    failed; otherwise remove a stale one."""
     path = out / "failures.csv"
     path.unlink(missing_ok=True)
     if failures:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([("method", "dim", "sweep", "error"), *failures])
-    return table
 
 
 def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
@@ -631,6 +641,11 @@ def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
 
 
 def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
+    """DMD and POD per rank and truncated Cole-Hopf per mode count.
+
+    A failed rank, or a failed Cole-Hopf column, is marked failed in the
+    table and gets a ``failures.csv`` row, as failed sweep cells do.
+    """
     seed = cfg.get_int("experiment", "seed")
     config, train_pairs, test_pairs = generate_burgers_sets(cfg, seed)
     X, Y = bg.pairs_to_arrays(train_pairs)
@@ -640,6 +655,11 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     table = ErrorTable(columns)
     truths = burgers_truth_at_horizons(test_pairs, config, horizons)
     test_inputs = np.stack([p.input.values for p in test_pairs])
+    failures = []
+
+    def fail(method, dim, error, column=None):
+        table.mark_failed(method, dim, "", column)
+        failures.append((method, dim, "", error))
 
     for rank in cfg.get_list("sweep", "dmd_ranks", int):
         try:
@@ -647,8 +667,8 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
             for k in horizons:
                 preds = np.stack([lb.dmd_predict(model, u, k) for u in test_inputs])
                 table.add("dmd", rank, "", horizon_label(k * config.tau), l1_relative_error(preds, truths[k]))
-        except Exception:
-            table.mark_failed("dmd", rank, "")
+        except Exception as exc:  # recorded; the other ranks still run
+            fail("dmd", rank, _error_text(exc))
 
     for rank in cfg.get_list("sweep", "pod_ranks", int):
         try:
@@ -656,8 +676,8 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
             for k in horizons:
                 preds = np.stack([lb.pod_predict(model, u, k) for u in test_inputs])
                 table.add("pod", rank, "", horizon_label(k * config.tau), l1_relative_error(preds, truths[k]))
-        except Exception:
-            table.mark_failed("pod", rank, "")
+        except Exception as exc:
+            fail("pod", rank, _error_text(exc))
 
     for n_f in cfg.get_list("sweep", "ch_dims", int):
         for k in horizons:
@@ -671,14 +691,15 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
                 )
                 finite = np.all(np.isfinite(preds), axis=1)
                 if not finite.any():
-                    table.mark_failed("cole-hopf", n_f, "", col)
+                    fail("cole-hopf", n_f, f"non-finite {col}", col)
                     continue
                 table.add(
                     "cole-hopf", n_f, "", col,
                     l1_relative_error(preds[finite], truths[k][finite]),
                 )
-            except Exception:
-                table.mark_failed("cole-hopf", n_f, "", col)
+            except Exception as exc:
+                fail("cole-hopf", n_f, _error_text(exc), col)
+    _write_failures(out, failures)
     return table
 
 

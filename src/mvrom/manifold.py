@@ -3,8 +3,9 @@
 A latent manifold is either analytic (product of circles, with a closed-form
 normalization map) or a dense point cloud equipped with local charts.  The
 projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is solved in two phases:
-a coarse nearest-cloud-point query, then Gauss-Newton refinement of
-Phi(u) = 0.5*|w - sigma(u)|^2 in that point's chart.
+a coarse k-d tree query for the ``CANDIDATES`` nearest cloud points, then a
+backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 in each
+candidate's chart; the candidate with the least Phi wins.
 
 The backward map is the implicit-function-theorem linearization of the
 optimality condition G(u, w) = grad_u Phi = 0:
@@ -18,6 +19,11 @@ the solution); the Jacobian always uses the full Hessian including the
 residual-curvature term, which is what makes off-manifold gradients exact.
 At zero residual the formula reduces to the orthogonal tangent-space
 projector.
+
+For m = 2, which every shipped manifold has, the 2x2 eigenvalues, solves
+and condition numbers are closed forms; other m use LAPACK.  A row stops
+iterating as soon as it converges, and every step acts row by row, so a
+sample's projection is bit-identical whatever batch it is projected in.
 
 Every manifold offers one batch method, ``project(W) -> (Z, J, flagged)``:
 projected points, per-sample Jacobians dLambda/dw and a mask of samples
@@ -151,23 +157,35 @@ class KleinSurface:
         c2, s2 = np.cos(u2), np.sin(u2)
         ch, sh = np.cos(u1 / 2), np.sin(u1 / 2)
         ring = a + b * c2
-
-        sigma = np.stack([ring * c1, ring * s1, b * s2 * ch, b * s2 * sh], axis=-1)
-
-        d1 = np.stack([-ring * s1, ring * c1, -0.5 * b * s2 * sh, 0.5 * b * s2 * ch], axis=-1)
-        d2 = np.stack([-b * s2 * c1, -b * s2 * s1, b * c2 * ch, b * c2 * sh], axis=-1)
-        jac = np.stack([d1, d2], axis=-1)
-
-        d11 = np.stack(
-            [-ring * c1, -ring * s1, -0.25 * b * s2 * ch, -0.25 * b * s2 * sh], axis=-1
-        )
-        d12 = np.stack(
-            [b * s2 * s1, -b * s2 * c1, -0.5 * b * c2 * sh, 0.5 * b * c2 * ch], axis=-1
-        )
-        d22 = np.stack([-b * c2 * c1, -b * c2 * s1, -b * s2 * ch, -b * s2 * sh], axis=-1)
-        hess = np.stack(
-            [np.stack([d11, d12], axis=-1), np.stack([d12, d22], axis=-1)], axis=-1
-        )
+        bs2, bc2 = b * s2, b * c2
+        shape = U.shape[:-1]
+        sigma = np.empty(shape + (4,))
+        jac = np.empty(shape + (4, 2))  # [..., k, i] = d sigma_k / d u_i
+        hess = np.empty(shape + (4, 2, 2))
+        # Entries that are a negated or power-of-two multiple of another are
+        # copied from it; both operations are exact in floating point.
+        sigma[..., 0] = ring * c1
+        sigma[..., 1] = ring * s1
+        sigma[..., 2] = bs2 * ch
+        sigma[..., 3] = bs2 * sh
+        jac[..., 0, 0] = -sigma[..., 1]
+        jac[..., 1, 0] = sigma[..., 0]
+        jac[..., 2, 0] = -0.5 * sigma[..., 3]
+        jac[..., 3, 0] = 0.5 * sigma[..., 2]
+        jac[..., 0, 1] = -bs2 * c1
+        jac[..., 1, 1] = -bs2 * s1
+        jac[..., 2, 1] = bc2 * ch
+        jac[..., 3, 1] = bc2 * sh
+        hess[..., :2, 0, 0] = -sigma[..., :2]
+        hess[..., 2:, 0, 0] = -0.25 * sigma[..., 2:]
+        hess[..., 0, 0, 1] = -jac[..., 1, 1]
+        hess[..., 1, 0, 1] = jac[..., 0, 1]
+        hess[..., 2, 0, 1] = -0.5 * jac[..., 3, 1]
+        hess[..., 3, 0, 1] = 0.5 * jac[..., 2, 1]
+        hess[..., :, 1, 0] = hess[..., :, 0, 1]
+        hess[..., 0, 1, 1] = -bc2 * c1
+        hess[..., 1, 1, 1] = -bc2 * s1
+        hess[..., 2:, 1, 1] = -sigma[..., 2:]
         return sigma, jac, hess
 
     def canonicalize(self, U: np.ndarray) -> np.ndarray:
@@ -463,71 +481,140 @@ def _phi_value(W, sigma):
     return 0.5 * np.sum((W - sigma) ** 2, axis=-1)
 
 
-def _refine(manifold, W, ids):
-    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each sample's chart.
+def _sym_eigvalsh(A):
+    """Ascending eigenvalues of a batch of symmetric m x m matrices.
 
-    Backtracked Newton on the full Hessian of Phi wherever that Hessian is
-    positive definite (everywhere except near the medial axis), falling back
-    to Gauss-Newton otherwise.  Gauss-Newton alone contracts with rate
+    For m = 2 they are mean -+ hypot((a - c)/2, b); other m call LAPACK.
+    """
+    if A.shape[-1] != 2:
+        return np.linalg.eigvalsh(A)
+    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    mean = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    return np.stack([mean - rad, mean + rad], axis=-1)
+
+
+def _det(H):
+    if H.shape[-1] != 2:
+        return np.linalg.det(H)
+    return H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+
+
+def _solve(H, R, det, use_pinv):
+    """H^{-1} R per row for R of shape (B, m, k).
+
+    For m = 2 the inverse is the adjugate over ``det``; other m call
+    ``np.linalg.solve``.  Rows in the mask ``use_pinv`` (and only those,
+    which must include every row with det == 0) take the pseudo-inverse.
+    """
+    if np.any(use_pinv):
+        X = np.empty(R.shape)
+        ok = ~use_pinv
+        X[ok] = _solve(H[ok], R[ok], det[ok], use_pinv[ok])
+        X[use_pinv] = np.linalg.pinv(H[use_pinv]) @ R[use_pinv]
+        return X
+    if H.shape[-1] != 2:
+        return np.linalg.solve(H, R)
+    d = det[:, None]
+    X = np.empty(R.shape)
+    X[:, 0] = (H[:, 1, 1, None] * R[:, 0] - H[:, 0, 1, None] * R[:, 1]) / d
+    X[:, 1] = (H[:, 0, 0, None] * R[:, 1] - H[:, 1, 0, None] * R[:, 0]) / d
+    return X
+
+
+def _refine(manifold, W, ids):
+    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's chart.
+
+    Returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per row.
+
+    Backtracked Newton on the full Hessian A of Phi wherever A is positive
+    definite (everywhere except near the medial axis), falling back to
+    Gauss-Newton otherwise.  Gauss-Newton alone contracts with rate
     |1 - A/J'J| per step, which approaches 1 for far-off-manifold points and
     cannot reach the gradient tolerance within the iteration cap; Newton
     shares its zeros of G and is quadratic inside the basin.
+
+    A row leaves the iteration as soon as its gradient norm is at most
+    ``NEWTON_TOL``; backtracking re-evaluates the frames of only the rows
+    whose step made Phi worse.  Every operation acts row by row, so a row's
+    result does not depend on the other rows of the batch.
     """
     U = manifold.chart_start(ids)
     sigma, jac, hess = manifold.chart_frames(ids, U)
     phi = _phi_value(W, sigma)
-    gnorm = np.full(len(ids), np.inf)
-    for _ in range(NEWTON_MAX_ITER):
-        residual = W - sigma
-        G = -np.einsum("bnm,bn->bm", jac, residual)
-        gnorm = np.linalg.norm(G, axis=-1)
-        if np.all(gnorm <= NEWTON_TOL):
-            break
-        JtJ = np.einsum("bni,bnj->bij", jac, jac)
-        A = JtJ - np.einsum("bn,bnij->bij", residual, hess)
-        eigs = np.linalg.eigvalsh(A)
+    gnorm = np.empty(len(ids))
+    final = (U, sigma, jac, hess, phi)  # each row's values as it leaves
+    state = final  # values of the rows still iterating, compacted
+    rows = np.arange(len(ids))
+    for it in range(NEWTON_MAX_ITER + 1):
+        Ua, sa, ja, ha, pa = state
+        residual = W - sa
+        G = -np.einsum("bnm,bn->bm", ja, residual)
+        g = np.linalg.norm(G, axis=-1)
+        gnorm[rows] = g
+        go_on = (g > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
+        if not go_on.all():
+            stop = ~go_on
+            for out, part in zip(final, state):
+                out[rows[stop]] = part[stop]
+            rows = rows[go_on]
+            if not rows.size:
+                break
+            Ua, sa, ja, ha, pa = state = tuple(part[go_on] for part in state)
+            W, ids, G, g, residual = W[go_on], ids[go_on], G[go_on], g[go_on], residual[go_on]
+        JtJ = np.einsum("bni,bnj->bij", ja, ja)
+        A = JtJ - np.einsum("bn,bnij->bij", residual, ha)
+        eigs = _sym_eigvalsh(A)
         pos_def = eigs[:, 0] > 1e-10 * np.maximum(1.0, eigs[:, -1])
         h_eff = np.where(pos_def[:, None, None], A, JtJ)
-        step = -np.einsum("bij,bj->bi", np.linalg.pinv(h_eff), G)
+        det = _det(h_eff)
+        step = -_solve(h_eff, G[:, :, None], det, det == 0)[:, :, 0]
         # Backtrack where the full step increases Phi, but only in the far
         # field: inside the quadratic basin the decrease per step drops below
         # float resolution of Phi and damping would stall convergence.
-        guard = gnorm > 1e-4
-        for _ in range(9):
-            U_new = manifold.clamp_params(ids, U + step)
-            sigma_new, jac_new, hess_new = manifold.chart_frames(ids, U_new)
-            phi_new = _phi_value(W, sigma_new)
-            worse = guard & (phi_new > phi * (1 + 1e-12) + 1e-15)
-            if not np.any(worse):
+        U_new = manifold.clamp_params(ids, Ua + step)
+        s_new, j_new, h_new = manifold.chart_frames(ids, U_new)
+        p_new = _phi_value(W, s_new)
+        worse = np.flatnonzero((g > 1e-4) & (p_new > pa * (1 + 1e-12) + 1e-15))
+        for _ in range(8):  # nine evaluations in all; the last is kept
+            if not worse.size:
                 break
             step[worse] *= 0.5
-        U, sigma, jac, hess, phi = U_new, sigma_new, jac_new, hess_new, phi_new
-    residual = W - sigma
-    G = -np.einsum("bnm,bn->bm", jac, residual)
-    gnorm = np.linalg.norm(G, axis=-1)
-    return U, sigma, phi, gnorm
+            U_new[worse] = manifold.clamp_params(ids[worse], Ua[worse] + step[worse])
+            s, j, h = manifold.chart_frames(ids[worse], U_new[worse])
+            s_new[worse], j_new[worse], h_new[worse] = s, j, h
+            p_new[worse] = p = _phi_value(W[worse], s)
+            worse = worse[p > pa[worse] * (1 + 1e-12) + 1e-15]
+        state = (U_new, s_new, j_new, h_new, p_new)
+    U, sigma, jac, hess, phi = final
+    return U, sigma, phi, gnorm, jac, hess
 
 
 def _ift_jacobians(jac, hess, residual):
-    """Full Hessian A of Phi and its condition numbers, for dLambda/dw = J A^{-1} J^T.
+    """dLambda/dw = J A^{-1} J^T per row, with A the full Hessian of Phi.
 
-    Returns (hessians, condition numbers); callers pick the solve or
-    pseudo-inverse path per sample based on the condition number.
+    Returns (Jacobians, singular).  A is symmetric, so its singular values
+    are the absolute values of its eigenvalues; a row whose condition number
+    exceeds ``COND_LIMIT`` (or whose A is exactly singular) is flagged
+    singular and takes the pseudo-inverse of A.
     """
     A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
-    s = np.linalg.svd(A, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s[:, -1] > 0, s[:, 0] / s[:, -1], np.inf)
-    return A, cond
+    s = np.abs(_sym_eigvalsh(A))
+    s_min, s_max = s.min(axis=-1), s.max(axis=-1)
+    det = _det(A)
+    singular = ~(s_min > 0) | (s_max > COND_LIMIT * s_min) | (det == 0)
+    X = _solve(A, np.swapaxes(jac, 1, 2), det, singular)
+    return jac @ X, singular
 
 
 def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
-    """Project each row of W onto the manifold; coarse k-NN then Gauss-Newton.
+    """Project each row of W onto the manifold; coarse k-NN then Newton.
 
     Among refined candidates the minimal Phi wins; exact ties break to the
     lowest chart id.  Non-converged samples fall back to their coarse cloud
     point with ``degraded`` set; near-singular Hessians (medial axis) switch
-    to a pseudo-inverse Jacobian with ``singular`` set.
+    to a pseudo-inverse Jacobian with ``singular`` set.  Each row's result
+    depends on that row alone, not on the rest of the batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != manifold.n:
@@ -545,46 +632,27 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     idx = np.take_along_axis(idx, order, axis=1)
     coarse = idx[:, 0]
 
-    flat_ids = idx.reshape(-1)
-    flat_W = np.repeat(W, K, axis=0)
-    U, sigma, phi, gnorm = _refine(manifold, flat_W, flat_ids)
+    U, sigma, phi, gnorm, jac, hess = _refine(manifold, np.repeat(W, K, axis=0), idx.reshape(-1))
 
-    phi_k = phi.reshape(B, K)
-    ids_k = idx
     # minimal Phi wins; ties (within solver tolerance) go to the lowest chart id
-    quant = np.round(phi_k / max(NEWTON_TOL, 1e-14))
-    pick = np.lexsort((ids_k, quant), axis=1)[:, 0]
+    quant = np.round(phi.reshape(B, K) / max(NEWTON_TOL, 1e-14))
+    pick = np.lexsort((idx, quant), axis=1)[:, 0]
     take = np.arange(B) * K + pick
-    U = U[take]
-    sigma = sigma[take]
-    phi = phi[take]
-    gnorm = gnorm[take]
-    chart_id = ids_k[np.arange(B), pick]
+    U, sigma, phi, gnorm, jac, hess = (x[take] for x in (U, sigma, phi, gnorm, jac, hess))
+    chart_id = idx[np.arange(B), pick]
 
     degraded = gnorm > max(10 * NEWTON_TOL, 1e-9)
     if np.any(degraded):
         # fall back to the coarse cloud point for samples Newton could not place
-        chart_id = np.where(degraded, coarse, chart_id)
+        chart_id[degraded] = coarse[degraded]
         U[degraded] = manifold.chart_start(chart_id[degraded])
-        sigma_d, _, _ = manifold.chart_frames(chart_id[degraded], U[degraded])
-        sigma[degraded] = sigma_d
-        phi[degraded] = _phi_value(W[degraded], sigma_d)
+        frames = manifold.chart_frames(chart_id[degraded], U[degraded])
+        sigma[degraded], jac[degraded], hess[degraded] = frames
+        phi[degraded] = _phi_value(W[degraded], sigma[degraded])
 
-    sigma_f, jac_f, hess_f = manifold.chart_frames(chart_id, U)
-    residual = W - sigma_f
-    A, cond = _ift_jacobians(jac_f, hess_f, residual)
-    singular = ~np.isfinite(cond) | (cond > COND_LIMIT)
-    jacobians = np.empty((B, manifold.n, manifold.n))
-    good = ~singular
-    if np.any(good):
-        X = np.linalg.solve(A[good], np.swapaxes(jac_f[good], 1, 2))
-        jacobians[good] = np.einsum("bnm,bmk->bnk", jac_f[good], X)
-    if np.any(singular):
-        X = np.einsum("bij,bkj->bik", np.linalg.pinv(A[singular]), jac_f[singular])
-        jacobians[singular] = np.einsum("bnm,bmk->bnk", jac_f[singular], X)
-
+    jacobians, singular = _ift_jacobians(jac, hess, W - sigma)
     return BatchProjection(
-        z=sigma_f,
+        z=sigma,
         chart_id=chart_id,
         u=manifold.canonical_params(U),
         jacobian=jacobians,

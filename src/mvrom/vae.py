@@ -114,6 +114,9 @@ class EpochStats:
 
 @dataclass
 class VaeModel:
+    """Sizes, latent, parameters and settings; construction checks the
+    activation, the leaky slope's domain and the flow."""
+
     encoder_sizes: list
     decoder_sizes: list
     latent: LatentSpec
@@ -125,6 +128,14 @@ class VaeModel:
     sigma_d: float = 4e-3
     sigma_0: float = 1.0
     flow: str = "exp-decay"  # exp-decay | identity
+
+    def __post_init__(self):
+        if self.activation not in ("relu", "leaky_relu"):
+            raise ValueError(f"unknown activation '{self.activation}'")
+        if self.activation == "leaky_relu" and not 0.0 <= self.leaky_slope < 1.0:
+            raise ValueError(f"leaky_relu: slope must be in [0, 1), got {self.leaky_slope}")
+        if self.flow not in ("exp-decay", "identity"):
+            raise ValueError(f"unknown flow '{self.flow}'")
 
     @property
     def input_dim(self) -> int:
@@ -163,12 +174,6 @@ def build_vae(
     seed: int = 0,
 ) -> VaeModel:
     """Assemble a model; ``hidden=()`` gives the single-affine linear variant."""
-    if activation not in ("relu", "leaky_relu"):
-        raise ValueError(f"unknown activation '{activation}'")
-    if activation == "leaky_relu" and not 0.0 <= leaky_slope < 1.0:
-        raise ValueError(f"leaky_relu: slope must be in [0, 1), got {leaky_slope}")
-    if flow not in ("exp-decay", "identity"):
-        raise ValueError(f"unknown flow '{flow}'")
     output_dim = input_dim if output_dim is None else output_dim
     encoder_sizes = [input_dim, *hidden, latent.dim]
     decoder_sizes = [latent.dim, *hidden, output_dim]
@@ -490,7 +495,8 @@ def save_checkpoint(model: VaeModel, path):
 
 
 def load_checkpoint(path) -> VaeModel:
-    """Read a checkpoint; its size must match its header and its weights be finite."""
+    """Read a checkpoint; its size must match its header, its weights be
+    finite and its activation, leaky slope and flow pass ``VaeModel``'s checks."""
     path = Path(path)
     data = path.read_bytes()
     magic = data[: len(_CKPT_MAGIC)]
@@ -538,16 +544,19 @@ def load_checkpoint(path) -> VaeModel:
     else:
         raise ValueError(f"{path}: unknown latent kind '{kind}'")
 
-    return VaeModel(
-        header["encoder_sizes"],
-        header["decoder_sizes"],
-        latent,
-        params,
-        header["activation"],
-        header["leaky_slope"],
-        header["tau"],
-        header["sigma_e"],
-        header["sigma_d"],
-        header["sigma_0"],
-        header["flow"],
-    )
+    try:
+        return VaeModel(
+            header["encoder_sizes"],
+            header["decoder_sizes"],
+            latent,
+            params,
+            header["activation"],
+            header["leaky_slope"],
+            header["tau"],
+            header["sigma_e"],
+            header["sigma_d"],
+            header["sigma_0"],
+            header["flow"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

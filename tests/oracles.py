@@ -3,7 +3,9 @@
 These deliberately share no code with the implementation paths they verify:
 the DFT is the direct O(n^2) sum, and the Burgers integrator steps the PDE
 in time (integrating-factor RK4 on the advection term) instead of using the
-Cole-Hopf transform.
+Cole-Hopf transform.  The projection reference shares the manifold's coarse
+index and charts with the package, not its solver, and the stacked Klein
+frames are the same formulas assembled another way.
 """
 
 import numpy as np
@@ -65,3 +67,100 @@ def rk4_burgers(u0, nu, t_final, n_steps=None, dealias=True):
         d = nonlinear(E2 * v + dt * E * c)
         v = E2 * v + dt / 6.0 * (E2 * a + 2 * E * (b + c) + d)
     return np.fft.irfft(v, n)
+
+
+def klein_frames_stacked(a, b, U):
+    """Klein bottle (sigma, dsigma/du, d2sigma/du2), each assembled by np.stack."""
+    U = np.asarray(U, dtype=np.float64)
+    u1, u2 = U[..., 0], U[..., 1]
+    c1, s1 = np.cos(u1), np.sin(u1)
+    c2, s2 = np.cos(u2), np.sin(u2)
+    ch, sh = np.cos(u1 / 2), np.sin(u1 / 2)
+    ring = a + b * c2
+    sigma = np.stack([ring * c1, ring * s1, b * s2 * ch, b * s2 * sh], axis=-1)
+    d1 = np.stack([-ring * s1, ring * c1, -0.5 * b * s2 * sh, 0.5 * b * s2 * ch], axis=-1)
+    d2 = np.stack([-b * s2 * c1, -b * s2 * s1, b * c2 * ch, b * c2 * sh], axis=-1)
+    d11 = np.stack([-ring * c1, -ring * s1, -0.25 * b * s2 * ch, -0.25 * b * s2 * sh], axis=-1)
+    d12 = np.stack([b * s2 * s1, -b * s2 * c1, -0.5 * b * c2 * sh, 0.5 * b * c2 * ch], axis=-1)
+    d22 = np.stack([-b * c2 * c1, -b * c2 * s1, -b * s2 * ch, -b * s2 * sh], axis=-1)
+    jac = np.stack([d1, d2], axis=-1)
+    hess = np.stack([np.stack([d11, d12], axis=-1), np.stack([d12, d22], axis=-1)], axis=-1)
+    return sigma, jac, hess
+
+
+def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond_limit=1e12):
+    """Nearest-point projection by the plain batched solver.
+
+    Uses the manifold's coarse index and charts but none of the package's
+    solver: LAPACK ``eigvalsh`` for the positive-definite test, ``pinv`` for
+    every Newton step, an SVD for the IFT condition number, and every row
+    iterating until the slowest one converges.  Returns a dict with the
+    fields of ``BatchProjection``.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    B = W.shape[0]
+    K = min(candidates, manifold.num_points)
+    dists, idx = manifold.tree.query(W, k=K)
+    if K == 1:
+        dists, idx = dists[:, None], idx[:, None]
+    order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    coarse = idx[:, 0]
+
+    ids = idx.reshape(-1)
+    Wk = np.repeat(W, K, axis=0)
+    U = manifold.chart_start(ids)
+    sigma, jac, hess = manifold.chart_frames(ids, U)
+    phi = 0.5 * np.sum((Wk - sigma) ** 2, axis=-1)
+    for _ in range(max_iter):
+        residual = Wk - sigma
+        G = -np.einsum("bnm,bn->bm", jac, residual)
+        gnorm = np.linalg.norm(G, axis=-1)
+        if np.all(gnorm <= tol):
+            break
+        JtJ = np.einsum("bni,bnj->bij", jac, jac)
+        A = JtJ - np.einsum("bn,bnij->bij", residual, hess)
+        eigs = np.linalg.eigvalsh(A)
+        pos_def = eigs[:, 0] > 1e-10 * np.maximum(1.0, eigs[:, -1])
+        h_eff = np.where(pos_def[:, None, None], A, JtJ)
+        step = -np.einsum("bij,bj->bi", np.linalg.pinv(h_eff), G)
+        guard = gnorm > 1e-4
+        for _ in range(9):
+            U_new = manifold.clamp_params(ids, U + step)
+            sigma_new, jac_new, hess_new = manifold.chart_frames(ids, U_new)
+            phi_new = 0.5 * np.sum((Wk - sigma_new) ** 2, axis=-1)
+            worse = guard & (phi_new > phi * (1 + 1e-12) + 1e-15)
+            if not np.any(worse):
+                break
+            step[worse] *= 0.5
+        U, sigma, jac, hess, phi = U_new, sigma_new, jac_new, hess_new, phi_new
+    gnorm = np.linalg.norm(np.einsum("bnm,bn->bm", jac, Wk - sigma), axis=-1)
+
+    quant = np.round(phi.reshape(B, K) / max(tol, 1e-14))
+    pick = np.lexsort((idx, quant), axis=1)[:, 0]
+    take = np.arange(B) * K + pick
+    U, phi, gnorm = U[take], phi[take], gnorm[take]
+    chart_id = idx[np.arange(B), pick]
+    degraded = gnorm > max(10 * tol, 1e-9)
+    chart_id = np.where(degraded, coarse, chart_id)
+    U[degraded] = manifold.chart_start(chart_id[degraded])
+
+    sigma, jac, hess = manifold.chart_frames(chart_id, U)
+    phi[degraded] = 0.5 * np.sum((W[degraded] - sigma[degraded]) ** 2, axis=-1)
+    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", W - sigma, hess)
+    s = np.linalg.svd(A, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[:, -1] > 0, s[:, 0] / s[:, -1], np.inf)
+    singular = ~np.isfinite(cond) | (cond > cond_limit)
+    jacobians = np.empty((B, W.shape[1], W.shape[1]))
+    good = ~singular
+    if np.any(good):
+        X = np.linalg.solve(A[good], np.swapaxes(jac[good], 1, 2))
+        jacobians[good] = np.einsum("bnm,bmk->bnk", jac[good], X)
+    if np.any(singular):
+        X = np.einsum("bij,bkj->bik", np.linalg.pinv(A[singular]), jac[singular])
+        jacobians[singular] = np.einsum("bnm,bmk->bnk", jac[singular], X)
+    return dict(
+        z=sigma, chart_id=chart_id, u=manifold.canonical_params(U), jacobian=jacobians,
+        phi=phi, grad_norm=gnorm, coarse_index=coarse, degraded=degraded, singular=singular,
+    )

@@ -223,7 +223,7 @@ def test_relu_family_matches_finite_differences_away_from_kink(slope):
     n=st.integers(1, 4),
     seed=st.integers(0, 10_000),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_matmul_matches_finite_differences(m, k, n, seed):
     # a single affine layer: the MLP node's matmul and bias adjoints
     rng = np.random.default_rng(seed)

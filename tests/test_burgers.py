@@ -35,7 +35,7 @@ def test_dft_constant():
 
 
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 32, 64]))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_dft_matches_direct_oracle_and_roundtrips(seed, n):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-2, 2, size=n)

@@ -152,6 +152,30 @@ def test_burgers_baselines_table_and_determinism(tmp_path):
     assert a == b
 
 
+def test_failed_baseline_keeps_its_error(tmp_path):
+    cfg = ex.ExperimentConfig.from_file(
+        None,
+        overrides=tiny_overrides(
+            ["experiment.kind=burgers-baselines", "sweep.dmd_ranks=2,500", "sweep.pod_ranks=3"]
+        ),
+    )
+    out = tmp_path / "baselines"
+    table, failed = ex.run_experiment(cfg, out)
+    assert failed == len(table.columns)
+    assert set(table.rows[("dmd", "500", "")].values()) == {ex.FAILED}
+    with open(out / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "dim", "sweep", "error"]
+    assert len(rows) == 2 and rows[1][:3] == ["dmd", "500", ""]
+    assert re.fullmatch(r"ValueError: .*rank.*", rows[1][3])
+    # a clean rerun into the same directory leaves no failure file
+    clean = ex.ExperimentConfig.from_file(
+        None, overrides=tiny_overrides(["experiment.kind=burgers-baselines", "sweep.dmd_ranks=2"])
+    )
+    assert ex.run_experiment(clean, out)[1] == 0
+    assert not (out / "failures.csv").exists()
+
+
 def test_burgers_vae_experiment_artifacts(tmp_path):
     cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides())
     table, failed = ex.run_experiment(cfg, tmp_path / "run")

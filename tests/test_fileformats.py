@@ -17,8 +17,6 @@ from mvrom import vae
 
 SETTINGS = settings(
     max_examples=150,
-    deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 

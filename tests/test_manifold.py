@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mvrom import autodiff as ad
 from mvrom import manifold as mf
+
+from oracles import klein_frames_stacked, reference_projection
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,14 @@ def test_surface_derivatives_match_finite_differences(surf):
             np.testing.assert_allclose(hess[:, :, i], fd_hess, atol=1e-7)
         # immersion: full column rank
         assert np.linalg.matrix_rank(jac) == surf.m
+
+
+def test_klein_frames_match_stacked_formulas():
+    U = np.random.default_rng(19).uniform(-4 * np.pi, 4 * np.pi, size=(1000, 2))
+    got = mf.KleinSurface(2.0, 1.0).frames(U)
+    for g, want in zip(got, klein_frames_stacked(2.0, 1.0, U)):
+        assert g.shape == want.shape
+        np.testing.assert_array_equal(g, want)
 
 
 def test_klein_canonicalize_preserves_embedding():
@@ -288,6 +300,118 @@ def test_medial_axis_is_flagged_singular(circle_cloud):
     assert flagged[0]
 
 
+def test_torus_medial_axis_is_flagged_singular(torus_cloud):
+    # the first circle's center, the origin (both circles' centers), a regular point
+    W = np.array([[0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 1.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mf.nearest_point_batch(W, torus_cloud)
+    np.testing.assert_array_equal(res.singular, [True, True, False])
+    assert not res.degraded.any()
+    assert np.all(np.isfinite(res.jacobian))
+
+
+# ---------------------------------------------------------------------------
+# the solver against the plain batched reference
+
+
+def projection_corpus(cloud, kind, seed):
+    """Near-field, far-field and medial-axis inputs for a cloud."""
+    rng = np.random.default_rng(seed)
+    near = cloud.points[rng.choice(cloud.num_points, size=40, replace=False)]
+    near = near + rng.normal(size=near.shape) * 0.1
+    far = rng.normal(size=(40, cloud.n)) * 4.0
+    t = rng.uniform(0, 2 * np.pi, size=(12, 1))
+    ring = np.hstack([np.cos(t), np.sin(t)])
+    if kind == "klein":  # the core circle of radius a = 2 and the origin
+        medial = np.hstack([2.0 * ring, np.zeros((12, 2))])
+    elif kind == "circle":  # the center
+        medial = np.zeros((12, 2))
+    else:  # the first circle's center, at every angle of the second
+        medial = np.hstack([np.zeros((12, 2)), 1.5 * ring])
+    beside = medial + rng.normal(size=medial.shape) * 1e-3
+    return np.vstack([near, far, medial, beside, np.zeros((1, cloud.n))])
+
+
+def _angle_gap(a, b):
+    return np.abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _param_gap(kind, u, u_ref):
+    """Per-row distance of canonical parameters, modulo the seam."""
+    if kind == "torus_quad":  # chart-local coordinates
+        return np.abs(u - u_ref).max(axis=1)
+    if kind == "klein":  # across the seam u1 ~ u1 + 2 pi the gluing flips u2
+        flip = np.abs(u[:, 0] - u_ref[:, 0]) > np.pi
+        u = np.stack([u[:, 0], np.where(flip, 2 * np.pi - u[:, 1], u[:, 1])], axis=1)
+    return _angle_gap(u, u_ref).max(axis=1)
+
+
+CLOUDS = {
+    "klein": "klein_cloud",
+    "torus": "torus_cloud",
+    "torus_quad": "torus_quad_cloud",
+    "circle": "circle_cloud",
+}
+
+
+@pytest.mark.parametrize("kind", list(CLOUDS))
+def test_projection_matches_reference_solver(kind, request):
+    cloud = request.getfixturevalue(CLOUDS[kind])
+    W = projection_corpus(cloud, kind, seed=20)
+    got = mf.nearest_point_batch(W, cloud)
+    ref = reference_projection(W, cloud)
+    np.testing.assert_array_equal(got.degraded, ref["degraded"])
+    np.testing.assert_array_equal(got.singular, ref["singular"])
+    np.testing.assert_array_equal(got.chart_id, ref["chart_id"])
+    np.testing.assert_allclose(got.phi, ref["phi"], rtol=1e-12, atol=0)
+    assert np.abs(got.z - ref["z"]).max() <= 1e-7
+    assert _param_gap(kind, got.u, ref["u"]).max() <= 1e-7
+    J_err = np.abs(got.jacobian - ref["jacobian"]).max(axis=(1, 2))
+    J_scale = np.maximum(1.0, np.abs(ref["jacobian"]).max(axis=(1, 2)))
+    assert (J_err / J_scale).max() <= 1e-6
+    # On the medial axis the minimizer is not unique and both solvers stall
+    # at the rounding level of grad Phi (up to about 1.5e-10 on the Klein
+    # core circle), so the tolerance binds only off it.
+    regular = ~got.degraded & ~got.singular
+    assert got.grad_norm[regular].max() <= mf.NEWTON_TOL
+
+
+def test_converged_rows_leave_the_newton_loop(klein_cloud, monkeypatch):
+    rows = []
+    frames = mf.PointCloudManifold.chart_frames
+
+    def counted(self, ids, U):
+        rows.append(len(ids))
+        return frames(self, ids, U)
+
+    monkeypatch.setattr(mf.PointCloudManifold, "chart_frames", counted)
+    ids = np.random.default_rng(23).choice(klein_cloud.num_points, size=8, replace=False)
+    res = mf.nearest_point_batch(klein_cloud.points[ids], klein_cloud)
+    # each point's own chart starts at the solution and leaves at once; only
+    # the three neighbouring candidates of each point take Newton steps
+    K = mf.CANDIDATES
+    assert rows[0] == K * len(ids)
+    assert max(rows[1:]) <= (K - 1) * len(ids)
+    assert np.abs(res.z - klein_cloud.points[ids]).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", list(CLOUDS))
+def test_projection_rows_are_independent(kind, request):
+    cloud = request.getfixturevalue(CLOUDS[kind])
+    W = projection_corpus(cloud, kind, seed=21)[::3][:32]
+    batch = mf.nearest_point_batch(W, cloud)
+    perm = np.random.default_rng(22).permutation(len(W))
+    permuted = mf.nearest_point_batch(W[perm], cloud)
+    singles = [mf.nearest_point_batch(W[i : i + 1], cloud) for i in range(len(W))]
+    for field in ("z", "chart_id", "u", "jacobian", "phi", "grad_norm", "coarse_index",
+                  "degraded", "singular"):
+        whole = getattr(batch, field)
+        np.testing.assert_array_equal(getattr(permuted, field), whole[perm], err_msg=field)
+        alone = np.concatenate([getattr(one, field) for one in singles])
+        np.testing.assert_array_equal(alone, whole, err_msg=field)
+
+
 # ---------------------------------------------------------------------------
 # quadratic (Monge-gauge) charts
 
@@ -321,7 +445,7 @@ def test_adjacent_quadratic_charts_agree(torus_quad_cloud):
     _, nbr = torus_quad_cloud.tree.query(W, k=2)
     z = []
     for col in range(2):
-        U, sigma, _, _ = mf._refine(torus_quad_cloud, W, nbr[:, col])
+        _, sigma, *_ = mf._refine(torus_quad_cloud, W, nbr[:, col])
         z.append(sigma)
     assert np.abs(z[0] - z[1]).max() < 1e-4
 

@@ -453,3 +453,21 @@ def test_checkpoint_with_fixed_sigmas_flag_loads_and_learned_raises(tmp_path):
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*learnable"):
         vae.load_checkpoint(path)
 
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"leaky_slope": 5.0}, "slope must be in"),
+        ({"activation": "tanh"}, "unknown activation"),
+        ({"flow": "spiral"}, "unknown flow"),
+    ],
+    ids=["leaky_slope", "activation", "flow"],
+)
+def test_checkpoint_header_outside_model_domain_raises(tmp_path, header, message):
+    model = small_model(activation="leaky_relu", leaky_slope=0.2)
+    path = tmp_path / "edited.ckpt"
+    vae.save_checkpoint(model, path)
+    vae.load_checkpoint(path)
+    _rewrite_header(path, **header)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        vae.load_checkpoint(path)
