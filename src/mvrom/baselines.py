@@ -55,10 +55,13 @@ def fit_dmd(x: np.ndarray, xp: np.ndarray, rank: int) -> DmdModel:
     return DmdModel(rank, Ur, a_tilde, eigvals, modes)
 
 
-def dmd_predict(model: DmdModel, u: np.ndarray, n_steps: int) -> np.ndarray:
-    """u(t + k tau) = U A~^k U^T u(t)."""
-    op_k = np.linalg.matrix_power(model.reduced_op, n_steps)
-    return model.basis @ (op_k @ (model.basis.T @ np.asarray(u, dtype=np.float64)))
+def dmd_predict(model: DmdModel, U: np.ndarray, n_steps: int) -> np.ndarray:
+    """States U (B, n) -> (n_steps + 1, B, n); entry k is U A~^k U^T u(t),
+    the prediction at t + k tau."""
+    steps = [np.asarray(U, dtype=np.float64) @ model.basis]
+    for _ in range(n_steps):
+        steps.append(steps[-1] @ model.reduced_op.T)
+    return np.stack(steps) @ model.basis.T
 
 
 @dataclass
@@ -93,20 +96,25 @@ def fit_pod(x: np.ndarray, rank: int, nu: float, tau: float, substeps: int = 20)
 
 
 def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ijk,j,k->i", model.advection, c, c)
-    return model.diffusion @ c + quad
+    quad = np.einsum("ijk,...j,...k->...i", model.advection, c, c)
+    return c @ model.diffusion.T + quad
 
 
-def pod_predict(model: PodModel, u: np.ndarray, n_steps: int) -> np.ndarray:
-    """Integrate the reduced system over n_steps * tau and lift back."""
-    c = model.basis.T @ np.asarray(u, dtype=np.float64)
+def pod_predict(model: PodModel, U: np.ndarray, n_steps: int) -> np.ndarray:
+    """States U (B, n) -> (n_steps + 1, B, n): one RK4 integration of the
+    reduced system to n_steps * tau, lifted back at every multiple of tau.
+    One row whose coefficients blow up (non-finite or norm > 1e6) fails all."""
+    c = np.asarray(U, dtype=np.float64) @ model.basis
     dt = model.tau / model.substeps
-    for _ in range(n_steps * model.substeps):
-        k1 = _reduced_rhs(model, c)
-        k2 = _reduced_rhs(model, c + 0.5 * dt * k1)
-        k3 = _reduced_rhs(model, c + 0.5 * dt * k2)
-        k4 = _reduced_rhs(model, c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(c)) or np.linalg.norm(c) > 1e6:
-            raise RuntimeError(f"reduced model unstable at rank {model.rank}")
-    return model.basis @ c
+    steps = [c]
+    for _ in range(n_steps):
+        for _ in range(model.substeps):
+            k1 = _reduced_rhs(model, c)
+            k2 = _reduced_rhs(model, c + 0.5 * dt * k1)
+            k3 = _reduced_rhs(model, c + 0.5 * dt * k2)
+            k4 = _reduced_rhs(model, c + dt * k3)
+            c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(c)) or np.any(np.linalg.norm(c, axis=-1) > 1e6):
+                raise RuntimeError(f"reduced model unstable at rank {model.rank}")
+        steps.append(c)
+    return np.stack(steps) @ model.basis.T

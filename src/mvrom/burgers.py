@@ -5,6 +5,12 @@ phi = exp(-(1/2nu) int_0^x u dx'), so evolution is diagonal in Fourier space:
 each mode of phi decays by exp(-4 pi^2 k^2 nu t).  Truncating phi's spectrum
 to |k| <= n_f/2 before decay and inversion gives the spectral-truncation
 reduced model used as a baseline.
+
+Fields are float arrays whose last axis is the grid: B fields on n points
+are one (B, n) array, and every function here acts along the last axis, so
+one call serves a whole batch and each row comes out as it would alone.
+Evolution times broadcast against the rows (``evolve_exact``); a row
+evolved by t = 0 comes back unchanged.
 """
 
 from __future__ import annotations
@@ -31,39 +37,6 @@ class Grid:
         return np.arange(self.n_x) / self.n_x
 
 
-@dataclass
-class FieldSample:
-    """A real periodic field sampled on a grid at one instant."""
-
-    grid: Grid
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.n_x,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid ({self.grid.n_x},)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
-@dataclass
-class SpectralField:
-    """Centered Fourier coefficients, k = -n/2 .. n/2-1."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        n = self.coefficients.shape[0]
-        return np.arange(-n // 2, n // 2)
-
-
 @dataclass(frozen=True)
 class BurgersConfig:
     nu: float = 2e-2
@@ -78,80 +51,99 @@ class BurgersConfig:
 
 
 @dataclass
-class DatasetPair:
-    """(input state, target state) with target.time - input.time = tau."""
+class BurgersData:
+    """m evolution pairs: Y[i] is X[i] advanced by tau.
 
-    input: FieldSample
-    target: FieldSample
-    alpha: float = 0.0
-    t_start: float = 0.0
+    ``alpha`` and ``t`` are each row's blend parameter and start time (NaN
+    when unknown, as for data read from a file).  Construction checks the
+    shapes and that every field value is finite.
+    """
+
+    X: np.ndarray  # (m, n)
+    Y: np.ndarray  # (m, n)
+    alpha: np.ndarray  # (m,)
+    t: np.ndarray  # (m,)
+
+    def __post_init__(self):
+        self.X, self.Y = np.asarray(self.X, np.float64), np.asarray(self.Y, np.float64)
+        self.alpha, self.t = np.asarray(self.alpha, np.float64), np.asarray(self.t, np.float64)
+        m = self.X.shape[0] if self.X.ndim == 2 else -1
+        if self.Y.shape != self.X.shape or self.alpha.shape != (m,) or self.t.shape != (m,):
+            raise ValueError(
+                f"expected (m, n) fields and (m,) parameters, got X {self.X.shape}, "
+                f"Y {self.Y.shape}, alpha {self.alpha.shape}, t {self.t.shape}"
+            )
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
+            raise ValueError("field values must be finite")
 
 
-def dft(values: np.ndarray) -> SpectralField:
-    """Forward transform, 1/n normalized: a constant field has c_0 = const."""
+def wavenumbers(n: int) -> np.ndarray:
+    """Centered wavenumbers k = -n/2 .. n/2-1, the order ``dft`` returns."""
+    return np.arange(-n // 2, n // 2)
+
+
+def dft(values: np.ndarray) -> np.ndarray:
+    """Centered forward transform, 1/n normalized: a constant field has c_0 = const."""
     v = np.asarray(values, dtype=np.float64)
-    coeff = np.fft.fftshift(np.fft.fft(v)) / v.shape[0]
-    return SpectralField(coeff)
+    return np.fft.fftshift(np.fft.fft(v), axes=-1) / v.shape[-1]
 
 
-def idft(spectral: SpectralField) -> np.ndarray:
-    c = spectral.coefficients
-    return np.real(np.fft.ifft(np.fft.ifftshift(c)) * c.shape[0])
+def idft(coefficients: np.ndarray) -> np.ndarray:
+    c = np.asarray(coefficients, dtype=np.complex128)
+    return np.real(np.fft.ifft(np.fft.ifftshift(c, axes=-1)) * c.shape[-1])
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """Antiderivative of a mean-zero periodic signal, pinned to zero at x=0."""
-    n = len(values)
+    n = values.shape[-1]
     c = np.fft.fft(values) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
     with np.errstate(divide="ignore", invalid="ignore"):
         ic = c / (1j * 2 * np.pi * k)
-    ic[0] = 0.0
+    ic[..., 0] = 0.0
     anti = np.real(np.fft.ifft(ic) * n)
-    return anti - anti[0]
+    return anti - anti[..., :1]
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    n = len(values)
+    n = values.shape[-1]
     c = np.fft.rfft(values)
     k = np.arange(n // 2 + 1)
     c = c * (1j * 2 * np.pi * k)
-    c[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+    c[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(c, n)
 
 
 def spectral_second_derivative(values: np.ndarray) -> np.ndarray:
-    n = len(values)
+    n = values.shape[-1]
     c = np.fft.rfft(values)
     k = np.arange(n // 2 + 1)
     return np.fft.irfft(c * -((2 * np.pi * k) ** 2), n)
 
 
-def cole_hopf_forward(u: FieldSample, nu: float) -> np.ndarray:
+def cole_hopf_forward(u: np.ndarray, nu: float) -> np.ndarray:
     """phi = exp(-(1/2nu) int_0^x u dx'); phi(0) = 1 and phi > 0."""
-    mean = float(np.mean(u.values))
-    if abs(mean) > 1e-8:
-        raise ValueError(
-            f"Cole-Hopf requires mean-zero field (mean = {mean:.3e})"
-        )
-    anti = spectral_antiderivative(u.values)
+    u = np.asarray(u, dtype=np.float64)
+    mean = np.max(np.abs(np.mean(u, axis=-1)), initial=0.0)
+    if mean > 1e-8:
+        raise ValueError(f"Cole-Hopf requires mean-zero field (mean = {mean:.3e})")
+    anti = spectral_antiderivative(u)
     return np.exp(-anti / (2.0 * nu))
 
 
-def cole_hopf_inverse(
-    phi: np.ndarray, nu: float, grid: Grid | None = None, time: float = 0.0
-) -> FieldSample:
-    """u = -2 nu d/dx ln(phi), differentiated spectrally."""
-    phi = np.asarray(phi, dtype=np.float64)
+def _require_positive(phi: np.ndarray):
     if np.any(phi <= 0):
         raise ValueError(
             "Cole-Hopf inverse undefined: phi <= 0 somewhere "
             "(logarithm undefined; signals under-resolved grid)"
         )
-    if grid is None:
-        grid = Grid(len(phi))
-    u = -2.0 * nu * spectral_derivative(np.log(phi))
-    return FieldSample(grid, u, time)
+
+
+def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
+    """u = -2 nu d/dx ln(phi), differentiated spectrally."""
+    phi = np.asarray(phi, dtype=np.float64)
+    _require_positive(phi)
+    return -2.0 * nu * spectral_derivative(np.log(phi))
 
 
 def _truncated_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
@@ -160,24 +152,30 @@ def _truncated_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
     For a trigonometric polynomial phi the spectral derivative is exact, so
     this is the pointwise-exact inverse of a truncated transform and stays
     finite wherever phi is nonzero on the grid (spec'd by the caller's
-    nonpositive policy).  A sign-preserving denominator floor avoids inf at
-    accidental grid zeros.
+    nonpositive policy).  A sign-preserving denominator floor, relative to
+    each row's largest |phi|, avoids inf at accidental grid zeros.
     """
     dphi = spectral_derivative(phi)
-    floor = 1e-12 * np.max(np.abs(phi))
+    floor = 1e-12 * np.max(np.abs(phi), axis=-1, keepdims=True)
     denom = np.where(np.abs(phi) < floor, np.copysign(floor, phi), phi)
     denom = np.where(denom == 0.0, floor, denom)
     return -2.0 * nu * dphi / denom
 
 
 def evolve_exact(
-    u0: FieldSample,
+    U0: np.ndarray,
     nu: float,
-    t: float,
+    t,
     n_f: int | None = None,
     nonpositive: str = "raise",
-) -> FieldSample:
-    """Evolve u0 forward by t via Cole-Hopf; optionally truncate to |k| <= n_f/2.
+) -> np.ndarray:
+    """Evolve the rows of U0 (..., n) by t via Cole-Hopf; optionally truncate
+    to |k| <= n_f/2.
+
+    ``t`` broadcasts against the row axes: a scalar evolves every row by the
+    same time, shape (B,) gives each row of a (B, n) batch its own time, and
+    shape (H, 1) evolves every row to each of H times and returns (H, B, n).
+    Untruncated, a row whose t is 0 comes back unchanged.
 
     Truncation zeroes the discarded modes of phi before decay and inversion
     (evolution is diagonal, so truncating before or after decay is the same).
@@ -185,47 +183,40 @@ def evolve_exact(
     phi dips <= 0: "raise" propagates the Cole-Hopf inversion error, "finite"
     returns the pointwise division form, which is large but finite there.
     """
-    if t < 0:
+    U0 = np.asarray(U0, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0):
         raise ValueError("evolution time must be nonnegative")
-    n = u0.grid.n_x
-    if n_f is not None:
-        if n_f % 2 != 0 or not (2 <= n_f <= n):
-            raise ValueError(f"truncation n_f must be even with 2 <= n_f <= {n}, got {n_f}")
+    n = U0.shape[-1]
+    if n_f is not None and (n_f % 2 != 0 or not (2 <= n_f <= n)):
+        raise ValueError(f"truncation n_f must be even with 2 <= n_f <= {n}, got {n_f}")
     if nonpositive not in ("raise", "finite"):
         raise ValueError(f"unknown nonpositive policy '{nonpositive}'")
 
-    phi0 = cole_hopf_forward(u0, nu)
-    spec = dft(phi0)
-    k = spec.wavenumbers
-    coeff = spec.coefficients.copy()
+    coeff = dft(cole_hopf_forward(U0, nu))
+    k = wavenumbers(n)
     if n_f is not None:
-        coeff[np.abs(k) > n_f // 2] = 0.0
-    coeff *= np.exp(-4.0 * np.pi**2 * k.astype(float) ** 2 * nu * t)
-    phi_t = idft(SpectralField(coeff))
-    new_time = u0.time + t
+        coeff[..., np.abs(k) > n_f // 2] = 0.0
+    phi_t = idft(coeff * np.exp(-4.0 * np.pi**2 * k.astype(float) ** 2 * nu * t[..., None]))
 
     if n_f is None:
-        return cole_hopf_inverse(phi_t, nu, u0.grid, new_time)
-    if nonpositive == "raise" and np.any(phi_t <= 0):
-        raise ValueError(
-            "Cole-Hopf inverse undefined: truncated phi <= 0 somewhere "
-            "(logarithm undefined; signals under-resolved grid)"
-        )
-    return FieldSample(u0.grid, _truncated_inverse(phi_t, nu), new_time)
+        return np.where(t[..., None] == 0, U0, cole_hopf_inverse(phi_t, nu))
+    if nonpositive == "raise":
+        _require_positive(phi_t)
+    return _truncated_inverse(phi_t, nu)
 
 
-def initial_condition_u1(alpha: float, grid: Grid) -> np.ndarray:
-    """Blend alpha*sin(2 pi x) + (1-alpha)*cos^3(2 pi x); mean-zero for all alpha."""
+def initial_condition_u1(alpha, grid: Grid) -> np.ndarray:
+    """Blend alpha*sin(2 pi x) + (1-alpha)*cos^3(2 pi x), mean-zero for all
+    alpha; ``alpha`` of shape (...) gives fields of shape (..., n_x)."""
     x = grid.points
+    alpha = np.asarray(alpha, dtype=np.float64)[..., None]
     return alpha * np.sin(2 * np.pi * x) + (1 - alpha) * np.cos(2 * np.pi * x) ** 3
 
 
-def sample_u1(alpha: float, t: float, nu: float, n_x: int = 100) -> FieldSample:
-    grid = Grid(n_x)
-    u0 = FieldSample(grid, initial_condition_u1(alpha, grid), 0.0)
-    if t == 0:
-        return u0
-    return evolve_exact(u0, nu, t)
+def sample_u1(alpha, t, nu: float, n_x: int = 100) -> np.ndarray:
+    """u1 with blend ``alpha`` evolved to time ``t``; (B,) vectors give (B, n_x)."""
+    return evolve_exact(initial_condition_u1(alpha, Grid(n_x)), nu, t)
 
 
 def generate_burgers_dataset(
@@ -234,22 +225,17 @@ def generate_burgers_dataset(
     alpha_range: tuple[float, float] = (0.0, 1.0),
     t_range: tuple[float, float] = (0.0, 0.75),
     seed: int = 0,
-) -> list[DatasetPair]:
+) -> BurgersData:
     """m evolution pairs (u(t_i), u(t_i + tau)) with alpha, t_i drawn uniformly."""
     if m < 1:
         raise ValueError("need at least one sample")
     rng = Rng(seed)
     alphas = rng.uniform(alpha_range[0], alpha_range[1], size=m)
     times = rng.uniform(t_range[0], t_range[1], size=m)
-    pairs = []
-    for alpha, t_i in zip(alphas, times):
-        x_in = sample_u1(float(alpha), float(t_i), config.nu, config.n_x)
-        x_out = evolve_exact(x_in, config.nu, config.tau)
-        pairs.append(DatasetPair(x_in, x_out, float(alpha), float(t_i)))
-    return pairs
+    X = sample_u1(alphas, times, config.nu, config.n_x)
+    return BurgersData(X, evolve_exact(X, config.nu, config.tau), alphas, times)
 
 
-def pairs_to_arrays(pairs: list[DatasetPair]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([p.input.values for p in pairs])
-    Y = np.stack([p.target.values for p in pairs])
-    return X, Y
+def pairs_to_arrays(data: BurgersData) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) of a dataset; kept for callers that unpack the two arrays."""
+    return data.X, data.Y

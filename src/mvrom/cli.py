@@ -93,10 +93,10 @@ def cmd_gen_data(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "burgers":
         config = bg.BurgersConfig(nu=args.nu, tau=args.tau, n_x=args.n_x)
-        pairs = bg.generate_burgers_dataset(
+        data = bg.generate_burgers_dataset(
             config, args.m, _parse_range(args.alpha_range), _parse_range(args.t_range), args.seed
         )
-        X, Y = bg.pairs_to_arrays(pairs)
+        X, Y = data.X, data.Y
         datafiles.save_pairs(out, X, Y, config.nu, config.tau)
     else:
         if args.kind == "arm-torus":
@@ -136,30 +136,48 @@ def cmd_baselines(args) -> int:
     return 1 if failed else 0
 
 
+def _read_field(path) -> np.ndarray:
+    """One finite value per line; blank lines and '#' comments are skipped."""
+    values = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ex.ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if not np.isfinite(value):
+            raise ex.ConfigError(f"{path}:{lineno}: non-finite value {text!r}")
+        values.append(value)
+    return np.array(values)
+
+
 def cmd_eval(args) -> int:
     model = vae.load_checkpoint(args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
-        u0 = np.loadtxt(args.input_field)
-        if u0.ndim != 1 or len(u0) != model.input_dim:
+        u0 = _read_field(args.input_field)
+        if len(u0) != model.input_dim:
             raise ex.ConfigError(
-                f"input field must have {model.input_dim} values, got shape {u0.shape}"
+                f"input field must have {model.input_dim} values, got {len(u0)}"
             )
-        preds = vae.predict_multistep(model, u0, args.steps)
-        rows = []
+        preds = vae.predict_multistep(model, u0[None], args.steps)[:, 0]
         x = np.arange(model.input_dim) / model.input_dim
-        for k in range(args.steps + 1):
-            for j in range(model.input_dim):
-                rows.append({"step": k, "x": x[j], "u_pred": preds[k][j]})
+        rows = [
+            {"step": k, "x": x[j], "u_pred": preds[k, j]}
+            for k in range(args.steps + 1)
+            for j in range(model.input_dim)
+        ]
         datafiles.write_table_csv(out / "rollout.csv", rows, ["step", "x", "u_pred"])
         print(f"wrote rollout of {args.steps} steps to {out / 'rollout.csv'}")
         return 0
     if not args.config:
         raise ex.ConfigError("eval needs --config (for the test set) or --input-field")
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    config, _, test_pairs = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
+    config, _, test = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
     horizons = cfg.get_list("sweep", "horizons", int)
-    errors = ex.evaluate_burgers_model(model, test_pairs, config, horizons)
+    errors = ex.evaluate_burgers_model(model, test, config, horizons)
     table = ex.ErrorTable(list(errors))
     for col, val in errors.items():
         if np.isfinite(val):
@@ -173,14 +191,11 @@ def cmd_eval(args) -> int:
 
 def cmd_export_trace(args) -> int:
     model = vae.load_checkpoint(args.checkpoint)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    pairs = []
-    for alpha in alphas:
-        sample = bg.sample_u1(alpha, args.t, args.nu, model.input_dim)
-        pairs.append(bg.DatasetPair(sample, sample, alpha, args.t))
+    alphas = np.array([float(a) for a in args.alphas.split(",") if a.strip()])
+    X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n_rows = ex.export_latent_trace(model, pairs, out, args.steps)
+    n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)
     print(f"wrote {n_rows} trace rows to {out}")
     return 0
 

@@ -4,6 +4,12 @@ Everything here is deterministic under the configured seed: sweep cells own
 derived seeds and output subdirectories, per-cell failures are recorded in
 the table without aborting the run, and any cell can be recomputed in
 isolation from its checkpoint plus the resolved config written next to it.
+
+Burgers data stays in (B, n) arrays from generation to the error table
+(``burgers.BurgersData``): each stage -- exact truth at every horizon, a
+model's rollout, a baseline's prediction -- is one batched call over all
+test samples, and results come back as (horizon, B, n).  Horizon 0 is the
+input itself: exact evolution by t = 0 returns a row unchanged.
 """
 
 from __future__ import annotations
@@ -89,11 +95,6 @@ class ErrorTable:
     @property
     def num_failed(self) -> int:
         return sum(1 for row in self.rows.values() for v in row.values() if v == FAILED)
-
-    def complete(self) -> bool:
-        return all(
-            col in row for row in self.rows.values() for col in self.columns
-        )
 
     def write_csv(self, path):
         rows = []
@@ -337,24 +338,18 @@ def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConf
     return vae.TrainConfig(**kwargs)
 
 
-def pairs_from_file(path, config: bg.BurgersConfig):
-    """Rebuild dataset pairs from the binary format (blend metadata is not stored)."""
+def data_from_file(path, config: bg.BurgersConfig) -> bg.BurgersData:
+    """Read a pair file; blend parameters and start times are not stored (NaN)."""
     X, Y, header = datafiles.load_pairs(path)
     if header.dim != config.n_x:
         raise ConfigError(f"dataset dim {header.dim} does not match configured n_x {config.n_x}")
-    grid = bg.Grid(header.dim)
-    return [
-        bg.DatasetPair(
-            bg.FieldSample(grid, x, 0.0),
-            bg.FieldSample(grid, y, header.param2),
-            float("nan"),
-            float("nan"),
-        )
-        for x, y in zip(X, Y)
-    ]
+    unknown = np.full(header.count, np.nan)
+    return bg.BurgersData(X, Y, unknown, unknown)
 
 
 def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
+    """(config, train, test): the training data (from ``dataset.file`` when
+    set) and a freshly generated test set, both ``BurgersData``."""
     config = burgers_config(cfg)
     a_range = (cfg.get_float("dataset", "alpha_min"), cfg.get_float("dataset", "alpha_max"))
     t_range = (cfg.get_float("dataset", "t_min"), cfg.get_float("dataset", "t_max"))
@@ -364,38 +359,34 @@ def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
     )
     data_file = cfg.get("dataset", "file")
     if data_file:
-        train_pairs = pairs_from_file(data_file, config)
+        train = data_from_file(data_file, config)
     else:
-        train_pairs = bg.generate_burgers_dataset(
+        train = bg.generate_burgers_dataset(
             config, cfg.get_int("dataset", "m_train"), a_range, t_range, seed
         )
-    test_pairs = bg.generate_burgers_dataset(
+    test = bg.generate_burgers_dataset(
         config, cfg.get_int("dataset", "m_test"), a_range, test_t_range, seed + 1
     )
-    return config, train_pairs, test_pairs
+    return config, train, test
 
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
 
-def burgers_truth_at_horizons(pairs, config: bg.BurgersConfig, horizons) -> dict:
-    truths = {}
-    for k in horizons:
-        truths[k] = np.stack(
-            [bg.evolve_exact(p.input, config.nu, k * config.tau).values for p in pairs]
-        )
-    return truths
+def burgers_truth_at_horizons(X, config: bg.BurgersConfig, horizons) -> np.ndarray:
+    """Exact fields (H, B, n): entry i is every row of X evolved by horizons[i] * tau."""
+    times = np.asarray(horizons, dtype=np.float64)[:, None] * config.tau
+    return bg.evolve_exact(X, config.nu, times)
 
 
-def evaluate_burgers_model(model, pairs, config: bg.BurgersConfig, horizons) -> dict:
+def evaluate_burgers_model(model, data: bg.BurgersData, config: bg.BurgersConfig, horizons) -> dict:
     """Mean L1-relative error per horizon (column '0.00s' is reconstruction)."""
-    max_k = max(horizons)
-    preds = np.stack([vae.predict_multistep(model, p.input.values, max_k) for p in pairs])
-    truths = burgers_truth_at_horizons(pairs, config, horizons)
-    out = {horizon_label(0): l1_relative_error(preds[:, 0], np.stack([p.input.values for p in pairs]))}
-    for k in horizons:
-        out[horizon_label(k * config.tau)] = l1_relative_error(preds[:, k], truths[k])
+    preds = vae.predict_multistep(model, data.X, max(horizons))
+    truths = burgers_truth_at_horizons(data.X, config, horizons)
+    out = {horizon_label(0): l1_relative_error(preds[0], data.X)}
+    for k, truth in zip(horizons, truths):
+        out[horizon_label(k * config.tau)] = l1_relative_error(preds[k], truth)
     return out
 
 
@@ -404,34 +395,31 @@ def horizon_label(t: float) -> str:
 
 
 def mech_reconstruction_error(model, dataset: mech.MechDataset) -> float:
-    preds = np.stack([vae.predict_multistep(model, x, 0)[0] for x in dataset.noisy])
-    return l2_relative_error(preds, dataset.clean)
+    return l2_relative_error(vae.predict_multistep(model, dataset.noisy, 0)[0], dataset.clean)
 
 
 # ---------------------------------------------------------------------------
 # latent trace export
 
 
-def export_latent_trace(model: vae.VaeModel, pairs, path, n_steps: int = 4):
+def export_latent_trace(model: vae.VaeModel, X, alpha, t, path, n_steps: int = 4):
     """Columnar (alpha, t, step, z...) rows for plotting latent organization.
 
-    One row per sample per rollout step; row count is len(pairs)*(n_steps+1).
+    Fields X (B, n) with their blend parameters and times, each (B,), are
+    encoded in one batch.  One row per sample per rollout step; row count is
+    B*(n_steps+1).
     """
     if model.latent_dim > 3:
         raise ValueError(
             f"trace export limited to visualizable dims (<= 3), got {model.latent_dim}"
         )
     columns = ["alpha", "t", "step"] + [f"z{i}" for i in range(model.latent_dim)]
-    rows = []
-    for p in pairs:
-        z = vae.encode(model, p.input.values)
-        current = z[0]
-        for k in range(n_steps + 1):
-            if k > 0:
-                current = vae.latent_step(model, current, 1)
-            row = {"alpha": p.alpha, "t": p.t_start, "step": k}
-            row.update({f"z{i}": float(current[i]) for i in range(model.latent_dim)})
-            rows.append(row)
+    Z = vae.latent_rollout(model, X, n_steps)
+    rows = [
+        {"alpha": a, "t": ti, "step": k, **{f"z{d}": float(v) for d, v in enumerate(Z[k, i])}}
+        for i, (a, ti) in enumerate(zip(alpha, t))
+        for k in range(n_steps + 1)
+    ]
     datafiles.write_table_csv(path, rows, columns)
     return len(rows)
 
@@ -461,14 +449,13 @@ _HISTORY_COLUMNS = ["epoch", "total", "reconstruction", "kl", "regularization", 
 
 def _burgers_vae_cell(sections: dict, out: str, beta: float, gamma: float, seed: int):
     cfg = ExperimentConfig(sections)
-    config, train_pairs, test_pairs = generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
-    X, Y = bg.pairs_to_arrays(train_pairs)
+    config, train, test = generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
     model = build_model_from_config(cfg, config.n_x, seed=seed)
     tc = train_config_from(cfg, seed, beta=beta, gamma=gamma)
-    model, history = vae.train(model, X, Y, tc)
+    model, history = vae.train(model, train.X, train.Y, tc)
 
     horizons = cfg.get_list("sweep", "horizons", int)
-    errors = evaluate_burgers_model(model, test_pairs, config, horizons)
+    errors = evaluate_burgers_model(model, test, config, horizons)
 
     cell_dir = Path(out) / f"beta={beta:g}_gamma={gamma:g}"
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -476,29 +463,25 @@ def _burgers_vae_cell(sections: dict, out: str, beta: float, gamma: float, seed:
     datafiles.write_table_csv(cell_dir / "loss_history.csv", _loss_history_rows(history), _HISTORY_COLUMNS)
     _write_prediction_curves(model, config, cell_dir / "predictions.csv", max(horizons))
     if model.latent_dim <= 3:
-        export_latent_trace(model, test_pairs, cell_dir / "latent_trace.csv", max(horizons))
+        export_latent_trace(
+            model, test.X, test.alpha, test.t, cell_dir / "latent_trace.csv", max(horizons)
+        )
     return errors
 
 
 def _write_prediction_curves(model, config: bg.BurgersConfig, path, n_steps: int):
     """x vs u curves (truth and prediction) for a few blend parameters."""
-    rows = []
+    alphas = (0.0, 0.5, 1.0)
+    U0 = bg.sample_u1(alphas, 0.0, config.nu, config.n_x)
+    preds = vae.predict_multistep(model, U0, n_steps)
+    truths = burgers_truth_at_horizons(U0, config, range(n_steps + 1))
     x = bg.Grid(config.n_x).points
-    for alpha in (0.0, 0.5, 1.0):
-        u0 = bg.sample_u1(alpha, 0.0, config.nu, config.n_x)
-        preds = vae.predict_multistep(model, u0.values, n_steps)
-        for k in range(n_steps + 1):
-            truth = bg.evolve_exact(u0, config.nu, k * config.tau).values if k else u0.values
-            for j in range(config.n_x):
-                rows.append(
-                    {
-                        "alpha": alpha,
-                        "step": k,
-                        "x": x[j],
-                        "u_true": truth[j],
-                        "u_pred": preds[k][j],
-                    }
-                )
+    rows = [
+        {"alpha": alpha, "step": k, "x": x[j], "u_true": truths[k, i, j], "u_pred": preds[k, i, j]}
+        for i, alpha in enumerate(alphas)
+        for k in range(n_steps + 1)
+        for j in range(config.n_x)
+    ]
     datafiles.write_table_csv(path, rows, ["alpha", "step", "x", "u_true", "u_pred"])
 
 
@@ -529,9 +512,10 @@ def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: i
     model, history = vae.train(model, train_set.noisy, train_set.clean, tc, eval_fn=eval_fn)
 
     evals = {s.epoch + 1: s.eval_error for s in history if s.eval_error is not None}
-    final = min(evals.values()) if evals else eval_fn(model)
     errors = {str(mark): evals[mark] for mark in marks if mark in evals}
-    errors["final"] = final
+    # the error of the model training returns, never a minimum over marks
+    last = history[-1].eval_error if history else None
+    errors["final"] = last if last is not None else eval_fn(model)
 
     cell_dir = Path(out) / f"latent={latent_kind}_sigma={sigma:g}"
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -647,58 +631,51 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     table and gets a ``failures.csv`` row, as failed sweep cells do.
     """
     seed = cfg.get_int("experiment", "seed")
-    config, train_pairs, test_pairs = generate_burgers_sets(cfg, seed)
-    X, Y = bg.pairs_to_arrays(train_pairs)
-    xmat, xpmat = X.T, Y.T
+    config, train, test = generate_burgers_sets(cfg, seed)
+    xmat, xpmat = train.X.T, train.Y.T
     horizons = cfg.get_list("sweep", "horizons", int)
     columns = [horizon_label(k * config.tau) for k in horizons]
     table = ErrorTable(columns)
-    truths = burgers_truth_at_horizons(test_pairs, config, horizons)
-    test_inputs = np.stack([p.input.values for p in test_pairs])
+    truths = burgers_truth_at_horizons(test.X, config, horizons)
     failures = []
 
     def fail(method, dim, error, column=None):
         table.mark_failed(method, dim, "", column)
         failures.append((method, dim, "", error))
 
+    def add_rollout(method, dim, preds):
+        """preds (max horizon + 1, B, n) from one rollout of the test inputs."""
+        for k, truth, col in zip(horizons, truths, columns):
+            table.add(method, dim, "", col, l1_relative_error(preds[k], truth))
+
     for rank in cfg.get_list("sweep", "dmd_ranks", int):
         try:
             model = lb.fit_dmd(xmat, xpmat, rank)
-            for k in horizons:
-                preds = np.stack([lb.dmd_predict(model, u, k) for u in test_inputs])
-                table.add("dmd", rank, "", horizon_label(k * config.tau), l1_relative_error(preds, truths[k]))
+            add_rollout("dmd", rank, lb.dmd_predict(model, test.X, max(horizons)))
         except Exception as exc:  # recorded; the other ranks still run
             fail("dmd", rank, _error_text(exc))
 
     for rank in cfg.get_list("sweep", "pod_ranks", int):
         try:
             model = lb.fit_pod(xmat, rank, config.nu, config.tau)
-            for k in horizons:
-                preds = np.stack([lb.pod_predict(model, u, k) for u in test_inputs])
-                table.add("pod", rank, "", horizon_label(k * config.tau), l1_relative_error(preds, truths[k]))
+            add_rollout("pod", rank, lb.pod_predict(model, test.X, max(horizons)))
         except Exception as exc:
             fail("pod", rank, _error_text(exc))
 
+    times = np.asarray(horizons, dtype=np.float64)[:, None] * config.tau
     for n_f in cfg.get_list("sweep", "ch_dims", int):
-        for k in horizons:
-            col = horizon_label(k * config.tau)
-            try:
-                preds = np.stack(
-                    [
-                        bg.evolve_exact(p.input, config.nu, k * config.tau, n_f=n_f, nonpositive="finite").values
-                        for p in test_pairs
-                    ]
-                )
-                finite = np.all(np.isfinite(preds), axis=1)
-                if not finite.any():
-                    fail("cole-hopf", n_f, f"non-finite {col}", col)
-                    continue
-                table.add(
-                    "cole-hopf", n_f, "", col,
-                    l1_relative_error(preds[finite], truths[k][finite]),
-                )
-            except Exception as exc:
+        try:
+            preds = bg.evolve_exact(test.X, config.nu, times, n_f=n_f, nonpositive="finite")
+        except Exception as exc:  # an invalid mode count fails each of its columns
+            for col in columns:
                 fail("cole-hopf", n_f, _error_text(exc), col)
+            continue
+        for pred, truth, col in zip(preds, truths, columns):
+            finite = np.all(np.isfinite(pred), axis=1)
+            if finite.any():
+                table.add("cole-hopf", n_f, "", col, l1_relative_error(pred[finite], truth[finite]))
+            else:
+                fail("cole-hopf", n_f, f"non-finite {col}", col)
     _write_failures(out, failures)
     return table
 

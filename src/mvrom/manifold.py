@@ -455,12 +455,6 @@ def build_klein_pointcloud(config: KleinConfig) -> PointCloudManifold:
     return _cloud_from_surface(KleinSurface(config.a, config.b), config.resolution)
 
 
-def build_torus_pointcloud(resolution: int = 256, radii=(1.0, 1.0)) -> PointCloudManifold:
-    if resolution < 64:
-        raise ValueError("need at least 64 samples per parameter direction")
-    return _cloud_from_surface(ProductCirclesSurface(radii), resolution)
-
-
 # ---------------------------------------------------------------------------
 # nearest-point projection
 

@@ -83,11 +83,3 @@ def train_test_split(data: MechDataset, train_fraction: float = 0.8, seed: int =
         MechDataset(data.clean[tr], data.noisy[tr], data.sigma),
         MechDataset(data.clean[te], data.noisy[te], data.sigma),
     )
-
-
-def arm_constraint_residuals(config: ArmConfig, samples: np.ndarray) -> np.ndarray:
-    """Max violation of |x1| = L1 and |x2 - x1| = L2 per sample."""
-    x1, x2 = samples[:, :2], samples[:, 2:]
-    r1 = np.abs(np.linalg.norm(x1, axis=1) - config.l1)
-    r2 = np.abs(np.linalg.norm(x2 - x1, axis=1) - config.l2)
-    return np.maximum(r1, r2)

@@ -296,19 +296,23 @@ def latent_step(model: VaeModel, z: np.ndarray, n_steps: int = 1) -> np.ndarray:
     return z
 
 
-def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
-    """Mean-encode once, step the latent flow, decode at k = 0..n_steps.
+def latent_rollout(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
+    """Mean encodings of the rows of X (B, n) after k = 0..n_steps flow steps:
+    (n_steps + 1, B, d)."""
+    steps = [encode(model, X)]
+    for _ in range(n_steps):
+        steps.append(latent_step(model, steps[-1], 1))
+    return np.stack(steps)
 
-    Row k is the prediction at t + k*tau; row 0 is the plain reconstruction.
+
+def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
+    """Decode the latent rollout of the rows of X (B, n) in one batch.
+
+    Returns (n_steps + 1, B, n_out): entry k is the prediction at t + k*tau,
+    entry 0 the plain reconstruction.
     """
-    z = encode(model, X)
-    outputs = []
-    current = z
-    for k in range(n_steps + 1):
-        if k > 0:
-            current = latent_step(model, current, 1)
-        outputs.append(decode(model, current)[0])
-    return np.stack(outputs)
+    z = latent_rollout(model, X, n_steps)
+    return decode(model, z.reshape(-1, z.shape[-1])).reshape(*z.shape[:2], model.output_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ the DFT is the direct O(n^2) sum, and the Burgers integrator steps the PDE
 in time (integrating-factor RK4 on the advection term) instead of using the
 Cole-Hopf transform.  The projection reference shares the manifold's coarse
 index and charts with the package, not its solver, and the stacked Klein
-frames are the same formulas assembled another way.
+frames are the same formulas assembled another way.  The per-row Burgers
+references run the batched paths' arithmetic one sample at a time, and the
+last section holds builders and checks only the tests use.
 """
 
 import numpy as np
@@ -164,3 +166,72 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
         z=sigma, chart_id=chart_id, u=manifold.canonical_params(U), jacobian=jacobians,
         phi=phi, grad_norm=gnorm, coarse_index=coarse, degraded=degraded, singular=singular,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-row references for the batched Burgers paths
+
+
+def evolve_rows(evolve, U0, nu, t, **kwargs):
+    """Each row of U0 evolved alone: ``evolve(u, nu, t_row)`` for every
+    (time, row) pair of the broadcast of t against U0's rows."""
+    U0 = np.asarray(U0, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    shape = np.broadcast_shapes(U0.shape[:-1], t.shape)
+    U = np.broadcast_to(U0, shape + U0.shape[-1:])
+    T = np.broadcast_to(t, shape)
+    out = np.empty(U.shape)
+    for idx in np.ndindex(shape):
+        out[idx] = evolve(U[idx], nu, float(T[idx]), **kwargs)
+    return out
+
+
+def dmd_predict_row(model, u, n_steps):
+    """u(t + n_steps tau) = U A~^n U^T u(t) for one state, by matrix power."""
+    op_k = np.linalg.matrix_power(model.reduced_op, n_steps)
+    return model.basis @ (op_k @ (model.basis.T @ np.asarray(u, dtype=np.float64)))
+
+
+def pod_predict_row(model, u, n_steps):
+    """One state integrated from scratch to n_steps * tau by RK4 on the
+    Galerkin system, written per sample with matrix-vector products."""
+    def rhs(c):
+        return model.diffusion @ c + np.einsum("ijk,j,k->i", model.advection, c, c)
+
+    c = model.basis.T @ np.asarray(u, dtype=np.float64)
+    dt = model.tau / model.substeps
+    for _ in range(n_steps * model.substeps):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * dt * k1)
+        k3 = rhs(c + 0.5 * dt * k2)
+        k4 = rhs(c + dt * k3)
+        c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(c)) or np.linalg.norm(c) > 1e6:
+            raise RuntimeError(f"reduced model unstable at rank {model.rank}")
+    return model.basis @ c
+
+
+# ---------------------------------------------------------------------------
+# test-only builders and checks
+
+
+def build_torus_pointcloud(resolution=256, radii=(1.0, 1.0)):
+    """Point cloud of the product of circles with analytic charts."""
+    from mvrom import manifold as mf
+
+    if resolution < 64:
+        raise ValueError("need at least 64 samples per parameter direction")
+    return mf._cloud_from_surface(mf.ProductCirclesSurface(radii), resolution)
+
+
+def arm_constraint_residuals(config, samples):
+    """Max violation of |x1| = L1 and |x2 - x1| = L2 per sample."""
+    x1, x2 = samples[:, :2], samples[:, 2:]
+    r1 = np.abs(np.linalg.norm(x1, axis=1) - config.l1)
+    r2 = np.abs(np.linalg.norm(x2 - x1, axis=1) - config.l2)
+    return np.maximum(r1, r2)
+
+
+def table_complete(table):
+    """Every row of an ``ErrorTable`` has a value (or FAILED) in every column."""
+    return all(col in row for row in table.rows.values() for col in table.columns)

@@ -4,6 +4,8 @@ import pytest
 from mvrom import baselines as lb
 from mvrom import burgers as bg
 
+from oracles import dmd_predict_row, pod_predict_row
+
 
 # ---------------------------------------------------------------------------
 # svd
@@ -66,10 +68,12 @@ def test_dmd_orthonormal_basis_and_finite_eigs():
 def test_dmd_exact_on_invariant_subspace():
     X, Xp, A = _linear_system_snapshots([0.85, 0.5])
     model = lb.fit_dmd(X, Xp, 2)
-    u = X[:, 3]
-    for k in range(1, 5):
-        truth = np.linalg.matrix_power(A, k) @ u
-        np.testing.assert_allclose(lb.dmd_predict(model, u, k), truth, atol=1e-9)
+    U = X[:, :5].T
+    preds = lb.dmd_predict(model, U, 4)
+    assert preds.shape == (5, 5, 8)
+    for k in range(5):
+        truth = U @ np.linalg.matrix_power(A, k).T
+        np.testing.assert_allclose(preds[k], truth, atol=1e-9)
 
 
 def test_dmd_rank_too_high_errors():
@@ -121,17 +125,16 @@ def test_pod_pure_diffusion_matches_spectral_decay():
     rng = np.random.default_rng(3)
     X = np.outer(np.sin(2 * np.pi * x), rng.uniform(0.5, 2.0, size=20))
     model = lb.fit_pod(X, 1, nu, tau)
-    u = 1.3 * np.sin(2 * np.pi * x)
+    U = np.outer([1.3, -0.4], np.sin(2 * np.pi * x))
+    preds = lb.pod_predict(model, U, 4)
     for k in (1, 2, 4):
-        pred = lb.pod_predict(model, u, k)
-        truth = u * np.exp(-4 * np.pi**2 * nu * tau * k)
-        assert np.linalg.norm(pred - truth) / np.linalg.norm(truth) < 1e-6
+        truth = U * np.exp(-4 * np.pi**2 * nu * tau * k)
+        assert np.linalg.norm(preds[k] - truth) / np.linalg.norm(truth) < 1e-6
 
 
 def test_pod_projection_residual_decreases_with_rank():
     config = bg.BurgersConfig(n_x=64)
-    pairs = bg.generate_burgers_dataset(config, 40, seed=4)
-    X, _ = bg.pairs_to_arrays(pairs)
+    X = bg.generate_burgers_dataset(config, 40, seed=4).X
     Xmat = X.T
     u = X[7]
     residuals = []
@@ -144,14 +147,13 @@ def test_pod_projection_residual_decreases_with_rank():
 
 def test_pod_galerkin_tracks_burgers_at_high_rank():
     config = bg.BurgersConfig(n_x=64)
-    pairs = bg.generate_burgers_dataset(config, 80, seed=5)
-    X, _ = bg.pairs_to_arrays(pairs)
+    X = bg.generate_burgers_dataset(config, 80, seed=5).X
     model = lb.fit_pod(X.T, 12, config.nu, config.tau)
-    u0 = bg.sample_u1(0.6, 0.1, config.nu, 64)
-    truth = bg.evolve_exact(u0, config.nu, config.tau)
-    pred = lb.pod_predict(model, u0.values, 1)
-    rel = np.linalg.norm(pred - truth.values) / np.linalg.norm(truth.values)
-    assert rel < 0.05
+    U0 = bg.sample_u1([0.6, 0.2], [0.1, 0.3], config.nu, 64)
+    truth = bg.evolve_exact(U0, config.nu, config.tau)
+    pred = lb.pod_predict(model, U0, 1)[1]
+    rel = np.linalg.norm(pred - truth, axis=1) / np.linalg.norm(truth, axis=1)
+    assert np.all(rel < 0.05)
 
 
 def test_pod_instability_is_reported():
@@ -159,6 +161,43 @@ def test_pod_instability_is_reported():
     x = np.arange(n) / n
     X = np.outer(np.sin(2 * np.pi * 10 * x), np.linspace(1, 2, 10))
     model = lb.fit_pod(X, 1, nu=5.0, tau=4.0, substeps=1)
-    u = 1e5 * np.sin(2 * np.pi * 10 * x)
+    # one unstable row fails the whole call; the stable rows alone pass
+    U = np.outer([0.0, 1e5, 0.0], np.sin(2 * np.pi * 10 * x))
     with pytest.raises(RuntimeError, match="unstable"):
-        lb.pod_predict(model, u, 50)
+        lb.pod_predict(model, U, 50)
+    assert np.all(np.isfinite(lb.pod_predict(model, U[[0, 2]], 2)))
+
+
+def _burgers_rollout_setup(rank, m_test=12):
+    config = bg.BurgersConfig(n_x=64)
+    train = bg.generate_burgers_dataset(config, 60, seed=11)
+    test = bg.generate_burgers_dataset(config, m_test, t_range=(0.0, 0.5), seed=12)
+    return config, train, test
+
+
+def _assert_rows_match(batched, reference, rtol=1e-12):
+    scale = np.linalg.norm(reference, axis=-1, keepdims=True)
+    assert np.all(np.abs(batched - reference) <= rtol * scale)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 6])
+def test_dmd_batched_rollout_matches_per_row_reference(rank):
+    config, train, test = _burgers_rollout_setup(rank)
+    model = lb.fit_dmd(train.X.T, train.Y.T, rank)
+    preds = lb.dmd_predict(model, test.X, 4)
+    assert preds.shape == (5, len(test.X), 64)
+    for k in range(5):
+        reference = np.stack([dmd_predict_row(model, u, k) for u in test.X])
+        _assert_rows_match(preds[k], reference)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 6])
+def test_pod_batched_rollout_matches_per_row_reference(rank):
+    # one integration to the largest horizon against one integration per horizon
+    config, train, test = _burgers_rollout_setup(rank)
+    model = lb.fit_pod(train.X.T, rank, config.nu, config.tau)
+    preds = lb.pod_predict(model, test.X, 4)
+    assert preds.shape == (5, len(test.X), 64)
+    for k in range(5):
+        reference = np.stack([pod_predict_row(model, u, k) for u in test.X])
+        _assert_rows_match(preds[k], reference)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mvrom import burgers as bg
 from mvrom import datafiles
 
-from oracles import direct_dft, direct_idft, rk4_burgers
+from oracles import direct_dft, direct_idft, evolve_rows, rk4_burgers
 
 
 def test_grid_validation():
@@ -18,9 +18,8 @@ def test_grid_validation():
 
 def test_dft_single_cosine():
     grid = bg.Grid(64)
-    spec = bg.dft(np.cos(2 * np.pi * grid.points))
-    k = spec.wavenumbers
-    c = spec.coefficients
+    c = bg.dft(np.cos(2 * np.pi * grid.points))
+    k = bg.wavenumbers(64)
     assert c[k == 1][0] == pytest.approx(0.5, abs=1e-12)
     assert c[k == -1][0] == pytest.approx(0.5, abs=1e-12)
     others = np.abs(c[(k != 1) & (k != -1)])
@@ -28,33 +27,35 @@ def test_dft_single_cosine():
 
 
 def test_dft_constant():
-    spec = bg.dft(np.ones(32))
-    k = spec.wavenumbers
-    assert spec.coefficients[k == 0][0] == pytest.approx(1.0)
-    assert np.abs(spec.coefficients[k != 0]).max() < 1e-14
+    c = bg.dft(np.ones(32))
+    k = bg.wavenumbers(32)
+    assert c[k == 0][0] == pytest.approx(1.0)
+    assert np.abs(c[k != 0]).max() < 1e-14
 
 
-@given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 32, 64]))
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 32, 64]), rows=st.integers(1, 4))
 @settings(max_examples=20)
-def test_dft_matches_direct_oracle_and_roundtrips(seed, n):
+def test_dft_matches_direct_oracle_and_roundtrips(seed, n, rows):
+    # a (rows, n) batch is transformed along its last axis, row by row
     rng = np.random.default_rng(seed)
-    v = rng.uniform(-2, 2, size=n)
-    spec = bg.dft(v)
-    np.testing.assert_allclose(spec.coefficients, direct_dft(v), atol=1e-12)
-    np.testing.assert_allclose(bg.idft(spec), v, atol=1e-12)
-    np.testing.assert_allclose(direct_idft(spec.coefficients), v, atol=1e-12)
+    V = rng.uniform(-2, 2, size=(rows, n))
+    C = bg.dft(V)
+    assert C.shape == (rows, n)
+    for v, c in zip(V, C):
+        np.testing.assert_allclose(c, direct_dft(v), atol=1e-12)
+        np.testing.assert_allclose(direct_idft(c), v, atol=1e-12)
+    np.testing.assert_allclose(bg.idft(C), V, atol=1e-12)
 
 
 def test_parseval_and_conjugate_symmetry():
     rng = np.random.default_rng(1)
     v = rng.uniform(-1, 1, size=128)
-    spec = bg.dft(v)
+    c = bg.dft(v)
     lhs = np.sum(v**2)
-    rhs = 128 * np.sum(np.abs(spec.coefficients) ** 2)
+    rhs = 128 * np.sum(np.abs(c) ** 2)
     assert abs(lhs - rhs) < 1e-10
     # c_{-k} = conj(c_k) for every representable pair k = 1 .. n/2 - 1
-    c = spec.coefficients
-    k = spec.wavenumbers
+    k = bg.wavenumbers(128)
     pos = np.flatnonzero(k > 0)
     neg = np.searchsorted(k, -k[pos])
     assert np.abs(c[neg] - np.conj(c[pos])).max() < 1e-12
@@ -65,16 +66,13 @@ def test_parseval_and_conjugate_symmetry():
 
 
 def test_cole_hopf_of_zero_field():
-    u = bg.FieldSample(bg.Grid(64), np.zeros(64))
-    np.testing.assert_allclose(bg.cole_hopf_forward(u, 0.02), np.ones(64))
+    np.testing.assert_allclose(bg.cole_hopf_forward(np.zeros(64), 0.02), np.ones(64))
 
 
 def test_cole_hopf_sine_closed_form():
     nu = 0.02
-    grid = bg.Grid(128)
-    x = grid.points
-    u = bg.FieldSample(grid, np.sin(2 * np.pi * x))
-    phi = bg.cole_hopf_forward(u, nu)
+    x = bg.Grid(128).points
+    phi = bg.cole_hopf_forward(np.sin(2 * np.pi * x), nu)
     expected = np.exp((np.cos(2 * np.pi * x) - 1) / (4 * np.pi * nu))
     np.testing.assert_allclose(phi, expected, rtol=1e-10, atol=1e-12)
     assert phi[0] == pytest.approx(1.0)
@@ -82,24 +80,27 @@ def test_cole_hopf_sine_closed_form():
 
 
 def test_cole_hopf_rejects_nonzero_mean():
-    u = bg.FieldSample(bg.Grid(64), np.ones(64) * 0.1)
     with pytest.raises(ValueError, match="mean-zero"):
-        bg.cole_hopf_forward(u, 0.02)
+        bg.cole_hopf_forward(np.ones(64) * 0.1, 0.02)
+    # one offending row fails the batch
+    U = np.zeros((3, 64))
+    U[1] += 0.1
+    with pytest.raises(ValueError, match="mean-zero"):
+        bg.cole_hopf_forward(U, 0.02)
 
 
 def test_inverse_of_constant_phi():
     out = bg.cole_hopf_inverse(np.full(64, 3.7), 0.02)
-    np.testing.assert_allclose(out.values, np.zeros(64), atol=1e-12)
+    np.testing.assert_allclose(out, np.zeros(64), atol=1e-12)
 
 
 def test_inverse_closed_form_recovers_sine():
     nu = 0.02
-    grid = bg.Grid(128)
-    x = grid.points
+    x = bg.Grid(128).points
     phi = np.exp((np.cos(2 * np.pi * x) - 1) / (4 * np.pi * nu))
     out = bg.cole_hopf_inverse(phi, nu)
-    np.testing.assert_allclose(out.values, np.sin(2 * np.pi * x), atol=1e-8)
-    assert abs(np.mean(out.values)) < 1e-8
+    np.testing.assert_allclose(out, np.sin(2 * np.pi * x), atol=1e-8)
+    assert abs(np.mean(out)) < 1e-8
 
 
 def test_inverse_rejects_nonpositive_phi():
@@ -113,10 +114,8 @@ def test_inverse_rejects_nonpositive_phi():
 def test_cole_hopf_roundtrip_on_family(alpha):
     nu = 0.02
     u = bg.sample_u1(alpha, 0.0, nu, n_x=128)
-    phi = bg.cole_hopf_forward(u, nu)
-    back = bg.cole_hopf_inverse(phi, nu, u.grid, u.time)
-    scale = np.linalg.norm(u.values)
-    assert np.linalg.norm(back.values - u.values) / scale < 1e-8
+    back = bg.cole_hopf_inverse(bg.cole_hopf_forward(u, nu), nu)
+    assert np.linalg.norm(back - u) / np.linalg.norm(u) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -125,39 +124,82 @@ def test_cole_hopf_roundtrip_on_family(alpha):
 
 def test_evolve_zero_time_is_identity():
     u = bg.sample_u1(0.7, 0.0, 0.02, n_x=128)
-    out = bg.evolve_exact(u, 0.02, 0.0)
-    np.testing.assert_allclose(out.values, u.values, atol=1e-10)
-    assert out.time == u.time
+    np.testing.assert_array_equal(bg.evolve_exact(u, 0.02, 0.0), u)
+    # per-row times: only the rows with t = 0 come back unchanged
+    U = bg.sample_u1([0.2, 0.7, 0.9], 0.0, 0.02, n_x=128)
+    out = bg.evolve_exact(U, 0.02, [0.0, 0.3, 0.0])
+    np.testing.assert_array_equal(out[[0, 2]], U[[0, 2]])
+    assert not np.array_equal(out[1], U[1])
 
 
 @pytest.mark.parametrize("alpha,t", [(1.0, 0.25), (0.5, 0.25), (0.0, 0.5)])
 def test_evolve_matches_rk4_oracle(alpha, t):
     nu = 0.02
-    grid = bg.Grid(256)
-    u0 = bg.FieldSample(grid, bg.initial_condition_u1(alpha, grid))
+    u0 = bg.initial_condition_u1(alpha, bg.Grid(256))
     exact = bg.evolve_exact(u0, nu, t)
-    reference = rk4_burgers(u0.values, nu, t)
-    rel = np.linalg.norm(exact.values - reference) / np.linalg.norm(reference)
-    assert rel < 1e-6
+    reference = rk4_burgers(u0, nu, t)
+    assert np.linalg.norm(exact - reference) / np.linalg.norm(reference) < 1e-6
+
+
+def test_evolve_batch_matches_rk4_oracle():
+    # several (alpha, t) rows from one batched call, each against its own RK4 run
+    nu = 0.02
+    alphas = np.array([1.0, 0.5, 0.0, 0.8])
+    times = np.array([0.25, 0.1, 0.5, 0.3])
+    U0 = bg.initial_condition_u1(alphas, bg.Grid(256))
+    exact = bg.evolve_exact(U0, nu, times)
+    assert exact.shape == (4, 256)
+    for u0, t, row in zip(U0, times, exact):
+        reference = rk4_burgers(u0, nu, t)
+        assert np.linalg.norm(row - reference) / np.linalg.norm(reference) < 1e-6
+
+
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
+@settings(max_examples=15)
+def test_batched_evolve_rows_match_single_rows(seed, rows):
+    # bit for bit: per-row times, every row at each of H horizons, and truncation
+    # under the "finite" policy, with a row whose truncated phi dips <= 0
+    nu = 0.02
+    rng = np.random.default_rng(seed)
+    alphas = np.append(rng.uniform(0, 1, rows), 1.0)
+    times = np.append(rng.uniform(0, 0.75, rows), 0.0)
+    times[rng.uniform(size=rows + 1) < 0.3] = 0.0
+    U0 = bg.initial_condition_u1(alphas, bg.Grid(64)) * rng.uniform(0.5, 3.0, (rows + 1, 1))
+    cases = [
+        (times, {}),
+        (np.array([[0.0], [0.25], [0.5], [1.0]]), {}),
+        (np.array([[0.25], [0.5]]), dict(n_f=2, nonpositive="finite")),
+        (times, dict(n_f=4, nonpositive="finite")),
+        (0.25, dict(n_f=6, nonpositive="finite")),
+    ]
+    for t, kwargs in cases:
+        batched = bg.evolve_exact(U0, nu, t, **kwargs)
+        np.testing.assert_array_equal(batched, evolve_rows(bg.evolve_exact, U0, nu, t, **kwargs))
+    with pytest.raises(ValueError, match="under-resolved"):
+        bg.evolve_exact(U0[-1], nu, 0.25, n_f=2, nonpositive="raise")
+
+
+def test_truncated_inverse_floor_is_per_row():
+    # a row with an exact grid zero next to a row 1e15 times larger: the
+    # denominator floor of each row follows its own scale
+    x = bg.Grid(32).points
+    small = np.cos(2 * np.pi * x) + 1.5
+    small[5] = 0.0
+    phi = np.stack([small, 1e15 * (np.cos(2 * np.pi * x) + 2.0)])
+    batched = bg._truncated_inverse(phi, 0.02)
+    for row, out in zip(phi, batched):
+        np.testing.assert_array_equal(out, bg._truncated_inverse(row, 0.02))
+    assert np.all(np.isfinite(batched))
 
 
 def test_evolve_conserves_zero_mean_and_decays():
     nu = 0.02
-    times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    for alpha in [0.0, 0.25, 0.5, 0.75, 1.0]:
-        u0 = bg.sample_u1(alpha, 0.0, nu, n_x=128)
-        norms = []
-        for t in times:
-            ut = bg.evolve_exact(u0, nu, t) if t > 0 else u0
-            assert abs(np.mean(ut.values)) < 1e-10
-            norms.append(np.linalg.norm(ut.values))
-        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-def test_evolve_time_bookkeeping():
-    u = bg.sample_u1(0.3, 0.1, 0.02, n_x=100)
-    out = bg.evolve_exact(u, 0.02, 0.25)
-    assert out.time == pytest.approx(0.35)
+    times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    U0 = bg.sample_u1([0.0, 0.25, 0.5, 0.75, 1.0], 0.0, nu, n_x=128)
+    Ut = bg.evolve_exact(U0, nu, times[:, None])  # (time, alpha, x)
+    assert np.abs(np.mean(Ut, axis=-1)).max() < 1e-10
+    norms = np.linalg.norm(Ut, axis=-1)
+    assert np.all(norms[1:] <= norms[:-1] + 1e-12)
 
 
 def test_full_truncation_matches_untruncated():
@@ -165,7 +207,7 @@ def test_full_truncation_matches_untruncated():
     u0 = bg.sample_u1(0.4, 0.0, nu, n_x=128)
     a = bg.evolve_exact(u0, nu, 0.5)
     b = bg.evolve_exact(u0, nu, 0.5, n_f=128)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-8)
+    np.testing.assert_allclose(a, b, atol=1e-8)
 
 
 def test_truncation_validation():
@@ -174,6 +216,8 @@ def test_truncation_validation():
         bg.evolve_exact(u0, 0.02, 0.1, n_f=3)
     with pytest.raises(ValueError):
         bg.evolve_exact(u0, 0.02, 0.1, n_f=128)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bg.evolve_exact(u0, 0.02, [[0.1], [-0.1]])
 
 
 def test_truncated_nonpositive_policies():
@@ -183,7 +227,7 @@ def test_truncated_nonpositive_policies():
     with pytest.raises(ValueError, match="under-resolved"):
         bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="raise")
     out = bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="finite")
-    assert np.all(np.isfinite(out.values))
+    assert np.all(np.isfinite(out))
     with pytest.raises(ValueError, match="policy"):
         bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="clip")
 
@@ -193,8 +237,7 @@ def test_truncated_long_horizon_is_accurate():
     u0 = bg.sample_u1(1.0, 0.0, nu, n_x=100)
     truth = bg.evolve_exact(u0, nu, 1.0)
     reduced = bg.evolve_exact(u0, nu, 1.0, n_f=6)
-    rel = np.abs(reduced.values - truth.values).sum() / np.abs(truth.values).sum()
-    assert rel < 1e-4
+    assert np.abs(reduced - truth).sum() / np.abs(truth).sum() < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +245,30 @@ def test_truncated_long_horizon_is_accurate():
 
 
 def test_sample_u1_endpoints():
-    grid = bg.Grid(128)
-    x = grid.points
-    s1 = bg.sample_u1(1.0, 0.0, 0.02, 128)
-    np.testing.assert_allclose(s1.values, np.sin(2 * np.pi * x), atol=1e-14)
-    s0 = bg.sample_u1(0.0, 0.0, 0.02, 128)
-    np.testing.assert_allclose(s0.values, np.cos(2 * np.pi * x) ** 3, atol=1e-14)
+    x = bg.Grid(128).points
+    s1, s0 = bg.sample_u1([1.0, 0.0], 0.0, 0.02, 128)
+    np.testing.assert_allclose(s1, np.sin(2 * np.pi * x), atol=1e-14)
+    np.testing.assert_allclose(s0, np.cos(2 * np.pi * x) ** 3, atol=1e-14)
     # cos^3 = 3/4 cos + 1/4 cos(3.) has zero mean
-    assert abs(np.mean(s0.values)) < 1e-15
+    assert abs(np.mean(s0)) < 1e-15
 
 
 def test_sample_u1_evolved_matches_rk4():
     nu = 0.02
     s = bg.sample_u1(0.5, 0.25, nu, 256)
-    grid = bg.Grid(256)
-    reference = rk4_burgers(bg.initial_condition_u1(0.5, grid), nu, 0.25)
-    rel = np.linalg.norm(s.values - reference) / np.linalg.norm(reference)
-    assert rel < 1e-6
+    reference = rk4_burgers(bg.initial_condition_u1(0.5, bg.Grid(256)), nu, 0.25)
+    assert np.linalg.norm(s - reference) / np.linalg.norm(reference) < 1e-6
 
 
 def test_dataset_single_pair():
     config = bg.BurgersConfig(n_x=64)
-    pairs = bg.generate_burgers_dataset(config, 1, alpha_range=(1.0, 1.0), t_range=(0.0, 0.0))
-    assert len(pairs) == 1
-    p = pairs[0]
-    np.testing.assert_allclose(p.input.values, np.sin(2 * np.pi * bg.Grid(64).points), atol=1e-14)
-    expected = bg.evolve_exact(p.input, config.nu, config.tau)
-    np.testing.assert_allclose(p.target.values, expected.values, atol=1e-12)
-    assert p.target.time - p.input.time == pytest.approx(config.tau)
+    data = bg.generate_burgers_dataset(config, 1, alpha_range=(1.0, 1.0), t_range=(0.0, 0.0))
+    assert data.X.shape == data.Y.shape == (1, 64)
+    np.testing.assert_array_equal(data.alpha, [1.0])
+    np.testing.assert_array_equal(data.t, [0.0])
+    np.testing.assert_allclose(data.X[0], np.sin(2 * np.pi * bg.Grid(64).points), atol=1e-14)
+    expected = bg.evolve_exact(data.X[0], config.nu, config.tau)
+    np.testing.assert_allclose(data.Y[0], expected, atol=1e-12)
 
 
 def test_dataset_seed_determinism():
@@ -237,18 +276,29 @@ def test_dataset_seed_determinism():
     a = bg.generate_burgers_dataset(config, 8, seed=5)
     b = bg.generate_burgers_dataset(config, 8, seed=5)
     c = bg.generate_burgers_dataset(config, 8, seed=6)
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa.input.values, pb.input.values)
-        np.testing.assert_array_equal(pa.target.values, pb.target.values)
-    assert not np.array_equal(a[0].input.values, c[0].input.values)
+    for name in ("X", "Y", "alpha", "t"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert not np.array_equal(a.X[0], c.X[0])
 
 
 def test_dataset_targets_consistent_with_evolver():
     config = bg.BurgersConfig(n_x=64)
-    for p in bg.generate_burgers_dataset(config, 6, seed=3):
-        expected = bg.evolve_exact(p.input, config.nu, config.tau)
-        np.testing.assert_allclose(p.target.values, expected.values, atol=1e-12)
-        assert p.target.time - p.input.time == pytest.approx(config.tau)
+    data = bg.generate_burgers_dataset(config, 6, seed=3)
+    np.testing.assert_array_equal(data.X, bg.sample_u1(data.alpha, data.t, config.nu, 64))
+    for x, y in zip(data.X, data.Y):
+        np.testing.assert_array_equal(y, bg.evolve_exact(x, config.nu, config.tau))
+
+
+def test_dataset_validates_shapes_and_finiteness():
+    X = np.zeros((3, 16))
+    with pytest.raises(ValueError, match="expected"):
+        bg.BurgersData(X, X[:2], np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="expected"):
+        bg.BurgersData(X, X, np.zeros(2), np.zeros(3))
+    Y = X.copy()
+    Y[1, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        bg.BurgersData(X, Y, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +307,8 @@ def test_dataset_targets_consistent_with_evolver():
 
 def test_pair_file_roundtrip(tmp_path):
     config = bg.BurgersConfig(n_x=32)
-    pairs = bg.generate_burgers_dataset(config, 5, seed=1)
-    X, Y = bg.pairs_to_arrays(pairs)
+    data = bg.generate_burgers_dataset(config, 5, seed=1)
+    X, Y = bg.pairs_to_arrays(data)
     path = tmp_path / "pairs.bin"
     datafiles.save_pairs(path, X, Y, config.nu, config.tau)
     X2, Y2, header = datafiles.load_pairs(path)

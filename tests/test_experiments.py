@@ -12,6 +12,8 @@ from mvrom import experiments as ex
 from mvrom import manifold as mf
 from mvrom import vae
 
+from oracles import build_torus_pointcloud, table_complete
+
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -144,7 +146,7 @@ def test_burgers_baselines_table_and_determinism(tmp_path):
     assert ("dmd", "3", "") in table.rows
     assert ("pod", "3", "") in table.rows
     assert ("cole-hopf", "6", "") in table.rows
-    assert table.complete()
+    assert table_complete(table)
     # deterministic reruns: byte-identical artifacts
     ex.run_experiment(cfg, tmp_path / "b")
     a = (tmp_path / "a" / "errors.csv").read_bytes()
@@ -233,10 +235,36 @@ def test_mech_recon_table_shape(tmp_path):
     assert ("vae-2-manifold", "4", "sigma=0") in table.rows
     assert ("vae-2-manifold", "4", "sigma=0.5") in table.rows
     assert ("vae-R2", "2", "sigma=0") in table.rows
-    assert table.complete()
-    # final is the lowest recorded evaluation
-    row = table.rows[("vae-R2", "2", "sigma=0")]
-    assert row["final"] <= min(row["2"], row["4"]) + 1e-12
+    assert table_complete(table)
+    # final is the error of the model training returned: the last epoch's
+    # evaluation, not the best one over the marks
+    for row in table.rows.values():
+        assert row["final"] == row["4"]
+
+
+@pytest.mark.parametrize(
+    "marks, expected", [("2,4", [0.1, 0.3, 0.3]), ("", [0.7])], ids=["marks", "no-marks"]
+)
+def test_mech_final_is_the_returned_models_error(tmp_path, monkeypatch, marks, expected):
+    # evaluations fall then rise: final must not pick the best mark.  Without
+    # marks the returned model is evaluated once after training.
+    errors = iter({"2,4": [0.1, 0.3], "": [0.7]}[marks])
+    monkeypatch.setattr(ex, "mech_reconstruction_error", lambda model, dataset: next(errors))
+    cfg = ex.ExperimentConfig.from_file(
+        None,
+        overrides=[
+            "experiment.kind=mech-recon",
+            "dataset.m=60",
+            "model.hidden=8",
+            "train.epochs=4",
+            "sweep.latent=r2",
+            f"sweep.eval_epochs={marks}",
+        ],
+    )
+    table, failed = ex.run_experiment(cfg, tmp_path / "mech")
+    assert failed == 0
+    (row,) = table.rows.values()
+    assert [row[c] for c in table.columns] == expected
 
 
 def test_failed_cell_is_recorded_not_raised(tmp_path):
@@ -308,7 +336,7 @@ def test_cli_eval_rejects_nonfinite_checkpoint(tmp_path):
 
 def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
     cloud_file = tmp_path / "torus.cloud"
-    points = mf.build_torus_pointcloud(resolution=64).points
+    points = build_torus_pointcloud(resolution=64).points
     mf.PointCloudManifold(2, 4, points, "quadratic").save(cloud_file)
     trained = {}
     save_checkpoint = vae.save_checkpoint
@@ -342,10 +370,9 @@ def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
     for path, model in trained.items():
         loaded = vae.load_checkpoint(path)
         assert loaded.latent.kind == model.latent.kind
-        for x in X:
-            np.testing.assert_array_equal(
-                vae.predict_multistep(loaded, x, 0), vae.predict_multistep(model, x, 0)
-            )
+        np.testing.assert_array_equal(
+            vae.predict_multistep(loaded, X, 0), vae.predict_multistep(model, X, 0)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +382,30 @@ def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
 def test_export_trace_empty_and_counts(tmp_path):
     model = vae.build_vae(8, vae.euclidean_latent(2), hidden=(8,), seed=0)
     path = tmp_path / "trace.csv"
-    n = ex.export_latent_trace(model, [], path, n_steps=3)
+    n = ex.export_latent_trace(model, np.empty((0, 8)), [], [], path, n_steps=3)
     assert n == 0
     assert path.read_text().strip() == "alpha,t,step,z0,z1"
 
-    pairs = bg.generate_burgers_dataset(bg.BurgersConfig(n_x=8 * 8), 3, seed=0)
+    data = bg.generate_burgers_dataset(bg.BurgersConfig(n_x=8 * 8), 3, seed=0)
     model8 = vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0)
-    n = ex.export_latent_trace(model8, pairs, path, n_steps=3)
+    n = ex.export_latent_trace(model8, data.X, data.alpha, data.t, path, n_steps=3)
     assert n == 3 * 4
-    assert len(path.read_text().strip().splitlines()) == 1 + 12
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 1 + 12
+    # sample-major rows; step k is the encoding advanced k times by the flow
+    z = vae.encode(model8, data.X)
+    factor = vae.flow_factor(model8)
+    for i in range(3):
+        for k in range(4):
+            alpha, t, step, *zs = lines[1 + 4 * i + k].split(",")
+            assert (float(alpha), float(t), int(step)) == pytest.approx((data.alpha[i], data.t[i], k))
+            np.testing.assert_allclose([float(v) for v in zs], z[i] * factor**k, rtol=1e-9)
 
 
 def test_export_trace_rejects_high_dims(tmp_path):
     model = vae.build_vae(8, vae.euclidean_latent(4), hidden=(8,), seed=0)
     with pytest.raises(ValueError, match="visualizable"):
-        ex.export_latent_trace(model, [], tmp_path / "t.csv")
+        ex.export_latent_trace(model, np.empty((0, 8)), [], [], tmp_path / "t.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +528,21 @@ def test_cli_eval_custom_input_field(tmp_path):
     lines = (out_dir / "rollout.csv").read_text().strip().splitlines()
     assert lines[0] == "step,x,u_pred"
     assert len(lines) == 1 + 3 * 64
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_eval_rejects_nonfinite_input_field(tmp_path, capsys, bad):
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0), ckpt)
+    values = [f"{v:.6f}" for v in np.sin(2 * np.pi * np.arange(64) / 64)]
+    values[9] = bad
+    field = tmp_path / "field.txt"
+    field.write_text("# one value per line\n" + "\n".join(values) + "\n")
+    out_dir = tmp_path / "rollout"
+    argv = ["eval", "--checkpoint", str(ckpt), "--input-field", str(field), "--out", str(out_dir)]
+    assert cli.main(argv) == 2
+    assert f"{field}:11: non-finite value" in capsys.readouterr().err
+    assert not (out_dir / "rollout.csv").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):

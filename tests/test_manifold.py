@@ -6,7 +6,7 @@ import pytest
 from mvrom import autodiff as ad
 from mvrom import manifold as mf
 
-from oracles import klein_frames_stacked, reference_projection
+from oracles import build_torus_pointcloud, klein_frames_stacked, reference_projection
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +16,12 @@ def klein_cloud():
 
 @pytest.fixture(scope="module")
 def torus_cloud():
-    return mf.build_torus_pointcloud(resolution=128)
+    return build_torus_pointcloud(resolution=128)
 
 
 @pytest.fixture(scope="module")
 def circle_cloud():
-    return mf.build_torus_pointcloud(resolution=512, radii=(1.0,))
+    return build_torus_pointcloud(resolution=512, radii=(1.0,))
 
 
 def fd_jacobian(fn, w, h=1e-5):
@@ -418,7 +418,7 @@ def test_projection_rows_are_independent(kind, request):
 
 @pytest.fixture(scope="module")
 def torus_quad_cloud():
-    pts = mf.build_torus_pointcloud(resolution=96).points
+    pts = build_torus_pointcloud(resolution=96).points
     return mf.PointCloudManifold(2, 4, pts, "quadratic", k_neighbors=12)
 
 

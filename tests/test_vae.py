@@ -11,6 +11,8 @@ from mvrom import autodiff as ad
 from mvrom import manifold as mf
 from mvrom import vae
 
+from oracles import build_torus_pointcloud
+
 
 def small_model(latent=None, flow="exp-decay", **kw):
     latent = latent or vae.euclidean_latent(2)
@@ -289,7 +291,7 @@ def test_overfit_single_pair():
     Y = -np.ones((1, 6)) * 0.2
     config = vae.TrainConfig(gamma=0.0, beta=0.0, epochs=800, batch_size=1, lr=3e-3, seed=0)
     model, _ = vae.train(model, X, Y, config)
-    pred = vae.predict_multistep(model, X[0], 1)[1]
+    pred = vae.predict_multistep(model, X, 1)[1, 0]
     assert np.abs(pred - Y[0]).max() < 5e-3
 
 
@@ -377,18 +379,34 @@ def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
 
 def test_predict_multistep_zero_steps_is_reconstruction():
     model = small_model()
-    X = np.ones(6) * 0.4
+    X = np.ones((3, 6)) * np.array([[0.4], [-0.2], [0.1]])
     out = vae.predict_multistep(model, X, 0)
-    assert out.shape == (1, 6)
+    assert out.shape == (1, 3, 6)
     z = vae.encode(model, X)
-    np.testing.assert_allclose(out[0], vae.decode(model, z)[0])
+    np.testing.assert_allclose(out[0], vae.decode(model, z))
 
 
 def test_predict_multistep_untrained_is_finite():
     model = small_model()
-    out = vae.predict_multistep(model, np.ones(6), 4)
-    assert out.shape == (5, 6)
+    out = vae.predict_multistep(model, np.ones((1, 6)), 4)
+    assert out.shape == (5, 1, 6)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("latent_name", ["euclidean", "torus"])
+def test_predict_multistep_batch_matches_single_rows(latent_name):
+    # every row of the batch is returned, each as its own single-row call gives it
+    if latent_name == "euclidean":
+        model = small_model()
+    else:
+        model = vae.build_vae(4, vae.torus_latent("raise"), hidden=(16,), seed=2)
+    X = np.random.default_rng(4).uniform(-1, 1, size=(7, model.input_dim))
+    out = vae.predict_multistep(model, X, 3)
+    assert out.shape == (4, 7, model.output_dim)
+    single = np.stack([vae.predict_multistep(model, x[None], 3)[:, 0] for x in X], axis=1)
+    scale = np.linalg.norm(single, axis=-1, keepdims=True)
+    assert np.all(np.abs(out - single) <= 1e-12 * scale)
+    assert not np.allclose(out[:, 1:], out[:, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +422,7 @@ def test_checkpoint_roundtrip(tmp_path, latent_name):
         latent = vae.torus_latent(policy="skip")
         in_dim = 4
     else:
-        cloud = mf.build_torus_pointcloud(resolution=64)
+        cloud = build_torus_pointcloud(resolution=64)
         latent = vae.pointcloud_latent(cloud)
         in_dim = 4
     model = vae.build_vae(in_dim, latent, hidden=(8,), seed=3)
@@ -418,7 +436,7 @@ def test_checkpoint_roundtrip(tmp_path, latent_name):
         np.testing.assert_array_equal(loaded.params[k], model.params[k])
     X = np.random.default_rng(0).uniform(-1, 1, size=(3, in_dim))
     np.testing.assert_array_equal(
-        vae.predict_multistep(model, X[0], 2), vae.predict_multistep(loaded, X[0], 2)
+        vae.predict_multistep(model, X, 2), vae.predict_multistep(loaded, X, 2)
     )
     assert path.with_name(path.name + ".meta.txt").exists()
 
@@ -447,7 +465,8 @@ def test_checkpoint_with_fixed_sigmas_flag_loads_and_learned_raises(tmp_path):
     _rewrite_header(path, learn_sigmas=False)
     loaded = vae.load_checkpoint(path)
     np.testing.assert_array_equal(
-        vae.predict_multistep(model, np.ones(6), 2), vae.predict_multistep(loaded, np.ones(6), 2)
+        vae.predict_multistep(model, np.ones((1, 6)), 2),
+        vae.predict_multistep(loaded, np.ones((1, 6)), 2),
     )
     _rewrite_header(path, learn_sigmas=True)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*learnable"):
