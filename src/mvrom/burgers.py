@@ -237,5 +237,5 @@ def generate_burgers_dataset(
 
 
 def pairs_to_arrays(data: BurgersData) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) of a dataset; kept for callers that unpack the two arrays."""
+    """(X, Y) of a dataset; only the benchmark calls it (goes with ROADMAP item 1, Phase 0)."""
     return data.X, data.Y

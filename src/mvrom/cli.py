@@ -8,6 +8,7 @@ Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ def _add_config_args(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
+@functools.cache  # built once (about 2 ms); parse_args and the --set append leave it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvrom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

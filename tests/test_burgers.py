@@ -308,7 +308,7 @@ def test_dataset_validates_shapes_and_finiteness():
 def test_pair_file_roundtrip(tmp_path):
     config = bg.BurgersConfig(n_x=32)
     data = bg.generate_burgers_dataset(config, 5, seed=1)
-    X, Y = bg.pairs_to_arrays(data)
+    X, Y = data.X, data.Y
     path = tmp_path / "pairs.bin"
     datafiles.save_pairs(path, X, Y, config.nu, config.tau)
     X2, Y2, header = datafiles.load_pairs(path)

@@ -545,6 +545,17 @@ def test_cli_eval_rejects_nonfinite_input_field(tmp_path, capsys, bad):
     assert not (out_dir / "rollout.csv").exists()
 
 
+def test_cli_parser_is_reused_without_carrying_values():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["sweep", "--out", "o", "--set", "a.b=1", "--set", "c.d=2"])
+    assert first.overrides == ["a.b=1", "c.d=2"]
+    again = parser.parse_args(["eval", "--checkpoint", "c", "--out", "o", "--set", "e.f=3"])
+    assert again.overrides == ["e.f=3"]
+    assert parser.parse_args(["sweep", "--out", "o"]).overrides == []
+    assert first.overrides == ["a.b=1", "c.d=2"]
+
+
 def test_cli_config_error_exit_code(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[experiment]\nkind = nonsense\n")
