@@ -161,6 +161,9 @@ DEFAULTS = {
         "projection_policy": "skip",
         "klein_a": "2.0",
         "klein_b": "1.0",
+        # sizes only manifold.build_klein_pointcloud: a Klein latent has
+        # analytic charts and builds no cloud; the value is still validated
+        # and written into Klein checkpoint headers
         "klein_resolution": "256",
         "pointcloud_file": "",
     },

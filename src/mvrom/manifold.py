@@ -1,11 +1,18 @@
 """Manifold latent spaces: nearest-point projection and its gradients.
 
-A latent manifold is either analytic (product of circles, with a closed-form
-normalization map) or a dense point cloud equipped with local charts.  The
-projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is solved in two phases:
-a coarse k-d tree query for the ``CANDIDATES`` nearest cloud points, then a
-backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 in each
-candidate's chart; the candidate with the least Phi wins.
+A latent manifold is either the analytic torus (a closed-form normalization
+map) or a ``PointCloudManifold``: a global analytic parameterization (Klein
+bottle, product of circles) or a dense point cloud with local quadratic
+charts.  The projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a
+backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a
+start point:
+
+* analytic charts start from the surface's closed-form ``seed(w)``; a row
+  that ends degraded is refined again from the surface's ``retry_seeds`` and
+  takes the converged candidate with the least Phi;
+* quadratic charts start at the ``CANDIDATES`` nearest cloud points of a
+  k-d tree query, one Newton run in each candidate's chart, and the
+  candidate with the least Phi wins.
 
 The backward map is the implicit-function-theorem linearization of the
 optimality condition G(u, w) = grad_u Phi = 0:
@@ -32,6 +39,7 @@ whose projection is unusable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +51,8 @@ from . import autodiff as ad
 CENTER_EPS = 1e-8
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-CANDIDATES = 4  # nearest cloud points refined per sample
+DEGRADED_TOL = max(10 * NEWTON_TOL, 1e-9)  # |grad Phi| above this: not converged
+CANDIDATES = 4  # nearest cloud points refined per sample (quadratic charts)
 COND_LIMIT = 1e12
 
 
@@ -118,6 +127,14 @@ class ProductCirclesSurface:
 
     def canonicalize(self, U: np.ndarray) -> np.ndarray:
         return np.mod(U, 2 * np.pi)
+
+    def seed(self, W: np.ndarray) -> np.ndarray:
+        """The nearest point's parameters: the angle of each coordinate pair."""
+        return np.arctan2(W[:, 1::2], W[:, 0::2])
+
+    def retry_seeds(self, W: np.ndarray) -> np.ndarray:
+        """No further starts: ``seed`` is exact."""
+        return np.empty((len(W), 0, self.m))
 
     def grid_params(self, resolution: int) -> np.ndarray:
         axes = [np.arange(resolution) * 2 * np.pi / resolution] * self.m
@@ -205,6 +222,35 @@ class KleinSurface:
     def descriptor(self):
         return ("klein", self.a, self.b)
 
+    def seed(self, W: np.ndarray) -> np.ndarray:
+        """Newton start: u1 is the angle of (w1, w2), u2 the nearest point of
+        the cross-section circle at u1.  Exact on the surface; the u1 seam
+        (the z3-z4 plane, where that angle is undefined) needs a retry."""
+        return self._on_circle(W, np.arctan2(W[:, 1], W[:, 0]))
+
+    def retry_seeds(self, W: np.ndarray) -> np.ndarray:
+        """(B, 2, 2) further starts: u1 = 2 atan2(w4, w3) with its nearest
+        cross-section point, and the nearest node of a 32 x 32 parameter grid."""
+        nodes, points = self._grid
+        d2 = np.sum((W[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+        plane = self._on_circle(W, 2 * np.arctan2(W[:, 3], W[:, 2]))
+        return np.stack([plane, nodes[np.argmin(d2, axis=1)]], axis=1)
+
+    def _on_circle(self, W, u1):
+        """(u1, u2) with u2 the point of the circle {sigma(u1, .)} nearest W.
+
+        That circle has centre a (cos u1, sin u1, 0, 0) and radius b in the
+        plane of (cos u1, sin u1, 0, 0) and (0, 0, cos u1/2, sin u1/2).
+        """
+        x = W[:, 0] * np.cos(u1) + W[:, 1] * np.sin(u1) - self.a
+        y = W[:, 2] * np.cos(u1 / 2) + W[:, 3] * np.sin(u1 / 2)
+        return np.stack([u1, np.arctan2(y, x)], axis=-1)
+
+    @functools.cached_property
+    def _grid(self):
+        nodes = self.grid_params(32)
+        return nodes, self.frames(nodes)[0]
+
 # ---------------------------------------------------------------------------
 # local quadratic charts fitted to a point cloud
 
@@ -272,20 +318,23 @@ def fit_monge_charts(points: np.ndarray, m: int, k_neighbors: int = 12) -> Monge
 # point-cloud manifold
 
 class PointCloudManifold:
-    """Dense sample of an m-manifold in R^n with per-point local charts.
+    """An m-manifold in R^n with charts for the nearest-point projection.
 
-    ``chart_kind`` is "analytic" (charts are windows of a global
-    parameterization with exact derivatives; chart_params holds each point's
-    parameters) or "quadratic" (local Monge-gauge quadratic fits to the
-    cloud).  Points and charts are immutable after construction; the spatial
-    index serves exact nearest-cloud-point queries.
+    ``chart_kind`` is "analytic" or "quadratic".  Analytic charts are one
+    global parameterization ``surface`` with exact derivatives; Newton starts
+    from the surface's closed-form seed, so no point cloud or spatial index
+    is needed.  ``points`` and ``chart_params`` are optional for them and
+    kept only so that ``save`` writes a loaded cloud back out.  Quadratic
+    charts are local Monge-gauge fits to a dense cloud, one per point; a k-d
+    tree over the points picks the charts Newton starts in.  Points and
+    charts are immutable after construction.
     """
 
     def __init__(
         self,
         m: int,
         n: int,
-        points: np.ndarray,
+        points: np.ndarray | None,
         chart_kind: str,
         surface=None,
         chart_params: np.ndarray | None = None,
@@ -294,11 +343,13 @@ class PointCloudManifold:
     ):
         self.m = int(m)
         self.n = int(n)
+        if chart_kind not in ("analytic", "quadratic"):
+            raise ValueError(f"unknown chart kind '{chart_kind}'")
+        if points is None and chart_kind == "analytic":
+            points, chart_params = np.empty((0, self.n)), np.empty((0, self.m))
         self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[1] != self.n:
             raise ValueError(f"points must be (P, {self.n}), got {self.points.shape}")
-        if chart_kind not in ("analytic", "quadratic"):
-            raise ValueError(f"unknown chart kind '{chart_kind}'")
         self.chart_kind = chart_kind
         self.surface = surface
         self.k_neighbors = int(k_neighbors)
@@ -312,20 +363,16 @@ class PointCloudManifold:
             self.monge = monge if monge is not None else fit_monge_charts(
                 self.points, self.m, self.k_neighbors
             )
-        self.tree = cKDTree(self.points)
+            self.tree = cKDTree(self.points)
 
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def chart_start(self, ids: np.ndarray) -> np.ndarray:
-        """Newton starting parameters for the given charts."""
-        if self.chart_kind == "analytic":
-            return self.chart_params[ids].copy()
-        return np.zeros((len(ids), self.m))
-
     def chart_frames(self, ids: np.ndarray, U: np.ndarray):
-        """(sigma, dsigma/du, d2sigma/du2) for chart ids at parameters U."""
+        """(sigma, dsigma/du, d2sigma/du2) for chart ids at parameters U.
+
+        Analytic charts ignore ``ids`` (the projection passes -1 per row)."""
         if self.chart_kind == "analytic":
             return self.surface.frames(U)
         mc = self.monge
@@ -440,6 +487,8 @@ def _cloud_from_surface(surface, resolution: int) -> PointCloudManifold:
 
 @dataclass(frozen=True)
 class KleinConfig:
+    """Klein-bottle radii; ``resolution`` sizes only ``build_klein_pointcloud``."""
+
     a: float = 2.0
     b: float = 1.0
     resolution: int = 256
@@ -447,11 +496,12 @@ class KleinConfig:
     def __post_init__(self):
         if not self.a > self.b > 0:
             raise ValueError(f"klein bottle needs a > b > 0, got a={self.a}, b={self.b}")
+        if self.resolution < 64:
+            raise ValueError("need at least 64 samples per parameter direction")
 
 
 def build_klein_pointcloud(config: KleinConfig) -> PointCloudManifold:
-    if config.resolution < 64:
-        raise ValueError("need at least 64 samples per parameter direction")
+    """A resolution x resolution grid of the Klein bottle, with analytic charts."""
     return _cloud_from_surface(KleinSurface(config.a, config.b), config.resolution)
 
 
@@ -461,13 +511,13 @@ def build_klein_pointcloud(config: KleinConfig) -> PointCloudManifold:
 @dataclass
 class BatchProjection:
     z: np.ndarray  # (B, n) points on the manifold
-    chart_id: np.ndarray  # (B,)
+    chart_id: np.ndarray  # (B,) winning chart; -1 for analytic charts
     u: np.ndarray  # (B, m) chart parameters (canonical)
     jacobian: np.ndarray  # (B, n, n) dLambda/dw
     phi: np.ndarray  # (B,) 0.5 |w - z|^2 at the solution
     grad_norm: np.ndarray  # (B,) |grad_u Phi| at the solution
-    coarse_index: np.ndarray  # (B,) nearest cloud point (coarse phase)
-    degraded: np.ndarray  # (B,) bool: Newton failed; fell back to the coarse point
+    coarse_index: np.ndarray  # (B,) nearest cloud point (coarse phase); -1 for analytic charts
+    degraded: np.ndarray  # (B,) bool: Newton failed; fell back to the seed or coarse point
     singular: np.ndarray  # (B,) bool: Hessian near-singular; pseudo-inverse Jacobian
 
 
@@ -516,8 +566,9 @@ def _solve(H, R, det, use_pinv):
     return X
 
 
-def _refine(manifold, W, ids):
-    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's chart.
+def _refine(manifold, W, ids, U):
+    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's chart from
+    the start parameters U, which are overwritten.
 
     Returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per row.
 
@@ -533,7 +584,6 @@ def _refine(manifold, W, ids):
     whose step made Phi worse.  Every operation acts row by row, so a row's
     result does not depend on the other rows of the batch.
     """
-    U = manifold.chart_start(ids)
     sigma, jac, hess = manifold.chart_frames(ids, U)
     phi = _phi_value(W, sigma)
     gnorm = np.empty(len(ids))
@@ -601,14 +651,40 @@ def _ift_jacobians(jac, hess, residual):
     return jac @ X, singular
 
 
-def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
-    """Project each row of W onto the manifold; coarse k-NN then Newton.
+def _retry(manifold, W, rows, result):
+    """Refine the given rows again from the surface's ``retry_seeds``.
 
-    Among refined candidates the minimal Phi wins; exact ties break to the
-    lowest chart id.  Non-converged samples fall back to their coarse cloud
-    point with ``degraded`` set; near-singular Hessians (medial axis) switch
-    to a pseudo-inverse Jacobian with ``singular`` set.  Each row's result
-    depends on that row alone, not on the rest of the batch.
+    Among each row's candidates that converge, the least Phi (ties within
+    solver tolerance to the first seed) replaces that row of ``result``, the
+    tuple ``_refine`` returned; rows with no converged candidate keep theirs.
+    """
+    seeds = manifold.surface.retry_seeds(W[rows])  # (R, k, m)
+    R, k, m = seeds.shape
+    if not k:
+        return
+    cand = _refine(manifold, np.repeat(W[rows], k, axis=0), np.full(R * k, -1),
+                   seeds.reshape(R * k, m))
+    converged = cand[3].reshape(R, k) <= DEGRADED_TOL
+    score = np.where(converged, np.round(cand[2].reshape(R, k) / NEWTON_TOL), np.inf)
+    pick = np.argmin(score, axis=1)
+    won = converged[np.arange(R), pick]
+    take = (np.arange(R) * k + pick)[won]
+    for out, part in zip(result, cand):
+        out[rows[won]] = part[take]
+
+
+def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
+    """Project each row of W onto the manifold by Newton from a start point.
+
+    Analytic charts start from the surface's closed-form seed; rows that end
+    degraded are refined again from its retry seeds (see ``_retry``), and
+    ``chart_id`` and ``coarse_index`` are -1.  Quadratic charts start in the
+    charts of the ``CANDIDATES`` nearest cloud points (k-d tree); the minimal
+    Phi wins and exact ties break to the lowest chart id.  A row that still
+    does not converge falls back to its seed or its coarse cloud point with
+    ``degraded`` set; near-singular Hessians (medial axis) switch to a
+    pseudo-inverse Jacobian with ``singular`` set.  Each row's result depends
+    on that row alone, not on the rest of the batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != manifold.n:
@@ -616,30 +692,43 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     if not np.all(np.isfinite(W)):
         raise ProjectionError("projection input must be finite")
     B = W.shape[0]
-    K = min(CANDIDATES, manifold.num_points)
 
-    dists, idx = manifold.tree.query(W, k=K)
-    if K == 1:
-        dists, idx = dists[:, None], idx[:, None]
-    # exact-tie determinism: order equal-distance candidates by index
-    order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    coarse = idx[:, 0]
+    if manifold.chart_kind == "analytic":
+        coarse = np.full(B, -1)
+        start = manifold.surface.seed(W)
+        result = _refine(manifold, W, coarse, start.copy())
+        retry = np.flatnonzero(result[3] > DEGRADED_TOL)
+        if retry.size:
+            _retry(manifold, W, retry, result)
+        U, sigma, phi, gnorm, jac, hess = result
+        chart_id = coarse.copy()
+    else:
+        K = min(CANDIDATES, manifold.num_points)
+        dists, idx = manifold.tree.query(W, k=K)
+        if K == 1:
+            dists, idx = dists[:, None], idx[:, None]
+        # exact-tie determinism: order equal-distance candidates by index
+        order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        coarse = idx[:, 0]
+        start = np.zeros((B, manifold.m))
 
-    U, sigma, phi, gnorm, jac, hess = _refine(manifold, np.repeat(W, K, axis=0), idx.reshape(-1))
+        U, sigma, phi, gnorm, jac, hess = _refine(
+            manifold, np.repeat(W, K, axis=0), idx.reshape(-1), np.zeros((B * K, manifold.m))
+        )
 
-    # minimal Phi wins; ties (within solver tolerance) go to the lowest chart id
-    quant = np.round(phi.reshape(B, K) / max(NEWTON_TOL, 1e-14))
-    pick = np.lexsort((idx, quant), axis=1)[:, 0]
-    take = np.arange(B) * K + pick
-    U, sigma, phi, gnorm, jac, hess = (x[take] for x in (U, sigma, phi, gnorm, jac, hess))
-    chart_id = idx[np.arange(B), pick]
+        # minimal Phi wins; ties (within solver tolerance) go to the lowest chart id
+        quant = np.round(phi.reshape(B, K) / max(NEWTON_TOL, 1e-14))
+        pick = np.lexsort((idx, quant), axis=1)[:, 0]
+        take = np.arange(B) * K + pick
+        U, sigma, phi, gnorm, jac, hess = (x[take] for x in (U, sigma, phi, gnorm, jac, hess))
+        chart_id = idx[np.arange(B), pick]
 
-    degraded = gnorm > max(10 * NEWTON_TOL, 1e-9)
+    degraded = gnorm > DEGRADED_TOL
     if np.any(degraded):
-        # fall back to the coarse cloud point for samples Newton could not place
+        # fall back to the seed or the coarse cloud point for samples Newton could not place
         chart_id[degraded] = coarse[degraded]
-        U[degraded] = manifold.chart_start(chart_id[degraded])
+        U[degraded] = start[degraded]
         frames = manifold.chart_frames(chart_id[degraded], U[degraded])
         sigma[degraded], jac[degraded], hess[degraded] = frames
         phi[degraded] = _phi_value(W[degraded], sigma[degraded])

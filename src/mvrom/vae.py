@@ -53,7 +53,7 @@ class LatentSpec:
     dim: int = 2  # embedding dimension seen by encoder/decoder
     manifold: mf.AnalyticTorus | mf.PointCloudManifold | None = None
     policy: str = "raise"
-    klein: mf.KleinConfig | None = None  # retained for checkpointing
+    klein: mf.KleinConfig | None = None  # the Klein radii, written to checkpoints
 
     def __post_init__(self):
         if self.policy not in ("raise", "skip"):
@@ -74,8 +74,11 @@ def torus_latent(policy: str = "raise") -> LatentSpec:
 
 
 def klein_latent(config: mf.KleinConfig | None = None, policy: str = "raise") -> LatentSpec:
+    """The Klein bottle with analytic charts; no point cloud is built."""
     config = config or mf.KleinConfig()
-    return LatentSpec("klein", 4, mf.build_klein_pointcloud(config), policy, config)
+    surface = mf.KleinSurface(config.a, config.b)
+    return LatentSpec("klein", 4, mf.PointCloudManifold(2, 4, None, "analytic", surface), policy,
+                      config)
 
 
 def pointcloud_latent(cloud: mf.PointCloudManifold, policy: str = "raise") -> LatentSpec:
@@ -498,9 +501,54 @@ def save_checkpoint(model: VaeModel, path):
     path.with_name(path.name + ".meta.txt").write_text("\n".join(lines) + "\n")
 
 
+# parsers of checkpoint header fields: each returns the value or raises
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _count(value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _sizes(value):
+    if not isinstance(value, list) or len(value) < 2:
+        raise ValueError(f"expected a list of at least two layer sizes, got {value!r}")
+    return [_count(v) for v in value]
+
+
+def _one_of(*choices):
+    def parse(value):
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _klein_config(value):
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"expected [a, b, resolution], got {value!r}")
+    a, b, resolution = value
+    return mf.KleinConfig(_number(a), _number(b), _count(resolution))
+
+
 def load_checkpoint(path) -> VaeModel:
     """Read a checkpoint; its size must match its header, its weights be
-    finite and its activation, leaky slope and flow pass ``VaeModel``'s checks."""
+    finite, every header field be present with the type ``save_checkpoint``
+    writes, and its activation, leaky slope and flow pass ``VaeModel``'s
+    checks.  A Klein latent is rebuilt from its radii; no cloud is built."""
     path = Path(path)
     data = path.read_bytes()
     magic = data[: len(_CKPT_MAGIC)]
@@ -533,34 +581,36 @@ def load_checkpoint(path) -> VaeModel:
         if not np.all(np.isfinite(params[name])):
             raise ValueError(f"{path}: parameter '{name}' has non-finite values")
 
-    kind = header["latent_kind"]
-    policy = header["latent_policy"]
+    def field(key, parse):
+        """``parse(header[key])``; a missing or unparsable field raises a
+        ValueError naming the file and the field."""
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header has no '{key}' field")
+        try:
+            return parse(header[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint header field '{key}': {exc}") from None
+
+    kind = field("latent_kind", _one_of("euclidean", "torus", "klein", "pointcloud"))
+    policy = field("latent_policy", _one_of("raise", "skip"))
     if kind == "euclidean":
-        latent = euclidean_latent(header["latent_dim"])
+        latent = euclidean_latent(field("latent_dim", _count))
     elif kind == "torus":
         latent = torus_latent(policy)
     elif kind == "klein":
-        a, b, resolution = header["klein"]
-        latent = klein_latent(mf.KleinConfig(a, b, int(resolution)), policy)
-    elif kind == "pointcloud":
+        latent = klein_latent(field("klein", _klein_config), policy)
+    else:
         cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
         latent = pointcloud_latent(cloud, policy)
-    else:
-        raise ValueError(f"{path}: unknown latent kind '{kind}'")
+    sizes = [field(key, _sizes) for key in ("encoder_sizes", "decoder_sizes")]
+    activation, flow = (field(key, _text) for key in ("activation", "flow"))
+    leaky_slope, tau, sigma_e, sigma_d, sigma_0 = (
+        field(key, _number) for key in ("leaky_slope", "tau", "sigma_e", "sigma_d", "sigma_0")
+    )
 
     try:
         return VaeModel(
-            header["encoder_sizes"],
-            header["decoder_sizes"],
-            latent,
-            params,
-            header["activation"],
-            header["leaky_slope"],
-            header["tau"],
-            header["sigma_e"],
-            header["sigma_d"],
-            header["sigma_0"],
-            header["flow"],
+            *sizes, latent, params, activation, leaky_slope, tau, sigma_e, sigma_d, sigma_0, flow
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

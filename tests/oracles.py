@@ -3,14 +3,15 @@
 These deliberately share no code with the implementation paths they verify:
 the DFT is the direct O(n^2) sum, and the Burgers integrator steps the PDE
 in time (integrating-factor RK4 on the advection term) instead of using the
-Cole-Hopf transform.  The projection reference shares the manifold's coarse
-index and charts with the package, not its solver, and the stacked Klein
+Cole-Hopf transform.  The projection reference shares the manifold's charts
+with the package, not its start points or its solver, and the stacked Klein
 frames are the same formulas assembled another way.  The per-row Burgers
 references run the batched paths' arithmetic one sample at a time, and the
 last section holds builders and checks only the tests use.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def direct_dft(values):
@@ -93,16 +94,28 @@ def klein_frames_stacked(a, b, U):
 def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond_limit=1e12):
     """Nearest-point projection by the plain batched solver.
 
-    Uses the manifold's coarse index and charts but none of the package's
-    solver: LAPACK ``eigvalsh`` for the positive-definite test, ``pinv`` for
-    every Newton step, an SVD for the IFT condition number, and every row
-    iterating until the slowest one converges.  Returns a dict with the
-    fields of ``BatchProjection``.
+    Uses the manifold's charts but none of the package's solver: a k-d tree
+    over the cloud's points for every chart kind (analytic charts start at
+    their points' parameters), LAPACK ``eigvalsh`` for the positive-definite
+    test, ``pinv`` for every Newton step, an SVD for the IFT condition
+    number, and every row iterating until the slowest one converges.
+    Returns a dict with the fields of ``BatchProjection``.
     """
     W = np.asarray(W, dtype=np.float64)
     B = W.shape[0]
     K = min(candidates, manifold.num_points)
-    dists, idx = manifold.tree.query(W, k=K)
+    if manifold.chart_kind == "analytic":
+        tree = cKDTree(manifold.points)
+
+        def chart_start(ids):
+            return manifold.chart_params[ids].copy()
+    else:
+        tree = manifold.tree
+
+        def chart_start(ids):
+            return np.zeros((len(ids), manifold.m))
+
+    dists, idx = tree.query(W, k=K)
     if K == 1:
         dists, idx = dists[:, None], idx[:, None]
     order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
@@ -111,7 +124,7 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
 
     ids = idx.reshape(-1)
     Wk = np.repeat(W, K, axis=0)
-    U = manifold.chart_start(ids)
+    U = chart_start(ids)
     sigma, jac, hess = manifold.chart_frames(ids, U)
     phi = 0.5 * np.sum((Wk - sigma) ** 2, axis=-1)
     for _ in range(max_iter):
@@ -145,7 +158,7 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
     chart_id = idx[np.arange(B), pick]
     degraded = gnorm > max(10 * tol, 1e-9)
     chart_id = np.where(degraded, coarse, chart_id)
-    U[degraded] = manifold.chart_start(chart_id[degraded])
+    U[degraded] = chart_start(chart_id[degraded])
 
     sigma, jac, hess = manifold.chart_frames(chart_id, U)
     phi[degraded] = 0.5 * np.sum((W[degraded] - sigma[degraded]) ** 2, axis=-1)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvrom import autodiff as ad
 from mvrom import manifold as mf
@@ -167,11 +168,12 @@ def test_cloud_points_reproject_to_themselves(klein_cloud):
     assert not batch.degraded.any()
 
 
-def test_coarse_phase_matches_brute_force(klein_cloud):
+def test_coarse_phase_matches_brute_force(torus_quad_cloud):
+    # only quadratic charts have a coarse phase
     rng = np.random.default_rng(5)
     W = rng.normal(size=(100, 4)) * 2.0
-    batch = mf.nearest_point_batch(W, klein_cloud)
-    d2 = ((W[:, None, :] - klein_cloud.points[None, :, :]) ** 2).sum(axis=2)
+    batch = mf.nearest_point_batch(W, torus_quad_cloud)
+    d2 = ((W[:, None, :] - torus_quad_cloud.points[None, :, :]) ** 2).sum(axis=2)
     brute = np.argmin(d2, axis=1)
     np.testing.assert_array_equal(batch.coarse_index, brute)
 
@@ -363,13 +365,19 @@ def test_projection_matches_reference_solver(kind, request):
     ref = reference_projection(W, cloud)
     np.testing.assert_array_equal(got.degraded, ref["degraded"])
     np.testing.assert_array_equal(got.singular, ref["singular"])
-    np.testing.assert_array_equal(got.chart_id, ref["chart_id"])
+    if cloud.chart_kind == "quadratic":  # analytic charts are one global chart
+        np.testing.assert_array_equal(got.chart_id, ref["chart_id"])
     np.testing.assert_allclose(got.phi, ref["phi"], rtol=1e-12, atol=0)
-    assert np.abs(got.z - ref["z"]).max() <= 1e-7
-    assert _param_gap(kind, got.u, ref["u"]).max() <= 1e-7
+    # On the medial axis every point of a circle is nearest; the reference
+    # picks one by its start cloud point, the seeded solver by its seed.
+    same = slice(None)
+    if cloud.chart_kind == "analytic":
+        same = ~ref["degraded"] & ~ref["singular"]
+    assert np.abs(got.z - ref["z"])[same].max() <= 1e-7
+    assert _param_gap(kind, got.u, ref["u"])[same].max() <= 1e-7
     J_err = np.abs(got.jacobian - ref["jacobian"]).max(axis=(1, 2))
     J_scale = np.maximum(1.0, np.abs(ref["jacobian"]).max(axis=(1, 2)))
-    assert (J_err / J_scale).max() <= 1e-6
+    assert (J_err / J_scale)[same].max() <= 1e-6
     # On the medial axis the minimizer is not unique and both solvers stall
     # at the rounding level of grad Phi (up to about 1.5e-10 on the Klein
     # core circle), so the tolerance binds only off it.
@@ -377,7 +385,60 @@ def test_projection_matches_reference_solver(kind, request):
     assert got.grad_norm[regular].max() <= mf.NEWTON_TOL
 
 
-def test_converged_rows_leave_the_newton_loop(klein_cloud, monkeypatch):
+KLEIN = mf.KleinSurface(2.0, 1.0)
+
+
+@st.composite
+def klein_inputs(draw):
+    """32 rows of one kind: near the surface (noise 0.05 or 0.5), Gaussian
+    (scale 0.1 to 10), or on the core circle or the z3-z4 plane (the u1 seam
+    of the first seed), exactly or 1e-3 off it."""
+    kind = draw(st.sampled_from(["near", "gauss", "core", "seam"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near":
+        points = KLEIN.frames(rng.uniform(0, 2 * np.pi, size=(32, 2)))[0]
+        return points + draw(st.sampled_from([0.05, 0.5])) * rng.normal(size=points.shape)
+    if kind == "gauss":
+        return 10.0 ** draw(st.floats(-1.0, 1.0)) * rng.normal(size=(32, 4))
+    t = rng.uniform(0, 2 * np.pi, size=(32, 1))
+    ring = np.hstack([np.cos(t), np.sin(t)])
+    if kind == "core":
+        W = np.hstack([KLEIN.a * ring, np.zeros((32, 2))])
+    else:
+        W = np.hstack([np.zeros((32, 2)), rng.uniform(0, 4, size=(32, 1)) * ring])
+    return W + draw(st.sampled_from([0.0, 1e-3])) * rng.normal(size=W.shape)
+
+
+@settings(max_examples=60)
+@given(W=klein_inputs())
+# Gaussian rows (scale 1 and 2) that only the grid node among the retry seeds places
+@example(W=np.array([
+    [0.0800952415643587, 0.07116811072413737, -0.3299557953551792, 0.96714383444054],
+    [-0.09026129884426844, 0.10539928073223953, -1.0168616608880134, 0.48789266406577286],
+    [-0.23242616230319535, -2.2346979866946497, 2.013518128032374, 1.8068129116645548],
+]))
+def test_seeded_projection_matches_tree_reference(klein_cloud, W):
+    got = mf.nearest_point_batch(W, klein_cloud)
+    ref = reference_projection(W, klein_cloud)
+    ref_flagged = ref["degraded"] | ref["singular"]
+    assert not np.any((got.degraded | got.singular) & ~ref_flagged)
+    both = ~ref_flagged & ~got.degraded & ~got.singular
+    np.testing.assert_allclose(got.phi[both], ref["phi"][both], rtol=1e-12, atol=0)
+    # Both solvers stop at |grad Phi| <= NEWTON_TOL, so where the least
+    # eigenvalue lam of Phi's Hessian is small (1e-3 off the core circle) their
+    # minimizers may be up to 2 NEWTON_TOL / lam apart in u, (a + b) times that in z.
+    sigma, jac, hess = KLEIN.frames(got.u[both])
+    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", W[both] - sigma, hess)
+    lam = np.abs(np.linalg.eigvalsh(A)).min(axis=1)
+    tol = np.maximum(1e-7, 2 * (KLEIN.a + KLEIN.b) * mf.NEWTON_TOL / lam)
+    assert np.all(np.abs(got.z - ref["z"])[both].max(axis=1, initial=0) <= tol)
+    assert np.all(_param_gap("klein", got.u[both], ref["u"][both]) <= tol)
+    # where the reference gives up (or the minimizer is not unique) the seeded
+    # solver's point is at least as near, up to rounding
+    assert np.all(got.phi[ref_flagged] <= ref["phi"][ref_flagged] * (1 + 1e-12))
+
+
+def test_converged_rows_leave_the_newton_loop(klein_cloud, torus_quad_cloud, monkeypatch):
     rows = []
     frames = mf.PointCloudManifold.chart_frames
 
@@ -387,13 +448,25 @@ def test_converged_rows_leave_the_newton_loop(klein_cloud, monkeypatch):
 
     monkeypatch.setattr(mf.PointCloudManifold, "chart_frames", counted)
     ids = np.random.default_rng(23).choice(klein_cloud.num_points, size=8, replace=False)
-    res = mf.nearest_point_batch(klein_cloud.points[ids], klein_cloud)
+    # on the core circle every point of a cross-section circle is nearest, and
+    # the seed is a stationary point of Phi: no Newton step is taken either
+    t = np.random.default_rng(24).uniform(0, 2 * np.pi, size=(12, 1))
+    core = np.hstack([KLEIN.a * np.cos(t), KLEIN.a * np.sin(t), np.zeros((12, 2))])
+    res = mf.nearest_point_batch(np.vstack([klein_cloud.points[ids], core]), klein_cloud)
+    # the closed-form seed of a point on the surface is the solution
+    assert rows == [len(ids) + 12]
+    assert np.abs(res.z[:8] - klein_cloud.points[ids]).max() < 1e-9
+    assert res.singular[8:].all() and not res.degraded.any()
+    assert res.grad_norm.max() <= mf.NEWTON_TOL
+    np.testing.assert_allclose(res.phi[8:], 0.5 * KLEIN.b**2, rtol=1e-12)
+    rows.clear()
+    ids = np.random.default_rng(23).choice(torus_quad_cloud.num_points, size=8, replace=False)
+    mf.nearest_point_batch(torus_quad_cloud.points[ids], torus_quad_cloud)
     # each point's own chart starts at the solution and leaves at once; only
     # the three neighbouring candidates of each point take Newton steps
     K = mf.CANDIDATES
     assert rows[0] == K * len(ids)
     assert max(rows[1:]) <= (K - 1) * len(ids)
-    assert np.abs(res.z - klein_cloud.points[ids]).max() < 1e-9
 
 
 @pytest.mark.parametrize("kind", list(CLOUDS))
@@ -445,7 +518,7 @@ def test_adjacent_quadratic_charts_agree(torus_quad_cloud):
     _, nbr = torus_quad_cloud.tree.query(W, k=2)
     z = []
     for col in range(2):
-        _, sigma, *_ = mf._refine(torus_quad_cloud, W, nbr[:, col])
+        _, sigma, *_ = mf._refine(torus_quad_cloud, W, nbr[:, col], np.zeros((50, 2)))
         z.append(sigma)
     assert np.abs(z[0] - z[1]).max() < 1e-4
 

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mvrom import autodiff as ad
 from mvrom import manifold as mf
@@ -413,13 +414,16 @@ def test_predict_multistep_batch_matches_single_rows(latent_name):
 # checkpoints
 
 
-@pytest.mark.parametrize("latent_name", ["euclidean", "torus", "pointcloud"])
+@pytest.mark.parametrize("latent_name", ["euclidean", "torus", "klein", "pointcloud"])
 def test_checkpoint_roundtrip(tmp_path, latent_name):
     if latent_name == "euclidean":
         latent = vae.euclidean_latent(2)
         in_dim = 6
     elif latent_name == "torus":
         latent = vae.torus_latent(policy="skip")
+        in_dim = 4
+    elif latent_name == "klein":
+        latent = vae.klein_latent(mf.KleinConfig(2.5, 0.75, 96), policy="skip")
         in_dim = 4
     else:
         cloud = build_torus_pointcloud(resolution=64)
@@ -448,12 +452,15 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         vae.load_checkpoint(p)
 
 
-def _rewrite_header(path, **extra):
-    """Rewrite a checkpoint's JSON header with extra keys (as older writers did)."""
+def _rewrite_header(path, drop=(), **extra):
+    """Rewrite a checkpoint's JSON header with extra keys (as older writers
+    did) and without the keys in ``drop``."""
     data = path.read_bytes()
     blob_len = struct.unpack_from("<II", data, 8)[1]
     header = json.loads(data[16 : 16 + blob_len])
     header.update(extra)
+    for key in drop:
+        del header[key]
     blob = json.dumps(header).encode()
     path.write_bytes(data[:8] + struct.pack("<II", 1, len(blob)) + blob + data[16 + blob_len :])
 
@@ -489,4 +496,67 @@ def test_checkpoint_header_outside_model_domain_raises(tmp_path, header, message
     vae.load_checkpoint(path)
     _rewrite_header(path, **header)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        vae.load_checkpoint(path)
+
+
+# values no writer of the format puts in each header field of a Klein checkpoint
+_NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+_NOT_A_STRING = st.one_of(st.none(), st.integers(), st.lists(st.text(max_size=2), max_size=2))
+_NOT_SIZES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(1, 9), max_size=1),
+    st.lists(st.integers(-3, 0), min_size=2, max_size=3),
+    st.lists(st.floats(1, 9), min_size=2, max_size=3),
+)
+_RADII = st.tuples(st.floats(0.5, 4.0), st.floats(0.1, 0.45))
+_CORRUPT = {
+    "latent_kind": st.one_of(_NOT_A_STRING, st.text(max_size=10).filter(
+        lambda v: v not in ("euclidean", "torus", "klein", "pointcloud"))),
+    "latent_policy": st.one_of(_NOT_A_STRING, st.text(max_size=6).filter(
+        lambda v: v not in ("raise", "skip"))),
+    "klein": st.one_of(
+        _NOT_A_NUMBER,
+        st.lists(st.integers(1, 100), max_size=5).filter(lambda v: len(v) != 3),
+        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.integers(64, 512))
+        .filter(lambda v: not v[0] > v[1]).map(list),
+        st.tuples(_RADII, st.integers(-5, 63) | st.floats(64, 1e6)).map(lambda v: [*v[0], v[1]]),
+        st.tuples(_RADII, _NOT_A_NUMBER).map(lambda v: [*v[0], v[1]]),
+    ),
+    **{key: _NOT_SIZES for key in ("encoder_sizes", "decoder_sizes")},
+    "activation": _NOT_A_STRING,
+    "flow": _NOT_A_STRING,
+    **{key: _NOT_A_NUMBER for key in ("leaky_slope", "tau", "sigma_e", "sigma_d", "sigma_0")},
+}
+_MISSING = object()
+
+
+@pytest.fixture(scope="module")
+def klein_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("klein") / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(4, vae.klein_latent(), hidden=(8,), seed=1), path)
+    vae.load_checkpoint(path)
+    return path.read_bytes()
+
+
+@given(corruption=st.sampled_from(sorted(_CORRUPT)).flatmap(
+    lambda key: st.tuples(st.just(key), st.just(_MISSING) | _CORRUPT[key])))
+@example(corruption=("klein", _MISSING))
+@example(corruption=("latent_kind", _MISSING))
+@example(corruption=("klein", [1.0, 2.0, 64]))
+@example(corruption=("latent_policy", "ignore"))
+@example(corruption=("tau", "x"))
+@example(corruption=("klein", [2, 1, 1e6]))
+def test_corrupt_checkpoint_header_field_names_file_and_field(
+    klein_checkpoint, tmp_path_factory, corruption
+):
+    key, value = corruption
+    path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
+    path.write_bytes(klein_checkpoint)
+    if value is _MISSING:
+        _rewrite_header(path, drop=[key])
+    else:
+        _rewrite_header(path, **{key: value})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + f".*'{key}'"):
         vae.load_checkpoint(path)
