@@ -8,8 +8,9 @@ backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a
 start point:
 
 * analytic charts start from the surface's closed-form ``seed(w)``; a row
-  that ends degraded is refined again from the surface's ``retry_seeds`` and
-  takes the converged candidate with the least Phi;
+  that ends degraded, at a saddle of Phi, or above the Phi of the surface's
+  ``retry_seed`` is refined again from that seed, and a converged retry
+  replaces it unless it lies higher;
 * quadratic charts start at the ``CANDIDATES`` nearest cloud points of a
   k-d tree query, one Newton run in each candidate's chart, and the
   candidate with the least Phi wins.
@@ -39,7 +40,6 @@ whose projection is unusable.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,9 +132,9 @@ class ProductCirclesSurface:
         """The nearest point's parameters: the angle of each coordinate pair."""
         return np.arctan2(W[:, 1::2], W[:, 0::2])
 
-    def retry_seeds(self, W: np.ndarray) -> np.ndarray:
-        """No further starts: ``seed`` is exact."""
-        return np.empty((len(W), 0, self.m))
+    def retry_seed(self, W: np.ndarray):
+        """``seed`` is exact: the same start, with an infinite Phi."""
+        return self.seed(W), np.full(len(W), np.inf)
 
     def grid_params(self, resolution: int) -> np.ndarray:
         axes = [np.arange(resolution) * 2 * np.pi / resolution] * self.m
@@ -159,6 +159,9 @@ class KleinSurface:
 
     m = 2
     n = 4
+    # the u1 grid of ``retry_seed``, with e and f (see ``seed``) at each node
+    _nodes = np.arange(64) * (2 * np.pi / 64)
+    _node_frames = np.stack([np.cos(_nodes), np.sin(_nodes), np.cos(_nodes / 2), np.sin(_nodes / 2)])
 
     def __init__(self, a: float, b: float):
         if not a > b > 0:
@@ -225,31 +228,31 @@ class KleinSurface:
     def seed(self, W: np.ndarray) -> np.ndarray:
         """Newton start: u1 is the angle of (w1, w2), u2 the nearest point of
         the cross-section circle at u1.  Exact on the surface; the u1 seam
-        (the z3-z4 plane, where that angle is undefined) needs a retry."""
-        return self._on_circle(W, np.arctan2(W[:, 1], W[:, 0]))
+        (the z3-z4 plane, where that angle is undefined) needs a retry.
 
-    def retry_seeds(self, W: np.ndarray) -> np.ndarray:
-        """(B, 2, 2) further starts: u1 = 2 atan2(w4, w3) with its nearest
-        cross-section point, and the nearest node of a 32 x 32 parameter grid."""
-        nodes, points = self._grid
-        d2 = np.sum((W[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-        plane = self._on_circle(W, 2 * np.arctan2(W[:, 3], W[:, 2]))
-        return np.stack([plane, nodes[np.argmin(d2, axis=1)]], axis=1)
-
-    def _on_circle(self, W, u1):
-        """(u1, u2) with u2 the point of the circle {sigma(u1, .)} nearest W.
-
-        That circle has centre a (cos u1, sin u1, 0, 0) and radius b in the
-        plane of (cos u1, sin u1, 0, 0) and (0, 0, cos u1/2, sin u1/2).
+        The circle {sigma(u1, .)} has centre a e and radius b in the plane of
+        e = (cos u1, sin u1, 0, 0) and f = (0, 0, cos u1/2, sin u1/2); with
+        x = w.e - a and y = w.f the coordinates of w about that centre, its
+        nearest point is at u2 = atan2(y, x), where
+        Phi = 0.5 (|w|^2 - a^2 + b^2) - (a x + b hypot(x, y)).
         """
+        u1 = np.arctan2(W[:, 1], W[:, 0])
         x = W[:, 0] * np.cos(u1) + W[:, 1] * np.sin(u1) - self.a
         y = W[:, 2] * np.cos(u1 / 2) + W[:, 3] * np.sin(u1 / 2)
         return np.stack([u1, np.arctan2(y, x)], axis=-1)
 
-    @functools.cached_property
-    def _grid(self):
-        nodes = self.grid_params(32)
-        return nodes, self.frames(nodes)[0]
+    def retry_seed(self, W: np.ndarray):
+        """A further start and Phi there: the node of a 64-point u1 grid where
+        Phi, minimized over u2 as in ``seed``, is least.  Its Phi bounds the
+        least Phi from above, so a solution that lies higher is not the
+        nearest point."""
+        x = W[:, :2] @ self._node_frames[:2] - self.a
+        y = W[:, 2:] @ self._node_frames[2:]
+        score = self.a * x + self.b * np.hypot(x, y)
+        rows, best = np.arange(len(W)), np.argmax(score, axis=1)
+        U = np.stack([self._nodes[best], np.arctan2(y[rows, best], x[rows, best])], axis=-1)
+        phi = 0.5 * (np.sum(W * W, axis=1) - self.a**2 + self.b**2) - score[rows, best]
+        return U, phi
 
 # ---------------------------------------------------------------------------
 # local quadratic charts fitted to a point cloud
@@ -634,6 +637,11 @@ def _refine(manifold, W, ids, U):
     return U, sigma, phi, gnorm, jac, hess
 
 
+def _phi_hessian(jac, hess, residual):
+    """The Hessian J^T J - (w - sigma) . d2sigma of Phi, per row."""
+    return np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
+
+
 def _ift_jacobians(jac, hess, residual):
     """dLambda/dw = J A^{-1} J^T per row, with A the full Hessian of Phi.
 
@@ -642,7 +650,7 @@ def _ift_jacobians(jac, hess, residual):
     exceeds ``COND_LIMIT`` (or whose A is exactly singular) is flagged
     singular and takes the pseudo-inverse of A.
     """
-    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
+    A = _phi_hessian(jac, hess, residual)
     s = np.abs(_sym_eigvalsh(A))
     s_min, s_max = s.min(axis=-1), s.max(axis=-1)
     det = _det(A)
@@ -651,36 +659,15 @@ def _ift_jacobians(jac, hess, residual):
     return jac @ X, singular
 
 
-def _retry(manifold, W, rows, result):
-    """Refine the given rows again from the surface's ``retry_seeds``.
-
-    Among each row's candidates that converge, the least Phi (ties within
-    solver tolerance to the first seed) replaces that row of ``result``, the
-    tuple ``_refine`` returned; rows with no converged candidate keep theirs.
-    """
-    seeds = manifold.surface.retry_seeds(W[rows])  # (R, k, m)
-    R, k, m = seeds.shape
-    if not k:
-        return
-    cand = _refine(manifold, np.repeat(W[rows], k, axis=0), np.full(R * k, -1),
-                   seeds.reshape(R * k, m))
-    converged = cand[3].reshape(R, k) <= DEGRADED_TOL
-    score = np.where(converged, np.round(cand[2].reshape(R, k) / NEWTON_TOL), np.inf)
-    pick = np.argmin(score, axis=1)
-    won = converged[np.arange(R), pick]
-    take = (np.arange(R) * k + pick)[won]
-    for out, part in zip(result, cand):
-        out[rows[won]] = part[take]
-
-
 def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
     """Project each row of W onto the manifold by Newton from a start point.
 
     Analytic charts start from the surface's closed-form seed; rows that end
-    degraded are refined again from its retry seeds (see ``_retry``), and
-    ``chart_id`` and ``coarse_index`` are -1.  Quadratic charts start in the
-    charts of the ``CANDIDATES`` nearest cloud points (k-d tree); the minimal
-    Phi wins and exact ties break to the lowest chart id.  A row that still
+    degraded, at a saddle, or above the surface's retry seed are refined
+    again from that seed, and ``chart_id`` and ``coarse_index`` are -1.
+    Quadratic charts start in the charts of the ``CANDIDATES`` nearest cloud
+    points (k-d tree); the minimal Phi wins and exact ties break to the
+    lowest chart id.  A row that still
     does not converge falls back to its seed or its coarse cloud point with
     ``degraded`` set; near-singular Hessians (medial axis) switch to a
     pseudo-inverse Jacobian with ``singular`` set.  Each row's result depends
@@ -697,10 +684,20 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         coarse = np.full(B, -1)
         start = manifold.surface.seed(W)
         result = _refine(manifold, W, coarse, start.copy())
-        retry = np.flatnonzero(result[3] > DEGRADED_TOL)
-        if retry.size:
-            _retry(manifold, W, retry, result)
         U, sigma, phi, gnorm, jac, hess = result
+        # Refine again from the retry seed the rows Newton could not place,
+        # left at a saddle, or left above that seed (by more than solver
+        # tolerance): a converged retry replaces a row that did not converge
+        # or that lies higher.
+        eigs = _sym_eigvalsh(_phi_hessian(jac, hess, W - sigma))
+        saddle = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
+        seed2, seed2_phi = manifold.surface.retry_seed(W)
+        retry = np.flatnonzero((gnorm > DEGRADED_TOL) | saddle | (seed2_phi < phi - NEWTON_TOL))
+        if retry.size:
+            cand = _refine(manifold, W[retry], coarse[retry], seed2[retry])
+            better = (cand[3] <= DEGRADED_TOL) & ((gnorm[retry] > DEGRADED_TOL) | (cand[2] < phi[retry]))
+            for out, part in zip(result, cand):
+                out[retry[better]] = part[better]
         chart_id = coarse.copy()
     else:
         K = min(CANDIDATES, manifold.num_points)

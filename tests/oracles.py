@@ -160,14 +160,27 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
     chart_id = np.where(degraded, coarse, chart_id)
     U[degraded] = chart_start(chart_id[degraded])
 
-    sigma, jac, hess = manifold.chart_frames(chart_id, U)
+    sigma = manifold.chart_frames(chart_id, U)[0]
     phi[degraded] = 0.5 * np.sum((W[degraded] - sigma[degraded]) ** 2, axis=-1)
+    jacobians, singular = reference_ift_jacobian(W, manifold, chart_id, U, cond_limit)
+    return dict(
+        z=sigma, chart_id=chart_id, u=manifold.canonical_params(U), jacobian=jacobians,
+        phi=phi, grad_norm=gnorm, coarse_index=coarse, degraded=degraded, singular=singular,
+    )
+
+
+def reference_ift_jacobian(W, manifold, chart_id, U, cond_limit=1e12):
+    """dLambda/dw = J A^{-1} J^T at the chart parameters U, and the rows
+    whose A (the Hessian of Phi) has an SVD condition number above
+    ``cond_limit``; those take the pseudo-inverse of A."""
+    B, n = W.shape
+    sigma, jac, hess = manifold.chart_frames(chart_id, U)
     A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", W - sigma, hess)
     s = np.linalg.svd(A, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[:, -1] > 0, s[:, 0] / s[:, -1], np.inf)
     singular = ~np.isfinite(cond) | (cond > cond_limit)
-    jacobians = np.empty((B, W.shape[1], W.shape[1]))
+    jacobians = np.empty((B, n, n))
     good = ~singular
     if np.any(good):
         X = np.linalg.solve(A[good], np.swapaxes(jac[good], 1, 2))
@@ -175,10 +188,7 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
     if np.any(singular):
         X = np.einsum("bij,bkj->bik", np.linalg.pinv(A[singular]), jac[singular])
         jacobians[singular] = np.einsum("bnm,bmk->bnk", jac[singular], X)
-    return dict(
-        z=sigma, chart_id=chart_id, u=manifold.canonical_params(U), jacobian=jacobians,
-        phi=phi, grad_norm=gnorm, coarse_index=coarse, degraded=degraded, singular=singular,
-    )
+    return jacobians, singular
 
 
 # ---------------------------------------------------------------------------
