@@ -9,11 +9,11 @@ sum of squares and a batched custom-Jacobian node that lets the manifold
 projection join backpropagation; the model adds fused nodes of its own.
 Every node output and adjoint is checked for NaN/Inf.  Nothing the tape
 stores refers back to it, so reference counting alone frees a dead tape.
+Training keeps its parameters and gradient in flat vectors: ``Tape.backward``
+writes into views of one, ``adam_step`` updates the other in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,11 +87,12 @@ class Tape:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def backward(self, output: Tensor) -> dict[str, np.ndarray]:
+    def backward(self, output: Tensor, into: dict | None = None) -> dict[str, np.ndarray]:
         """Gradients of a scalar output with respect to every leaf.
 
         Leaves not on the path to ``output`` get zero gradients.  Each node
-        is visited exactly once, in reverse construction order.
+        is visited exactly once, in reverse construction order.  ``into``
+        (name -> array, such as ``flat_views``) receives them in place.
         """
         if output.tape is not self:
             raise ValueError("output tensor does not belong to this tape")
@@ -110,10 +111,10 @@ class Tape:
                 if not np.all(np.isfinite(contrib)):
                     raise NonFiniteError(f"non-finite adjoint from op '{op}'")
                 adjoint[slot] = adjoint[slot] + contrib if slot in adjoint else contrib
-        grads = {}
-        for name, (slot, value) in self._leaves.items():
-            g = adjoint.get(slot)
-            grads[name] = np.zeros_like(value) if g is None else np.asarray(g)
+        grads = into if into is not None else {
+            n: np.zeros_like(v) for n, (_, v) in self._leaves.items()}
+        for name, (slot, _) in self._leaves.items():
+            grads[name][...] = adjoint.get(slot, 0.0)
         return grads
 
 
@@ -195,37 +196,56 @@ def glorot_init(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimizer
 
-@dataclass
+
+def flat_views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
+    """Views into ``flat`` with the keys and shapes of ``like``, laid end to end in its order."""
+    ends = np.cumsum([np.size(v) for v in like.values()])
+    return {name: flat[end - np.size(v) : end].reshape(np.shape(v))
+            for (name, v), end in zip(like.items(), ends)}
+
+
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    step: int = 0
+    """Adam's moments and two scratch chunks for the flat vector laid out as
+    ``like`` (name -> array), allocated once; the names label bad gradients."""
+
+    CHUNK = 32768  # elements per pass: the chunk of every operand stays in cache
+
+    def __init__(self, like: dict):
+        self.names, self.ends = list(like), np.cumsum([np.size(v) for v in like.values()])
+        self.m, self.v = np.zeros(self.ends[-1]), np.zeros(self.ends[-1])
+        self.scratch, self.step = np.empty((2, min(self.ends[-1], self.CHUNK))), 0
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard Adam update with bias correction; mutates params/state in place."""
+) -> np.ndarray:
+    """Adam (Kingma & Ba, 2015) with bias correction on the flat ``params``,
+    in place, chunk by chunk, in the textbook op order: bit-identical to
+    updating each parameter array on its own."""
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
+    bad = ~np.isfinite(grads)
+    if bad.any():
+        name = state.names[np.searchsorted(state.ends, np.argmax(bad), side="right")]
+        raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
-    t = state.step
-    for name in params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1**t)
-        v_hat = state.v[name] / (1 - beta2**t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
+    c1, c2 = 1 - beta1**state.step, 1 - beta2**state.step
+    for start in range(0, len(params), state.CHUNK):
+        part = slice(start, start + state.CHUNK)
+        p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+        s, u = state.scratch[:, : len(p)]
+        m *= beta1
+        m += np.multiply(g, 1 - beta1, out=s)
+        v *= beta2
+        v += np.multiply(np.multiply(g, 1 - beta2, out=s), g, out=s)
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += eps
+        np.multiply(np.divide(m, c1, out=u), lr, out=u)
+        p -= np.divide(u, s, out=u)
+    return params

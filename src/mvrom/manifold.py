@@ -748,21 +748,16 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
 # tape integration
 
 
-def manifold_encode_layer(w: "ad.Tensor", manifold, policy: str = "raise"):
+def manifold_encode_layer(w: "ad.Tensor", manifold):
     """Project a batch of encoder outputs onto the latent manifold, on-tape.
 
     The per-sample Jacobians enter the tape through a batched
     custom-Jacobian node, so gradients follow the implicit-function-theorem
     linearization of the projection.  Returns the projected tensor and a
-    per-sample validity mask.  Policy "raise" fails the batch on any flagged
-    projection; "skip" zeroes the flagged samples' Jacobians (no gradient
-    flows) and marks them invalid so the loss can drop them.  ``LatentSpec``
-    validates the policy.
+    per-sample validity mask.  A flagged sample's Jacobian is zeroed, so no
+    gradient flows through it; what else a flag does is the latent's
+    policy (``vae.LatentSpec``).
     """
     Z, J, flagged = manifold.project(w.data)
-    if np.any(flagged):
-        if policy == "raise":
-            bad = np.flatnonzero(flagged)
-            raise ProjectionError(f"projection flagged for batch samples {bad.tolist()}")
-        J[flagged] = 0.0
+    J[flagged] = 0.0
     return ad.batch_custom_jacobian(w, Z, J), ~flagged

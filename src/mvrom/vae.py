@@ -59,10 +59,16 @@ class LatentSpec:
         if self.policy not in ("raise", "skip"):
             raise ValueError(f"unknown projection policy '{self.policy}'")
 
-    def project_batch(self, w: "ad.Tensor"):
+    def project_batch(self, w: "ad.Tensor", B: int):
+        """Project noisy codes stacked B rows per path (input X, target Y); a
+        sample is valid if all its rows are; "raise" names sample and path."""
         if self.manifold is None:
-            return w, np.ones(w.data.shape[0], dtype=bool)
-        return mf.manifold_encode_layer(w, self.manifold, self.policy)
+            return w, np.ones(B, dtype=bool)
+        z, valid = mf.manifold_encode_layer(w, self.manifold)
+        if self.policy == "raise" and not valid.all():
+            bad = [f"{i % B} ({('input X', 'target Y')[i // B]})" for i in np.flatnonzero(~valid)]
+            raise mf.ProjectionError(f"projection flagged for batch samples {', '.join(bad)}")
+        return z, valid.reshape(-1, B).all(axis=0)
 
 
 def euclidean_latent(dim: int) -> LatentSpec:
@@ -252,14 +258,16 @@ def _mlp_tape(model: VaeModel, leaves, prefix: str, sizes, x: "ad.Tensor") -> "a
     return x.tape.record("mlp", out, (x, *(leaves[n] for n in names)), backward)
 
 
-def _flow_tape(model: VaeModel, lam: "ad.Tensor", z: "ad.Tensor") -> "ad.Tensor":
-    """The exp-decay flow z' = exp(-lambda0 tau) z as one node over (lambda0, z)."""
+def _flow_tape(model: VaeModel, lam: "ad.Tensor", z: "ad.Tensor", n_rows: int) -> "ad.Tensor":
+    """The exp-decay flow z' = exp(-lambda0 tau) z on the first n_rows rows
+    of z, as one node over (lambda0, z); the other rows pass unchanged."""
     factor, tau, zd = flow_factor(model), model.tau, z.data
+    rows = np.where(np.arange(len(zd)) < n_rows, factor, 1.0)[:, None]
 
     def backward(g):
-        return (np.sum(g * zd) * factor) * -tau, g * factor
+        return (np.sum(g[:n_rows] * zd[:n_rows]) * factor) * -tau, g * rows
 
-    return z.tape.record("flow", zd * factor, (lam, z), backward)
+    return z.tape.record("flow", zd * rows, (lam, z), backward)
 
 
 def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
@@ -325,75 +333,54 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng: ad.Rng):
     """Build the loss graph for one batch; returns (total, tape, breakdown).
 
-    Training minimizes the negative of ``total``.  The noise scales are
-    fixed model constants.  Flagged projections under the "skip" policy are
-    removed from every term by zero row weights, with the mean renormalized
-    over surviving samples.
+    Training minimizes the negative of ``total``.  With RR on (gamma > 0)
+    each MLP runs once over the stacked rows [X; Y] and the flow scales the
+    X rows only; RE + RR is one sum of squares against [Y; Y] with row
+    weights [w; gamma w], KL one over the encoder means with [w; 0].  The
+    noise scales are model constants.  Under "skip" flagged samples get
+    zero weight w, the mean renormalized over surviving samples.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"expected matching batches, got {X.shape} and {Y.shape}")
-    B = X.shape[0]
-    d_lat = model.latent_dim
-    n_out = model.output_dim
+    B, d_lat, n_out = X.shape[0], model.latent_dim, model.output_dim
     sig_e, sig_d, sig_0 = model.sigma_e, model.sigma_d, model.sigma_0
+    paths = 2 if config.gamma > 0 else 1  # the RR path encodes the target
 
     tape = ad.Tape()
     leaves = {name: tape.leaf(name, value) for name, value in model.params.items()}
-    Xc, Yc = tape.constant(X), tape.constant(Y)
-
-    def encoder_noise(a):
-        return ad.add(a, tape.constant(sig_e * rng.normal((B, d_lat))))
-
-    def gaussian_loglik(pred, row_w):
-        """Weighted batch mean of log p(y | pred) under N(pred, sigma_d^2 I)."""
-        s = ad.weighted_sq_sum(pred, row_w, Y)
-        const = -0.5 * n_out * np.log(2 * np.pi * sig_d**2)
-        return ad.add(ad.scale(s, -1.0 / (2 * sig_d**2)), tape.constant(const))
-
-    # prediction path: encode input, noise, project, flow, decode
-    a = _mlp_tape(model, leaves, "enc_", model.encoder_sizes, Xc)
-    w = encoder_noise(a)
-    z, valid = model.latent.project_batch(w)
-
-    # reconstruction-regularization path: encode the *target*, no flow step
-    use_rr = config.gamma > 0
-    if use_rr:
-        a2 = _mlp_tape(model, leaves, "enc_", model.encoder_sizes, Yc)
-        w2 = encoder_noise(a2)
-        z2, valid2 = model.latent.project_batch(w2)
-        valid = valid & valid2
-
+    rows = np.concatenate([X, Y][:paths])
+    noise = np.concatenate([sig_e * rng.normal((B, d_lat)) for _ in range(paths)])
+    a = _mlp_tape(model, leaves, "enc_", model.encoder_sizes, tape.constant(rows))
+    z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise mf.ProjectionError("every sample in the batch was flagged by the projection")
     row_w = valid.astype(np.float64) / n_valid
 
-    z_prime = _flow_tape(model, leaves["lambda0"], z) if model.flow == "exp-decay" else z
-    x_hat = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z_prime)
-    re = gaussian_loglik(x_hat, row_w)
+    if model.flow == "exp-decay":
+        z = _flow_tape(model, leaves["lambda0"], z, B)
+    x_hat = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z)
+    target = np.concatenate([Y] * paths)
+    data = ad.weighted_sq_sum(x_hat, np.concatenate([row_w, config.gamma * row_w][:paths]), target)
+    kl_sq = ad.weighted_sq_sum(a, np.concatenate([row_w, np.zeros(B)][:paths]))
 
-    # closed-form Gaussian KL on the pre-projection mean
-    kl_var = ad.scale(ad.weighted_sq_sum(a, row_w), 1.0 / (2 * sig_0**2))
+    # each term from its own rows; Gaussian log-likelihoods under N(pred, sigma_d^2 I)
+    c_d, c_0 = -1.0 / (2 * sig_d**2), 1.0 / (2 * sig_0**2)
+    const = -0.5 * n_out * np.log(2 * np.pi * sig_d**2)
+    loglik = (((x_hat.data - target) ** 2).sum(axis=1).reshape(paths, B) @ row_w) * c_d + const
     kl_const = d_lat * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
-    kl = ad.scale(ad.add(kl_var, tape.constant(kl_const)), -config.beta)
-
-    if use_rr:
-        x_hat2 = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z2)
-        rr = ad.scale(gaussian_loglik(x_hat2, row_w), config.gamma)
-    else:
-        rr = tape.constant(0.0)
-
-    total = ad.add(ad.add(re, kl), rr)
-    breakdown = LossBreakdown(
-        float(total.data), float(re.data), float(kl.data), float(rr.data)
-    )
+    re, kl = float(loglik[0]), (float(kl_sq.data) * c_0 + kl_const) * -config.beta
+    rr = float(loglik[1]) * config.gamma if paths == 2 else 0.0
+    breakdown = LossBreakdown(re + kl + rr, re, kl, rr)
     if not np.isfinite(breakdown.total):
         raise ad.NonFiniteError(
             f"non-finite loss: RE={breakdown.reconstruction} KL={breakdown.kl} "
             f"RR={breakdown.regularization}"
         )
+    total = tape.record("total", breakdown.total, (data, kl_sq),
+                        lambda g: (g * c_d, g * (c_0 * -config.beta)))
     return total, tape, breakdown
 
 
@@ -410,8 +397,12 @@ def train(
 ) -> tuple[VaeModel, list[EpochStats]]:
     """Minibatch Adam on -total over all parameters, lambda0 included.
 
-    Deterministic under config.seed.  Divergence (minimized loss above 1e6
-    or non-finite) aborts with the history attached to the exception.
+    The parameters are first packed into one flat float64 vector:
+    ``model.params`` keeps its keys and shapes, and its values become views
+    into that vector.  Each step writes the gradient into a second flat
+    vector and Adam updates the first in place.  Deterministic under
+    config.seed.  Divergence (minimized loss above 1e6 or non-finite)
+    aborts with the history attached to the exception.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -421,7 +412,10 @@ def train(
             f"{model.input_dim}/{model.output_dim}"
         )
     rng = ad.Rng(config.seed)
-    state = ad.AdamState()
+    theta = np.concatenate([np.ravel(v) for v in model.params.values()], dtype=np.float64)
+    model.params.update(ad.flat_views(theta, model.params))
+    grad = np.zeros_like(theta)
+    grads, state = ad.flat_views(grad, model.params), ad.AdamState(model.params)
     history: list[EpochStats] = []
     n = X.shape[0]
     for epoch in range(config.epochs):
@@ -436,8 +430,8 @@ def train(
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: loss {minimized:.3e}", history
                 )
-            grads = tape.backward(ad.scale(total, -1.0))
-            ad.adam_step(model.params, grads, state, lr=config.lr)
+            tape.backward(ad.scale(total, -1.0), into=grads)
+            ad.adam_step(theta, grad, state, lr=config.lr)
             sums += [
                 breakdown.total,
                 breakdown.reconstruction,
@@ -603,6 +597,12 @@ def load_checkpoint(path) -> VaeModel:
         cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
         latent = pointcloud_latent(cloud, policy)
     sizes = [field(key, _sizes) for key in ("encoder_sizes", "decoder_sizes")]
+    for key, prefix, layers in zip(("encoder_sizes", "decoder_sizes"), ("enc_", "dec_"), sizes):
+        if {n: p.shape for n, p in params.items() if n.startswith(prefix)} != {
+                f"{prefix}{kind}{i}": shape for i, (fi, fo) in enumerate(zip(layers, layers[1:]))
+                for kind, shape in (("W", (fi, fo)), ("b", (fo,)))}:
+            raise ValueError(f"{path}: checkpoint header field '{key}' {layers} does not match "
+                             f"the shapes of the '{prefix}' parameters")
     activation, flow = (field(key, _text) for key in ("activation", "flow"))
     leaky_slope, tau, sigma_e, sigma_d, sigma_0 = (
         field(key, _number) for key in ("leaky_slope", "tau", "sigma_e", "sigma_d", "sigma_0")

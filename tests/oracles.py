@@ -258,3 +258,15 @@ def arm_constraint_residuals(config, samples):
 def table_complete(table):
     """Every row of an ``ErrorTable`` has a value (or FAILED) in every column."""
     return all(col in row for row in table.rows.values() for col in table.columns)
+
+
+def dict_adam_step(params, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (from 1) applied parameter by parameter over dicts of
+    arrays, each with its own temporaries, as the textbook writes it."""
+    for name in params:
+        g = grads[name]
+        m[name] = beta1 * m.get(name, np.zeros_like(g)) + (1 - beta1) * g
+        v[name] = beta2 * v.get(name, np.zeros_like(g)) + (1 - beta2) * g * g
+        m_hat = m[name] / (1 - beta1**t)
+        v_hat = v[name] / (1 - beta2**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mvrom import autodiff as ad
 from mvrom import vae
 
+import oracles
+
 
 def central_diff(f, x, h=1e-5):
     """Gradient of scalar f at x by central differences, coordinate by coordinate."""
@@ -187,9 +189,10 @@ def test_check_finite_rejects_nan():
         ("mul", lambda x: ad.weighted_sq_sum(x, ROW_W)),  # product with the row weights
         ("scale", lambda x: ad.weighted_sq_sum(ad.scale(x, -1.7), ROW_W)),
         ("neg", lambda x: ad.scale(ad.weighted_sq_sum(x, ROW_W), -1.0)),
-        # exp-decay flow, through its latent input (lambda0 is checked in test_vae)
+        # exp-decay flow on the first two rows, through its latent input
+        # (lambda0 is checked in test_vae)
         ("exp", lambda x: ad.weighted_sq_sum(
-            vae._flow_tape(FLOW, x.tape.leaf("lambda0", FLOW.params["lambda0"]), x), ROW_W)),
+            vae._flow_tape(FLOW, x.tape.leaf("lambda0", FLOW.params["lambda0"]), x, 2), ROW_W)),
         ("square", lambda x: ad.weighted_sq_sum(x, np.ones(4))),
     ],
 )
@@ -305,34 +308,91 @@ def test_weighted_sq_sum_target_and_zero_rows():
 # optimizer
 
 
+def adam(params: dict):
+    """Pack ``params`` into one flat vector the way ``vae.train`` does:
+    returns the vector, its views under the same names and a fresh state."""
+    flat = np.concatenate([np.ravel(v) for v in params.values()])
+    return flat, ad.flat_views(flat, params), ad.AdamState(params)
+
+
 def test_adam_zero_gradient_leaves_params():
-    params = {"p": np.array([1.0, -2.0])}
-    state = ad.AdamState()
-    ad.adam_step(params, {"p": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(params["p"], [1.0, -2.0])
+    flat, views, state = adam({"p": np.array([1.0, -2.0])})
+    ad.adam_step(flat, np.zeros(2), state, lr=0.1)
+    np.testing.assert_array_equal(views["p"], [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
-    params = {"p": np.array(0.0)}
-    state = ad.AdamState()
-    ad.adam_step(params, {"p": np.array(3.7)}, state, lr=1e-2)
-    assert params["p"] == pytest.approx(-1e-2, rel=1e-6)
+    flat, views, state = adam({"p": np.array(0.0)})
+    ad.adam_step(flat, np.array([3.7]), state, lr=1e-2)
+    assert views["p"] == pytest.approx(-1e-2, rel=1e-6)
 
 
 def test_adam_quadratic_bowl_converges():
-    rng = np.random.default_rng(5)
-    params = {"p": rng.uniform(-1, 1, size=6)}
-    state = ad.AdamState()
+    flat, _, state = adam({"p": np.random.default_rng(5).uniform(-1, 1, size=6)})
     for _ in range(500):
-        ad.adam_step(params, {"p": 2.0 * params["p"]}, state, lr=1e-2)
-    assert np.linalg.norm(params["p"]) < 1e-3
+        ad.adam_step(flat, 2.0 * flat, state, lr=1e-2)
+    assert np.linalg.norm(flat) < 1e-3
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = {"w": np.array([1.0])}
-    with pytest.raises(ad.NonFiniteError, match="w"):
-        ad.adam_step(params, {"w": np.array([np.nan])}, ad.AdamState())
+    # the first bad entry of the flat gradient names its parameter; nothing moves
+    flat, _, state = adam({"a": np.zeros((2, 2)), "w": np.ones(3), "z": np.array(0.5)})
+    for bad_at, name in [(0, "a"), (3, "a"), (4, "w"), (6, "w"), (7, "z")]:
+        grad = np.ones(8)
+        grad[bad_at:] = [np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0][: 8 - bad_at]
+        with pytest.raises(ad.NonFiniteError, match=f"parameter '{name}'"):
+            ad.adam_step(flat, grad, state)
+    np.testing.assert_array_equal(flat, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5])
+    assert state.step == 0
+
+
+def test_adam_rejects_nonpositive_lr():
+    flat, _, state = adam({"p": np.ones(2)})
+    for lr in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            ad.adam_step(flat, np.ones(2), state, lr=lr)
+
+
+def test_flat_adam_matches_per_parameter_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = {"enc_W0": (5, 7), "enc_b0": (7,), "dec_W0": (7, 3), "lambda0": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    reference = {name: value.copy() for name, value in params.items()}
+    flat, views, state = adam(params)
+    m, v = {}, {}
+    for t in range(1, 8):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                 for name, shape in shapes.items()}
+        ad.adam_step(flat, np.concatenate([np.ravel(g) for g in grads.values()]), state, lr=3e-3)
+        oracles.dict_adam_step(reference, grads, m, v, t, lr=3e-3)
+        for name in shapes:
+            np.testing.assert_array_equal(views[name], reference[name])
+        # the moments too: a rounding change in v can vanish from a step
+        for flat_moment, moment in ((state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(flat_moment, np.concatenate(
+                [np.ravel(x) for x in moment.values()]))
+    assert state.step == 7
+
+
+def test_backward_writes_into_flat_views():
+    # the same gradients as the returned dict, in place, zeros for a leaf off the path
+    model = mlp_model([3, 4, 2])
+    X = np.random.default_rng(2).normal(size=(5, 3))
+    expected = mlp_loss(model, X, np.ones(5), want_grads=True)
+    grad = np.full(sum(v.size for v in expected.values()) + 2, np.nan)
+    views = ad.flat_views(grad, {**expected, "off": np.zeros(2)})
+    tape = ad.Tape()
+    leaves = {k: tape.leaf(k, v) for k, v in model.params.items() if k.startswith("enc_")}
+    tape.leaf("off", np.ones(2))
+    x = tape.leaf("X", X)
+    out = ad.weighted_sq_sum(vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, x),
+                             np.ones(5))
+    assert tape.backward(out, into=views) is views
+    for name, g in expected.items():
+        np.testing.assert_array_equal(views[name], g)
+    np.testing.assert_array_equal(views["off"], 0.0)
+    assert np.shares_memory(views["X"], grad)
 
 
 # ---------------------------------------------------------------------------

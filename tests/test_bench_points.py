@@ -44,3 +44,23 @@ def test_klein_latent_projects_through_the_counted_spans(tmp_path):
     assert tracer.counts["manifold.chart_frames.calls"] >= 2
     assert tracer.counts["manifold.build_klein_pointcloud.calls"] == 0
     assert tracer.counts["manifold.coarse_query.calls"] == 0
+
+
+def test_each_training_step_reaches_the_timed_spans_once():
+    # The benchmark times a training step as vae.loss, Tape.backward and
+    # adam_step, and reads the tape's node count at backward: one euclidean
+    # step with RR on is one loss, one backward and one Adam update over
+    # eight nodes (encoder, noise, flow, decoder, the two sums of squares,
+    # the total and the sign flip for minimization).
+    mods = workloads.MODULES
+    model = mods.vae.build_vae(6, mods.vae.euclidean_latent(2), hidden=(8,), seed=1)
+    X = np.random.default_rng(0).normal(size=(12, 6))
+    config = mods.vae.TrainConfig(epochs=2, batch_size=4, seed=3)
+    tracer = tracing.Tracer(tracing.trace_points(mods))
+    with tracer:
+        mods.vae.train(model, X, X.copy(), config)
+    steps = 2 * 3
+    assert tracer.absent == []
+    for span in ("vae.loss", "autodiff.Tape.backward", "autodiff.adam_step"):
+        assert tracer.counts[span + ".calls"] == steps
+    assert tracer.counts["autodiff.tape_nodes"] == 8 * steps

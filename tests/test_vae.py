@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import re
@@ -126,6 +127,7 @@ def test_negative_infinite_preactivation_raises():
 
 
 def test_flow_node_lambda_gradient_matches_finite_differences():
+    # the flow scales the first two rows only; the third passes unchanged
     model = small_model()
     z = np.random.default_rng(6).normal(size=(3, 2))
     target = np.random.default_rng(7).normal(size=(3, 2))
@@ -133,7 +135,8 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
     def run(want_grad=False):
         tape = ad.Tape()
         lam = tape.leaf("lambda0", model.params["lambda0"])
-        out = ad.weighted_sq_sum(vae._flow_tape(model, lam, tape.constant(z)), np.ones(3), target)
+        out = ad.weighted_sq_sum(vae._flow_tape(model, lam, tape.constant(z), 2), np.ones(3),
+                                 target)
         return tape.backward(out)["lambda0"] if want_grad else out.data.item()
 
     for lam in (0.0, 0.5, -1.3):
@@ -145,6 +148,10 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
         fm = run()
         model.params["lambda0"] = np.array(lam)
         assert run(want_grad=True) == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
+        tape = ad.Tape()
+        out = vae._flow_tape(model, tape.leaf("lambda0", model.params["lambda0"]),
+                             tape.constant(z), 2)
+        np.testing.assert_array_equal(out.data, np.concatenate([z[:2] * np.exp(-lam / 4), z[2:]]))
 
 
 @pytest.mark.parametrize(
@@ -174,7 +181,7 @@ def test_loss_additivity_machine_precision():
     config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
     total, _, b = vae.loss(model, X, Y, config, ad.Rng(0))
     assert abs(b.total - (b.reconstruction + b.kl + b.regularization)) < 1e-12
-    assert total.data == pytest.approx(b.total)
+    assert total.data == b.total
 
 
 def test_kl_zero_for_matched_gaussians():
@@ -218,8 +225,6 @@ def test_closed_form_kl_matches_monte_carlo():
 def test_loss_kl_agrees_with_direct_formula():
     model = small_model(sigma_e=0.5, sigma_0=2.0)
     X, Y = toy_batch(model)
-    config = vae.TrainConfig(beta=0.7, gamma=0.0, seed=0)
-    _, _, b = vae.loss(model, X, Y, config, ad.Rng(0))
     a = vae.mlp_forward(model, "enc_", model.encoder_sizes, X)
     kl_direct = np.mean(
         np.sum(
@@ -229,7 +234,29 @@ def test_loss_kl_agrees_with_direct_formula():
             axis=1,
         )
     )
-    assert b.kl == pytest.approx(-0.7 * kl_direct, rel=1e-12)
+    for gamma in (0.0, 0.5):  # KL covers the input rows only, with RR on or off
+        _, _, b = vae.loss(model, X, Y, vae.TrainConfig(beta=0.7, gamma=gamma), ad.Rng(0))
+        assert b.kl == pytest.approx(-0.7 * kl_direct, rel=1e-12)
+
+
+def test_loss_terms_agree_with_direct_formula():
+    # RE decodes the flowed code of X, RR the code of Y without a flow step;
+    # the noise is one (B, d) draw per path, in that order
+    model = small_model(sigma_e=0.1, sigma_d=0.3)
+    X, Y = toy_batch(model)
+    rng = ad.Rng(0)
+    noise = rng.normal((8, 2)), rng.normal((8, 2))
+    factor = np.exp(-model.params["lambda0"] * model.tau)
+
+    def loglik(z):
+        pred = vae.decode(model, z)
+        return np.mean(-np.sum((Y - pred) ** 2, axis=1) / (2 * 0.3**2)
+                       - 3 * np.log(2 * np.pi * 0.3**2))
+
+    a_x, a_y = (vae.mlp_forward(model, "enc_", model.encoder_sizes, V) for V in (X, Y))
+    b = vae.loss(model, X, Y, vae.TrainConfig(gamma=0.4), ad.Rng(0))[2]
+    assert b.reconstruction == pytest.approx(loglik((a_x + 0.1 * noise[0]) * factor), rel=1e-12)
+    assert b.regularization == pytest.approx(0.4 * loglik(a_y + 0.1 * noise[1]), rel=1e-12)
 
 
 def test_reparameterized_gradient_matches_analytic():
@@ -339,39 +366,123 @@ def test_manifold_training_keeps_codes_on_manifold():
     np.testing.assert_allclose(np.sum(z[:, :2] ** 2, axis=1), 1.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("latent_name", ["torus", "klein"])
+class _FlagRow:
+    """A manifold that projects like ``inner`` and also flags one row of the
+    stacked [X; Y] batch."""
+
+    def __init__(self, inner, row):
+        self.inner, self.row = inner, row
+
+    def project(self, W):
+        Z, J, flagged = self.inner.project(W)
+        flagged = flagged.copy()
+        flagged[self.row] = True
+        return Z, J, flagged
+
+
+def _klein_flag_on_target(B, sample):
+    latent = vae.klein_latent(mf.KleinConfig(resolution=64), policy="skip")
+    latent.manifold = _FlagRow(latent.manifold, B + sample)
+    return latent
+
+
+@pytest.mark.parametrize("latent_name", ["euclidean", "torus", "klein"])
 def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
-    if latent_name == "torus":
-        latent = vae.torus_latent()
+    # every entry of every parameter, lambda0 included: euclidean with the
+    # exp-decay flow, the torus under "raise" and the Klein bottle under
+    # "skip" with one sample flagged on its target (RR) row only
+    if latent_name == "euclidean":
+        model = vae.build_vae(4, vae.euclidean_latent(3), hidden=(8,), lambda0_init=0.7, seed=5)
     else:
-        latent = vae.klein_latent(mf.KleinConfig(resolution=64))
-    model = vae.build_vae(4, latent, hidden=(8,), flow="identity", seed=5)
+        latent = {"torus": vae.torus_latent("raise"), "klein": _klein_flag_on_target(4, 2)}
+        model = vae.build_vae(4, latent[latent_name], hidden=(8,), lambda0_init=0.7, seed=5)
     X = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
     Y = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
     config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
 
-    def loss_value(params):
-        saved = model.params
-        model.params = params
+    def loss_value():
         # fixed rng seed: identical noise draws for every evaluation
-        _, _, b = vae.loss(model, X, Y, config, ad.Rng(0))
-        model.params = saved
-        return b.total
+        return vae.loss(model, X, Y, config, ad.Rng(0))[2].total
 
     total, tape, _ = vae.loss(model, X, Y, config, ad.Rng(0))
     grads = tape.backward(total)
+    assert set(grads) == set(model.params) and "lambda0" in grads
     h = 1e-6
-    rng = np.random.default_rng(4)
-    for name in ["enc_W0", "enc_b1", "dec_W0"]:
-        flat_idx = rng.integers(0, model.params[name].size, size=4)
-        for fi in flat_idx:
-            params_p = {k: v.copy() for k, v in model.params.items()}
-            params_m = {k: v.copy() for k, v in model.params.items()}
-            params_p[name].reshape(-1)[fi] += h
-            params_m[name].reshape(-1)[fi] -= h
-            fd = (loss_value(params_p) - loss_value(params_m)) / (2 * h)
+    for name, value in model.params.items():  # perturbed in place, then restored
+        flat = value.reshape(-1)
+        for fi in range(flat.size):
+            orig = flat[fi]
+            flat[fi] = orig + h
+            fp = loss_value()
+            flat[fi] = orig - h
+            fm = loss_value()
+            flat[fi] = orig
+            fd = (fp - fm) / (2 * h)
             got = grads[name].reshape(-1)[fi]
-            assert abs(got - fd) / (1 + abs(fd)) < 1e-4
+            assert abs(got - fd) / (1 + abs(fd)) < 1e-4, (name, fi, got, fd)
+
+
+def test_flag_on_target_row_drops_the_sample_from_every_term():
+    # under "skip" a flag on sample 2's target row removes the sample from
+    # RE, KL and RR alike: its rows may change without moving any term
+    X = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
+    Y = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
+    model = vae.build_vae(4, _klein_flag_on_target(4, 2), hidden=(8,), lambda0_init=0.7, seed=5)
+    config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
+    b = vae.loss(model, X, Y, config, ad.Rng(0))[2]
+    X2, Y2 = X.copy(), Y.copy()
+    X2[2], Y2[2] = 0.5, -0.5
+    assert vae.loss(model, X2, Y2, config, ad.Rng(0))[2] == b
+    model.latent.manifold.row = 4 + 3  # flag sample 3 instead: the terms move
+    assert vae.loss(model, X2, Y2, config, ad.Rng(0))[2].kl != b.kl
+
+
+def test_raise_policy_names_sample_and_path_of_a_flagged_row():
+    B = 4
+    latent = vae.torus_latent("raise")
+    latent.manifold = _FlagRow(latent.manifold, B + 1)  # sample 1, target row only
+    model = vae.build_vae(4, latent, hidden=(8,), seed=5)
+    X, Y = toy_batch(model, B=B)
+    with pytest.raises(mf.ProjectionError) as info:
+        vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+    assert str(info.value) == "projection flagged for batch samples 1 (target Y)"
+    latent.manifold.row = 3  # sample 3, input row
+    with pytest.raises(mf.ProjectionError, match=r"samples 3 \(input X\)$"):
+        vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+
+
+def test_one_projection_of_stacked_rows_equals_two_halves(monkeypatch):
+    # one step projects [X; Y] in one call of 2B rows; each half is bit for
+    # bit what a B-row call gives
+    calls = []
+    project = mf.nearest_point_batch
+
+    def recorded(W, manifold):
+        calls.append((W.copy(), project(W, manifold)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mf, "nearest_point_batch", recorded)
+    model = vae.build_vae(4, vae.klein_latent(policy="skip"), hidden=(8,), flow="identity", seed=5)
+    X, Y = toy_batch(model, B=6, seed=4)
+    vae.train(model, X, Y, vae.TrainConfig(epochs=1, batch_size=6, seed=1))
+    assert [len(W) for W, _ in calls] == [12]
+    (W, stacked), = calls
+    for half in (slice(0, 6), slice(6, 12)):
+        alone = project(W[half], model.latent.manifold)
+        for field in dataclasses.fields(stacked):
+            np.testing.assert_array_equal(getattr(stacked, field.name)[half],
+                                          getattr(alone, field.name))
+
+
+def test_train_makes_params_views_of_one_flat_vector():
+    model = small_model()
+    shapes = {k: (v.shape, v.dtype) for k, v in model.params.items()}
+    X, Y = toy_batch(model, B=8)
+    vae.train(model, X, Y, vae.TrainConfig(epochs=2, batch_size=4, seed=0))
+    assert {k: (v.shape, v.dtype) for k, v in model.params.items()} == shapes
+    base = model.params["enc_W0"].base
+    assert base.size == sum(v.size for v in model.params.values())
+    assert all(v.base is base for v in model.params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +607,22 @@ def test_checkpoint_header_outside_model_domain_raises(tmp_path, header, message
     vae.load_checkpoint(path)
     _rewrite_header(path, **header)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        vae.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, sizes",
+    [("encoder_sizes", [6, 3]), ("encoder_sizes", [6, 16, 3]), ("encoder_sizes", [6, 16, 2, 2]),
+     ("decoder_sizes", [2, 16, 5]), ("decoder_sizes", [2, 6])],
+)
+def test_checkpoint_layer_sizes_must_match_parameter_shapes(tmp_path, key, sizes):
+    # a 6 -> 16 -> 2 -> 16 -> 6 model: sizes that disagree with the stored
+    # weights (fewer layers, other widths, a layer with no weights) raise
+    model = small_model()
+    path = tmp_path / "sizes.ckpt"
+    vae.save_checkpoint(model, path)
+    _rewrite_header(path, **{key: sizes})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + f".*'{key}'"):
         vae.load_checkpoint(path)
 
 
