@@ -11,6 +11,8 @@ Every node output and adjoint is checked for NaN/Inf.  Nothing the tape
 stores refers back to it, so reference counting alone frees a dead tape.
 Training keeps its parameters and gradient in flat vectors: ``Tape.backward``
 writes into views of one, ``adam_step`` updates the other in place.
+``glorot_init`` draws from a numpy ``Generator`` its caller seeds with
+``np.random.default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -165,30 +167,10 @@ def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.nd
 
 
 # ---------------------------------------------------------------------------
-# random numbers
-
-class Rng:
-    """Seeded generator; identical seeds give identical streams.
-
-    Backed by PCG64 (counter-based family).  Normal variates come from the
-    generator's ziggurat sampler over the same stream.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+# initialization
 
 
-def glorot_init(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Rng
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -131,18 +129,14 @@ def cole_hopf_forward(u: np.ndarray, nu: float) -> np.ndarray:
     return np.exp(-anti / (2.0 * nu))
 
 
-def _require_positive(phi: np.ndarray):
+def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
+    """u = -2 nu d/dx ln(phi), differentiated spectrally."""
+    phi = np.asarray(phi, dtype=np.float64)
     if np.any(phi <= 0):
         raise ValueError(
             "Cole-Hopf inverse undefined: phi <= 0 somewhere "
             "(logarithm undefined; signals under-resolved grid)"
         )
-
-
-def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
-    """u = -2 nu d/dx ln(phi), differentiated spectrally."""
-    phi = np.asarray(phi, dtype=np.float64)
-    _require_positive(phi)
     return -2.0 * nu * spectral_derivative(np.log(phi))
 
 
@@ -151,9 +145,9 @@ def _truncated_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
 
     For a trigonometric polynomial phi the spectral derivative is exact, so
     this is the pointwise-exact inverse of a truncated transform and stays
-    finite wherever phi is nonzero on the grid (spec'd by the caller's
-    nonpositive policy).  A sign-preserving denominator floor, relative to
-    each row's largest |phi|, avoids inf at accidental grid zeros.
+    finite wherever phi is nonzero on the grid.  A sign-preserving
+    denominator floor, relative to each row's largest |phi|, avoids inf at
+    accidental grid zeros.
     """
     dphi = spectral_derivative(phi)
     floor = 1e-12 * np.max(np.abs(phi), axis=-1, keepdims=True)
@@ -167,7 +161,6 @@ def evolve_exact(
     nu: float,
     t,
     n_f: int | None = None,
-    nonpositive: str = "raise",
 ) -> np.ndarray:
     """Evolve the rows of U0 (..., n) by t via Cole-Hopf; optionally truncate
     to |k| <= n_f/2.
@@ -179,9 +172,8 @@ def evolve_exact(
 
     Truncation zeroes the discarded modes of phi before decay and inversion
     (evolution is diagonal, so truncating before or after decay is the same).
-    ``nonpositive`` controls the truncated-inverse behavior when the reduced
-    phi dips <= 0: "raise" propagates the Cole-Hopf inversion error, "finite"
-    returns the pointwise division form, which is large but finite there.
+    Where the reduced phi dips <= 0 the truncated inverse is large but
+    finite: it divides by phi pointwise and takes no logarithm.
     """
     U0 = np.asarray(U0, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -190,8 +182,6 @@ def evolve_exact(
     n = U0.shape[-1]
     if n_f is not None and (n_f % 2 != 0 or not (2 <= n_f <= n)):
         raise ValueError(f"truncation n_f must be even with 2 <= n_f <= {n}, got {n_f}")
-    if nonpositive not in ("raise", "finite"):
-        raise ValueError(f"unknown nonpositive policy '{nonpositive}'")
 
     coeff = dft(cole_hopf_forward(U0, nu))
     k = wavenumbers(n)
@@ -201,8 +191,6 @@ def evolve_exact(
 
     if n_f is None:
         return np.where(t[..., None] == 0, U0, cole_hopf_inverse(phi_t, nu))
-    if nonpositive == "raise":
-        _require_positive(phi_t)
     return _truncated_inverse(phi_t, nu)
 
 
@@ -229,7 +217,7 @@ def generate_burgers_dataset(
     """m evolution pairs (u(t_i), u(t_i + tau)) with alpha, t_i drawn uniformly."""
     if m < 1:
         raise ValueError("need at least one sample")
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     alphas = rng.uniform(alpha_range[0], alpha_range[1], size=m)
     times = rng.uniform(t_range[0], t_range[1], size=m)
     X = sample_u1(alphas, times, config.nu, config.n_x)

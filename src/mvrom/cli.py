@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-data, train, eval, baselines, sweep, export-trace.
-Exit codes: 0 success, 1 partial cell failure, 2 configuration error.
+Exit codes: 0 success, 1 partial cell failure, 2 configuration error or a
+missing or damaged input file (the loader's message names the file).
 Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 """
 
@@ -156,10 +157,10 @@ def _read_field(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    model = vae.load_checkpoint(args.checkpoint)
+    model = ex.read_input(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
-        u0 = _read_field(args.input_field)
+        u0 = ex.read_input(_read_field, args.input_field)
         if len(u0) != model.input_dim:
             raise ex.ConfigError(
                 f"input field must have {model.input_dim} values, got {len(u0)}"
@@ -185,14 +186,14 @@ def cmd_eval(args) -> int:
         if np.isfinite(val):
             table.add("vae-checkpoint", model.latent_dim, "", col, val)
         else:
-            table.mark_failed("vae-checkpoint", model.latent_dim, "", col)
-    table.write_csv(out / "errors.csv")
+            table.mark_failed("vae-checkpoint", model.latent_dim, "", f"non-finite {col}", col)
+    table.write(out)
     print(f"wrote errors to {out / 'errors.csv'}")
     return 1 if table.num_failed else 0
 
 
 def cmd_export_trace(args) -> int:
-    model = vae.load_checkpoint(args.checkpoint)
+    model = ex.read_input(vae.load_checkpoint, args.checkpoint)
     alphas = np.array([float(a) for a in args.alphas.split(",") if a.strip()])
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)

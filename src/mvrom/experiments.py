@@ -1,9 +1,11 @@
 """Experiment drivers: dataset generation, training, evaluation, sweeps.
 
 Everything here is deterministic under the configured seed: sweep cells own
-derived seeds and output subdirectories, per-cell failures are recorded in
-the table without aborting the run, and any cell can be recomputed in
-isolation from its checkpoint plus the resolved config written next to it.
+derived seeds and output subdirectories, a failed cell is marked in the
+table and its error written to ``failures.csv`` without aborting the run,
+and any cell can be recomputed in isolation from its checkpoint plus the
+resolved config written next to it.  The config only names a latent;
+``vae.make_latent`` builds it, and its ``label`` names its row ``vae-<label>``.
 
 Burgers data stays in (B, n) arrays from generation to the error table
 (``burgers.BurgersData``): each stage -- exact truth at every horizon, a
@@ -71,10 +73,12 @@ FAILED = "failed"
 
 @dataclass
 class ErrorTable:
-    """Rows keyed by (method, dim, sweep); columns by horizon or epoch."""
+    """Rows keyed by (method, dim, sweep); columns by horizon or epoch;
+    ``failures`` has the (method, dim, sweep, error) of each failed mark."""
 
     columns: list
     rows: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
 
     def add(self, method: str, dim, sweep: str, column: str, value: float):
         if column not in self.columns:
@@ -84,10 +88,12 @@ class ErrorTable:
             raise ValueError(f"error entries must be finite and nonnegative, got {value}")
         self.rows.setdefault((method, str(dim), sweep), {})[column] = value
 
-    def mark_failed(self, method: str, dim, sweep: str, column: str | None = None):
+    def mark_failed(self, method: str, dim, sweep: str, error: str, column: str | None = None):
+        """Mark ``column``, or the whole row, failed because of ``error``."""
         row = self.rows.setdefault((method, str(dim), sweep), {})
         for col in [column] if column else self.columns:
             row[col] = FAILED
+        self.failures.append((method, str(dim), sweep, error))
 
     def cell(self, method: str, dim, sweep: str, column: str):
         return self.rows[(method, str(dim), sweep)][column]
@@ -96,7 +102,9 @@ class ErrorTable:
     def num_failed(self) -> int:
         return sum(1 for row in self.rows.values() for v in row.values() if v == FAILED)
 
-    def write_csv(self, path):
+    def write(self, out: Path):
+        """``errors.csv`` under ``out``, and ``failures.csv`` when some cell
+        failed; a stale ``failures.csv`` is removed."""
         rows = []
         for (method, dim, sweep) in sorted(self.rows):
             entry = {"method": method, "dim": dim, "sweep": sweep}
@@ -104,7 +112,13 @@ class ErrorTable:
             for col in self.columns:
                 entry[col] = stored.get(col, FAILED)
             rows.append(entry)
-        datafiles.write_table_csv(path, rows, ["method", "dim", "sweep", *self.columns])
+        columns = ["method", "dim", "sweep", *self.columns]
+        datafiles.write_table_csv(out / "errors.csv", rows, columns)
+        path = out / "failures.csv"
+        path.unlink(missing_ok=True)
+        if self.failures:
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([("method", "dim", "sweep", "error"), *self.failures])
 
 
 def read_table_csv(path) -> ErrorTable:
@@ -278,23 +292,32 @@ def klein_config(cfg: ExperimentConfig) -> mf.KleinConfig:
     )
 
 
-def make_latent(cfg: ExperimentConfig, latent_kind: str | None = None) -> vae.LatentSpec:
+def read_input(loader, path):
+    """``loader(path)``; a missing file, or one the loader rejects, raises a
+    ConfigError with the loader's message, which names the file."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def latent_from_config(cfg: ExperimentConfig, latent_kind: str | None = None) -> vae.LatentSpec:
+    """``vae.make_latent`` for ``latent_kind`` (default ``model.latent``):
+    ``rN`` is the sweep shorthand for a euclidean R^N, and a pointcloud
+    latent reads ``model.pointcloud_file``."""
     kind = latent_kind or cfg.get("model", "latent")
-    policy = cfg.get("model", "projection_policy")
-    if kind == "euclidean":
-        return vae.euclidean_latent(cfg.get_int("model", "latent_dim"))
-    if kind.startswith("r") and kind[1:].isdigit():  # r2 / r4 / r10 sweep shorthand
-        return vae.euclidean_latent(int(kind[1:]))
-    if kind == "torus":
-        return vae.torus_latent(policy)
-    if kind == "klein":
-        return vae.klein_latent(klein_config(cfg), policy)
-    if kind == "pointcloud":
-        path = cfg.get("model", "pointcloud_file")
-        if not path:
-            raise ConfigError("model.pointcloud_file required for pointcloud latent")
-        return vae.pointcloud_latent(mf.load_pointcloud(path), policy)
-    raise ConfigError(f"unknown latent kind '{kind}'")
+    dim = cfg.get_int("model", "latent_dim")
+    if kind.startswith("r") and kind[1:].isdigit():  # r2 / r4 / r10
+        kind, dim = "euclidean", int(kind[1:])
+    path = cfg.get("model", "pointcloud_file")
+    if kind == "pointcloud" and not path:
+        raise ConfigError("model.pointcloud_file required for pointcloud latent")
+    try:
+        return vae.make_latent(kind, cfg.get("model", "projection_policy"), dim,
+                               klein_config(cfg) if kind == "klein" else None,
+                               mf.load_pointcloud(path) if kind == "pointcloud" else None)
+    except (OSError, ValueError) as exc:  # a bad setting or cloud file
+        raise ConfigError(str(exc)) from None
 
 
 def build_model_from_config(
@@ -313,7 +336,7 @@ def build_model_from_config(
         raise ConfigError(f"unknown model variant '{variant}'")
     return vae.build_vae(
         input_dim,
-        make_latent(cfg, latent_kind),
+        latent_from_config(cfg, latent_kind),
         hidden=hidden,
         activation=cfg.get("model", "activation"),
         leaky_slope=cfg.get_float("model", "leaky_slope"),
@@ -343,7 +366,7 @@ def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConf
 
 def data_from_file(path, config: bg.BurgersConfig) -> bg.BurgersData:
     """Read a pair file; blend parameters and start times are not stored (NaN)."""
-    X, Y, header = datafiles.load_pairs(path)
+    X, Y, header = read_input(datafiles.load_pairs, path)
     if header.dim != config.n_x:
         raise ConfigError(f"dataset dim {header.dim} does not match configured n_x {config.n_x}")
     unknown = np.full(header.count, np.nan)
@@ -527,20 +550,6 @@ def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: i
     return errors
 
 
-_LATENT_LABELS = {"torus": "2-manifold", "klein": "2-manifold", "pointcloud": "2-manifold"}
-
-
-def _latent_row(latent_kind: str, cfg: ExperimentConfig):
-    label = _LATENT_LABELS.get(latent_kind, latent_kind.upper())
-    if latent_kind in ("torus", "klein", "pointcloud"):
-        dim = 4
-    elif latent_kind.startswith("r") and latent_kind[1:].isdigit():
-        dim = int(latent_kind[1:])
-    else:
-        dim = cfg.get_int("model", "latent_dim")
-    return f"vae-{label}", dim
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers
 
@@ -570,9 +579,8 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
     names its table row as (method, dim, sweep).  A cell that raised or
-    returned a non-finite value is marked failed and gets a row in
-    ``failures.csv`` (method, dim, sweep, error); otherwise its values are
-    added.  ``failures.csv`` exists only when some cell failed.
+    returned a non-finite value is marked failed with its error; otherwise
+    its values are added.
     """
     seed = cfg.get_int("experiment", "seed")
     cells = [
@@ -581,7 +589,6 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
         for j, b in enumerate(inner)
     ]
     results = _run_cells(cells, runner, cfg.get_int("experiment", "workers"))
-    failures = []
     for (a, b), res in results.items():
         method, dim, sweep = row(a, b)
         if isinstance(res, Exception):
@@ -592,24 +599,12 @@ def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: Err
             for col, val in res.items():
                 table.add(method, dim, sweep, col, val)
         else:
-            table.mark_failed(method, dim, sweep)
-            failures.append((method, dim, sweep, error))
-    _write_failures(out, failures)
+            table.mark_failed(method, dim, sweep, error)
     return table
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _write_failures(out: Path, failures) -> None:
-    """Write ``failures.csv`` (method, dim, sweep, error) when some cell
-    failed; otherwise remove a stale one."""
-    path = out / "failures.csv"
-    path.unlink(missing_ok=True)
-    if failures:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([("method", "dim", "sweep", "error"), *failures])
 
 
 def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
@@ -619,7 +614,9 @@ def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     horizons = cfg.get_list("sweep", "horizons", int)
     columns = [horizon_label(0)] + [horizon_label(k * config.tau) for k in horizons]
     method = f"vae-{cfg.get('model', 'variant')}"
-    dim = make_latent(cfg).dim
+    dim = latent_from_config(cfg).dim
+    if cfg.get("dataset", "file"):  # an unreadable file fails the run, not each cell
+        data_from_file(cfg.get("dataset", "file"), config)
 
     def row(beta, gamma):
         return method, dim, f"beta={beta:g};gamma={gamma:g}"
@@ -631,7 +628,7 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     """DMD and POD per rank and truncated Cole-Hopf per mode count.
 
     A failed rank, or a failed Cole-Hopf column, is marked failed in the
-    table and gets a ``failures.csv`` row, as failed sweep cells do.
+    table with its error, as failed sweep cells are.
     """
     seed = cfg.get_int("experiment", "seed")
     config, train, test = generate_burgers_sets(cfg, seed)
@@ -640,11 +637,6 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     columns = [horizon_label(k * config.tau) for k in horizons]
     table = ErrorTable(columns)
     truths = burgers_truth_at_horizons(test.X, config, horizons)
-    failures = []
-
-    def fail(method, dim, error, column=None):
-        table.mark_failed(method, dim, "", column)
-        failures.append((method, dim, "", error))
 
     def add_rollout(method, dim, preds):
         """preds (max horizon + 1, B, n) from one rollout of the test inputs."""
@@ -656,30 +648,29 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
             model = lb.fit_dmd(xmat, xpmat, rank)
             add_rollout("dmd", rank, lb.dmd_predict(model, test.X, max(horizons)))
         except Exception as exc:  # recorded; the other ranks still run
-            fail("dmd", rank, _error_text(exc))
+            table.mark_failed("dmd", rank, "", _error_text(exc))
 
     for rank in cfg.get_list("sweep", "pod_ranks", int):
         try:
             model = lb.fit_pod(xmat, rank, config.nu, config.tau)
             add_rollout("pod", rank, lb.pod_predict(model, test.X, max(horizons)))
         except Exception as exc:
-            fail("pod", rank, _error_text(exc))
+            table.mark_failed("pod", rank, "", _error_text(exc))
 
     times = np.asarray(horizons, dtype=np.float64)[:, None] * config.tau
     for n_f in cfg.get_list("sweep", "ch_dims", int):
         try:
-            preds = bg.evolve_exact(test.X, config.nu, times, n_f=n_f, nonpositive="finite")
+            preds = bg.evolve_exact(test.X, config.nu, times, n_f=n_f)
         except Exception as exc:  # an invalid mode count fails each of its columns
             for col in columns:
-                fail("cole-hopf", n_f, _error_text(exc), col)
+                table.mark_failed("cole-hopf", n_f, "", _error_text(exc), col)
             continue
         for pred, truth, col in zip(preds, truths, columns):
             finite = np.all(np.isfinite(pred), axis=1)
             if finite.any():
                 table.add("cole-hopf", n_f, "", col, l1_relative_error(pred[finite], truth[finite]))
             else:
-                fail("cole-hopf", n_f, f"non-finite {col}", col)
-    _write_failures(out, failures)
+                table.mark_failed("cole-hopf", n_f, "", f"non-finite {col}", col)
     return table
 
 
@@ -690,9 +681,11 @@ def run_mech_recon(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     ]
     marks = cfg.get_list("sweep", "eval_epochs", int)
     columns = [str(m) for m in marks] + ["final"]
+    latent = {kind: latent_from_config(cfg, kind) for kind in latents}
 
     def row(latent_kind, sigma):
-        return (*_latent_row(latent_kind, cfg), f"sigma={sigma:g}")
+        spec = latent[latent_kind]
+        return f"vae-{spec.label}", spec.dim, f"sigma={sigma:g}"
 
     return _run_grid(cfg, out, _mech_cell, latents, sigmas, ErrorTable(columns), row)
 
@@ -717,5 +710,5 @@ def run_experiment(cfg: ExperimentConfig, out) -> tuple[ErrorTable, int]:
     out = resolve_output_dir(out)
     cfg.write(out / "config.ini")
     table = RUNNERS[kind](cfg, out)
-    table.write_csv(out / "errors.csv")
+    table.write(out)
     return table, table.num_failed

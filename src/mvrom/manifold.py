@@ -341,7 +341,6 @@ class PointCloudManifold:
         chart_kind: str,
         surface=None,
         chart_params: np.ndarray | None = None,
-        monge: MongeCharts | None = None,
         k_neighbors: int = 12,
     ):
         self.m = int(m)
@@ -363,9 +362,7 @@ class PointCloudManifold:
             self.monge = None
         else:
             self.chart_params = None
-            self.monge = monge if monge is not None else fit_monge_charts(
-                self.points, self.m, self.k_neighbors
-            )
+            self.monge = fit_monge_charts(self.points, self.m, self.k_neighbors)
             self.tree = cKDTree(self.points)
 
     @property

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Rng
 from .manifold import KleinConfig, KleinSurface
 
 
@@ -43,8 +42,7 @@ def generate_arm_torus(config: ArmConfig, m: int, seed: int = 0) -> np.ndarray:
     """Uniform joint angles; returns clean configurations (m, 4)."""
     if m < 1:
         raise ValueError("need at least one sample")
-    rng = Rng(seed)
-    theta = rng.uniform(0.0, 2 * np.pi, size=(m, 2))
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(m, 2))
     x1 = config.l1 * np.stack([np.cos(theta[:, 0]), np.sin(theta[:, 0])], axis=1)
     x2 = x1 + config.l2 * np.stack([np.cos(theta[:, 1]), np.sin(theta[:, 1])], axis=1)
     return np.hstack([x1, x2])
@@ -54,8 +52,7 @@ def generate_klein(config: KleinConfig, m: int, seed: int = 0) -> np.ndarray:
     """Uniform parameters mapped through the Klein-bottle embedding; (m, 4)."""
     if m < 1:
         raise ValueError("need at least one sample")
-    rng = Rng(seed)
-    params = rng.uniform(0.0, 2 * np.pi, size=(m, 2))
+    params = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(m, 2))
     points, _, _ = KleinSurface(config.a, config.b).frames(params)
     return points
 
@@ -67,8 +64,8 @@ def add_noise(samples: np.ndarray, sigma: float, seed: int = 0) -> MechDataset:
     clean = np.asarray(samples, dtype=np.float64)
     if sigma == 0:
         return MechDataset(clean, clean.copy(), 0.0)
-    rng = Rng(seed)
-    return MechDataset(clean, clean + sigma * rng.normal(clean.shape), sigma)
+    noise = np.random.default_rng(seed).standard_normal(clean.shape)
+    return MechDataset(clean, clean + sigma * noise, sigma)
 
 
 def train_test_split(data: MechDataset, train_fraction: float = 0.8, seed: int = 0):
@@ -76,7 +73,7 @@ def train_test_split(data: MechDataset, train_fraction: float = 0.8, seed: int =
     if not 0 < train_fraction < 1:
         raise ValueError("train fraction must be in (0, 1)")
     m = len(data)
-    perm = Rng(seed).permutation(m)
+    perm = np.random.default_rng(seed).permutation(m)
     cut = int(round(m * train_fraction))
     tr, te = perm[:cut], perm[cut:]
     return (

@@ -44,51 +44,60 @@ class TrainingDiverged(RuntimeError):
 class LatentSpec:
     """Latent-space choice: euclidean R^d or a manifold with projection.
 
-    ``manifold`` is None (euclidean), an ``AnalyticTorus`` or a
-    ``PointCloudManifold``.  ``policy`` says what a flagged projection does:
-    "raise" fails the batch, "skip" drops the sample from the loss.
+    Built by ``make_latent``.  ``manifold`` is None (euclidean), an
+    ``AnalyticTorus`` or a ``PointCloudManifold``.  ``policy`` says what a
+    flagged projection does: "raise" fails the batch, "skip" drops the
+    sample from the loss.
     """
 
-    kind: str = "euclidean"  # euclidean | torus | klein | pointcloud
-    dim: int = 2  # embedding dimension seen by encoder/decoder
-    manifold: mf.AnalyticTorus | mf.PointCloudManifold | None = None
-    policy: str = "raise"
+    kind: str  # euclidean | torus | klein | pointcloud
+    dim: int  # embedding dimension seen by encoder/decoder
+    manifold: mf.AnalyticTorus | mf.PointCloudManifold | None
+    policy: str
     klein: mf.KleinConfig | None = None  # the Klein radii, written to checkpoints
 
     def __post_init__(self):
         if self.policy not in ("raise", "skip"):
             raise ValueError(f"unknown projection policy '{self.policy}'")
 
+    @property
+    def label(self) -> str:
+        """Table label: ``R<dim>``, or ``<m>-manifold`` for a manifold latent."""
+        return f"R{self.dim}" if self.manifold is None else f"{self.manifold.m}-manifold"
+
+    def raise_if_flagged(self, flagged: np.ndarray, B: int):
+        """Under "raise", fail naming each flagged row of rows stacked B per
+        path (input X, target Y) by its sample and path."""
+        if self.policy == "raise" and flagged.any():
+            bad = [f"{i % B} ({('input X', 'target Y')[i // B]})" for i in np.flatnonzero(flagged)]
+            raise mf.ProjectionError(f"projection flagged for batch samples {', '.join(bad)}")
+
     def project_batch(self, w: "ad.Tensor", B: int):
         """Project noisy codes stacked B rows per path (input X, target Y); a
-        sample is valid if all its rows are; "raise" names sample and path."""
+        sample is valid if all its rows are."""
         if self.manifold is None:
             return w, np.ones(B, dtype=bool)
         z, valid = mf.manifold_encode_layer(w, self.manifold)
-        if self.policy == "raise" and not valid.all():
-            bad = [f"{i % B} ({('input X', 'target Y')[i // B]})" for i in np.flatnonzero(~valid)]
-            raise mf.ProjectionError(f"projection flagged for batch samples {', '.join(bad)}")
+        self.raise_if_flagged(~valid, B)
         return z, valid.reshape(-1, B).all(axis=0)
 
 
-def euclidean_latent(dim: int) -> LatentSpec:
-    return LatentSpec("euclidean", dim)
-
-
-def torus_latent(policy: str = "raise") -> LatentSpec:
-    return LatentSpec("torus", 4, mf.AnalyticTorus(), policy)
-
-
-def klein_latent(config: mf.KleinConfig | None = None, policy: str = "raise") -> LatentSpec:
-    """The Klein bottle with analytic charts; no point cloud is built."""
-    config = config or mf.KleinConfig()
-    surface = mf.KleinSurface(config.a, config.b)
-    return LatentSpec("klein", 4, mf.PointCloudManifold(2, 4, None, "analytic", surface), policy,
-                      config)
-
-
-def pointcloud_latent(cloud: mf.PointCloudManifold, policy: str = "raise") -> LatentSpec:
-    return LatentSpec("pointcloud", cloud.n, cloud, policy)
+def make_latent(kind: str, policy: str = "raise", dim: int = 2,
+                klein: mf.KleinConfig | None = None, cloud=None) -> LatentSpec:
+    """The latent of ``kind``: R^dim (euclidean), the unit torus in R^4, the
+    Klein bottle in R^4 with the radii of ``klein`` (analytic charts; no
+    cloud is built), or the manifold ``cloud`` (pointcloud)."""
+    if kind == "euclidean":
+        return LatentSpec(kind, dim, None, policy)
+    if kind == "torus":
+        return LatentSpec(kind, 4, mf.AnalyticTorus(), policy)
+    if kind == "klein":
+        surface = mf.KleinSurface(klein.a, klein.b)
+        return LatentSpec(kind, 4, mf.PointCloudManifold(2, 4, None, "analytic", surface), policy,
+                          klein)
+    if kind == "pointcloud":
+        return LatentSpec(kind, cloud.n, cloud, policy)
+    raise ValueError(f"unknown latent kind '{kind}'")
 
 
 @dataclass
@@ -159,7 +168,7 @@ class VaeModel:
         return self.encoder_sizes[-1]
 
 
-def _mlp_params(rng: ad.Rng, prefix: str, sizes) -> dict:
+def _mlp_params(rng: np.random.Generator, prefix: str, sizes) -> dict:
     params = {}
     for i, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
         params[f"{prefix}W{i}"] = ad.glorot_init(rng, fi, fo)
@@ -186,7 +195,7 @@ def build_vae(
     output_dim = input_dim if output_dim is None else output_dim
     encoder_sizes = [input_dim, *hidden, latent.dim]
     decoder_sizes = [latent.dim, *hidden, output_dim]
-    rng = ad.Rng(seed)
+    rng = np.random.default_rng(seed)
     params = _mlp_params(rng, "enc_", encoder_sizes)
     params.update(_mlp_params(rng, "dec_", decoder_sizes))
     if flow == "exp-decay":
@@ -277,10 +286,7 @@ def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
     if model.latent.manifold is None:
         return a
     z, _, flagged = model.latent.manifold.project(a)
-    if np.any(flagged) and model.latent.policy == "raise":
-        raise mf.ProjectionError(
-            f"projection flagged for samples {np.flatnonzero(flagged).tolist()}"
-        )
+    model.latent.raise_if_flagged(flagged, len(a))
     return z
 
 
@@ -330,7 +336,8 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 # loss graph
 
 
-def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng: ad.Rng):
+def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
+         rng: np.random.Generator):
     """Build the loss graph for one batch; returns (total, tape, breakdown).
 
     Training minimizes the negative of ``total``.  With RR on (gamma > 0)
@@ -351,7 +358,7 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig, rng
     tape = ad.Tape()
     leaves = {name: tape.leaf(name, value) for name, value in model.params.items()}
     rows = np.concatenate([X, Y][:paths])
-    noise = np.concatenate([sig_e * rng.normal((B, d_lat)) for _ in range(paths)])
+    noise = np.concatenate([sig_e * rng.standard_normal((B, d_lat)) for _ in range(paths)])
     a = _mlp_tape(model, leaves, "enc_", model.encoder_sizes, tape.constant(rows))
     z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
     n_valid = int(valid.sum())
@@ -411,7 +418,7 @@ def train(
             f"dataset dims {X.shape[1]}/{Y.shape[1]} do not match model "
             f"{model.input_dim}/{model.output_dim}"
         )
-    rng = ad.Rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     theta = np.concatenate([np.ravel(v) for v in model.params.values()], dtype=np.float64)
     model.params.update(ad.flat_views(theta, model.params))
     grad = np.zeros_like(theta)
@@ -479,8 +486,8 @@ def save_checkpoint(model: VaeModel, path):
         "params": [[n, list(model.params[n].shape)] for n in names],
     }
     if model.latent.kind == "klein":
-        cfg = model.latent.klein or mf.KleinConfig()
-        header["klein"] = [cfg.a, cfg.b, cfg.resolution]
+        klein = model.latent.klein
+        header["klein"] = [klein.a, klein.b, klein.resolution]
     if model.latent.kind == "pointcloud":
         model.latent.manifold.save(path.with_name(path.name + ".manifold"))
     blob = json.dumps(header).encode()
@@ -586,16 +593,11 @@ def load_checkpoint(path) -> VaeModel:
             raise ValueError(f"{path}: checkpoint header field '{key}': {exc}") from None
 
     kind = field("latent_kind", _one_of("euclidean", "torus", "klein", "pointcloud"))
-    policy = field("latent_policy", _one_of("raise", "skip"))
-    if kind == "euclidean":
-        latent = euclidean_latent(field("latent_dim", _count))
-    elif kind == "torus":
-        latent = torus_latent(policy)
-    elif kind == "klein":
-        latent = klein_latent(field("klein", _klein_config), policy)
-    else:
-        cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
-        latent = pointcloud_latent(cloud, policy)
+    cloud_file = path.with_name(path.name + ".manifold")
+    latent = make_latent(kind, field("latent_policy", _one_of("raise", "skip")),
+                         field("latent_dim", _count),
+                         field("klein", _klein_config) if kind == "klein" else None,
+                         mf.load_pointcloud(cloud_file) if kind == "pointcloud" else None)
     sizes = [field(key, _sizes) for key in ("encoder_sizes", "decoder_sizes")]
     for key, prefix, layers in zip(("encoder_sizes", "decoder_sizes"), ("enc_", "dec_"), sizes):
         if {n: p.shape for n, p in params.items() if n.startswith(prefix)} != {

@@ -34,7 +34,7 @@ def assert_grad_close(g_ad, g_fd, tol=1e-6):
 
 ROW_W = np.array([0.5, 1.0, 0.0, 2.0])
 TARGET = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 2))
-FLOW = vae.build_vae(2, vae.euclidean_latent(2), hidden=(), lambda0_init=0.3)
+FLOW = vae.build_vae(2, vae.make_latent("euclidean", dim=2), hidden=(), lambda0_init=0.3)
 
 
 def scalar_loss(loss_builder):
@@ -53,7 +53,7 @@ def scalar_loss(loss_builder):
 
 def mlp_model(sizes, activation="relu", slope=1e-6, seed=11):
     """A model whose encoder is the MLP ``sizes``; tests use its 'enc_' pass."""
-    latent = vae.euclidean_latent(sizes[-1])
+    latent = vae.make_latent("euclidean", dim=sizes[-1])
     return vae.build_vae(sizes[0], latent, hidden=tuple(sizes[1:-1]), activation=activation,
                          leaky_slope=slope, seed=seed)
 
@@ -239,7 +239,7 @@ def test_matmul_matches_finite_differences(m, k, n, seed):
 def test_composed_mlp_matches_finite_differences():
     # two-layer net, mean squared error; checks every parameter and the input
     model = mlp_model([5, 7, 3], "leaky_relu", 0.01)
-    rng = ad.Rng(11)
+    rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, size=(4, 5))
     Y = rng.uniform(-1, 1, size=(4, 3))
     check_mlp_gradients(model, X, np.full(4, 1.0 / Y.size), Y)
@@ -396,17 +396,11 @@ def test_backward_writes_into_flat_views():
 
 
 # ---------------------------------------------------------------------------
-# rng
-
-
-def test_rng_identical_seed_identical_stream():
-    a, b = ad.Rng(123), ad.Rng(123)
-    np.testing.assert_array_equal(a.normal(100), b.normal(100))
-    np.testing.assert_array_equal(a.uniform(size=50), b.uniform(size=50))
+# initialization
 
 
 def test_glorot_bounds():
-    rng = ad.Rng(1)
+    rng = np.random.default_rng(1)
     W = ad.glorot_init(rng, 30, 50)
     bound = np.sqrt(6.0 / 80)
     assert W.shape == (30, 50)

@@ -53,7 +53,7 @@ def test_each_training_step_reaches_the_timed_spans_once():
     # eight nodes (encoder, noise, flow, decoder, the two sums of squares,
     # the total and the sign flip for minimization).
     mods = workloads.MODULES
-    model = mods.vae.build_vae(6, mods.vae.euclidean_latent(2), hidden=(8,), seed=1)
+    model = mods.vae.build_vae(6, mods.vae.make_latent("euclidean", dim=2), hidden=(8,), seed=1)
     X = np.random.default_rng(0).normal(size=(12, 6))
     config = mods.vae.TrainConfig(epochs=2, batch_size=4, seed=3)
     tracer = tracing.Tracer(tracing.trace_points(mods))

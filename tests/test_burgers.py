@@ -168,15 +168,13 @@ def test_batched_evolve_rows_match_single_rows(seed, rows):
     cases = [
         (times, {}),
         (np.array([[0.0], [0.25], [0.5], [1.0]]), {}),
-        (np.array([[0.25], [0.5]]), dict(n_f=2, nonpositive="finite")),
-        (times, dict(n_f=4, nonpositive="finite")),
-        (0.25, dict(n_f=6, nonpositive="finite")),
+        (np.array([[0.25], [0.5]]), dict(n_f=2)),
+        (times, dict(n_f=4)),
+        (0.25, dict(n_f=6)),
     ]
     for t, kwargs in cases:
         batched = bg.evolve_exact(U0, nu, t, **kwargs)
         np.testing.assert_array_equal(batched, evolve_rows(bg.evolve_exact, U0, nu, t, **kwargs))
-    with pytest.raises(ValueError, match="under-resolved"):
-        bg.evolve_exact(U0[-1], nu, 0.25, n_f=2, nonpositive="raise")
 
 
 def test_truncated_inverse_floor_is_per_row():
@@ -220,16 +218,15 @@ def test_truncation_validation():
         bg.evolve_exact(u0, 0.02, [[0.1], [-0.1]])
 
 
-def test_truncated_nonpositive_policies():
+def test_truncated_evolution_is_finite_where_phi_dips_nonpositive():
     # two retained modes at a short horizon: the reduced phi dips negative
     nu = 0.02
     u0 = bg.sample_u1(1.0, 0.0, nu, n_x=100)
-    with pytest.raises(ValueError, match="under-resolved"):
-        bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="raise")
-    out = bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="finite")
-    assert np.all(np.isfinite(out))
-    with pytest.raises(ValueError, match="policy"):
-        bg.evolve_exact(u0, nu, 0.25, n_f=2, nonpositive="clip")
+    coeff = bg.dft(bg.cole_hopf_forward(u0, nu))
+    k = bg.wavenumbers(100)
+    coeff[np.abs(k) > 1] = 0.0
+    assert bg.idft(coeff * np.exp(-4 * np.pi**2 * k**2 * nu * 0.25)).min() <= 0
+    assert np.all(np.isfinite(bg.evolve_exact(u0, nu, 0.25, n_f=2)))
 
 
 def test_truncated_long_horizon_is_accurate():

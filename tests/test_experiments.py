@@ -54,15 +54,17 @@ def test_error_table_roundtrip(tmp_path):
     table = ex.ErrorTable(["0.25s", "0.50s"])
     table.add("dmd", 3, "", "0.25s", 0.221)
     table.add("dmd", 3, "", "0.50s", 0.179)
-    table.mark_failed("pod", 3, "", "0.25s")
+    table.mark_failed("pod", 3, "", "ValueError: rank", "0.25s")
     table.add("pod", 3, "", "0.50s", 0.4)
-    path = tmp_path / "errors.csv"
-    table.write_csv(path)
-    loaded = ex.read_table_csv(path)
+    table.write(tmp_path)
+    loaded = ex.read_table_csv(tmp_path / "errors.csv")
     assert loaded.cell("dmd", 3, "", "0.25s") == pytest.approx(0.221)
     assert loaded.cell("pod", 3, "", "0.25s") == ex.FAILED
     assert loaded.num_failed == 1
     assert table.num_failed == 1
+    with open(tmp_path / "failures.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["method", "dim", "sweep", "error"],
+                                        ["pod", "3", "", "ValueError: rank"]]
 
 
 def test_error_table_validation():
@@ -242,6 +244,35 @@ def test_mech_recon_table_shape(tmp_path):
         assert row["final"] == row["4"]
 
 
+def _save_circle_cloud(path):
+    """A unit circle (m=1) in the plane (n=2) with analytic charts."""
+    surface = mf.ProductCirclesSurface([1.0])
+    params = surface.grid_params(64)
+    points = surface.frames(params)[0]
+    mf.PointCloudManifold(1, 2, points, "analytic", surface=surface, chart_params=params).save(path)
+
+
+@pytest.mark.parametrize(
+    "latent, row",
+    [("pointcloud", ("vae-1-manifold", "2")), ("euclidean", ("vae-R2", "2")),
+     ("r2", ("vae-R2", "2"))],
+)
+def test_mech_recon_row_names_the_trained_latent(tmp_path, latent, row):
+    # a circle cloud is a 2-dimensional latent on a 1-manifold; euclidean
+    # with latent_dim 2 is the latent r2 names, and gets its row
+    cloud = tmp_path / "circle.cloud"
+    _save_circle_cloud(cloud)
+    cfg = ex.ExperimentConfig.from_file(None, overrides=[
+        "experiment.kind=mech-recon", "dataset.m=40", "model.hidden=8", "model.latent_dim=2",
+        f"model.pointcloud_file={cloud}", "train.epochs=1", f"sweep.latent={latent}",
+    ])
+    table, failed = ex.run_experiment(cfg, tmp_path / "mech")
+    assert failed == 0
+    assert list(table.rows) == [(*row, "sigma=0")]
+    model = vae.load_checkpoint(tmp_path / "mech" / f"latent={latent}_sigma=0" / "model.ckpt")
+    assert (f"vae-{model.latent.label}", str(model.latent_dim)) == row
+
+
 @pytest.mark.parametrize(
     "marks, expected", [("2,4", [0.1, 0.3, 0.3]), ("", [0.7])], ids=["marks", "no-marks"]
 )
@@ -320,18 +351,49 @@ def test_failed_cells_keep_their_error(tmp_path, monkeypatch):
     assert not (out / "failures.csv").exists()
 
 
-def test_cli_eval_rejects_nonfinite_checkpoint(tmp_path):
-    model = vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0)
+def test_cli_eval_rejects_nonfinite_checkpoint(tmp_path, capsys):
+    model = vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(8,), seed=0)
     model.params["dec_b0"][3] = np.nan
     ckpt = tmp_path / "model.ckpt"
     vae.save_checkpoint(model, ckpt)
     field = tmp_path / "field.txt"
     np.savetxt(field, np.sin(2 * np.pi * np.arange(64) / 64))
     out_dir = tmp_path / "rollout"
-    with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*'dec_b0'"):
-        cli.main(["eval", "--checkpoint", str(ckpt), "--input-field", str(field),
-                  "--out", str(out_dir), "--steps", "2"])
+    argv = ["eval", "--checkpoint", str(ckpt), "--input-field", str(field),
+            "--out", str(out_dir), "--steps", "2"]
+    assert cli.main(argv) == 2
+    assert re.search(re.escape(str(ckpt)) + ".*'dec_b0'", capsys.readouterr().err)
     assert not (out_dir / "rollout.csv").exists()
+
+
+@pytest.mark.parametrize("defect", ["missing", "damaged"])
+@pytest.mark.parametrize(
+    "command", ["eval", "export-trace", "input-field", "train", "baselines", "mech-recon"])
+def test_cli_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, defect):
+    # a checkpoint, an input field, a pair file (dataset.file) and a
+    # point-cloud file (model.pointcloud_file) each fail the run before any
+    # cell runs
+    path = tmp_path / "input.bin"
+    if defect == "damaged":
+        path.write_text("junk\n")
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(4,)), ckpt)
+    out = str(tmp_path / "out")
+    tiny = ["--set", "dataset.m=40", "--set", "dataset.m_train=20", "--set", "model.hidden=4",
+            "--set", "train.epochs=1"]
+    argv = {
+        "eval": ["eval", "--checkpoint", str(path), "--out", out],
+        "export-trace": ["export-trace", "--checkpoint", str(path), "--out", out],
+        "input-field": ["eval", "--checkpoint", str(ckpt), "--input-field", str(path), "--out", out],
+        "train": ["train", "--set", f"dataset.file={path}", "--out", out],
+        "baselines": ["baselines", "--set", f"dataset.file={path}", "--out", out],
+        "mech-recon": ["sweep", "--set", "experiment.kind=mech-recon", "--set",
+                       "sweep.latent=r2,pointcloud", "--set", f"model.pointcloud_file={path}",
+                       "--out", out],
+    }[command] + tiny * (command in ("train", "mech-recon"))
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*/model.ckpt"))
 
 
 def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
@@ -380,14 +442,14 @@ def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
 
 
 def test_export_trace_empty_and_counts(tmp_path):
-    model = vae.build_vae(8, vae.euclidean_latent(2), hidden=(8,), seed=0)
+    model = vae.build_vae(8, vae.make_latent("euclidean", dim=2), hidden=(8,), seed=0)
     path = tmp_path / "trace.csv"
     n = ex.export_latent_trace(model, np.empty((0, 8)), [], [], path, n_steps=3)
     assert n == 0
     assert path.read_text().strip() == "alpha,t,step,z0,z1"
 
     data = bg.generate_burgers_dataset(bg.BurgersConfig(n_x=8 * 8), 3, seed=0)
-    model8 = vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0)
+    model8 = vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(8,), seed=0)
     n = ex.export_latent_trace(model8, data.X, data.alpha, data.t, path, n_steps=3)
     assert n == 3 * 4
     lines = path.read_text().strip().splitlines()
@@ -403,7 +465,7 @@ def test_export_trace_empty_and_counts(tmp_path):
 
 
 def test_export_trace_rejects_high_dims(tmp_path):
-    model = vae.build_vae(8, vae.euclidean_latent(4), hidden=(8,), seed=0)
+    model = vae.build_vae(8, vae.make_latent("euclidean", dim=4), hidden=(8,), seed=0)
     with pytest.raises(ValueError, match="visualizable"):
         ex.export_latent_trace(model, np.empty((0, 8)), [], [], tmp_path / "t.csv")
 
@@ -484,7 +546,7 @@ def test_cli_train_eval_trace_roundtrip(tmp_path):
 
 def test_cli_eval_marks_nonfinite_error_failed(tmp_path, monkeypatch):
     ckpt = tmp_path / "model.ckpt"
-    vae.save_checkpoint(vae.build_vae(64, vae.euclidean_latent(2), hidden=(4,)), ckpt)
+    vae.save_checkpoint(vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(4,)), ckpt)
     ini = tmp_path / "exp.ini"
     ini.write_text("[dataset]\nn_x = 64\nm_train = 4\nm_test = 2\n[sweep]\nhorizons = 1\n")
     errors = {"0.00s": 0.1, "0.25s": float("nan")}
@@ -495,6 +557,8 @@ def test_cli_eval_marks_nonfinite_error_failed(tmp_path, monkeypatch):
     table = ex.read_table_csv(out / "errors.csv")
     assert table.cell("vae-checkpoint", 2, "", "0.00s") == 0.1
     assert table.cell("vae-checkpoint", 2, "", "0.25s") == ex.FAILED
+    assert (out / "failures.csv").read_text().splitlines() == [
+        "method,dim,sweep,error", "vae-checkpoint,2,,non-finite 0.25s"]
 
 
 def test_cli_eval_custom_input_field(tmp_path):
@@ -533,7 +597,8 @@ def test_cli_eval_custom_input_field(tmp_path):
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cli_eval_rejects_nonfinite_input_field(tmp_path, capsys, bad):
     ckpt = tmp_path / "model.ckpt"
-    vae.save_checkpoint(vae.build_vae(64, vae.euclidean_latent(2), hidden=(8,), seed=0), ckpt)
+    model = vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(8,), seed=0)
+    vae.save_checkpoint(model, ckpt)
     values = [f"{v:.6f}" for v in np.sin(2 * np.pi * np.arange(64) / 64)]
     values[9] = bad
     field = tmp_path / "field.txt"

@@ -39,7 +39,8 @@ def corrupted(blob: bytes, data) -> bytes:
 @SETTINGS
 def test_checkpoint_rejects_any_truncation_or_padding(tmp_path, data):
     path = tmp_path / "model.ckpt"
-    vae.save_checkpoint(vae.build_vae(6, vae.euclidean_latent(2), hidden=(4,), seed=0), path)
+    model = vae.build_vae(6, vae.make_latent("euclidean", dim=2), hidden=(4,), seed=0)
+    vae.save_checkpoint(model, path)
     path.write_bytes(corrupted(path.read_bytes(), data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         vae.load_checkpoint(path)

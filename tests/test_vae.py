@@ -17,7 +17,7 @@ from oracles import build_torus_pointcloud
 
 
 def small_model(latent=None, flow="exp-decay", **kw):
-    latent = latent or vae.euclidean_latent(2)
+    latent = latent or vae.make_latent("euclidean", dim=2)
     return vae.build_vae(6, latent, hidden=(16,), flow=flow, seed=1, **kw)
 
 
@@ -44,14 +44,14 @@ def test_encode_fixed_seed_reproducible():
     model = small_model()
     X, Y = toy_batch(model, B=4)
     config = vae.TrainConfig(seed=0)
-    b1 = vae.loss(model, X, Y, config, ad.Rng(7))[2]
-    b2 = vae.loss(model, X, Y, config, ad.Rng(7))[2]
+    b1 = vae.loss(model, X, Y, config, np.random.default_rng(7))[2]
+    b2 = vae.loss(model, X, Y, config, np.random.default_rng(7))[2]
     assert b1 == b2
-    assert b1 != vae.loss(model, X, Y, config, ad.Rng(8))[2]
+    assert b1 != vae.loss(model, X, Y, config, np.random.default_rng(8))[2]
 
 
 def test_manifold_encode_stays_on_torus():
-    model = small_model(latent=vae.torus_latent())
+    model = small_model(latent=vae.make_latent("torus"))
     X = np.random.default_rng(0).uniform(-1, 1, size=(16, 6))
     z = vae.encode(model, X)
     np.testing.assert_allclose(np.sum(z[:, :2] ** 2, axis=1), 1.0, atol=1e-9)
@@ -61,7 +61,7 @@ def test_manifold_encode_stays_on_torus():
 
 def test_latent_policy_validated_at_construction():
     with pytest.raises(ValueError, match="policy 'drop'"):
-        vae.torus_latent(policy="drop")
+        vae.make_latent("torus", "drop")
 
 
 def test_decode_is_deterministic_and_shaped():
@@ -123,7 +123,7 @@ def test_negative_infinite_preactivation_raises():
         with pytest.raises(ad.NonFiniteError, match="layer enc_0"):
             vae.mlp_forward(model, "enc_", model.encoder_sizes, X, cache=[])
         with pytest.raises(ad.NonFiniteError, match="layer enc_0"):
-            vae.loss(model, X, np.zeros((2, 6)), vae.TrainConfig(), ad.Rng(0))
+            vae.loss(model, X, np.zeros((2, 6)), vae.TrainConfig(), np.random.default_rng(0))
 
 
 def test_flow_node_lambda_gradient_matches_finite_differences():
@@ -155,14 +155,15 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
 
 
 @pytest.mark.parametrize(
-    "latent", [vae.euclidean_latent(2), vae.torus_latent(policy="skip")], ids=["euclidean", "torus"]
+    "latent", [vae.make_latent("euclidean", dim=2), vae.make_latent("torus", "skip")],
+    ids=["euclidean", "torus"],
 )
 def test_loss_tape_is_freed_without_cycle_collector(latent):
     model = small_model(latent=latent)
     X, Y = toy_batch(model)
     gc.disable()
     try:
-        total, tape, _ = vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+        total, tape, _ = vae.loss(model, X, Y, vae.TrainConfig(), np.random.default_rng(0))
         tape.backward(ad.scale(total, -1.0))
         ref = weakref.ref(tape)
         del total, tape
@@ -179,7 +180,7 @@ def test_loss_additivity_machine_precision():
     model = small_model()
     X, Y = toy_batch(model)
     config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
-    total, _, b = vae.loss(model, X, Y, config, ad.Rng(0))
+    total, _, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
     assert abs(b.total - (b.reconstruction + b.kl + b.regularization)) < 1e-12
     assert total.data == b.total
 
@@ -192,7 +193,7 @@ def test_kl_zero_for_matched_gaussians():
             model.params[k] = np.zeros_like(model.params[k])
     X, Y = toy_batch(model)
     config = vae.TrainConfig(beta=1.0, gamma=0.0, seed=0)
-    _, _, b = vae.loss(model, X, Y, config, ad.Rng(0))
+    _, _, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
     assert b.kl == pytest.approx(0.0, abs=1e-12)
 
 
@@ -200,7 +201,7 @@ def test_gamma_zero_kills_rr_term_and_gradients():
     model = small_model()
     X, Y = toy_batch(model)
     config = vae.TrainConfig(gamma=0.0, seed=0)
-    total, tape, b = vae.loss(model, X, Y, config, ad.Rng(0))
+    total, tape, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
     assert b.regularization == 0.0
     # same rng draws, gamma > 0: gradients differ only through the target path
     grads0 = tape.backward(ad.scale(total, -1.0))
@@ -235,7 +236,8 @@ def test_loss_kl_agrees_with_direct_formula():
         )
     )
     for gamma in (0.0, 0.5):  # KL covers the input rows only, with RR on or off
-        _, _, b = vae.loss(model, X, Y, vae.TrainConfig(beta=0.7, gamma=gamma), ad.Rng(0))
+        config = vae.TrainConfig(beta=0.7, gamma=gamma)
+        _, _, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
         assert b.kl == pytest.approx(-0.7 * kl_direct, rel=1e-12)
 
 
@@ -244,8 +246,8 @@ def test_loss_terms_agree_with_direct_formula():
     # the noise is one (B, d) draw per path, in that order
     model = small_model(sigma_e=0.1, sigma_d=0.3)
     X, Y = toy_batch(model)
-    rng = ad.Rng(0)
-    noise = rng.normal((8, 2)), rng.normal((8, 2))
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
     factor = np.exp(-model.params["lambda0"] * model.tau)
 
     def loglik(z):
@@ -254,7 +256,7 @@ def test_loss_terms_agree_with_direct_formula():
                        - 3 * np.log(2 * np.pi * 0.3**2))
 
     a_x, a_y = (vae.mlp_forward(model, "enc_", model.encoder_sizes, V) for V in (X, Y))
-    b = vae.loss(model, X, Y, vae.TrainConfig(gamma=0.4), ad.Rng(0))[2]
+    b = vae.loss(model, X, Y, vae.TrainConfig(gamma=0.4), np.random.default_rng(0))[2]
     assert b.reconstruction == pytest.approx(loglik((a_x + 0.1 * noise[0]) * factor), rel=1e-12)
     assert b.regularization == pytest.approx(0.4 * loglik(a_y + 0.1 * noise[1]), rel=1e-12)
 
@@ -264,9 +266,9 @@ def test_reparameterized_gradient_matches_analytic():
     a_val = np.array([[0.3, -0.8]])
     sigma = 0.5
     n = 10_000
-    rng = ad.Rng(11)
+    rng = np.random.default_rng(11)
     grads = np.zeros(2)
-    eps = rng.normal((n, 2))
+    eps = rng.standard_normal((n, 2))
     for i in range(0, n, 500):
         tape = ad.Tape()
         a = tape.leaf("a", np.repeat(a_val, 500, axis=0))
@@ -279,7 +281,7 @@ def test_reparameterized_gradient_matches_analytic():
 
 def test_elbo_lower_bounds_loglik_on_toy_problem():
     # beta=1, gamma=0: -(RE + KL) >= -LL with LL estimated by prior sampling
-    latent = vae.euclidean_latent(1)
+    latent = vae.make_latent("euclidean", dim=1)
     model = vae.build_vae(1, latent, hidden=(8,), sigma_e=0.3, sigma_d=0.5, sigma_0=1.0, seed=2)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(16, 1)) * 0.5
@@ -289,7 +291,7 @@ def test_elbo_lower_bounds_loglik_on_toy_problem():
 
     # ELBO (average over noise draws)
     elbos = [
-        vae.loss(model, X, Y, config, ad.Rng(s))[2].total - 0.0 for s in range(64)
+        vae.loss(model, X, Y, config, np.random.default_rng(s))[2].total - 0.0 for s in range(64)
     ]
     elbo = np.mean(elbos)
 
@@ -353,7 +355,7 @@ def test_train_validates_dims():
 
 
 def test_manifold_training_keeps_codes_on_manifold():
-    model = vae.build_vae(4, vae.torus_latent(), hidden=(12,), flow="identity", seed=0)
+    model = vae.build_vae(4, vae.make_latent("torus"), hidden=(12,), flow="identity", seed=0)
     rng = np.random.default_rng(1)
     theta = rng.uniform(0, 2 * np.pi, size=(32, 2))
     X = np.stack(
@@ -381,7 +383,7 @@ class _FlagRow:
 
 
 def _klein_flag_on_target(B, sample):
-    latent = vae.klein_latent(mf.KleinConfig(resolution=64), policy="skip")
+    latent = vae.make_latent("klein", "skip", klein=mf.KleinConfig(resolution=64))
     latent.manifold = _FlagRow(latent.manifold, B + sample)
     return latent
 
@@ -392,9 +394,10 @@ def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
     # exp-decay flow, the torus under "raise" and the Klein bottle under
     # "skip" with one sample flagged on its target (RR) row only
     if latent_name == "euclidean":
-        model = vae.build_vae(4, vae.euclidean_latent(3), hidden=(8,), lambda0_init=0.7, seed=5)
+        latent = vae.make_latent("euclidean", dim=3)
+        model = vae.build_vae(4, latent, hidden=(8,), lambda0_init=0.7, seed=5)
     else:
-        latent = {"torus": vae.torus_latent("raise"), "klein": _klein_flag_on_target(4, 2)}
+        latent = {"torus": vae.make_latent("torus", "raise"), "klein": _klein_flag_on_target(4, 2)}
         model = vae.build_vae(4, latent[latent_name], hidden=(8,), lambda0_init=0.7, seed=5)
     X = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
     Y = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
@@ -402,9 +405,9 @@ def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
 
     def loss_value():
         # fixed rng seed: identical noise draws for every evaluation
-        return vae.loss(model, X, Y, config, ad.Rng(0))[2].total
+        return vae.loss(model, X, Y, config, np.random.default_rng(0))[2].total
 
-    total, tape, _ = vae.loss(model, X, Y, config, ad.Rng(0))
+    total, tape, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
     grads = tape.backward(total)
     assert set(grads) == set(model.params) and "lambda0" in grads
     h = 1e-6
@@ -429,26 +432,26 @@ def test_flag_on_target_row_drops_the_sample_from_every_term():
     Y = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
     model = vae.build_vae(4, _klein_flag_on_target(4, 2), hidden=(8,), lambda0_init=0.7, seed=5)
     config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
-    b = vae.loss(model, X, Y, config, ad.Rng(0))[2]
+    b = vae.loss(model, X, Y, config, np.random.default_rng(0))[2]
     X2, Y2 = X.copy(), Y.copy()
     X2[2], Y2[2] = 0.5, -0.5
-    assert vae.loss(model, X2, Y2, config, ad.Rng(0))[2] == b
+    assert vae.loss(model, X2, Y2, config, np.random.default_rng(0))[2] == b
     model.latent.manifold.row = 4 + 3  # flag sample 3 instead: the terms move
-    assert vae.loss(model, X2, Y2, config, ad.Rng(0))[2].kl != b.kl
+    assert vae.loss(model, X2, Y2, config, np.random.default_rng(0))[2].kl != b.kl
 
 
 def test_raise_policy_names_sample_and_path_of_a_flagged_row():
     B = 4
-    latent = vae.torus_latent("raise")
+    latent = vae.make_latent("torus", "raise")
     latent.manifold = _FlagRow(latent.manifold, B + 1)  # sample 1, target row only
     model = vae.build_vae(4, latent, hidden=(8,), seed=5)
     X, Y = toy_batch(model, B=B)
     with pytest.raises(mf.ProjectionError) as info:
-        vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+        vae.loss(model, X, Y, vae.TrainConfig(), np.random.default_rng(0))
     assert str(info.value) == "projection flagged for batch samples 1 (target Y)"
     latent.manifold.row = 3  # sample 3, input row
     with pytest.raises(mf.ProjectionError, match=r"samples 3 \(input X\)$"):
-        vae.loss(model, X, Y, vae.TrainConfig(), ad.Rng(0))
+        vae.loss(model, X, Y, vae.TrainConfig(), np.random.default_rng(0))
 
 
 def test_one_projection_of_stacked_rows_equals_two_halves(monkeypatch):
@@ -462,7 +465,8 @@ def test_one_projection_of_stacked_rows_equals_two_halves(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(mf, "nearest_point_batch", recorded)
-    model = vae.build_vae(4, vae.klein_latent(policy="skip"), hidden=(8,), flow="identity", seed=5)
+    latent = vae.make_latent("klein", "skip", klein=mf.KleinConfig())
+    model = vae.build_vae(4, latent, hidden=(8,), flow="identity", seed=5)
     X, Y = toy_batch(model, B=6, seed=4)
     vae.train(model, X, Y, vae.TrainConfig(epochs=1, batch_size=6, seed=1))
     assert [len(W) for W, _ in calls] == [12]
@@ -511,7 +515,7 @@ def test_predict_multistep_batch_matches_single_rows(latent_name):
     if latent_name == "euclidean":
         model = small_model()
     else:
-        model = vae.build_vae(4, vae.torus_latent("raise"), hidden=(16,), seed=2)
+        model = vae.build_vae(4, vae.make_latent("torus", "raise"), hidden=(16,), seed=2)
     X = np.random.default_rng(4).uniform(-1, 1, size=(7, model.input_dim))
     out = vae.predict_multistep(model, X, 3)
     assert out.shape == (4, 7, model.output_dim)
@@ -528,25 +532,25 @@ def test_predict_multistep_batch_matches_single_rows(latent_name):
 @pytest.mark.parametrize("latent_name", ["euclidean", "torus", "klein", "pointcloud"])
 def test_checkpoint_roundtrip(tmp_path, latent_name):
     if latent_name == "euclidean":
-        latent = vae.euclidean_latent(2)
+        latent = vae.make_latent("euclidean", dim=2)
         in_dim = 6
     elif latent_name == "torus":
-        latent = vae.torus_latent(policy="skip")
+        latent = vae.make_latent("torus", "skip")
         in_dim = 4
     elif latent_name == "klein":
-        latent = vae.klein_latent(mf.KleinConfig(2.5, 0.75, 96), policy="skip")
+        latent = vae.make_latent("klein", "skip", klein=mf.KleinConfig(2.5, 0.75, 96))
         in_dim = 4
     else:
         cloud = build_torus_pointcloud(resolution=64)
-        latent = vae.pointcloud_latent(cloud)
+        latent = vae.make_latent("pointcloud", cloud=cloud)
         in_dim = 4
     model = vae.build_vae(in_dim, latent, hidden=(8,), seed=3)
     path = tmp_path / "model.ckpt"
     vae.save_checkpoint(model, path)
     loaded = vae.load_checkpoint(path)
     assert loaded.encoder_sizes == list(model.encoder_sizes)
-    assert loaded.latent.kind == model.latent.kind
-    assert loaded.latent.policy == model.latent.policy
+    fields = ("kind", "dim", "label", "policy")
+    assert [getattr(loaded.latent, f) for f in fields] == [getattr(model.latent, f) for f in fields]
     for k in model.params:
         np.testing.assert_array_equal(loaded.params[k], model.params[k])
     X = np.random.default_rng(0).uniform(-1, 1, size=(3, in_dim))
@@ -662,7 +666,8 @@ _MISSING = object()
 @pytest.fixture(scope="module")
 def klein_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("klein") / "model.ckpt"
-    vae.save_checkpoint(vae.build_vae(4, vae.klein_latent(), hidden=(8,), seed=1), path)
+    latent = vae.make_latent("klein", klein=mf.KleinConfig())
+    vae.save_checkpoint(vae.build_vae(4, latent, hidden=(8,), seed=1), path)
     vae.load_checkpoint(path)
     return path.read_bytes()
 
