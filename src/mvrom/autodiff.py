@@ -2,17 +2,16 @@
 
 A ``Tape`` records one forward pass as a list of nodes, each an elemental
 function with a hand-derived adjoint (Griewank & Walther, *Evaluating
-Derivatives*, 2008): its input slots and one ``backward(g)`` returning one
-contribution (or ``None``) per input.  ``Tape.backward`` walks the list once
-in reverse.  The generic nodes are a sum, a scalar multiple, a row-weighted
-sum of squares and a batched custom-Jacobian node that lets the manifold
-projection join backpropagation; the model adds fused nodes of its own.
-Every node output and adjoint is checked for NaN/Inf.  Nothing the tape
-stores refers back to it, so reference counting alone frees a dead tape.
-Training keeps its parameters and gradient in flat vectors: ``Tape.backward``
-writes into views of one, ``adam_step`` updates the other in place.
-``glorot_init`` draws from a numpy ``Generator`` its caller seeds with
-``np.random.default_rng(seed)``.
+Derivatives*, 2008).  ``Tape.backward`` walks the list once in reverse; a
+node returns one contribution per input and writes the gradient of each
+parameter it reads into the array it is handed, in training a view of one
+flat vector that ``adam_step`` checks and applies in place.  The generic
+nodes are a sum, a scalar multiple, a row-weighted sum of squares, a
+batched custom-Jacobian node for the manifold projection and ``Tape.leaf``;
+the model adds fused nodes of its own.  Node outputs and the adjoints
+between nodes are checked for NaN/Inf.  Nothing the tape stores refers back
+to it, so reference counting frees a dead tape.  ``glorot_init`` draws from
+a ``Generator`` its caller seeds with ``np.random.default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -54,13 +53,13 @@ def _checked(data, op: str) -> np.ndarray:
 class Tape:
     """Append-only record of nodes for one forward pass.
 
-    NaN/Inf in any node output or adjoint raises ``NonFiniteError``, which
-    surfaces numerical failures at their source.
+    NaN/Inf in any node output or activation adjoint raises
+    ``NonFiniteError``, which surfaces numerical failures at their source.
     """
 
     def __init__(self):
-        self._nodes: list[tuple] = []  # (op, out slot, input slots, backward)
-        self._leaves: dict[str, tuple[int, np.ndarray]] = {}
+        self._nodes: list[tuple] = []  # (op, out slot, input slots, backward, parameter names)
+        self._params: dict[str, tuple] = {}  # parameter name -> shape
         self._n_slots = 0
 
     def _wrap(self, data, op: str) -> Tensor:
@@ -68,21 +67,28 @@ class Tape:
         return Tensor(_checked(data, op), self, self._n_slots - 1)
 
     def leaf(self, name: str, value) -> Tensor:
-        """Register a trainable leaf; backward reports a gradient for it."""
-        if name in self._leaves:
-            raise ValueError(f"leaf '{name}' already registered")
-        t = self._wrap(value, f"leaf:{name}")
-        self._leaves[name] = (t.slot, t.data)
-        return t
+        """A checked input whose gradient backward reports under ``name``:
+        a node over no inputs that writes its adjoint into its destination."""
+        def backward(g, dest):
+            dest[...] = g
+            return ()
+
+        return self.record(f"leaf:{name}", value, (), backward, {name: value})
 
     def constant(self, value) -> Tensor:
         """A non-trainable input; backward never differentiates past it."""
         return Tensor(_checked(value, "constant"), self, None)
 
-    def record(self, op: str, out_data, inputs: tuple, backward) -> Tensor:
-        """Append a node; ``backward`` must not hold a tensor or the tape."""
-        out = self._wrap(out_data, op)
-        self._nodes.append((op, out.slot, tuple(t.slot for t in inputs), backward))
+    def record(self, op: str, out_data, inputs: tuple, backward, params=None) -> Tensor:
+        """Append a node over ``inputs`` that reads ``params`` (name -> value,
+        unchecked).  ``backward(g, *dests)`` returns one contribution (or
+        None) per input and writes each parameter's gradient into its dest;
+        it must not hold a tensor or the tape."""
+        out, params = self._wrap(out_data, op), params or {}
+        if self._params.keys() & params.keys():
+            raise ValueError(f"op '{op}' reads a parameter another node already reads")
+        self._params.update({name: np.shape(value) for name, value in params.items()})
+        self._nodes.append((op, out.slot, tuple(t.slot for t in inputs), backward, tuple(params)))
         return out
 
     @property
@@ -90,33 +96,34 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, output: Tensor, into: dict | None = None) -> dict[str, np.ndarray]:
-        """Gradients of a scalar output with respect to every leaf.
+        """Gradients of a scalar output with respect to every parameter.
 
-        Leaves not on the path to ``output`` get zero gradients.  Each node
-        is visited exactly once, in reverse construction order.  ``into``
-        (name -> array, such as ``flat_views``) receives them in place.
-        """
+        Each node is visited once, in reverse construction order, and writes
+        the gradient of each parameter it reads into that name's array in
+        ``into`` (such as ``flat_views`` of one vector), with no temporary
+        kept or copied; a node off the path to ``output`` writes zeros.
+        Only the adjoints passed between nodes are checked here."""
         if output.tape is not self:
             raise ValueError("output tensor does not belong to this tape")
         if output.data.shape != ():
             raise ShapeError(
                 f"backward requires a scalar output, got shape {output.data.shape}"
             )
+        grads = into if into is not None else {n: np.empty(s) for n, s in self._params.items()}
         adjoint: dict[int, np.ndarray] = {output.slot: np.ones(())}
-        for op, out_slot, in_slots, node_backward in reversed(self._nodes):
+        for op, out_slot, in_slots, node_backward, names in reversed(self._nodes):
+            dests = [grads[name] for name in names]
             g = adjoint.pop(out_slot, None)
             if g is None:
+                for dest in dests:
+                    dest[...] = 0.0
                 continue
-            for slot, contrib in zip(in_slots, node_backward(g)):
+            for slot, contrib in zip(in_slots, node_backward(g, *dests)):
                 if contrib is None or slot is None:
                     continue
                 if not np.all(np.isfinite(contrib)):
                     raise NonFiniteError(f"non-finite adjoint from op '{op}'")
                 adjoint[slot] = adjoint[slot] + contrib if slot in adjoint else contrib
-        grads = into if into is not None else {
-            n: np.zeros_like(v) for n, (_, v) in self._leaves.items()}
-        for name, (slot, _) in self._leaves.items():
-            grads[name][...] = adjoint.get(slot, 0.0)
         return grads
 
 
@@ -197,6 +204,13 @@ class AdamState:
         self.m, self.v = np.zeros(self.ends[-1]), np.zeros(self.ends[-1])
         self.scratch, self.step = np.empty((2, min(self.ends[-1], self.CHUNK))), 0
 
+    def require_finite(self, flat: np.ndarray, what: str):
+        """Raise ``NonFiniteError`` naming the parameter of the first NaN/Inf in ``flat``."""
+        bad = ~np.isfinite(flat)
+        if bad.any():
+            name = self.names[np.searchsorted(self.ends, np.argmax(bad), side="right")]
+            raise NonFiniteError(f"non-finite {what} for parameter '{name}'")
+
 
 def adam_step(
     params: np.ndarray,
@@ -212,10 +226,7 @@ def adam_step(
     updating each parameter array on its own."""
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    bad = ~np.isfinite(grads)
-    if bad.any():
-        name = state.names[np.searchsorted(state.ends, np.argmax(bad), side="right")]
-        raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
+    state.require_finite(grads, "gradient")
     state.step += 1
     c1, c2 = 1 - beta1**state.step, 1 - beta2**state.step
     for start in range(0, len(params), state.CHUNK):

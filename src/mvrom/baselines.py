@@ -1,6 +1,7 @@
 """Linear comparison methods: exact DMD and POD with Galerkin evolution.
 
-Both fit an optimal linear subspace from snapshot data via truncated SVD.
+Both fit an optimal linear subspace from snapshot data via truncated SVD;
+the fits take the factorization, so that one serves every rank.
 DMD additionally fits a linear one-step operator in that subspace; POD keeps
 the subspace and evolves the reduced coordinates through the Galerkin
 projection of the Burgers right-hand side.
@@ -33,19 +34,18 @@ class DmdModel:
     modes: np.ndarray  # (n, r) exact DMD modes
 
 
-def fit_dmd(x: np.ndarray, xp: np.ndarray, rank: int) -> DmdModel:
-    """Exact DMD: truncated SVD of x, reduced operator U^T xp V S^{-1}.
+def fit_dmd(factors, xp: np.ndarray, rank: int) -> DmdModel:
+    """Exact DMD from ``factors = svd(x)``: reduced operator U^T xp V S^{-1}.
 
     Column i of xp is column i of x advanced by tau.
     """
-    x = np.asarray(x, dtype=np.float64)
+    U, s, V = factors
     xp = np.asarray(xp, dtype=np.float64)
-    if x.shape != xp.shape or x.ndim != 2:
-        raise ValueError(f"snapshot matrices must have equal shapes, got {x.shape} vs {xp.shape}")
-    n, m = x.shape
+    n, m = len(U), len(V)
+    if xp.shape != (n, m):
+        raise ValueError(f"snapshot matrices must have equal shapes, got {(n, m)} vs {xp.shape}")
     if rank > min(n, m):
         raise ValueError(f"rank {rank} exceeds data size min{(n, m)}")
-    U, s, V = svd(x)
     if s[rank - 1] / s[0] < 1e-12:
         raise ValueError(f"rank too high for data: sigma_{rank}/sigma_1 < 1e-12")
     Ur, sr, Vr = U[:, :rank], s[:rank], V[:, :rank]
@@ -75,13 +75,11 @@ class PodModel:
     substeps: int = 20
 
 
-def fit_pod(x: np.ndarray, rank: int, nu: float, tau: float, substeps: int = 20) -> PodModel:
-    """POD basis from snapshot SVD plus precomputed reduced Burgers tensors."""
-    X = np.asarray(x, dtype=np.float64)
-    n, m = X.shape
-    if rank > min(n, m):
-        raise ValueError(f"rank {rank} exceeds data size min{(n, m)}")
-    U, s, _ = svd(X)
+def fit_pod(factors, rank: int, nu: float, tau: float, substeps: int = 20) -> PodModel:
+    """POD basis from ``factors = svd(x)`` plus precomputed reduced Burgers tensors."""
+    U, s, V = factors
+    if rank > min(len(U), len(V)):
+        raise ValueError(f"rank {rank} exceeds data size min{(len(U), len(V))}")
     if s[rank - 1] / s[0] < 1e-12:
         raise ValueError(f"rank too high for data: sigma_{rank}/sigma_1 < 1e-12")
     Ur = U[:, :rank]

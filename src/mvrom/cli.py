@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     if not args.config:
         raise ex.ConfigError("eval needs --config (for the test set) or --input-field")
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    config, _, test = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
+    config, test = ex.burgers_test_set(cfg, cfg.get_int("experiment", "seed"))
     horizons = cfg.get_list("sweep", "horizons", int)
     errors = ex.evaluate_burgers_model(model, test, config, horizons)
     table = ex.ErrorTable(list(errors))

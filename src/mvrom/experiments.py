@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -373,27 +374,27 @@ def data_from_file(path, config: bg.BurgersConfig) -> bg.BurgersData:
     return bg.BurgersData(X, Y, unknown, unknown)
 
 
+def _draw_burgers_set(cfg: ExperimentConfig, config, size: str, times: str, seed: int):
+    """``dataset.<size>`` pairs, alpha and start times in their configured ranges."""
+    ranges = [(cfg.get_float("dataset", f"{key}_min"), cfg.get_float("dataset", f"{key}_max"))
+              for key in ("alpha", times)]
+    return bg.generate_burgers_dataset(config, cfg.get_int("dataset", size), *ranges, seed)
+
+
+def burgers_test_set(cfg: ExperimentConfig, seed: int):
+    """(config, test): the Burgers config and the test set, drawn from seed + 1."""
+    config = burgers_config(cfg)
+    return config, _draw_burgers_set(cfg, config, "m_test", "test_t", seed + 1)
+
+
 def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
     """(config, train, test): the training data (from ``dataset.file`` when
-    set) and a freshly generated test set, both ``BurgersData``."""
-    config = burgers_config(cfg)
-    a_range = (cfg.get_float("dataset", "alpha_min"), cfg.get_float("dataset", "alpha_max"))
-    t_range = (cfg.get_float("dataset", "t_min"), cfg.get_float("dataset", "t_max"))
-    test_t_range = (
-        cfg.get_float("dataset", "test_t_min"),
-        cfg.get_float("dataset", "test_t_max"),
-    )
+    set, else drawn from seed) and ``burgers_test_set``, both ``BurgersData``."""
+    config, test = burgers_test_set(cfg, seed)
     data_file = cfg.get("dataset", "file")
     if data_file:
-        train = data_from_file(data_file, config)
-    else:
-        train = bg.generate_burgers_dataset(
-            config, cfg.get_int("dataset", "m_train"), a_range, t_range, seed
-        )
-    test = bg.generate_burgers_dataset(
-        config, cfg.get_int("dataset", "m_test"), a_range, test_t_range, seed + 1
-    )
-    return config, train, test
+        return config, data_from_file(data_file, config), test
+    return config, _draw_burgers_set(cfg, config, "m_train", "t", seed), test
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +456,7 @@ def export_latent_trace(model: vae.VaeModel, X, alpha, t, path, n_steps: int = 4
 
 
 def _loss_history_rows(history):
-    rows = []
-    for s in history:
-        rows.append(
-            {
-                "epoch": s.epoch,
-                "total": s.loss.total,
-                "reconstruction": s.loss.reconstruction,
-                "kl": s.loss.kl,
-                "regularization": s.loss.regularization,
-                "eval_error": s.eval_error,
-            }
-        )
-    return rows
+    return [{"epoch": s.epoch, **asdict(s.loss), "eval_error": s.eval_error} for s in history]
 
 
 _HISTORY_COLUMNS = ["epoch", "total", "reconstruction", "kl", "regularization", "eval_error"]
@@ -627,12 +616,14 @@ def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
 def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     """DMD and POD per rank and truncated Cole-Hopf per mode count.
 
-    A failed rank, or a failed Cole-Hopf column, is marked failed in the
+    One SVD of the training snapshots serves every DMD and POD rank.  A
+    failed rank, or a failed Cole-Hopf column, is marked failed in the
     table with its error, as failed sweep cells are.
     """
     seed = cfg.get_int("experiment", "seed")
     config, train, test = generate_burgers_sets(cfg, seed)
     xmat, xpmat = train.X.T, train.Y.T
+    factors = functools.cache(lambda: lb.svd(xmat))  # an error reaches every rank
     horizons = cfg.get_list("sweep", "horizons", int)
     columns = [horizon_label(k * config.tau) for k in horizons]
     table = ErrorTable(columns)
@@ -645,14 +636,14 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
 
     for rank in cfg.get_list("sweep", "dmd_ranks", int):
         try:
-            model = lb.fit_dmd(xmat, xpmat, rank)
+            model = lb.fit_dmd(factors(), xpmat, rank)
             add_rollout("dmd", rank, lb.dmd_predict(model, test.X, max(horizons)))
         except Exception as exc:  # recorded; the other ranks still run
             table.mark_failed("dmd", rank, "", _error_text(exc))
 
     for rank in cfg.get_list("sweep", "pod_ranks", int):
         try:
-            model = lb.fit_pod(xmat, rank, config.nu, config.tau)
+            model = lb.fit_pod(factors(), rank, config.nu, config.tau)
             add_rollout("pod", rank, lb.pod_predict(model, test.X, max(horizons)))
         except Exception as exc:
             table.mark_failed("pod", rank, "", _error_text(exc))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -200,19 +200,8 @@ def build_vae(
     params.update(_mlp_params(rng, "dec_", decoder_sizes))
     if flow == "exp-decay":
         params["lambda0"] = np.array(lambda0_init)
-    return VaeModel(
-        encoder_sizes,
-        decoder_sizes,
-        latent,
-        params,
-        activation,
-        leaky_slope,
-        tau,
-        sigma_e,
-        sigma_d,
-        sigma_0,
-        flow,
-    )
+    return VaeModel(encoder_sizes, decoder_sizes, latent, params, activation, leaky_slope, tau,
+                    sigma_e, sigma_d, sigma_0, flow)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +225,7 @@ def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray, cache=None) 
         if i < n_layers - 1:
             if model.activation == "relu":
                 slope = pre > 0
-                pre = np.where(slope, pre, 0.0)
+                pre = np.maximum(pre, 0.0, out=pre)
             else:
                 slope = np.where(pre > 0, 1.0, model.leaky_slope)
                 pre = pre * slope
@@ -246,37 +235,40 @@ def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray, cache=None) 
     return h
 
 
-def _mlp_tape(model: VaeModel, leaves, prefix: str, sizes, x: "ad.Tensor") -> "ad.Tensor":
-    """One MLP pass as one tape node over its input and every layer's W and b."""
+def _mlp_tape(model: VaeModel, prefix: str, sizes, x: "ad.Tensor") -> "ad.Tensor":
+    """One MLP pass as one tape node over its input and every layer's W and
+    b, read from ``model.params``; backward writes their gradients in place."""
     cache = []
     out = mlp_forward(model, prefix, sizes, x.data, cache)
     names = [f"{prefix}{kind}{i}" for i in range(len(sizes) - 1) for kind in "Wb"]
-    weights = [leaves[n].data for n in names[::2]]
+    params = {n: model.params[n] for n in names}
+    weights = [params[n] for n in names[::2]]
     input_grad = x.slot is not None
 
-    def backward(g):
-        grads = []
+    def backward(g, *dests):
         for i in reversed(range(len(weights))):
             h, slope = cache[i]
             if slope is not None:
                 g = g * slope
-            grads += [g.sum(axis=0), h.T @ g]
+            np.sum(g, axis=0, out=dests[2 * i + 1])
+            np.matmul(h.T, g, out=dests[2 * i])
             g = g @ weights[i].T if i > 0 or input_grad else None
-        return (g, *grads[::-1])
+        return (g,)
 
-    return x.tape.record("mlp", out, (x, *(leaves[n] for n in names)), backward)
+    return x.tape.record("mlp", out, (x,), backward, params)
 
 
-def _flow_tape(model: VaeModel, lam: "ad.Tensor", z: "ad.Tensor", n_rows: int) -> "ad.Tensor":
+def _flow_tape(model: VaeModel, z: "ad.Tensor", n_rows: int) -> "ad.Tensor":
     """The exp-decay flow z' = exp(-lambda0 tau) z on the first n_rows rows
-    of z, as one node over (lambda0, z); the other rows pass unchanged."""
+    of z, as one node over z and lambda0; the other rows pass unchanged."""
     factor, tau, zd = flow_factor(model), model.tau, z.data
     rows = np.where(np.arange(len(zd)) < n_rows, factor, 1.0)[:, None]
 
-    def backward(g):
-        return (np.sum(g[:n_rows] * zd[:n_rows]) * factor) * -tau, g * rows
+    def backward(g, lam_grad):
+        lam_grad[...] = (np.sum(g[:n_rows] * zd[:n_rows]) * factor) * -tau
+        return (g * rows,)
 
-    return z.tape.record("flow", zd * rows, (lam, z), backward)
+    return z.tape.record("flow", zd * rows, (z,), backward, {"lambda0": model.params["lambda0"]})
 
 
 def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
@@ -345,7 +337,12 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     X rows only; RE + RR is one sum of squares against [Y; Y] with row
     weights [w; gamma w], KL one over the encoder means with [w; 0].  The
     noise scales are model constants.  Under "skip" flagged samples get
-    zero weight w, the mean renormalized over surviving samples.
+    zero weight w, the mean renormalized over surviving samples.  The MLP
+    and flow nodes read ``model.params`` unchecked, and the tape's
+    ``backward`` has them write the parameter gradients into the arrays it
+    is handed.  Checked per call: the data rows and noise, every
+    pre-activation and node output, and the loss; backward checks the
+    adjoints passed between nodes.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -356,10 +353,9 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     paths = 2 if config.gamma > 0 else 1  # the RR path encodes the target
 
     tape = ad.Tape()
-    leaves = {name: tape.leaf(name, value) for name, value in model.params.items()}
     rows = np.concatenate([X, Y][:paths])
     noise = np.concatenate([sig_e * rng.standard_normal((B, d_lat)) for _ in range(paths)])
-    a = _mlp_tape(model, leaves, "enc_", model.encoder_sizes, tape.constant(rows))
+    a = _mlp_tape(model, "enc_", model.encoder_sizes, tape.constant(rows))
     z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
     n_valid = int(valid.sum())
     if n_valid == 0:
@@ -367,8 +363,8 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     row_w = valid.astype(np.float64) / n_valid
 
     if model.flow == "exp-decay":
-        z = _flow_tape(model, leaves["lambda0"], z, B)
-    x_hat = _mlp_tape(model, leaves, "dec_", model.decoder_sizes, z)
+        z = _flow_tape(model, z, B)
+    x_hat = _mlp_tape(model, "dec_", model.decoder_sizes, z)
     target = np.concatenate([Y] * paths)
     data = ad.weighted_sq_sum(x_hat, np.concatenate([row_w, config.gamma * row_w][:paths]), target)
     kl_sq = ad.weighted_sq_sum(a, np.concatenate([row_w, np.zeros(B)][:paths]))
@@ -406,10 +402,12 @@ def train(
 
     The parameters are first packed into one flat float64 vector:
     ``model.params`` keeps its keys and shapes, and its values become views
-    into that vector.  Each step writes the gradient into a second flat
-    vector and Adam updates the first in place.  Deterministic under
-    config.seed.  Divergence (minimized loss above 1e6 or non-finite)
-    aborts with the history attached to the exception.
+    into that vector, whose finiteness is checked once, naming the first bad
+    parameter.  Each step's backward writes every parameter gradient into
+    its view of a second flat vector; ``adam_step`` checks that vector (the
+    one gradient check per step) and updates the first in place.
+    Deterministic under config.seed.  Divergence (minimized loss above 1e6
+    or non-finite) aborts with the history attached to the exception.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -421,8 +419,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     theta = np.concatenate([np.ravel(v) for v in model.params.values()], dtype=np.float64)
     model.params.update(ad.flat_views(theta, model.params))
-    grad = np.zeros_like(theta)
+    grad = np.full_like(theta, np.nan)  # every step overwrites it all; Adam names a gap
     grads, state = ad.flat_views(grad, model.params), ad.AdamState(model.params)
+    state.require_finite(theta, "value")
     history: list[EpochStats] = []
     n = X.shape[0]
     for epoch in range(config.epochs):
@@ -439,12 +438,7 @@ def train(
                 )
             tape.backward(ad.scale(total, -1.0), into=grads)
             ad.adam_step(theta, grad, state, lr=config.lr)
-            sums += [
-                breakdown.total,
-                breakdown.reconstruction,
-                breakdown.kl,
-                breakdown.regularization,
-            ]
+            sums += astuple(breakdown)
             n_batches += 1
         mean = sums / n_batches
         stats = EpochStats(epoch, LossBreakdown(*mean))
@@ -548,7 +542,8 @@ def _klein_config(value):
 def load_checkpoint(path) -> VaeModel:
     """Read a checkpoint; its size must match its header, its weights be
     finite, every header field be present with the type ``save_checkpoint``
-    writes, and its activation, leaky slope and flow pass ``VaeModel``'s
+    writes, its latent's dimension be the encoder's output and the decoder's
+    input width, and its activation, leaky slope and flow pass ``VaeModel``'s
     checks.  A Klein latent is rebuilt from its radii; no cloud is built."""
     path = Path(path)
     data = path.read_bytes()
@@ -605,6 +600,10 @@ def load_checkpoint(path) -> VaeModel:
                 for kind, shape in (("W", (fi, fo)), ("b", (fo,)))}:
             raise ValueError(f"{path}: checkpoint header field '{key}' {layers} does not match "
                              f"the shapes of the '{prefix}' parameters")
+    if not latent.dim == sizes[0][-1] == sizes[1][0]:
+        raise ValueError(f"{path}: checkpoint header field 'latent_kind' {kind!r} gives a latent "
+                         f"of dimension {latent.dim}, but the encoder's output width is "
+                         f"{sizes[0][-1]} and the decoder's input width {sizes[1][0]}")
     activation, flow = (field(key, _text) for key in ("activation", "flow"))
     leaky_slope, tau, sigma_e, sigma_d, sigma_0 = (
         field(key, _number) for key in ("leaky_slope", "tau", "sigma_e", "sigma_d", "sigma_0")

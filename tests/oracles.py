@@ -6,8 +6,9 @@ in time (integrating-factor RK4 on the advection term) instead of using the
 Cole-Hopf transform.  The projection reference shares the manifold's charts
 with the package, not its start points or its solver, and the stacked Klein
 frames are the same formulas assembled another way.  The per-row Burgers
-references run the batched paths' arithmetic one sample at a time, and the
-last section holds builders and checks only the tests use.
+references run the batched paths' arithmetic one sample at a time, the
+builders and checks in the next section only the tests use, and the last
+section is a training step's reverse pass with one array per parameter.
 """
 
 import numpy as np
@@ -270,3 +271,79 @@ def dict_adam_step(params, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=
         m_hat = m[name] / (1 - beta1**t)
         v_hat = v[name] / (1 - beta2**t)
         params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# ---------------------------------------------------------------------------
+# the reverse pass of one training step, one fresh array per parameter
+
+
+def _mlp_forward(model, prefix, h):
+    """The MLP ``prefix`` on the rows of h, and each layer's (input, slope)."""
+    cache = []
+    n_layers = len(model.encoder_sizes if prefix == "enc_" else model.decoder_sizes) - 1
+    for i in range(n_layers):
+        pre = h @ model.params[f"{prefix}W{i}"] + model.params[f"{prefix}b{i}"]
+        slope = None
+        if i < n_layers - 1:
+            if model.activation == "relu":
+                slope = pre > 0
+                pre = np.where(slope, pre, 0.0)
+            else:
+                slope = np.where(pre > 0, 1.0, model.leaky_slope)
+                pre = pre * slope
+        cache.append((h, slope))
+        h = pre
+    return h, cache
+
+
+def _mlp_backward(model, prefix, cache, g, grads, input_grad):
+    """Adds each layer's W and b gradient to ``grads``; returns the input's."""
+    for i in reversed(range(len(cache))):
+        h, slope = cache[i]
+        if slope is not None:
+            g = g * slope
+        grads[f"{prefix}b{i}"] = g.sum(axis=0)
+        grads[f"{prefix}W{i}"] = h.T @ g
+        g = g @ model.params[f"{prefix}W{i}"].T if i > 0 or input_grad else None
+    return g
+
+
+def step_gradient(model, X, Y, config, rng):
+    """Gradient of the minimized loss -total of one ``vae.loss`` batch, one
+    fresh array per parameter: the forward pass, then the reverse pass leaf
+    by leaf in the tape's op order (sign flip, total, the KL and data sums
+    of squares, decoder, flow, projection Jacobian, noise, encoder).  Draws
+    the noise from ``rng`` as ``vae.loss`` does; a flagged row is assumed
+    to be allowed by the latent's policy."""
+    B, d = X.shape[0], model.latent_dim
+    paths = 2 if config.gamma > 0 else 1
+    rows = np.concatenate([X, Y][:paths])
+    noise = np.concatenate([model.sigma_e * rng.standard_normal((B, d)) for _ in range(paths)])
+    a, enc_cache = _mlp_forward(model, "enc_", rows)
+    z, jac, valid = a + noise, None, np.ones(B, dtype=bool)
+    if model.latent.manifold is not None:
+        z, jac, flagged = model.latent.manifold.project(z)
+        jac[flagged] = 0.0
+        valid = (~flagged).reshape(-1, B).all(axis=0)
+    row_w = valid.astype(np.float64) / int(valid.sum())
+    flow = np.ones((len(z), 1))
+    if model.flow == "exp-decay":
+        factor = float(np.exp(-model.params["lambda0"] * model.tau))
+        flow = np.where(np.arange(len(z)) < B, factor, 1.0)[:, None]
+    x_hat, dec_cache = _mlp_forward(model, "dec_", z * flow)
+    w_data = np.concatenate([row_w, config.gamma * row_w][:paths])[:, None]
+    w_kl = np.concatenate([row_w, np.zeros(B)][:paths])[:, None]
+
+    grads = {}
+    g = np.ones(()) * -1.0
+    g_data, g_kl = g * (-1.0 / (2 * model.sigma_d**2)), g * ((1.0 / (2 * model.sigma_0**2)) * -config.beta)
+    g_a = (2.0 * (g_kl * w_kl)) * a
+    g_x = (2.0 * (g_data * w_data)) * (x_hat - np.concatenate([Y] * paths))
+    g_z = _mlp_backward(model, "dec_", dec_cache, g_x, grads, input_grad=True)
+    if model.flow == "exp-decay":
+        grads["lambda0"] = (np.sum(g_z[:B] * z[:B]) * factor) * -model.tau
+        g_z = g_z * flow
+    if jac is not None:
+        g_z = np.einsum("bpn,bp->bn", jac, g_z)
+    _mlp_backward(model, "enc_", enc_cache, g_a + g_z, grads, input_grad=False)
+    return grads

@@ -61,10 +61,8 @@ def mlp_model(sizes, activation="relu", slope=1e-6, seed=11):
 def mlp_loss(model, X, row_w, target=None, want_grads=False):
     """Row-weighted squared error of the encoder MLP node, input X a leaf."""
     tape = ad.Tape()
-    leaves = {k: tape.leaf(k, v) for k, v in model.params.items() if k.startswith("enc_")}
     x = tape.leaf("X", X)
-    out = ad.weighted_sq_sum(vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, x),
-                             row_w, target)
+    out = ad.weighted_sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x), row_w, target)
     return tape.backward(out) if want_grads else out.data.item()
 
 
@@ -84,8 +82,7 @@ def test_matmul_column_selection():
     model.params["enc_W0"] = np.array([[1.0], [0.0]])
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     tape = ad.Tape()
-    leaves = {k: tape.leaf(k, v) for k, v in model.params.items()}
-    out = vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, tape.constant(X))
+    out = vae._mlp_tape(model, "enc_", model.encoder_sizes, tape.constant(X))
     np.testing.assert_array_equal(out.data, [[1.0], [3.0]])
 
 
@@ -191,8 +188,7 @@ def test_check_finite_rejects_nan():
         ("neg", lambda x: ad.scale(ad.weighted_sq_sum(x, ROW_W), -1.0)),
         # exp-decay flow on the first two rows, through its latent input
         # (lambda0 is checked in test_vae)
-        ("exp", lambda x: ad.weighted_sq_sum(
-            vae._flow_tape(FLOW, x.tape.leaf("lambda0", FLOW.params["lambda0"]), x, 2), ROW_W)),
+        ("exp", lambda x: ad.weighted_sq_sum(vae._flow_tape(FLOW, x, 2), ROW_W)),
         ("square", lambda x: ad.weighted_sq_sum(x, np.ones(4))),
     ],
 )
@@ -383,11 +379,9 @@ def test_backward_writes_into_flat_views():
     grad = np.full(sum(v.size for v in expected.values()) + 2, np.nan)
     views = ad.flat_views(grad, {**expected, "off": np.zeros(2)})
     tape = ad.Tape()
-    leaves = {k: tape.leaf(k, v) for k, v in model.params.items() if k.startswith("enc_")}
     tape.leaf("off", np.ones(2))
     x = tape.leaf("X", X)
-    out = ad.weighted_sq_sum(vae._mlp_tape(model, leaves, "enc_", model.encoder_sizes, x),
-                             np.ones(5))
+    out = ad.weighted_sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x), np.ones(5))
     assert tape.backward(out, into=views) is views
     for name, g in expected.items():
         np.testing.assert_array_equal(views[name], g)

@@ -53,21 +53,21 @@ def _linear_system_snapshots(eigs, n=8, m=40, seed=1):
 
 def test_dmd_recovers_linear_spectrum():
     X, Xp, _ = _linear_system_snapshots([0.9, 0.7])
-    model = lb.fit_dmd(X, Xp, 2)
+    model = lb.fit_dmd(lb.svd(X), Xp, 2)
     np.testing.assert_allclose(sorted(np.real(model.eigenvalues)), [0.7, 0.9], atol=1e-8)
     assert np.abs(np.imag(model.eigenvalues)).max() < 1e-10
 
 
 def test_dmd_orthonormal_basis_and_finite_eigs():
     X, Xp, _ = _linear_system_snapshots([0.95, 0.6, 0.3], n=12)
-    model = lb.fit_dmd(X, Xp, 3)
+    model = lb.fit_dmd(lb.svd(X), Xp, 3)
     np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(3), atol=1e-10)
     assert np.all(np.isfinite(model.eigenvalues.view(np.float64)))
 
 
 def test_dmd_exact_on_invariant_subspace():
     X, Xp, A = _linear_system_snapshots([0.85, 0.5])
-    model = lb.fit_dmd(X, Xp, 2)
+    model = lb.fit_dmd(lb.svd(X), Xp, 2)
     U = X[:, :5].T
     preds = lb.dmd_predict(model, U, 4)
     assert preds.shape == (5, 5, 8)
@@ -79,11 +79,11 @@ def test_dmd_exact_on_invariant_subspace():
 def test_dmd_rank_too_high_errors():
     X, Xp, _ = _linear_system_snapshots([0.9, 0.7])
     with pytest.raises(ValueError, match="rank too high"):
-        lb.fit_dmd(X, Xp, 5)
+        lb.fit_dmd(lb.svd(X), Xp, 5)
     with pytest.raises(ValueError, match="rank"):
-        lb.fit_dmd(X, Xp, 100)
+        lb.fit_dmd(lb.svd(X), Xp, 100)
     with pytest.raises(ValueError, match="equal shapes"):
-        lb.fit_dmd(X, Xp[:, :-1], 2)
+        lb.fit_dmd(lb.svd(X), Xp[:, :-1], 2)
 
 
 def _heat_evolve(u, nu, t):
@@ -106,7 +106,7 @@ def test_dmd_heat_equation_eigenvalues():
         cols.append(u)
     X = np.stack(cols, axis=1)
     Xp = np.stack([_heat_evolve(c, nu, tau) for c in cols], axis=1)
-    model = lb.fit_dmd(X, Xp, 6)
+    model = lb.fit_dmd(lb.svd(X), Xp, 6)
     expected = sorted(
         [np.exp(-4 * np.pi**2 * k**2 * nu * tau) for k in (1, 2, 3) for _ in range(2)]
     )
@@ -124,7 +124,7 @@ def test_pod_pure_diffusion_matches_spectral_decay():
     x = np.arange(n) / n
     rng = np.random.default_rng(3)
     X = np.outer(np.sin(2 * np.pi * x), rng.uniform(0.5, 2.0, size=20))
-    model = lb.fit_pod(X, 1, nu, tau)
+    model = lb.fit_pod(lb.svd(X), 1, nu, tau)
     U = np.outer([1.3, -0.4], np.sin(2 * np.pi * x))
     preds = lb.pod_predict(model, U, 4)
     for k in (1, 2, 4):
@@ -139,7 +139,7 @@ def test_pod_projection_residual_decreases_with_rank():
     u = X[7]
     residuals = []
     for r in (1, 2, 3, 5, 8):
-        model = lb.fit_pod(Xmat, r, config.nu, config.tau)
+        model = lb.fit_pod(lb.svd(Xmat), r, config.nu, config.tau)
         proj = model.basis @ (model.basis.T @ u)
         residuals.append(np.linalg.norm(u - proj))
     assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -148,7 +148,7 @@ def test_pod_projection_residual_decreases_with_rank():
 def test_pod_galerkin_tracks_burgers_at_high_rank():
     config = bg.BurgersConfig(n_x=64)
     X = bg.generate_burgers_dataset(config, 80, seed=5).X
-    model = lb.fit_pod(X.T, 12, config.nu, config.tau)
+    model = lb.fit_pod(lb.svd(X.T), 12, config.nu, config.tau)
     U0 = bg.sample_u1([0.6, 0.2], [0.1, 0.3], config.nu, 64)
     truth = bg.evolve_exact(U0, config.nu, config.tau)
     pred = lb.pod_predict(model, U0, 1)[1]
@@ -160,7 +160,7 @@ def test_pod_instability_is_reported():
     n = 64
     x = np.arange(n) / n
     X = np.outer(np.sin(2 * np.pi * 10 * x), np.linspace(1, 2, 10))
-    model = lb.fit_pod(X, 1, nu=5.0, tau=4.0, substeps=1)
+    model = lb.fit_pod(lb.svd(X), 1, nu=5.0, tau=4.0, substeps=1)
     # one unstable row fails the whole call; the stable rows alone pass
     U = np.outer([0.0, 1e5, 0.0], np.sin(2 * np.pi * 10 * x))
     with pytest.raises(RuntimeError, match="unstable"):
@@ -183,7 +183,7 @@ def _assert_rows_match(batched, reference, rtol=1e-12):
 @pytest.mark.parametrize("rank", [2, 3, 6])
 def test_dmd_batched_rollout_matches_per_row_reference(rank):
     config, train, test = _burgers_rollout_setup(rank)
-    model = lb.fit_dmd(train.X.T, train.Y.T, rank)
+    model = lb.fit_dmd(lb.svd(train.X.T), train.Y.T, rank)
     preds = lb.dmd_predict(model, test.X, 4)
     assert preds.shape == (5, len(test.X), 64)
     for k in range(5):
@@ -195,7 +195,7 @@ def test_dmd_batched_rollout_matches_per_row_reference(rank):
 def test_pod_batched_rollout_matches_per_row_reference(rank):
     # one integration to the largest horizon against one integration per horizon
     config, train, test = _burgers_rollout_setup(rank)
-    model = lb.fit_pod(train.X.T, rank, config.nu, config.tau)
+    model = lb.fit_pod(lb.svd(train.X.T), rank, config.nu, config.tau)
     preds = lb.pod_predict(model, test.X, 4)
     assert preds.shape == (5, len(test.X), 64)
     for k in range(5):

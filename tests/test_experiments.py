@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mvrom import baselines as lb
 from mvrom import burgers as bg
 from mvrom import cli
 from mvrom import datafiles
@@ -154,6 +155,29 @@ def test_burgers_baselines_table_and_determinism(tmp_path):
     a = (tmp_path / "a" / "errors.csv").read_bytes()
     b = (tmp_path / "b" / "errors.csv").read_bytes()
     assert a == b
+
+
+def test_baselines_share_one_snapshot_svd(tmp_path, monkeypatch):
+    # two DMD and two POD ranks: one np.linalg.svd call in the run, and each
+    # rank's errors those of a fit from its own factorization
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides(
+        ["experiment.kind=burgers-baselines", "sweep.dmd_ranks=2,3", "sweep.pod_ranks=2,3"]))
+    table, failed = ex.run_experiment(cfg, tmp_path)
+    assert (len(calls), failed) == (1, 0)
+    config, train, test = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
+    horizons = cfg.get_list("sweep", "horizons", int)
+    truths = ex.burgers_truth_at_horizons(test.X, config, horizons)
+    for rank in (2, 3):
+        fits = {"dmd": lb.dmd_predict(lb.fit_dmd(lb.svd(train.X.T), train.Y.T, rank), test.X, 4),
+                "pod": lb.pod_predict(lb.fit_pod(lb.svd(train.X.T), rank, config.nu, config.tau),
+                                      test.X, 4)}
+        for method, preds in fits.items():
+            for k, truth in zip(horizons, truths):
+                assert table.cell(method, rank, "", ex.horizon_label(k * config.tau)) == (
+                    ex.l1_relative_error(preds[k], truth))
 
 
 def test_failed_baseline_keeps_its_error(tmp_path):
@@ -559,6 +583,22 @@ def test_cli_eval_marks_nonfinite_error_failed(tmp_path, monkeypatch):
     assert table.cell("vae-checkpoint", 2, "", "0.25s") == ex.FAILED
     assert (out / "failures.csv").read_text().splitlines() == [
         "method,dim,sweep,error", "vae-checkpoint,2,,non-finite 0.25s"]
+
+
+def test_cli_eval_builds_only_the_test_set(tmp_path):
+    # eval never reads dataset.file (the training pairs): a missing one
+    # changes neither the exit code nor errors.csv
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(4,)), ckpt)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[dataset]\nn_x = 64\nm_test = 3\n[sweep]\nhorizons = 1,2\n")
+    tables = []
+    for extra in ([], ["--set", f"dataset.file={tmp_path / 'missing.bin'}"]):
+        out = tmp_path / f"eval{len(tables)}"
+        argv = ["eval", "--checkpoint", str(ckpt), "--config", str(ini), "--out", str(out)]
+        assert cli.main(argv + extra) == 0
+        tables.append((out / "errors.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_cli_eval_custom_input_field(tmp_path):

@@ -3,6 +3,7 @@ import gc
 import json
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mvrom import autodiff as ad
+from mvrom import cli
 from mvrom import manifold as mf
 from mvrom import vae
 
+import oracles
 from oracles import build_torus_pointcloud
 
 
@@ -126,6 +129,13 @@ def test_negative_infinite_preactivation_raises():
             vae.loss(model, X, np.zeros((2, 6)), vae.TrainConfig(), np.random.default_rng(0))
 
 
+def test_nan_preactivation_reaches_the_inference_output():
+    # inference makes no pre-activation check; ReLU must not turn NaN into 0
+    model = small_model()
+    model.params["enc_b0"][3] = np.nan
+    assert np.isnan(vae.encode(model, np.ones((2, 6)))).all()
+
+
 def test_flow_node_lambda_gradient_matches_finite_differences():
     # the flow scales the first two rows only; the third passes unchanged
     model = small_model()
@@ -134,9 +144,7 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
 
     def run(want_grad=False):
         tape = ad.Tape()
-        lam = tape.leaf("lambda0", model.params["lambda0"])
-        out = ad.weighted_sq_sum(vae._flow_tape(model, lam, tape.constant(z), 2), np.ones(3),
-                                 target)
+        out = ad.weighted_sq_sum(vae._flow_tape(model, tape.constant(z), 2), np.ones(3), target)
         return tape.backward(out)["lambda0"] if want_grad else out.data.item()
 
     for lam in (0.0, 0.5, -1.3):
@@ -149,8 +157,7 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
         model.params["lambda0"] = np.array(lam)
         assert run(want_grad=True) == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
         tape = ad.Tape()
-        out = vae._flow_tape(model, tape.leaf("lambda0", model.params["lambda0"]),
-                             tape.constant(z), 2)
+        out = vae._flow_tape(model, tape.constant(z), 2)
         np.testing.assert_array_equal(out.data, np.concatenate([z[:2] * np.exp(-lam / 4), z[2:]]))
 
 
@@ -425,6 +432,73 @@ def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
             assert abs(got - fd) / (1 + abs(fd)) < 1e-4, (name, fi, got, fd)
 
 
+def _flat_step(model, X, Y, config):
+    """Pack the parameters into one flat vector as ``vae.train`` does; returns
+    the NaN-filled flat gradient and its views, and the tape's output for one
+    step (the minimized loss)."""
+    theta = np.concatenate([np.ravel(v) for v in model.params.values()])
+    model.params.update(ad.flat_views(theta, model.params))
+    grad = np.full_like(theta, np.nan)
+    total, tape, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
+    return grad, ad.flat_views(grad, model.params), ad.scale(total, -1.0)
+
+
+@pytest.mark.parametrize("latent_name", ["euclidean", "torus", "klein"])
+def test_backward_into_flat_gradient_matches_per_leaf_oracle_bit_for_bit(latent_name):
+    # euclidean with the exp-decay flow, the torus under "raise" and the
+    # Klein bottle under "skip" with one sample flagged on its target row
+    latent = {"euclidean": vae.make_latent("euclidean", dim=3),
+              "torus": vae.make_latent("torus", "raise"),
+              "klein": _klein_flag_on_target(4, 2)}[latent_name]
+    model = vae.build_vae(4, latent, hidden=(8, 8), lambda0_init=0.7, seed=5)
+    X = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
+    Y = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
+    config = vae.TrainConfig(beta=0.8, gamma=0.5)
+    _, grads, out = _flat_step(model, X, Y, config)
+    assert out.tape.backward(out, into=grads) is grads
+    expected = oracles.step_gradient(model, X, Y, config, np.random.default_rng(0))
+    assert set(expected) == set(model.params)
+    for name, g in expected.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def test_backward_overwrites_every_entry_of_the_flat_gradient():
+    model = small_model(latent=vae.make_latent("torus", "skip"))
+    X, Y = toy_batch(model, B=6)
+    grad, grads, out = _flat_step(model, X, Y, vae.TrainConfig())
+    out.tape.backward(out, into=grads)
+    assert np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("name, index", [("dec_W0", (1, 3)), ("lambda0", ())])
+def test_nonfinite_parameter_fails_training_before_any_update(name, index):
+    model = small_model()
+    model.params[name][index] = np.nan if name == "lambda0" else np.inf
+    before = {k: v.copy() for k, v in model.params.items()}
+    X, Y = toy_batch(model)
+    with pytest.raises(ad.NonFiniteError, match=f"non-finite value for parameter '{name}'"):
+        vae.train(model, X, Y, vae.TrainConfig(epochs=1, batch_size=4))
+    for k, v in before.items():
+        np.testing.assert_array_equal(model.params[k], v)
+
+
+def test_paper_size_backward_allocates_less_than_one_parameter():
+    # parameter gradients are written in place: one paper-size backward
+    # (100-400-400-2 and back, B=32, RR on) allocates at most the size of
+    # one 400x400 weight at its peak
+    model = vae.build_vae(100, vae.make_latent("euclidean", dim=2), hidden=(400, 400), seed=1)
+    X = np.random.default_rng(0).uniform(-1, 1, size=(32, 100))
+    grad, grads, out = _flat_step(model, X, X[::-1].copy(), vae.TrainConfig())
+    tracemalloc.start()
+    try:
+        out.tape.backward(out, into=grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 400 * 8, f"backward peaked at {peak} bytes"
+    assert np.all(np.isfinite(grad))
+
+
 def test_flag_on_target_row_drops_the_sample_from_every_term():
     # under "skip" a flag on sample 2's target row removes the sample from
     # RE, KL and RR alike: its rows may change without moving any term
@@ -628,6 +702,22 @@ def test_checkpoint_layer_sizes_must_match_parameter_shapes(tmp_path, key, sizes
     _rewrite_header(path, **{key: sizes})
     with pytest.raises(ValueError, match=re.escape(str(path)) + f".*'{key}'"):
         vae.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [{"latent_kind": "torus"}, {"latent_dim": 3}],
+                         ids=["torus", "latent_dim"])
+def test_checkpoint_latent_dimension_must_match_the_layer_sizes(tmp_path, capsys, header):
+    # a euclidean R^2 checkpoint (6 -> 16 -> 2 -> 16 -> 6) whose header asks
+    # for the torus in R^4, or for R^3: the load fails naming the file and
+    # the latent kind, and eval exits 2 with that message
+    path = tmp_path / "latent.ckpt"
+    vae.save_checkpoint(small_model(), path)
+    _rewrite_header(path, **header)
+    message = re.escape(str(path)) + r": .*'latent_kind' '(torus|euclidean)'.* dimension [34]"
+    with pytest.raises(ValueError, match=message):
+        vae.load_checkpoint(path)
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 # values no writer of the format puts in each header field of a Klein checkpoint
