@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-data, train, eval, baselines, sweep, export-trace.
-Exit codes: 0 success, 1 partial cell failure, 2 configuration error or a
-missing or damaged input file (the loader's message names the file).
+Exit codes: 0 success, 1 partial cell failure, 2 configuration error (a bad
+setting, or one the data or latents cannot be prepared from, before any cell
+runs) or a missing or damaged input file (the loader's message names the file).
 Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 """
 
@@ -59,11 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="re-evaluate a checkpoint, or roll out a custom field")
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--config", help="experiment config used to rebuild the test set")
-    e.add_argument(
-        "--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE"
-    )
-    e.add_argument("--out", required=True)
+    _add_config_args(e)  # the config rebuilds the test set
     e.add_argument("--steps", type=int, default=4)
     e.add_argument("--input-field", help="text file with one field value per line")
 
@@ -115,26 +112,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_run(args) -> int:
+    """train (sweep lists collapsed to one cell), baselines and sweep: run
+    the configured experiment."""
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    # a single training cell: collapse sweep lists to the train-section values
-    for key in ("beta", "gamma", "sigma", "latent", "eval_epochs"):
-        cfg.sections["sweep"][key] = ""
-    _, failed = ex.run_experiment(cfg, args.out)
-    return 1 if failed else 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    if args.workers is not None:
+    if args.command == "train":
+        for key in ("beta", "gamma", "sigma", "latent", "eval_epochs"):
+            cfg.sections["sweep"][key] = ""
+    elif args.command == "baselines":
+        cfg.sections["experiment"]["kind"] = "burgers-baselines"
+    elif args.workers is not None:
         cfg.sections["experiment"]["workers"] = str(args.workers)
-    _, failed = ex.run_experiment(cfg, args.out)
-    return 1 if failed else 0
-
-
-def cmd_baselines(args) -> int:
-    cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    cfg.sections["experiment"]["kind"] = "burgers-baselines"
     _, failed = ex.run_experiment(cfg, args.out)
     return 1 if failed else 0
 
@@ -157,10 +145,10 @@ def _read_field(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    model = ex.read_input(vae.load_checkpoint, args.checkpoint)
+    model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
-        u0 = ex.read_input(_read_field, args.input_field)
+        u0 = ex.prepare(_read_field, args.input_field)
         if len(u0) != model.input_dim:
             raise ex.ConfigError(
                 f"input field must have {model.input_dim} values, got {len(u0)}"
@@ -178,7 +166,7 @@ def cmd_eval(args) -> int:
     if not args.config:
         raise ex.ConfigError("eval needs --config (for the test set) or --input-field")
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    config, test = ex.burgers_test_set(cfg, cfg.get_int("experiment", "seed"))
+    config, test = ex.prepare(ex.burgers_test_set, cfg, cfg.get_int("experiment", "seed"))
     horizons = cfg.get_list("sweep", "horizons", int)
     errors = ex.evaluate_burgers_model(model, test, config, horizons)
     table = ex.ErrorTable(list(errors))
@@ -193,7 +181,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_trace(args) -> int:
-    model = ex.read_input(vae.load_checkpoint, args.checkpoint)
+    model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     alphas = np.array([float(a) for a in args.alphas.split(",") if a.strip()])
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
@@ -205,10 +193,10 @@ def cmd_export_trace(args) -> int:
 
 COMMANDS = {
     "gen-data": cmd_gen_data,
-    "train": cmd_train,
+    "train": cmd_run,
     "eval": cmd_eval,
-    "baselines": cmd_baselines,
-    "sweep": cmd_sweep,
+    "baselines": cmd_run,
+    "sweep": cmd_run,
     "export-trace": cmd_export_trace,
 }
 

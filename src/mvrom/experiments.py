@@ -7,6 +7,11 @@ and any cell can be recomputed in isolation from its checkpoint plus the
 resolved config written next to it.  The config only names a latent;
 ``vae.make_latent`` builds it, and its ``label`` names its row ``vae-<label>``.
 
+A runner prepares once what its cells share (the data, and one LatentSpec
+per latent kind: a cloud file is read and its charts fitted once) and hands
+it to every cell; a setting or file it cannot prepare from is a ConfigError
+before any cell runs.  A cell only trains, evaluates and writes.
+
 Burgers data stays in (B, n) arrays from generation to the error table
 (``burgers.BurgersData``): each stage -- exact truth at every horizon, a
 model's rollout, a baseline's prediction -- is one batched call over all
@@ -17,6 +22,7 @@ input itself: exact evolution by t = 0 returns a row unchanged.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import functools
 import math
@@ -293,11 +299,12 @@ def klein_config(cfg: ExperimentConfig) -> mf.KleinConfig:
     )
 
 
-def read_input(loader, path):
-    """``loader(path)``; a missing file, or one the loader rejects, raises a
-    ConfigError with the loader's message, which names the file."""
+def prepare(build, *args):
+    """``build(*args)`` before any work that depends on it: a missing input
+    file, or a file or setting ``build`` rejects (an OSError or ValueError),
+    raises a ConfigError with its message; a loader's message names the file."""
     try:
-        return loader(path)
+        return build(*args)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -313,21 +320,22 @@ def latent_from_config(cfg: ExperimentConfig, latent_kind: str | None = None) ->
     path = cfg.get("model", "pointcloud_file")
     if kind == "pointcloud" and not path:
         raise ConfigError("model.pointcloud_file required for pointcloud latent")
-    try:
-        return vae.make_latent(kind, cfg.get("model", "projection_policy"), dim,
-                               klein_config(cfg) if kind == "klein" else None,
-                               mf.load_pointcloud(path) if kind == "pointcloud" else None)
-    except (OSError, ValueError) as exc:  # a bad setting or cloud file
-        raise ConfigError(str(exc)) from None
+    klein = prepare(klein_config, cfg) if kind == "klein" else None
+    cloud = prepare(mf.load_pointcloud, path) if kind == "pointcloud" else None
+    return prepare(vae.make_latent, kind, cfg.get("model", "projection_policy"), dim, klein, cloud)
 
 
 def build_model_from_config(
     cfg: ExperimentConfig,
     input_dim: int,
-    latent_kind: str | None = None,
+    latent_kind: str | vae.LatentSpec | None = None,
     flow: str | None = None,
     seed: int = 0,
 ) -> vae.VaeModel:
+    """A model over the latent ``latent_kind`` names (default ``model.latent``),
+    or over the ``LatentSpec`` given, as a runner builds once for its cells."""
+    latent = (latent_kind if isinstance(latent_kind, vae.LatentSpec)
+              else latent_from_config(cfg, latent_kind))
     variant = cfg.get("model", "variant")
     if variant == "linear":
         hidden = ()
@@ -337,7 +345,7 @@ def build_model_from_config(
         raise ConfigError(f"unknown model variant '{variant}'")
     return vae.build_vae(
         input_dim,
-        latent_from_config(cfg, latent_kind),
+        latent,
         hidden=hidden,
         activation=cfg.get("model", "activation"),
         leaky_slope=cfg.get_float("model", "leaky_slope"),
@@ -365,15 +373,6 @@ def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConf
     return vae.TrainConfig(**kwargs)
 
 
-def data_from_file(path, config: bg.BurgersConfig) -> bg.BurgersData:
-    """Read a pair file; blend parameters and start times are not stored (NaN)."""
-    X, Y, header = read_input(datafiles.load_pairs, path)
-    if header.dim != config.n_x:
-        raise ConfigError(f"dataset dim {header.dim} does not match configured n_x {config.n_x}")
-    unknown = np.full(header.count, np.nan)
-    return bg.BurgersData(X, Y, unknown, unknown)
-
-
 def _draw_burgers_set(cfg: ExperimentConfig, config, size: str, times: str, seed: int):
     """``dataset.<size>`` pairs, alpha and start times in their configured ranges."""
     ranges = [(cfg.get_float("dataset", f"{key}_min"), cfg.get_float("dataset", f"{key}_max"))
@@ -388,13 +387,18 @@ def burgers_test_set(cfg: ExperimentConfig, seed: int):
 
 
 def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
-    """(config, train, test): the training data (from ``dataset.file`` when
-    set, else drawn from seed) and ``burgers_test_set``, both ``BurgersData``."""
+    """(config, train, test): the training data and ``burgers_test_set``, both
+    ``BurgersData``; a runner calls it once through ``prepare``.  Training
+    pairs come from ``dataset.file`` when set (blend parameters and start
+    times are not stored: NaN), else are drawn from seed."""
     config, test = burgers_test_set(cfg, seed)
-    data_file = cfg.get("dataset", "file")
-    if data_file:
-        return config, data_from_file(data_file, config), test
-    return config, _draw_burgers_set(cfg, config, "m_train", "t", seed), test
+    if not cfg.get("dataset", "file"):
+        return config, _draw_burgers_set(cfg, config, "m_train", "t", seed), test
+    X, Y, header = datafiles.load_pairs(cfg.get("dataset", "file"))
+    if header.dim != config.n_x:
+        raise ConfigError(f"dataset dim {header.dim} does not match configured n_x {config.n_x}")
+    unknown = np.full(header.count, np.nan)
+    return config, bg.BurgersData(X, Y, unknown, unknown), test
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +459,29 @@ def export_latent_trace(model: vae.VaeModel, X, alpha, t, path, n_steps: int = 4
 # sweep cells (top-level functions so a process pool can pickle them)
 
 
-def _loss_history_rows(history):
-    return [{"epoch": s.epoch, **asdict(s.loss), "eval_error": s.eval_error} for s in history]
-
-
 _HISTORY_COLUMNS = ["epoch", "total", "reconstruction", "kl", "regularization", "eval_error"]
 
 
-def _burgers_vae_cell(sections: dict, out: str, beta: float, gamma: float, seed: int):
-    cfg = ExperimentConfig(sections)
-    config, train, test = generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
-    model = build_model_from_config(cfg, config.n_x, seed=seed)
+def _write_cell(cell_dir: Path, model: vae.VaeModel, history):
+    """A trained cell's ``model.ckpt`` and ``loss_history.csv`` under ``cell_dir``."""
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    vae.save_checkpoint(model, cell_dir / "model.ckpt")
+    rows = [{"epoch": s.epoch, **asdict(s.loss), "eval_error": s.eval_error} for s in history]
+    datafiles.write_table_csv(cell_dir / "loss_history.csv", rows, _HISTORY_COLUMNS)
+
+
+def _burgers_vae_cell(cfg: ExperimentConfig, out: Path, prepared, beta, gamma, seed: int):
+    """``prepared`` is (config, train, test, latent)."""
+    config, train, test, latent = prepared
+    model = build_model_from_config(cfg, config.n_x, latent, seed=seed)
     tc = train_config_from(cfg, seed, beta=beta, gamma=gamma)
     model, history = vae.train(model, train.X, train.Y, tc)
 
     horizons = cfg.get_list("sweep", "horizons", int)
     errors = evaluate_burgers_model(model, test, config, horizons)
 
-    cell_dir = Path(out) / f"beta={beta:g}_gamma={gamma:g}"
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    vae.save_checkpoint(model, cell_dir / "model.ckpt")
-    datafiles.write_table_csv(cell_dir / "loss_history.csv", _loss_history_rows(history), _HISTORY_COLUMNS)
+    cell_dir = out / f"beta={beta:g}_gamma={gamma:g}"
+    _write_cell(cell_dir, model, history)
     _write_prediction_curves(model, config, cell_dir / "predictions.csv", max(horizons))
     if model.latent_dim <= 3:
         export_latent_trace(
@@ -500,28 +506,14 @@ def _write_prediction_curves(model, config: bg.BurgersConfig, path, n_steps: int
     datafiles.write_table_csv(path, rows, ["alpha", "step", "x", "u_true", "u_pred"])
 
 
-def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: int):
-    cfg = ExperimentConfig(sections)
-    base_seed = cfg.get_int("experiment", "seed")
-    kind = cfg.get("dataset", "kind")
-    m = cfg.get_int("dataset", "m")
-    if kind == "arm-torus":
-        clean = mech.generate_arm_torus(mech.ArmConfig(), m, base_seed)
-    elif kind == "klein":
-        clean = mech.generate_klein(klein_config(cfg), m, base_seed)
-    else:
-        raise ConfigError(f"unknown mechanics dataset kind '{kind}'")
-    noisy = mech.add_noise(clean, sigma, base_seed + 7)
-    train_set, test_set = mech.train_test_split(
-        noisy, cfg.get_float("dataset", "train_fraction"), base_seed + 13
-    )
-
-    model = build_model_from_config(cfg, 4, latent_kind=latent_kind, flow="identity", seed=seed)
+def _mech_cell(cfg: ExperimentConfig, out: Path, prepared, latent_kind: str, sigma, seed: int):
+    """``prepared`` is ({kind: LatentSpec}, {sigma: (train, test)})."""
+    latents, splits = prepared
+    train_set, test_set = splits[sigma]
+    model = build_model_from_config(cfg, 4, latents[latent_kind], flow="identity", seed=seed)
     marks = cfg.get_list("sweep", "eval_epochs", int)
     eval_every = int(np.gcd.reduce(marks)) if marks else cfg.get_int("train", "eval_every")
-    tc = train_config_from(cfg, seed, eval_every=eval_every or 0)
-    if marks and tc.epochs < max(marks):
-        raise ConfigError("train.epochs must reach the last sweep.eval_epochs mark")
+    tc = train_config_from(cfg, seed, eval_every=eval_every)
 
     eval_fn = lambda mdl: mech_reconstruction_error(mdl, test_set)  # noqa: E731
     model, history = vae.train(model, train_set.noisy, train_set.clean, tc, eval_fn=eval_fn)
@@ -532,10 +524,7 @@ def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: i
     last = history[-1].eval_error if history else None
     errors["final"] = last if last is not None else eval_fn(model)
 
-    cell_dir = Path(out) / f"latent={latent_kind}_sigma={sigma:g}"
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    vae.save_checkpoint(model, cell_dir / "model.ckpt")
-    datafiles.write_table_csv(cell_dir / "loss_history.csv", _loss_history_rows(history), _HISTORY_COLUMNS)
+    _write_cell(out / f"latent={latent_kind}_sigma={sigma:g}", model, history)
     return errors
 
 
@@ -543,47 +532,45 @@ def _mech_cell(sections: dict, out: str, latent_kind: str, sigma: float, seed: i
 # experiment drivers
 
 
-def _run_cells(cells, runner, workers: int):
-    """Run sweep cells serially or in a process pool; deterministic reduction."""
-    results = {}
-    if workers <= 1:
-        for key, args in cells:
-            try:
-                results[key] = runner(*args)
-            except Exception as exc:  # cell failures recorded, run continues
-                results[key] = exc
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(runner, *args) for key, args in cells}
-        for key in sorted(futures):
-            try:
-                results[key] = futures[key].result()
-            except Exception as exc:
-                results[key] = exc
-    return results
+def _cell_outcome(cell, args):
+    """``cell(*args)``, or the text of the error it raised: a failure comes
+    back as a value, so no exception object crosses a process boundary."""
+    try:
+        return cell(*args)
+    except Exception as exc:  # cell failures recorded, run continues
+        return _error_text(exc)
 
 
-def _run_grid(cfg: ExperimentConfig, out: Path, runner, outer, inner, table: ErrorTable, row):
-    """Run ``runner`` on every (outer, inner) cell and reduce into ``table``.
+def _run_cells(cell, cells, workers: int) -> list:
+    """The outcome of ``cell(*args)`` for each args of ``cells``, in cell
+    order: run in this process, or in a pool of ``workers`` processes."""
+    run = functools.partial(_cell_outcome, cell)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        return list((pool.map if pool else map)(run, cells))
+
+
+def _run_grid(cfg: ExperimentConfig, cell, outer, inner, table: ErrorTable, row):
+    """Run ``cell(a, b, seed)`` on every (a, b) in outer x inner and reduce
+    into ``table``.  ``cell`` is ``functools.partial(cell_fn, cfg, out,
+    prepared)``: a cell function gets the config, the output directory and
+    what its runner prepared once for all cells, then its two sweep values
+    and its seed, and returns its error columns.
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
-    names its table row as (method, dim, sweep).  A cell that raised or
+    names its table row as (method, dim, sweep), and two cells that share a
+    row are a ConfigError before any cell runs.  A cell that raised or
     returned a non-finite value is marked failed with its error; otherwise
-    its values are added.
+    its values are added.  Rows and failures come in cell order.
     """
     seed = cfg.get_int("experiment", "seed")
-    cells = [
-        ((a, b), (cfg.sections, str(out), a, b, seed + 100 * i + j))
-        for i, a in enumerate(outer)
-        for j, b in enumerate(inner)
-    ]
-    results = _run_cells(cells, runner, cfg.get_int("experiment", "workers"))
-    for (a, b), res in results.items():
-        method, dim, sweep = row(a, b)
-        if isinstance(res, Exception):
-            error = _error_text(res)
-        else:
-            error = next((f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
+    cells = [(a, b, seed + 100 * i + j) for i, a in enumerate(outer) for j, b in enumerate(inner)]
+    rows = [row(a, b) for a, b, _ in cells]
+    if len(set(rows)) < len(rows):
+        raise ConfigError(f"two sweep cells write table row {max(rows, key=rows.count)}")
+    results = _run_cells(cell, cells, cfg.get_int("experiment", "workers"))
+    for (method, dim, sweep), res in zip(rows, results):
+        error = res if isinstance(res, str) else next(
+            (f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
         if error is None:
             for col, val in res.items():
                 table.add(method, dim, sweep, col, val)
@@ -597,20 +584,21 @@ def _error_text(exc: Exception) -> str:
 
 
 def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
-    config = burgers_config(cfg)
+    """A beta x gamma sweep; the data are read or drawn, and the latent
+    built, once for all cells."""
+    latent = latent_from_config(cfg)
+    config, train, test = prepare(generate_burgers_sets, cfg, cfg.get_int("experiment", "seed"))
     betas = cfg.get_list("sweep", "beta") or [cfg.get_float("train", "beta")]
     gammas = cfg.get_list("sweep", "gamma") or [cfg.get_float("train", "gamma")]
     horizons = cfg.get_list("sweep", "horizons", int)
     columns = [horizon_label(0)] + [horizon_label(k * config.tau) for k in horizons]
     method = f"vae-{cfg.get('model', 'variant')}"
-    dim = latent_from_config(cfg).dim
-    if cfg.get("dataset", "file"):  # an unreadable file fails the run, not each cell
-        data_from_file(cfg.get("dataset", "file"), config)
 
     def row(beta, gamma):
-        return method, dim, f"beta={beta:g};gamma={gamma:g}"
+        return method, latent.dim, f"beta={beta:g};gamma={gamma:g}"
 
-    return _run_grid(cfg, out, _burgers_vae_cell, betas, gammas, ErrorTable(columns), row)
+    cell = functools.partial(_burgers_vae_cell, cfg, out, (config, train, test, latent))
+    return _run_grid(cfg, cell, betas, gammas, ErrorTable(columns), row)
 
 
 def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
@@ -621,7 +609,7 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     table with its error, as failed sweep cells are.
     """
     seed = cfg.get_int("experiment", "seed")
-    config, train, test = generate_burgers_sets(cfg, seed)
+    config, train, test = prepare(generate_burgers_sets, cfg, seed)
     xmat, xpmat = train.X.T, train.Y.T
     factors = functools.cache(lambda: lb.svd(xmat))  # an error reaches every rank
     horizons = cfg.get_list("sweep", "horizons", int)
@@ -665,20 +653,38 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     return table
 
 
+def _mech_splits(cfg: ExperimentConfig, sigmas, seed: int) -> dict:
+    """{sigma: (train, test)}: one clean ``dataset.kind`` set drawn from seed,
+    noised per sigma from seed + 7 and split from seed + 13."""
+    kind, m = cfg.get("dataset", "kind"), cfg.get_int("dataset", "m")
+    if kind == "arm-torus":
+        clean = mech.generate_arm_torus(mech.ArmConfig(), m, seed)
+    elif kind == "klein":
+        clean = mech.generate_klein(klein_config(cfg), m, seed)
+    else:
+        raise ConfigError(f"unknown mechanics dataset kind '{kind}'")
+    fraction = cfg.get_float("dataset", "train_fraction")
+    noisy = {sigma: mech.add_noise(clean, sigma, seed + 7) for sigma in sigmas}
+    return {sigma: mech.train_test_split(data, fraction, seed + 13) for sigma, data in noisy.items()}
+
+
 def run_mech_recon(cfg: ExperimentConfig, out: Path) -> ErrorTable:
+    """A latent x sigma sweep; row ``vae-<label>``, dim, ``latent=<kind>;sigma=<sigma>``.
+    One LatentSpec per kind and one noisy split per sigma serve every cell."""
     sigmas = cfg.get_list("sweep", "sigma") or [cfg.get_float("dataset", "sigma")]
-    latents = [s for s in cfg.get("sweep", "latent").split(",") if s.strip()] or [
-        cfg.get("model", "latent")
-    ]
+    kinds = cfg.get_list("sweep", "latent", str) or [cfg.get("model", "latent")]
     marks = cfg.get_list("sweep", "eval_epochs", int)
+    if marks and cfg.get_int("train", "epochs") < max(marks):
+        raise ConfigError("train.epochs must reach the last sweep.eval_epochs mark")
+    latents = {kind: latent_from_config(cfg, kind) for kind in kinds}
+    splits = prepare(_mech_splits, cfg, sigmas, cfg.get_int("experiment", "seed"))
+
+    def row(kind, sigma):
+        return f"vae-{latents[kind].label}", latents[kind].dim, f"latent={kind};sigma={sigma:g}"
+
+    cell = functools.partial(_mech_cell, cfg, out, (latents, splits))
     columns = [str(m) for m in marks] + ["final"]
-    latent = {kind: latent_from_config(cfg, kind) for kind in latents}
-
-    def row(latent_kind, sigma):
-        spec = latent[latent_kind]
-        return f"vae-{spec.label}", spec.dim, f"sigma={sigma:g}"
-
-    return _run_grid(cfg, out, _mech_cell, latents, sigmas, ErrorTable(columns), row)
+    return _run_grid(cfg, cell, kinds, sigmas, ErrorTable(columns), row)
 
 
 RUNNERS = {

@@ -11,6 +11,7 @@ from mvrom import cli
 from mvrom import datafiles
 from mvrom import experiments as ex
 from mvrom import manifold as mf
+from mvrom import mechanics as mech
 from mvrom import vae
 
 from oracles import build_torus_pointcloud, table_complete
@@ -228,15 +229,65 @@ def test_burgers_vae_cell_recompute_matches_table(tmp_path):
         assert table.cell("vae-nonlinear", 2, "beta=1;gamma=0.5", col) == val
 
 
+def _save_quadratic_torus_cloud(path):
+    """The resolution-64 torus as a quadratic (Monge-chart) cloud with a k-d tree."""
+    points = build_torus_pointcloud(resolution=64).points
+    mf.PointCloudManifold(2, 4, points, "quadratic").save(path)
+
+
+def _run_serial_and_pool(tmp_path, overrides):
+    """Run the same sweep with workers=1 and workers=2; returns both output dirs."""
+    outs = []
+    for workers in (1, 2):
+        cfg = ex.ExperimentConfig.from_file(
+            None, overrides=overrides + [f"experiment.workers={workers}"])
+        ex.run_experiment(cfg, tmp_path / f"workers{workers}")
+        outs.append(tmp_path / f"workers{workers}")
+    return outs
+
+
 def test_burgers_vae_sweep_worker_pool_matches_serial(tmp_path):
-    overrides = tiny_overrides(["sweep.gamma=0,0.5", "train.epochs=2"])
-    cfg1 = ex.ExperimentConfig.from_file(None, overrides=overrides)
-    ex.run_experiment(cfg1, tmp_path / "serial")
-    cfg2 = ex.ExperimentConfig.from_file(None, overrides=overrides + ["experiment.workers=2"])
-    ex.run_experiment(cfg2, tmp_path / "pool")
-    serial = (tmp_path / "serial" / "errors.csv").read_text()
-    pool = (tmp_path / "pool" / "errors.csv").read_text()
-    assert serial == pool
+    # and a mech-recon sweep, which sends a prepared quadratic cloud and its
+    # k-d tree through the pool
+    cloud = tmp_path / "torus.cloud"
+    _save_quadratic_torus_cloud(cloud)
+    sweeps = {
+        "burgers-vae": tiny_overrides(["sweep.gamma=0,0.5", "train.epochs=2"]),
+        "mech-recon": ["experiment.kind=mech-recon", "dataset.m=48", "model.hidden=8",
+                       f"model.pointcloud_file={cloud}", "train.epochs=2",
+                       "sweep.latent=pointcloud,r2", "sweep.sigma=0.05"],
+    }
+    for kind, overrides in sweeps.items():
+        serial, pool = _run_serial_and_pool(tmp_path / kind, overrides)
+        assert (serial / "errors.csv").read_text() == (pool / "errors.csv").read_text()
+        assert ex.read_table_csv(serial / "errors.csv").num_failed == 0
+        ckpts = sorted(p.relative_to(serial) for p in serial.glob("*/model.ckpt"))
+        assert len(ckpts) == 2
+        for path in ckpts:
+            assert (serial / path).read_bytes() == (pool / path).read_bytes()
+
+
+def test_worker_pool_writes_the_serial_errors_and_failures(tmp_path):
+    # a diverged cell is a result, not an exception that breaks the pool
+    serial, pool = _run_serial_and_pool(
+        tmp_path, tiny_overrides(["train.lr=1e9", "sweep.gamma=0.5,0"]))
+    for name in ("errors.csv", "failures.csv"):
+        assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
+    assert "BrokenProcessPool" not in (pool / "failures.csv").read_text()
+
+
+def test_diverged_cell_leaves_the_other_pool_cells_running(tmp_path):
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides(
+        ["sweep.beta=1,1e9", "sweep.gamma=0.5,0", "train.epochs=1", "experiment.workers=2"]))
+    table, failed = ex.run_experiment(cfg, tmp_path / "pool")
+    assert failed == 2 * len(table.columns)
+    for gamma in ("0.5", "0"):
+        row = table.rows[("vae-nonlinear", "2", f"beta=1;gamma={gamma}")]
+        assert ex.FAILED not in row.values()
+    with open(tmp_path / "pool" / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[2] for row in rows] == ["beta=1e+09;gamma=0.5", "beta=1e+09;gamma=0"]
+    assert all(row[3].startswith("TrainingDiverged: training diverged") for row in rows)
 
 
 def test_mech_recon_table_shape(tmp_path):
@@ -258,9 +309,12 @@ def test_mech_recon_table_shape(tmp_path):
     table, failed = ex.run_experiment(cfg, tmp_path / "mech")
     assert failed == 0
     assert table.columns == ["2", "4", "final"]
-    assert ("vae-2-manifold", "4", "sigma=0") in table.rows
-    assert ("vae-2-manifold", "4", "sigma=0.5") in table.rows
-    assert ("vae-R2", "2", "sigma=0") in table.rows
+    assert sorted(table.rows) == [
+        ("vae-2-manifold", "4", "latent=torus;sigma=0"),
+        ("vae-2-manifold", "4", "latent=torus;sigma=0.5"),
+        ("vae-R2", "2", "latent=r2;sigma=0"),
+        ("vae-R2", "2", "latent=r2;sigma=0.5"),
+    ]
     assert table_complete(table)
     # final is the error of the model training returned: the last epoch's
     # evaluation, not the best one over the marks
@@ -292,7 +346,7 @@ def test_mech_recon_row_names_the_trained_latent(tmp_path, latent, row):
     ])
     table, failed = ex.run_experiment(cfg, tmp_path / "mech")
     assert failed == 0
-    assert list(table.rows) == [(*row, "sigma=0")]
+    assert list(table.rows) == [(*row, f"latent={latent};sigma=0")]
     model = vae.load_checkpoint(tmp_path / "mech" / f"latent={latent}_sigma=0" / "model.ckpt")
     assert (f"vae-{model.latent.label}", str(model.latent_dim)) == row
 
@@ -333,7 +387,7 @@ def test_failed_cell_is_recorded_not_raised(tmp_path):
 
 
 def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
-    def nan_cell(sections, out, beta, gamma, seed):
+    def nan_cell(cfg, out, prepared, beta, gamma, seed):
         return {"0.00s": 0.1, "0.25s": float("nan"), "1.00s": 0.2}
 
     monkeypatch.setattr(ex, "_burgers_vae_cell", nan_cell)
@@ -345,7 +399,7 @@ def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
 
 
 def test_failed_cells_keep_their_error(tmp_path, monkeypatch):
-    def one_bad_cell(sections, out, beta, gamma, seed):
+    def one_bad_cell(cfg, out, prepared, beta, gamma, seed):
         if beta == 2.0:
             raise RuntimeError('diverged, "badly"')
         if gamma == 0.0:
@@ -420,10 +474,73 @@ def test_cli_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, defect)
     assert not list((tmp_path / "out").glob("*/model.ckpt"))
 
 
+def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):
+    # every cell of a run shares one read of dataset.file, one drawn test
+    # set, one clean mechanics set, one noisy split per sigma and one cloud
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    pairs, cloud = tmp_path / "pairs.bin", tmp_path / "torus.cloud"
+    data = bg.generate_burgers_dataset(bg.BurgersConfig(n_x=64), 40, seed=3)
+    datafiles.save_pairs(pairs, data.X, data.Y, 0.02, 0.25)
+    _save_quadratic_torus_cloud(cloud)
+    for module, name in [(datafiles, "load_pairs"), (bg, "generate_burgers_dataset"),
+                         (mech, "generate_arm_torus"), (mech, "add_noise"),
+                         (mf, "load_pointcloud")]:
+        count(module, name)
+
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides(
+        [f"dataset.file={pairs}", "sweep.beta=1,2", "sweep.gamma=0.5,0", "train.epochs=1"]))
+    assert ex.run_experiment(cfg, tmp_path / "burgers")[1] == 0
+    assert calls == {"load_pairs": 1, "generate_burgers_dataset": 1}
+
+    calls.clear()
+    cfg = ex.ExperimentConfig.from_file(None, overrides=[
+        "experiment.kind=mech-recon", "dataset.m=40", "model.hidden=8", "train.epochs=1",
+        f"model.pointcloud_file={cloud}", "sweep.latent=pointcloud,torus,r4",
+        "sweep.sigma=0,0.05",
+    ])
+    table, failed = ex.run_experiment(cfg, tmp_path / "mech")
+    assert failed == 0 and len(table.rows) == 6
+    assert calls == {"generate_arm_torus": 1, "add_noise": 2, "load_pointcloud": 1}
+
+
+@pytest.mark.parametrize("case", ["baselines-m_test", "burgers-vae-m_test", "mech-dataset-kind",
+                                  "mech-epochs-before-mark", "klein-radii", "shared-row"])
+def test_bad_shared_setting_exits_2_before_any_cell(tmp_path, capsys, case):
+    mech_run = ["experiment.kind=mech-recon", "dataset.m=40", "model.hidden=8", "train.epochs=2",
+                "sweep.latent=r2"]
+    overrides = {
+        "baselines-m_test": ["dataset.m_test=0"],
+        "burgers-vae-m_test": ["dataset.m_test=0", "sweep.gamma=0.5,0"],
+        "mech-dataset-kind": mech_run + ["dataset.kind=pendulum"],
+        "mech-epochs-before-mark": mech_run + ["sweep.eval_epochs=1,4"],
+        "klein-radii": mech_run + ["sweep.latent=klein", "model.klein_a=0.5"],
+        # two cells, one row
+        "shared-row": mech_run + ["sweep.sigma=0,0"],
+    }[case]
+    command = "baselines" if case.startswith("baselines") else "sweep"
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    for item in tiny_overrides(overrides):
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not [p for p in out.iterdir() if p.is_dir()]
+    assert not (out / "errors.csv").exists()
+
+
 def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
     cloud_file = tmp_path / "torus.cloud"
-    points = build_torus_pointcloud(resolution=64).points
-    mf.PointCloudManifold(2, 4, points, "quadratic").save(cloud_file)
+    _save_quadratic_torus_cloud(cloud_file)
     trained = {}
     save_checkpoint = vae.save_checkpoint
 
@@ -447,7 +564,13 @@ def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
     for item in overrides:
         argv += ["--set", item]
     assert cli.main(argv) == 0
-    assert ex.read_table_csv(out / "errors.csv").num_failed == 0
+    table = ex.read_table_csv(out / "errors.csv")
+    assert table.num_failed == 0
+    # both latents are 2-manifolds in R^4: the sweep column tells their rows apart
+    assert sorted(table.rows) == [
+        ("vae-2-manifold", "4", "latent=klein;sigma=0.05"),
+        ("vae-2-manifold", "4", "latent=pointcloud;sigma=0.05"),
+    ]
     assert sorted(p.parent.name for p in trained) == [
         "latent=klein_sigma=0.05",
         "latent=pointcloud_sigma=0.05",
