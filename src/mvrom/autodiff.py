@@ -194,15 +194,19 @@ def flat_views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
 
 
 class AdamState:
-    """Adam's moments and two scratch chunks for the flat vector laid out as
-    ``like`` (name -> array), allocated once; the names label bad gradients."""
+    """Adam's moments and one scratch chunk for the flat vector laid out as
+    ``like`` (name -> array), allocated once; the names label bad gradients.
+
+    The moments are kept scaled: ``m`` holds m / (1 - beta1) and ``v`` holds
+    v / (1 - beta2) for the textbook m and v, so each update is a multiply
+    and an add of the gradient (or its square)."""
 
     CHUNK = 32768  # elements per pass: the chunk of every operand stays in cache
 
     def __init__(self, like: dict):
         self.names, self.ends = list(like), np.cumsum([np.size(v) for v in like.values()])
         self.m, self.v = np.zeros(self.ends[-1]), np.zeros(self.ends[-1])
-        self.scratch, self.step = np.empty((2, min(self.ends[-1], self.CHUNK))), 0
+        self.scratch, self.step = np.empty(min(self.ends[-1], self.CHUNK)), 0
 
     def require_finite(self, flat: np.ndarray, what: str):
         """Raise ``NonFiniteError`` naming the parameter of the first NaN/Inf in ``flat``."""
@@ -222,23 +226,35 @@ def adam_step(
     eps: float = 1e-8,
 ) -> np.ndarray:
     """Adam (Kingma & Ba, 2015) with bias correction on the flat ``params``,
-    in place, chunk by chunk, in the textbook op order: bit-identical to
-    updating each parameter array on its own."""
+    in place, chunk by chunk, in ten elementwise passes per chunk.
+
+    The bias corrections fold into the step size, as in the note under
+    Algorithm 1 of the paper: with the scaled moments M = ``state.m`` and
+    V = ``state.v`` and r = sqrt((1 - beta2^t) / (1 - beta2)), the update is
+    p -= alpha * M / (sqrt(V) + eps * r), alpha = lr * (1 - beta1) / (1 -
+    beta1^t) * r.  This equals the textbook update up to rounding.  A NaN or
+    Inf gradient raises ``NonFiniteError`` naming its parameter before
+    anything moves; one dot product screens for it, and only a non-finite
+    g.g (which a finite gradient above about 1e154 also gives) runs the
+    elementwise check."""
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    state.require_finite(grads, "gradient")
+    if not np.isfinite(np.dot(grads, grads)):
+        state.require_finite(grads, "gradient")
     state.step += 1
-    c1, c2 = 1 - beta1**state.step, 1 - beta2**state.step
+    r = np.sqrt((1 - beta2**state.step) / (1 - beta2))
+    alpha, eps_hat = lr * (1 - beta1) / (1 - beta1**state.step) * r, eps * r
     for start in range(0, len(params), state.CHUNK):
         part = slice(start, start + state.CHUNK)
         p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
-        s, u = state.scratch[:, : len(p)]
+        s = state.scratch[: len(p)]
         m *= beta1
-        m += np.multiply(g, 1 - beta1, out=s)
+        m += g
         v *= beta2
-        v += np.multiply(np.multiply(g, 1 - beta2, out=s), g, out=s)
-        np.sqrt(np.divide(v, c2, out=s), out=s)
-        s += eps
-        np.multiply(np.divide(m, c1, out=u), lr, out=u)
-        p -= np.divide(u, s, out=u)
+        v += np.multiply(g, g, out=s)
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= alpha
+        p -= s
     return params

@@ -405,7 +405,8 @@ def train(
     into that vector, whose finiteness is checked once, naming the first bad
     parameter.  Each step's backward writes every parameter gradient into
     its view of a second flat vector; ``adam_step`` checks that vector (the
-    one gradient check per step) and updates the first in place.
+    one gradient check per step: a dot product, then a search naming the
+    parameter only when it is not finite) and updates the first in place.
     Deterministic under config.seed.  Divergence (minimized loss above 1e6
     or non-finite) aborts with the history attached to the exception.
     """

@@ -261,9 +261,23 @@ def table_complete(table):
     return all(col in row for row in table.rows.values() for col in table.columns)
 
 
-def dict_adam_step(params, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def dict_adam_step(params, grads, M, V, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam step t (from 1) applied parameter by parameter over dicts of
-    arrays, each with its own temporaries, as the textbook writes it."""
+    arrays, each with its own temporaries, in the folded form: M and V are
+    the moments scaled by 1 / (1 - beta1) and 1 / (1 - beta2), and the bias
+    corrections fold into the step size and epsilon."""
+    r = np.sqrt((1 - beta2**t) / (1 - beta2))
+    alpha = lr * (1 - beta1) / (1 - beta1**t) * r
+    for name in params:
+        g = grads[name]
+        M[name] = beta1 * M.get(name, np.zeros_like(g)) + g
+        V[name] = beta2 * V.get(name, np.zeros_like(g)) + g * g
+        params[name] -= M[name] / (np.sqrt(V[name]) + eps * r) * alpha
+
+
+def textbook_adam_step(params, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (from 1) as Algorithm 1 of Kingma & Ba (2015) writes it,
+    parameter by parameter over dicts of arrays."""
     for name in params:
         g = grads[name]
         m[name] = beta1 * m.get(name, np.zeros_like(g)) + (1 - beta1) * g

@@ -350,25 +350,94 @@ def test_adam_rejects_nonpositive_lr():
             ad.adam_step(flat, np.ones(2), state, lr=lr)
 
 
-def test_flat_adam_matches_per_parameter_oracle_bit_for_bit():
-    rng = np.random.default_rng(12)
-    shapes = {"enc_W0": (5, 7), "enc_b0": (7,), "dec_W0": (7, 3), "lambda0": ()}
+def test_adam_gradient_check_in_the_last_chunk_names_its_parameter():
+    # a NaN or Inf past the first chunk is caught before any chunk moves
+    chunk = ad.AdamState.CHUNK
+    shapes = {"a": (3,), "big": (chunk + 10,), "z": (5,)}
+    rng = np.random.default_rng(4)
+    for bad_at, name in [(chunk + 5, "big"), (chunk + 15, "z")]:
+        flat, _, state = adam({key: rng.normal(size=shape) for key, shape in shapes.items()})
+        before = flat.copy()
+        grad = rng.normal(size=flat.size)
+        grad[bad_at] = np.nan if name == "big" else -np.inf
+        with pytest.raises(ad.NonFiniteError, match=f"gradient for parameter '{name}'"):
+            ad.adam_step(flat, grad, state)
+        np.testing.assert_array_equal(flat, before)
+        np.testing.assert_array_equal(state.m, 0.0)
+        np.testing.assert_array_equal(state.v, 0.0)
+        assert state.step == 0
+
+
+def test_adam_steps_on_a_finite_gradient_whose_square_overflows():
+    # g.g overflows, so the screen falls through to the exact check, which passes
+    shapes = {"w": (6,), "b": (2,)}
+    rng = np.random.default_rng(8)
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     reference = {name: value.copy() for name, value in params.items()}
     flat, views, state = adam(params)
-    m, v = {}, {}
+    grads = {"w": np.array([1e200, -3e199, 0.5, -2.0, 1e-3, 4.0]), "b": np.array([-7e199, 0.25])}
+    g = np.concatenate([grads["w"], grads["b"]])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(g, g))
+        ad.adam_step(flat, g, state, lr=1e-2)
+        oracles.textbook_adam_step(reference, grads, {}, {}, 1, lr=1e-2)
+    assert state.step == 1 and np.all(np.isfinite(flat))
+    for name in shapes:
+        np.testing.assert_allclose(views[name], reference[name], rtol=0, atol=1e-15)
+    # an entry whose g*g overflows stays put, as in the textbook form; the rest move
+    np.testing.assert_array_equal(views["w"][:2], params["w"][:2])
+    assert np.all(views["w"][2:] != params["w"][2:]) and views["b"][1] != params["b"][1]
+
+
+def test_flat_adam_matches_per_parameter_oracle_bit_for_bit():
+    # the chunked in-place update against the same (folded) arithmetic done
+    # parameter by parameter; "big" puts two chunk boundaries inside one parameter
+    rng = np.random.default_rng(12)
+    shapes = {"enc_W0": (5, 7), "big": (2 * ad.AdamState.CHUNK + 100,), "enc_b0": (7,),
+              "dec_W0": (7, 3), "lambda0": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    reference = {name: value.copy() for name, value in params.items()}
+    flat, views, state = adam(params)
+    M, V = {}, {}
     for t in range(1, 8):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
                  for name, shape in shapes.items()}
         ad.adam_step(flat, np.concatenate([np.ravel(g) for g in grads.values()]), state, lr=3e-3)
-        oracles.dict_adam_step(reference, grads, m, v, t, lr=3e-3)
+        oracles.dict_adam_step(reference, grads, M, V, t, lr=3e-3)
         for name in shapes:
             np.testing.assert_array_equal(views[name], reference[name])
-        # the moments too: a rounding change in v can vanish from a step
-        for flat_moment, moment in ((state.m, m), (state.v, v)):
+        # the moments too: a rounding change in V can vanish from a step
+        for flat_moment, moment in ((state.m, M), (state.v, V)):
             np.testing.assert_array_equal(flat_moment, np.concatenate(
                 [np.ravel(x) for x in moment.values()]))
     assert state.step == 7
+
+
+def test_folded_adam_tracks_the_textbook_update():
+    # over 50 steps at gradient scales 1e-6..1e3 the folded form stays within
+    # 1e-14 of the textbook one, relative to each array's largest magnitude
+    beta1, beta2 = 0.9, 0.999
+    rng = np.random.default_rng(21)
+    shapes = {"enc_W0": (40, 30), "enc_b0": (30,), "dec_W0": (30, 40), "lambda0": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    reference = {name: value.copy() for name, value in params.items()}
+    flat, views, state = adam(params)
+    m, v = {}, {}
+    for t in range(1, 51):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 4), size=shape)
+                 for name, shape in shapes.items()}
+        ad.adam_step(flat, np.concatenate([np.ravel(g) for g in grads.values()]), state,
+                     lr=3e-3, beta1=beta1, beta2=beta2)
+        oracles.textbook_adam_step(reference, grads, m, v, t, lr=3e-3, beta1=beta1, beta2=beta2)
+    moments = {"m": (ad.flat_views(state.m, params), m, 1 - beta1),
+               "v": (ad.flat_views(state.v, params), v, 1 - beta2)}
+    for name in shapes:
+        scale = np.max(np.abs(reference[name]))
+        np.testing.assert_allclose(views[name], reference[name], rtol=0, atol=1e-14 * scale)
+        for scaled, textbook, factor in moments.values():
+            np.testing.assert_allclose(factor * scaled[name], textbook[name], rtol=0,
+                                       atol=1e-14 * np.max(np.abs(textbook[name])))
+    assert state.step == 50
 
 
 def test_backward_writes_into_flat_views():
