@@ -375,9 +375,12 @@ def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConf
 
 def _draw_burgers_set(cfg: ExperimentConfig, config, size: str, times: str, seed: int):
     """``dataset.<size>`` pairs, alpha and start times in their configured ranges."""
+    count = cfg.get_int("dataset", size)
+    if count < 1:
+        raise ConfigError(f"dataset.{size} must be at least 1, got {count}")
     ranges = [(cfg.get_float("dataset", f"{key}_min"), cfg.get_float("dataset", f"{key}_max"))
               for key in ("alpha", times)]
-    return bg.generate_burgers_dataset(config, cfg.get_int("dataset", size), *ranges, seed)
+    return bg.generate_burgers_dataset(config, count, *ranges, seed)
 
 
 def burgers_test_set(cfg: ExperimentConfig, seed: int):

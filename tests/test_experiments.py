@@ -784,6 +784,14 @@ def test_cli_parser_is_reused_without_carrying_values():
     assert first.overrides == ["a.b=1", "c.d=2"]
 
 
+@pytest.mark.parametrize("command", ["baselines", "train"])
+@pytest.mark.parametrize("key, value", [("m_test", 0), ("m_train", -3)])
+def test_cli_bad_sample_count_names_its_setting(tmp_path, capsys, command, key, value):
+    argv = [command, "--out", str(tmp_path / "out"), "--set", f"dataset.{key}={value}"]
+    assert cli.main(argv) == 2
+    assert f"config error: dataset.{key} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[experiment]\nkind = nonsense\n")
