@@ -197,9 +197,9 @@ class AdamState:
     """Adam's moments and one scratch chunk for the flat vector laid out as
     ``like`` (name -> array), allocated once; the names label bad gradients.
 
-    The moments are kept scaled: ``m`` holds m / (1 - beta1) and ``v`` holds
-    v / (1 - beta2) for the textbook m and v, so each update is a multiply
-    and an add of the gradient (or its square)."""
+    The moments are kept scaled: ``m`` and ``v`` hold the textbook first and
+    second moments divided by (1 - beta1) and (1 - beta2), so that each
+    update is a multiply and an add of the gradient (or its square)."""
 
     CHUNK = 32768  # elements per pass: the chunk of every operand stays in cache
 
