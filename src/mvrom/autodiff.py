@@ -6,9 +6,9 @@ Derivatives*, 2008).  ``Tape.backward`` walks the list once in reverse; a
 node returns one contribution per input and writes the gradient of each
 parameter it reads into the array it is handed, in training a view of one
 flat vector that ``adam_step`` checks and applies in place.  The generic
-nodes are a sum, a scalar multiple, a row-weighted sum of squares, a
-batched custom-Jacobian node for the manifold projection and ``Tape.leaf``;
-the model adds fused nodes of its own.  Node outputs and the adjoints
+nodes are a sum, a batched custom-Jacobian node for the manifold projection
+and ``Tape.leaf``; the model adds fused nodes of its own (each MLP, the
+latent flow and the training objective).  Node outputs and the adjoints
 between nodes are checked for NaN/Inf.  Nothing the tape stores refers back
 to it, so reference counting frees a dead tape.  ``glorot_init`` draws from
 a ``Generator`` its caller seeds with ``np.random.default_rng(seed)``.
@@ -135,25 +135,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
     return a.tape.record("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return x.tape.record("scale", x.data * c, (x,), lambda g: (g * c,))
-
-
-def weighted_sq_sum(x: Tensor, row_w, target: np.ndarray | None = None) -> Tensor:
-    """sum_b row_w[b] * |x_b - target_b|^2 for x (B, n); target is constant."""
-    w = np.asarray(row_w, dtype=np.float64)
-    if x.data.ndim != 2 or w.shape != x.data.shape[:1]:
-        raise ShapeError(f"weighted_sq_sum: x {x.data.shape}, row weights {w.shape}")
-    if target is not None and np.shape(target) != x.data.shape:
-        raise ShapeError(f"weighted_sq_sum: x {x.data.shape}, target {np.shape(target)}")
-    d = x.data if target is None else x.data - target
-    w = w[:, None]
-    return x.tape.record(
-        "weighted_sq_sum", (d * d * w).sum(), (x,), lambda g: ((2.0 * (g * w)) * d,)
-    )
 
 
 def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.ndarray) -> Tensor:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-data, train, eval, baselines, sweep, export-trace.
-Exit codes: 0 success, 1 partial cell failure, 2 configuration error (a bad
-setting, or one the data or latents cannot be prepared from, before any cell
-runs) or a missing or damaged input file (the loader's message names the file).
+Exit codes: 0 success, 1 partial cell failure or a table refused for a NaN or
+Inf, 2 configuration error (a bad setting, or one the data or latents cannot
+be prepared from, before any cell runs) or a missing or damaged input file
+(the loader's message names the file).
 Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 """
 
@@ -185,7 +186,6 @@ def cmd_export_trace(args) -> int:
     alphas = np.array([float(a) for a in args.alphas.split(",") if a.strip()])
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)
     print(f"wrote {n_rows} trace rows to {out}")
     return 0
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
     except ex.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except datafiles.NonFiniteValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ columnar export exists for inspection and external plotting.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,10 @@ import numpy as np
 
 MAGIC = b"MVROM1"
 _HEADER = struct.Struct("<QQdd")
+
+
+class NonFiniteValueError(ValueError):
+    """A table to be written holds a NaN or Inf."""
 
 
 @dataclass(frozen=True)
@@ -75,18 +80,21 @@ def export_pairs_text(path, X: np.ndarray, Y: np.ndarray):
 
 
 def write_table_csv(path, rows: list[dict], columns: list[str]):
-    """Small deterministic CSV writer used for error tables and traces."""
+    """Small deterministic CSV writer used for error tables and traces.  A
+    NaN or Inf raises ``NonFiniteValueError`` naming the file, the row (1 is
+    the first after the header) and the column, before the file is opened."""
     path = Path(path)
+    lines = [",".join(columns)] + [",".join(_fmt(row.get(c), path, i, c) for c in columns)
+                                   for i, row in enumerate(rows, 1)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
-def _fmt(v) -> str:
+def _fmt(v, path, row: int, column: str) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"{path}: {v} in row {row}, column '{column}'")
         return f"{v:.10g}"
     return str(v)

@@ -28,7 +28,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -392,14 +392,16 @@ def burgers_test_set(cfg: ExperimentConfig, seed: int):
 def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
     """(config, train, test): the training data and ``burgers_test_set``, both
     ``BurgersData``; a runner calls it once through ``prepare``.  Training
-    pairs come from ``dataset.file`` when set (blend parameters and start
-    times are not stored: NaN), else are drawn from seed."""
+    pairs come from ``dataset.file`` when set (made with the configured n_x,
+    nu and tau; blend parameters and start times unstored: NaN), else from seed."""
     config, test = burgers_test_set(cfg, seed)
-    if not cfg.get("dataset", "file"):
+    path = cfg.get("dataset", "file")
+    if not path:
         return config, _draw_burgers_set(cfg, config, "m_train", "t", seed), test
-    X, Y, header = datafiles.load_pairs(cfg.get("dataset", "file"))
-    if header.dim != config.n_x:
-        raise ConfigError(f"dataset dim {header.dim} does not match configured n_x {config.n_x}")
+    X, Y, header = datafiles.load_pairs(path)
+    made, want = (header.param1, header.param2, header.dim), astuple(config)
+    if made != want:
+        raise ConfigError(f"{path}: made with (nu, tau, n_x) = {made}, but [dataset] sets {want}")
     unknown = np.full(header.count, np.nan)
     return config, bg.BurgersData(X, Y, unknown, unknown), test
 
@@ -677,6 +679,8 @@ def run_mech_recon(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     sigmas = cfg.get_list("sweep", "sigma") or [cfg.get_float("dataset", "sigma")]
     kinds = cfg.get_list("sweep", "latent", str) or [cfg.get("model", "latent")]
     marks = cfg.get_list("sweep", "eval_epochs", int)
+    if marks and min(marks) < 1:
+        raise ConfigError(f"sweep.eval_epochs entries must be at least 1, got {min(marks)}")
     if marks and cfg.get_int("train", "epochs") < max(marks):
         raise ConfigError("train.epochs must reach the last sweep.eval_epochs mark")
     latents = {kind: latent_from_config(cfg, kind) for kind in kinds}

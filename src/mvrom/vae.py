@@ -9,7 +9,8 @@ sum of three signed terms,
     KL = -beta * mean_i D_KL(q(z|X_i) || N(0, sigma_0^2 I))
     RR = gamma * mean_i log p(x_i | z''_i),   z'' = encode(x_i), no flow step
 
-and training minimizes -total.  The latent flow is z' = exp(-lambda0 tau) z
+and training minimizes -total, one tape node (``objective``) that takes all
+three terms from one residual pass.  The latent flow is z' = exp(-lambda0 tau) z
 with lambda0 learnable (or the identity, for pure reconstruction tasks).
 Manifold latents insert the nearest-point projection after the noise draw;
 the KL term is evaluated on the pre-projection mean, where the Gaussian form
@@ -330,26 +331,20 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 
 def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
          rng: np.random.Generator):
-    """Build the loss graph for one batch; returns (total, tape, breakdown).
-
-    Training minimizes the negative of ``total``.  With RR on (gamma > 0)
-    each MLP runs once over the stacked rows [X; Y] and the flow scales the
-    X rows only; RE + RR is one sum of squares against [Y; Y] with row
-    weights [w; gamma w], KL one over the encoder means with [w; 0].  The
-    noise scales are model constants.  Under "skip" flagged samples get
-    zero weight w, the mean renormalized over surviving samples.  The MLP
-    and flow nodes read ``model.params`` unchecked, and the tape's
-    ``backward`` has them write the parameter gradients into the arrays it
-    is handed.  Checked per call: the data rows and noise, every
-    pre-activation and node output, and the loss; backward checks the
-    adjoints passed between nodes.
-    """
+    """Build the loss graph for one batch; returns (objective, tape, breakdown)
+    as ``_objective_tape`` does.  With RR on (gamma > 0) each MLP runs once
+    over the stacked rows [X; Y] and the flow scales the X rows only.  Under
+    "skip" flagged samples get zero weight w, the mean renormalized over
+    surviving samples.  The MLP and flow nodes read ``model.params``
+    unchecked, and the tape's ``backward`` has them write the parameter
+    gradients into the arrays it is handed.  Checked per call: the data
+    rows and noise, every pre-activation and node output, and the loss;
+    backward checks the adjoints passed between nodes."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"expected matching batches, got {X.shape} and {Y.shape}")
-    B, d_lat, n_out = X.shape[0], model.latent_dim, model.output_dim
-    sig_e, sig_d, sig_0 = model.sigma_e, model.sigma_d, model.sigma_0
+    B, d_lat, sig_e = X.shape[0], model.latent_dim, model.sigma_e
     paths = 2 if config.gamma > 0 else 1  # the RR path encodes the target
 
     tape = ad.Tape()
@@ -357,34 +352,44 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     noise = np.concatenate([sig_e * rng.standard_normal((B, d_lat)) for _ in range(paths)])
     a = _mlp_tape(model, "enc_", model.encoder_sizes, tape.constant(rows))
     z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise mf.ProjectionError("every sample in the batch was flagged by the projection")
-    row_w = valid.astype(np.float64) / n_valid
-
     if model.flow == "exp-decay":
         z = _flow_tape(model, z, B)
     x_hat = _mlp_tape(model, "dec_", model.decoder_sizes, z)
-    target = np.concatenate([Y] * paths)
-    data = ad.weighted_sq_sum(x_hat, np.concatenate([row_w, config.gamma * row_w][:paths]), target)
-    kl_sq = ad.weighted_sq_sum(a, np.concatenate([row_w, np.zeros(B)][:paths]))
+    return _objective_tape(model, x_hat, a, Y, valid, config)
 
-    # each term from its own rows; Gaussian log-likelihoods under N(pred, sigma_d^2 I)
+
+def _objective_tape(model: VaeModel, x_hat, a, Y, valid: np.ndarray, config: TrainConfig):
+    """(objective, tape, breakdown): the minimized -(RE + KL + RR) as one node
+    on the tape of the decoder output ``x_hat`` and the encoder means ``a``,
+    both B rows per path (X, then Y with RR on); w = ``valid`` / its count.
+    The residual d = x_hat - [Y; Y] is formed once: RE and RR come from each
+    path's per-row sums of d*d, KL from a with row weights [w; 0].  Backward
+    returns 2(-c_d)[w; gamma w] d for x_hat and 2(c_0 beta)[w; 0] a for a."""
+    B, paths, n_valid = len(valid), len(x_hat.data) // len(valid), int(valid.sum())
+    if n_valid == 0:
+        raise mf.ProjectionError("every sample in the batch was flagged by the projection")
+    row_w = valid / n_valid
+    sig_e, sig_d, sig_0 = model.sigma_e, model.sigma_d, model.sigma_0
     c_d, c_0 = -1.0 / (2 * sig_d**2), 1.0 / (2 * sig_0**2)
-    const = -0.5 * n_out * np.log(2 * np.pi * sig_d**2)
-    loglik = (((x_hat.data - target) ** 2).sum(axis=1).reshape(paths, B) @ row_w) * c_d + const
-    kl_const = d_lat * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
-    re, kl = float(loglik[0]), (float(kl_sq.data) * c_0 + kl_const) * -config.beta
-    rr = float(loglik[1]) * config.gamma if paths == 2 else 0.0
+    d, a_data = x_hat.data - np.concatenate([Y] * paths), a.data
+    w_data = np.concatenate([row_w, config.gamma * row_w][:paths])[:, None]
+    w_kl = np.concatenate([row_w, np.zeros(B)][:paths])[:, None]
+    # Gaussian log-likelihoods under N(pred, sigma_d^2 I), one per path
+    const = -0.5 * model.output_dim * np.log(2 * np.pi * sig_d**2)
+    loglik = ((d * d).sum(axis=1).reshape(paths, B) @ row_w) * c_d + const
+    kl_const = model.latent_dim * (np.log(sig_0 / sig_e) + sig_e**2 / (2 * sig_0**2) - 0.5)
+    kl = (float((a_data * a_data * w_kl).sum()) * c_0 + kl_const) * -config.beta
+    re, rr = float(loglik[0]), (float(loglik[1]) * config.gamma if paths == 2 else 0.0)
     breakdown = LossBreakdown(re + kl + rr, re, kl, rr)
     if not np.isfinite(breakdown.total):
-        raise ad.NonFiniteError(
-            f"non-finite loss: RE={breakdown.reconstruction} KL={breakdown.kl} "
-            f"RR={breakdown.regularization}"
-        )
-    total = tape.record("total", breakdown.total, (data, kl_sq),
-                        lambda g: (g * c_d, g * (c_0 * -config.beta)))
-    return total, tape, breakdown
+        raise ad.NonFiniteError(f"non-finite loss: RE={re} KL={kl} RR={rr}")
+
+    def backward(g):
+        return ((2.0 * ((g * -c_d) * w_data)) * d,
+                (2.0 * ((g * (c_0 * config.beta)) * w_kl)) * a_data)
+
+    objective = x_hat.tape.record("objective", -breakdown.total, (x_hat, a), backward)
+    return objective, x_hat.tape, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +436,11 @@ def train(
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            total, tape, breakdown = loss(model, X[idx], Y[idx], config, rng)
-            minimized = -breakdown.total
-            if not np.isfinite(minimized) or minimized > 1e6:
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}: loss {minimized:.3e}", history
-                )
-            tape.backward(ad.scale(total, -1.0), into=grads)
+            objective, tape, breakdown = loss(model, X[idx], Y[idx], config, rng)
+            if objective.data > 1e6:  # loss raises on a non-finite one
+                raise TrainingDiverged(f"training diverged at epoch {epoch}: loss "
+                                       f"{objective.data:.3e}", history)
+            tape.backward(objective, into=grads)
             ad.adam_step(theta, grad, state, lr=config.lr)
             sums += astuple(breakdown)
             n_batches += 1

@@ -256,6 +256,15 @@ def arm_constraint_residuals(config, samples):
     return np.maximum(r1, r2)
 
 
+def sq_sum(x, row_w=None, target=None):
+    """sum_b row_w[b] |x_b - target_b|^2 of a (B, n) tape tensor as one node
+    (row weights default to ones, the target to zero): the scalar that
+    gradient checks of single nodes reduce to."""
+    d = x.data if target is None else x.data - target
+    w = np.ones((len(d), 1)) if row_w is None else np.asarray(row_w, dtype=np.float64)[:, None]
+    return x.tape.record("sq_sum", (w * d * d).sum(), (x,), lambda g: (2.0 * g * w * d,))
+
+
 def table_complete(table):
     """Every row of an ``ErrorTable`` has a value (or FAILED) in every column."""
     return all(col in row for row in table.rows.values() for col in table.columns)
@@ -325,8 +334,9 @@ def _mlp_backward(model, prefix, cache, g, grads, input_grad):
 def step_gradient(model, X, Y, config, rng):
     """Gradient of the minimized loss -total of one ``vae.loss`` batch, one
     fresh array per parameter: the forward pass, then the reverse pass leaf
-    by leaf in the tape's op order (sign flip, total, the KL and data sums
-    of squares, decoder, flow, projection Jacobian, noise, encoder).  Draws
+    by leaf in the tape's op order (the objective's adjoints for the decoder
+    output and the encoder means, taken as the sign flip of those of total,
+    then decoder, flow, projection Jacobian, noise, encoder).  Draws
     the noise from ``rng`` as ``vae.loss`` does; a flagged row is assumed
     to be allowed by the latent's policy."""
     B, d = X.shape[0], model.latent_dim

@@ -62,7 +62,7 @@ def mlp_loss(model, X, row_w, target=None, want_grads=False):
     """Row-weighted squared error of the encoder MLP node, input X a leaf."""
     tape = ad.Tape()
     x = tape.leaf("X", X)
-    out = ad.weighted_sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x), row_w, target)
+    out = oracles.sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x), row_w, target)
     return tape.backward(out) if want_grads else out.data.item()
 
 
@@ -115,7 +115,7 @@ def test_leaky_relu_slope_domain():
 def test_backward_square():
     tape = ad.Tape()
     a = tape.leaf("a", [[3.0]])
-    grads = tape.backward(ad.weighted_sq_sum(a, [1.0]))
+    grads = tape.backward(oracles.sq_sum(a))
     assert grads["a"].item() == pytest.approx(6.0)
 
 
@@ -139,7 +139,7 @@ def test_off_path_leaf_gets_zeros():
     tape = ad.Tape()
     x = tape.leaf("x", [[1.0, 2.0]])
     y = tape.leaf("y", [[3.0, 4.0]])
-    out = ad.weighted_sq_sum(x, [1.0])
+    out = oracles.sq_sum(x)
     grads = tape.backward(out)
     np.testing.assert_array_equal(grads["y"], np.zeros((1, 2)))
     assert grads["y"].shape == y.data.shape
@@ -149,10 +149,10 @@ def test_backward_independent_of_unrelated_nodes():
     def grads_with_extra(extra):
         tape = ad.Tape()
         x = tape.leaf("x", [[1.5, -0.5, 2.0]])
-        out = ad.weighted_sq_sum(x, [1.0])
+        out = oracles.sq_sum(x)
         if extra:
             z = tape.leaf("z", [[5.0, 5.0]])
-            ad.weighted_sq_sum(ad.scale(z, 0.1), [1.0])  # dangling subgraph
+            oracles.sq_sum(ad.add(z, z))  # dangling subgraph
         return tape.backward(out)["x"]
 
     np.testing.assert_array_equal(grads_with_extra(False), grads_with_extra(True))
@@ -163,10 +163,6 @@ def test_shape_errors_name_op_and_shapes():
     a = tape.leaf("a", np.ones((2, 3)))
     with pytest.raises(ad.ShapeError, match=r"add: \(2, 3\) vs \(3,\)"):
         ad.add(a, tape.constant(np.ones(3)))
-    with pytest.raises(ad.ShapeError, match=r"weighted_sq_sum: x \(2, 3\), row weights \(3,\)"):
-        ad.weighted_sq_sum(a, np.ones(3))
-    with pytest.raises(ad.ShapeError, match=r"weighted_sq_sum: x \(2, 3\), target \(2,\)"):
-        ad.weighted_sq_sum(a, np.ones(2), np.ones(2))
 
 
 def test_check_finite_rejects_nan():
@@ -174,22 +170,22 @@ def test_check_finite_rejects_nan():
     with pytest.raises(ad.NonFiniteError, match="leaf:x"):
         tape.leaf("x", [np.nan])
     x = tape.leaf("y", [1e308])
-    with pytest.raises(ad.NonFiniteError, match="scale"), np.errstate(over="ignore"):
-        ad.scale(x, 10.0)
+    with pytest.raises(ad.NonFiniteError, match="add"), np.errstate(over="ignore"):
+        ad.add(x, x)
 
 
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("add", lambda x: ad.weighted_sq_sum(ad.add(x, x), ROW_W)),
-        ("sub", lambda x: ad.weighted_sq_sum(x, ROW_W, TARGET)),  # difference to a target
-        ("mul", lambda x: ad.weighted_sq_sum(x, ROW_W)),  # product with the row weights
-        ("scale", lambda x: ad.weighted_sq_sum(ad.scale(x, -1.7), ROW_W)),
-        ("neg", lambda x: ad.scale(ad.weighted_sq_sum(x, ROW_W), -1.0)),
+        ("add", lambda x: oracles.sq_sum(ad.add(x, x), ROW_W)),
+        # the reducer the gradient checks end in: a difference to a target,
+        # a product with the row weights and a square
+        ("sub", lambda x: oracles.sq_sum(x, ROW_W, TARGET)),
+        ("mul", lambda x: oracles.sq_sum(x, ROW_W)),
         # exp-decay flow on the first two rows, through its latent input
         # (lambda0 is checked in test_vae)
-        ("exp", lambda x: ad.weighted_sq_sum(vae._flow_tape(FLOW, x, 2), ROW_W)),
-        ("square", lambda x: ad.weighted_sq_sum(x, np.ones(4))),
+        ("exp", lambda x: oracles.sq_sum(vae._flow_tape(FLOW, x, 2), ROW_W)),
+        ("square", lambda x: oracles.sq_sum(x)),
     ],
 )
 def test_elementwise_ops_match_finite_differences(name, builder):
@@ -198,6 +194,58 @@ def test_elementwise_ops_match_finite_differences(name, builder):
     f, fg = scalar_loss(builder)
     g_fd = central_diff(lambda v: f(v), x)
     assert_grad_close(fg(x), g_fd)
+
+
+OBJECTIVE = vae.build_vae(3, vae.make_latent("euclidean", dim=2), hidden=(), sigma_e=0.3,
+                          sigma_d=0.5, sigma_0=1.2)
+
+
+def objective_node(x_hat, a, Y, valid, beta, gamma):
+    """(node, tape, breakdown) of the training objective over leaves x_hat and a."""
+    tape = ad.Tape()
+    return vae._objective_tape(OBJECTIVE, tape.leaf("x_hat", x_hat), tape.leaf("a", a), Y,
+                               valid, vae.TrainConfig(beta=beta, gamma=gamma))
+
+
+@pytest.mark.parametrize("case", ["beta0", "gamma0", "skip-row"])
+def test_objective_node_matches_finite_differences(case):
+    # the gradients with respect to the decoder output and the encoder means:
+    # beta = 0 leaves the means none, gamma = 0 is one path, and a skipped
+    # (zero-weight) sample gets none and does not move the value
+    beta, gamma, valid = {"beta0": (0.0, 0.5, np.ones(3, dtype=bool)),
+                          "gamma0": (0.8, 0.0, np.ones(3, dtype=bool)),
+                          "skip-row": (0.8, 0.5, np.array([True, False, True]))}[case]
+    paths = 2 if gamma > 0 else 1
+    rng = np.random.default_rng(9)
+    Y = rng.uniform(-1.0, 1.0, size=(3, 3))
+    x_hat, a = rng.uniform(-1.0, 1.0, size=(3 * paths, 3)), rng.uniform(-1.0, 1.0, (3 * paths, 2))
+
+    def value(xv, av):
+        return objective_node(xv, av, Y, valid, beta, gamma)[0].data.item()
+
+    node, tape, b = objective_node(x_hat, a, Y, valid, beta, gamma)
+    assert node.data == -b.total and tape.num_nodes == 3
+    # the paper's terms, sigma_d = 0.5, sigma_e = 0.3, sigma_0 = 1.2, mean over valid samples
+    w = valid / valid.sum()
+    sq = ((x_hat - np.concatenate([Y] * paths)) ** 2).sum(axis=1).reshape(paths, 3) @ w
+    loglik = -sq / (2 * 0.5**2) - 1.5 * np.log(2 * np.pi * 0.5**2)
+    kl = (a[:3] ** 2).sum(axis=1) @ w / (2 * 1.2**2) + 2 * (np.log(1.2 / 0.3) + 0.3**2 / 2.88 - 0.5)
+    total = loglik[0] - beta * kl + (gamma * loglik[1] if paths == 2 else 0.0)
+    assert node.data == pytest.approx(-total, rel=1e-12)
+    grads = tape.backward(node)
+    assert_grad_close(grads["x_hat"], central_diff(lambda v: value(v, a), x_hat))
+    assert_grad_close(grads["a"], central_diff(lambda v: value(x_hat, v), a))
+    np.testing.assert_array_equal(grads["a"][3:], 0.0)  # KL reads the input rows only
+    if beta == 0.0:
+        np.testing.assert_array_equal(grads["a"], 0.0)
+    if gamma == 0.0:
+        assert b.regularization == 0.0
+    skipped = np.tile(~valid, paths)
+    np.testing.assert_array_equal(grads["x_hat"][skipped], 0.0)
+    np.testing.assert_array_equal(grads["a"][skipped], 0.0)
+    far_x, far_a = x_hat.copy(), a.copy()
+    far_x[skipped], far_a[skipped] = 1e150, 1e150
+    assert value(far_x, far_a) == node.data
 
 
 @pytest.mark.parametrize("slope", [0.0, 1e-6, 0.2])
@@ -245,7 +293,7 @@ def test_custom_jacobian_identity_passthrough():
     tape = ad.Tape()
     x = tape.leaf("x", [[1.0, 2.0, 3.0]])
     y = ad.batch_custom_jacobian(x, x.data * 2.0, 2.0 * np.eye(3)[None])
-    grads = tape.backward(ad.weighted_sq_sum(y, [0.25]))
+    grads = tape.backward(oracles.sq_sum(y, [0.25]))
     np.testing.assert_allclose(grads["x"], [[2.0, 4.0, 6.0]])  # J^T (2 * 0.25 * y)
 
 
@@ -254,7 +302,7 @@ def test_custom_jacobian_zero_blocks_gradient():
     x = tape.leaf("x", [[1.0, 2.0], [3.0, 4.0]])
     jacs = np.stack([np.zeros((2, 2)), np.eye(2)])
     y = ad.batch_custom_jacobian(x, np.full((2, 2), 5.0), jacs)
-    grads = tape.backward(ad.weighted_sq_sum(y, np.ones(2)))
+    grads = tape.backward(oracles.sq_sum(y))
     np.testing.assert_array_equal(grads["x"], [[0.0, 0.0], [10.0, 10.0]])
 
 
@@ -276,28 +324,11 @@ def test_batch_custom_jacobian_matches_loop():
     tape = ad.Tape()
     x = tape.leaf("x", X)
     y = ad.batch_custom_jacobian(x, outs, jacs)
-    g_batch = tape.backward(ad.weighted_sq_sum(y, np.ones(5)))["x"]
+    g_batch = tape.backward(oracles.sq_sum(y))["x"]
 
     for b in range(5):
         # d/dx_b sum |J_b x_b|^2 = 2 J_b^T (J_b x_b)
         np.testing.assert_allclose(g_batch[b], 2.0 * jacs[b].T @ outs[b], rtol=1e-12)
-
-
-def test_weighted_sq_sum_target_and_zero_rows():
-    rng = np.random.default_rng(8)
-    X, T = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    row_w = np.array([0.5, 0.0, 2.0])
-    tape = ad.Tape()
-    x = tape.leaf("x", X)
-    out = ad.weighted_sq_sum(x, row_w, T)
-    assert out.data == pytest.approx(np.sum(row_w[:, None] * (X - T) ** 2), rel=1e-14)
-    g = tape.backward(out)["x"]
-    np.testing.assert_allclose(g, 2.0 * row_w[:, None] * (X - T), rtol=1e-14)
-    np.testing.assert_array_equal(g[1], 0.0)  # a zero-weight row gets no gradient
-    # a zero-weight row does not count, whatever its values
-    X[1] = 1e150
-    tape = ad.Tape()
-    assert ad.weighted_sq_sum(tape.leaf("x", X), row_w, T).data == out.data
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +481,7 @@ def test_backward_writes_into_flat_views():
     tape = ad.Tape()
     tape.leaf("off", np.ones(2))
     x = tape.leaf("X", X)
-    out = ad.weighted_sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x), np.ones(5))
+    out = oracles.sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, x))
     assert tape.backward(out, into=views) is views
     for name, g in expected.items():
         np.testing.assert_array_equal(views[name], g)

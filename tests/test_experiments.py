@@ -398,6 +398,26 @@ def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
     assert "nan" not in (tmp_path / "nan" / "errors.csv").read_text()
 
 
+def test_cell_refused_a_nonfinite_table_is_marked_failed(tmp_path, monkeypatch):
+    # a cell whose prediction curves hold NaN writes no predictions.csv and
+    # fails with the refusal, which names the file, row and column
+    def nan_rollout(model, X, n_steps):
+        return np.full((n_steps + 1, len(X), model.output_dim), np.nan)
+
+    monkeypatch.setattr(vae, "predict_multistep", nan_rollout)
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides())
+    out = tmp_path / "sweep"
+    table, failed = ex.run_experiment(cfg, out)
+    assert failed == 3
+    assert set(table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")].values()) == {ex.FAILED}
+    curves = out / "beta=1_gamma=0.5" / "predictions.csv"
+    with open(out / "failures.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["vae-nonlinear", "2", "beta=1;gamma=0.5",
+                                             f"NonFiniteValueError: {curves}: nan in row 1, "
+                                             "column 'u_pred'"]]
+    assert not curves.exists()
+
+
 def test_failed_cells_keep_their_error(tmp_path, monkeypatch):
     def one_bad_cell(cfg, out, prepared, beta, gamma, seed):
         if beta == 2.0:
@@ -790,6 +810,60 @@ def test_cli_bad_sample_count_names_its_setting(tmp_path, capsys, command, key, 
     argv = [command, "--out", str(tmp_path / "out"), "--set", f"dataset.{key}={value}"]
     assert cli.main(argv) == 2
     assert f"config error: dataset.{key} must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("marks, low", [("0,2", 0), ("2,-1", -1)])
+def test_cli_eval_epochs_below_one_names_its_setting(tmp_path, capsys, marks, low):
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out)]
+    for item in ["experiment.kind=mech-recon", "dataset.m=40", "model.hidden=8",
+                 "train.epochs=2", f"sweep.eval_epochs={marks}"]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: sweep.eval_epochs entries must be at least 1, got {low}" in err
+    assert not (out / "errors.csv").exists()
+
+
+def test_cli_pair_file_made_with_other_nu_tau_exits_2_naming_both(tmp_path, capsys):
+    pairs = tmp_path / "pairs.bin"
+    assert cli.main(["gen-data", "--kind", "burgers", "--out", str(pairs), "--m", "8",
+                     "--n-x", "64", "--nu", "0.05", "--tau", "0.5"]) == 0
+    out = tmp_path / "out"
+    argv = ["baselines", "--out", str(out), "--set", f"dataset.file={pairs}", "--set",
+            "dataset.n_x=64", "--set", "dataset.m_test=4"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{pairs}: made with (nu, tau, n_x) = (0.05, 0.5, 64), but [dataset] sets " \
+           "(0.02, 0.25, 64)" in err
+    assert not (out / "errors.csv").exists()
+    assert cli.main(argv + ["--set", "dataset.nu=0.05", "--set", "dataset.tau=0.5"]) == 0
+
+
+def test_cli_nonfinite_rollout_and_trace_exit_1_naming_the_file(tmp_path, capsys):
+    # finite inputs and weights whose products overflow: the rollout and the
+    # latent trace hold NaN, and neither file is written
+    model = vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(16, 16), seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(model, ckpt)
+    field = tmp_path / "field.txt"
+    field.write_text("1.5e308\n" * 64)
+    out = tmp_path / "rollout"
+    argv = ["eval", "--checkpoint", str(ckpt), "--input-field", str(field), "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'rollout.csv'}: nan in row 1, column 'u_pred'")
+    assert not (out / "rollout.csv").exists()
+
+    model.params["enc_W0"][:] = 1e308
+    vae.save_checkpoint(model, ckpt)
+    trace = tmp_path / "trace.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["export-trace", "--checkpoint", str(ckpt), "--out", str(trace)]) == 1
+    assert re.match(re.escape(f"error: {trace}: ") + r"-?(nan|inf) in row 1, column 'z0'",
+                    capsys.readouterr().err)
+    assert not trace.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):

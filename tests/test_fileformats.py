@@ -116,3 +116,23 @@ def test_pointcloud_rejects_any_damage(tmp_path, kind, data):
     path.write_text(damaged_cloud(path.read_text(), data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         mf.load_pointcloud(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_with_a_nonfinite_value_is_refused_before_the_file_is_opened(tmp_path, bad):
+    # the refusal names the file, the row (1 is the first after the header)
+    # and the column, and leaves an earlier file at that path untouched
+    path = tmp_path / "table.csv"
+    columns = ["step", "x", "u"]
+    datafiles.write_table_csv(path, [{"step": 0, "x": 0.5, "u": 1.25}], columns)
+    before = path.read_bytes()
+    assert before == b"step,x,u\n0,0.5,1.25\n"
+    rows = [{"step": 0, "x": 0.5, "u": 1.25}, {"step": 1, "x": np.float64(0.5), "u": bad}]
+    with pytest.raises(datafiles.NonFiniteValueError,
+                       match=re.escape(f"{path}: {bad} in row 2, column 'u'")):
+        datafiles.write_table_csv(path, rows, columns)
+    assert issubclass(datafiles.NonFiniteValueError, ValueError)
+    assert path.read_bytes() == before
+    with pytest.raises(datafiles.NonFiniteValueError, match=re.escape("row 1, column 'x'")):
+        datafiles.write_table_csv(tmp_path / "new" / "t.csv", [{"x": np.float64(bad)}], ["x"])
+    assert not (tmp_path / "new").exists()

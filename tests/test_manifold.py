@@ -9,6 +9,7 @@ from mvrom import manifold as mf
 
 from oracles import (
     build_torus_pointcloud, klein_frames_stacked, reference_ift_jacobian, reference_projection,
+    sq_sum,
 )
 
 
@@ -603,7 +604,7 @@ def test_encode_layer_gradients_match_finite_differences():
         tape = ad.Tape()
         w = tape.leaf("w", Wv)
         z, _ = mf.manifold_encode_layer(w, torus)
-        out = ad.weighted_sq_sum(z, np.ones(len(Wv)), target)
+        out = sq_sum(z, target=target)
         if want_grad:
             return tape.backward(out)["w"]
         return out.data.item()
@@ -630,7 +631,7 @@ def test_analytic_and_pointcloud_torus_gradients_agree(torus_cloud):
         tape = ad.Tape()
         w = tape.leaf("w", W)
         z, _ = mf.manifold_encode_layer(w, manifold)
-        out = ad.weighted_sq_sum(z, np.ones(len(W)), target)
+        out = sq_sum(z, target=target)
         return tape.backward(out)["w"]
 
     g_analytic = grad_through(mf.AnalyticTorus())
@@ -647,7 +648,7 @@ def test_encode_layer_policies(circle_cloud):
     z, mask = mf.manifold_encode_layer(w, circle_cloud)
     np.testing.assert_array_equal(mask, [True, False])
     target = np.array([[0.0, 1.0], [0.0, 1.0]])
-    grads = tape.backward(ad.weighted_sq_sum(z, np.ones(2), target))
+    grads = tape.backward(sq_sum(z, target=target))
     np.testing.assert_array_equal(grads["w"][1], [0.0, 0.0])
     assert np.any(grads["w"][0] != 0.0)
 
@@ -664,5 +665,5 @@ def test_skip_policy_blocks_gradient_of_flagged_sample():
     w = tape.leaf("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
     z, mask = mf.manifold_encode_layer(w, _FlagSecond())
     np.testing.assert_array_equal(mask, [True, False])
-    grads = tape.backward(ad.weighted_sq_sum(z, np.ones(2)))
+    grads = tape.backward(sq_sum(z))
     np.testing.assert_array_equal(grads["w"], [[2.0, 4.0], [0.0, 0.0]])

@@ -144,7 +144,7 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
 
     def run(want_grad=False):
         tape = ad.Tape()
-        out = ad.weighted_sq_sum(vae._flow_tape(model, tape.constant(z), 2), np.ones(3), target)
+        out = oracles.sq_sum(vae._flow_tape(model, tape.constant(z), 2), target=target)
         return tape.backward(out)["lambda0"] if want_grad else out.data.item()
 
     for lam in (0.0, 0.5, -1.3):
@@ -170,10 +170,10 @@ def test_loss_tape_is_freed_without_cycle_collector(latent):
     X, Y = toy_batch(model)
     gc.disable()
     try:
-        total, tape, _ = vae.loss(model, X, Y, vae.TrainConfig(), np.random.default_rng(0))
-        tape.backward(ad.scale(total, -1.0))
+        objective, tape, _ = vae.loss(model, X, Y, vae.TrainConfig(), np.random.default_rng(0))
+        tape.backward(objective)
         ref = weakref.ref(tape)
-        del total, tape
+        del objective, tape
         assert ref() is None
     finally:
         gc.enable()
@@ -187,9 +187,9 @@ def test_loss_additivity_machine_precision():
     model = small_model()
     X, Y = toy_batch(model)
     config = vae.TrainConfig(beta=1.0, gamma=0.5, seed=0)
-    total, _, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
+    objective, _, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
     assert abs(b.total - (b.reconstruction + b.kl + b.regularization)) < 1e-12
-    assert total.data == b.total
+    assert objective.data == -b.total
 
 
 def test_kl_zero_for_matched_gaussians():
@@ -208,10 +208,10 @@ def test_gamma_zero_kills_rr_term_and_gradients():
     model = small_model()
     X, Y = toy_batch(model)
     config = vae.TrainConfig(gamma=0.0, seed=0)
-    total, tape, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
+    objective, tape, b = vae.loss(model, X, Y, config, np.random.default_rng(0))
     assert b.regularization == 0.0
     # same rng draws, gamma > 0: gradients differ only through the target path
-    grads0 = tape.backward(ad.scale(total, -1.0))
+    grads0 = tape.backward(objective)
     assert set(grads0) == set(model.params)
 
 
@@ -280,7 +280,7 @@ def test_reparameterized_gradient_matches_analytic():
         tape = ad.Tape()
         a = tape.leaf("a", np.repeat(a_val, 500, axis=0))
         z = ad.add(a, tape.constant(sigma * eps[i : i + 500]))
-        out = ad.weighted_sq_sum(z, np.full(500, 1.0 / 500))
+        out = oracles.sq_sum(z, np.full(500, 1.0 / 500))
         grads += tape.backward(out)["a"].sum(axis=0) / (n / 500)
     band = 3 * 2 * sigma / np.sqrt(n)
     np.testing.assert_allclose(grads, 2 * a_val[0], atol=band)
@@ -412,10 +412,10 @@ def test_end_to_end_gradient_through_projection_matches_fd(latent_name):
 
     def loss_value():
         # fixed rng seed: identical noise draws for every evaluation
-        return vae.loss(model, X, Y, config, np.random.default_rng(0))[2].total
+        return vae.loss(model, X, Y, config, np.random.default_rng(0))[0].data.item()
 
-    total, tape, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
-    grads = tape.backward(total)
+    objective, tape, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
+    grads = tape.backward(objective)
     assert set(grads) == set(model.params) and "lambda0" in grads
     h = 1e-6
     for name, value in model.params.items():  # perturbed in place, then restored
@@ -439,8 +439,8 @@ def _flat_step(model, X, Y, config):
     theta = np.concatenate([np.ravel(v) for v in model.params.values()])
     model.params.update(ad.flat_views(theta, model.params))
     grad = np.full_like(theta, np.nan)
-    total, tape, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
-    return grad, ad.flat_views(grad, model.params), ad.scale(total, -1.0)
+    objective, _, _ = vae.loss(model, X, Y, config, np.random.default_rng(0))
+    return grad, ad.flat_views(grad, model.params), objective
 
 
 @pytest.mark.parametrize("latent_name", ["euclidean", "torus", "klein"])
