@@ -38,6 +38,45 @@ def direct_idft(coefficients):
     return np.real(out)
 
 
+def _direct_spectral(values, multiplier):
+    """sum over 0 < |k| < n/2 of c_k m(k) e^{2 pi i k j/n}, c = direct_dft(values):
+    the k = 0 and Nyquist modes are dropped."""
+    n = len(values)
+    ks = np.arange(-n // 2, n // 2)
+    c = direct_dft(values)
+    keep = (ks != 0) & (np.abs(ks) < n / 2)
+    c[keep] *= multiplier(ks[keep].astype(float))
+    c[~keep] = 0.0
+    return direct_idft(c)
+
+
+def direct_antiderivative(values):
+    """O(n^2) antiderivative of a mean-zero periodic signal, zero at x = 0."""
+    anti = _direct_spectral(values, lambda k: 1.0 / (2j * np.pi * k))
+    return anti - anti[0]
+
+
+def direct_derivative(values):
+    return _direct_spectral(values, lambda k: 2j * np.pi * k)
+
+
+def direct_cole_hopf_evolve(u0, nu, t, n_f=None):
+    """One row evolved by t through Cole-Hopf on direct sums: phi0 =
+    exp(-(1/2nu) int u0), its centered spectrum truncated to |k| <= n_f/2
+    and decayed, then u = -2nu d/dx ln(phi) untruncated or -2nu phi_x / phi
+    truncated."""
+    u0 = np.asarray(u0, dtype=np.float64)
+    n = len(u0)
+    ks = np.arange(-n // 2, n // 2)
+    c = direct_dft(np.exp(-direct_antiderivative(u0) / (2 * nu)))
+    if n_f is not None:
+        c[np.abs(ks) > n_f // 2] = 0.0
+    phi = direct_idft(c * np.exp(-4 * np.pi**2 * ks**2 * nu * t))
+    if n_f is None:
+        return -2 * nu * direct_derivative(np.log(phi))
+    return -2 * nu * direct_derivative(phi) / phi
+
+
 def rk4_burgers(u0, nu, t_final, n_steps=None, dealias=True):
     """Pseudo-spectral Burgers integrator on [0,1) with periodic BCs.
 

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 from mvrom import burgers as bg
 from mvrom import datafiles
 
-from oracles import direct_dft, direct_idft, evolve_rows, rk4_burgers
+from oracles import (
+    direct_antiderivative,
+    direct_cole_hopf_evolve,
+    direct_dft,
+    direct_idft,
+    evolve_rows,
+    rk4_burgers,
+)
 
 
 def test_grid_validation():
@@ -16,49 +23,42 @@ def test_grid_validation():
     assert bg.Grid(64).points[1] == pytest.approx(1 / 64)
 
 
-def test_dft_single_cosine():
-    grid = bg.Grid(64)
-    c = bg.dft(np.cos(2 * np.pi * grid.points))
-    k = bg.wavenumbers(64)
-    assert c[k == 1][0] == pytest.approx(0.5, abs=1e-12)
-    assert c[k == -1][0] == pytest.approx(0.5, abs=1e-12)
-    others = np.abs(c[(k != 1) & (k != -1)])
-    assert others.max() < 1e-12
-
-
-def test_dft_constant():
-    c = bg.dft(np.ones(32))
-    k = bg.wavenumbers(32)
-    assert c[k == 0][0] == pytest.approx(1.0)
-    assert np.abs(c[k != 0]).max() < 1e-14
-
-
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 32, 64]), rows=st.integers(1, 4))
 @settings(max_examples=20)
-def test_dft_matches_direct_oracle_and_roundtrips(seed, n, rows):
-    # a (rows, n) batch is transformed along its last axis, row by row
+def test_spectral_antiderivative_matches_direct_sum(seed, n, rows):
+    # a (rows, n) batch of mean-zero signals, integrated row by row against
+    # the O(n^2) direct-sum antiderivative (k = 0 and Nyquist modes dropped)
     rng = np.random.default_rng(seed)
     V = rng.uniform(-2, 2, size=(rows, n))
-    C = bg.dft(V)
-    assert C.shape == (rows, n)
-    for v, c in zip(V, C):
-        np.testing.assert_allclose(c, direct_dft(v), atol=1e-12)
-        np.testing.assert_allclose(direct_idft(c), v, atol=1e-12)
-    np.testing.assert_allclose(bg.idft(C), V, atol=1e-12)
+    V -= V.mean(axis=-1, keepdims=True)
+    A = bg.spectral_antiderivative(V)
+    assert A.shape == (rows, n)
+    np.testing.assert_array_equal(A[:, 0], 0.0)
+    for v, a in zip(V, A):
+        np.testing.assert_allclose(a, direct_antiderivative(v), rtol=0, atol=1e-13)
 
 
-def test_parseval_and_conjugate_symmetry():
-    rng = np.random.default_rng(1)
-    v = rng.uniform(-1, 1, size=128)
-    c = bg.dft(v)
-    lhs = np.sum(v**2)
-    rhs = 128 * np.sum(np.abs(c) ** 2)
-    assert abs(lhs - rhs) < 1e-10
-    # c_{-k} = conj(c_k) for every representable pair k = 1 .. n/2 - 1
-    k = bg.wavenumbers(128)
-    pos = np.flatnonzero(k > 0)
-    neg = np.searchsorted(k, -k[pos])
-    assert np.abs(c[neg] - np.conj(c[pos])).max() < 1e-12
+def test_spectral_antiderivative_of_cosine_is_sine():
+    x = bg.Grid(64).points
+    anti = bg.spectral_antiderivative(np.cos(2 * np.pi * x))
+    np.testing.assert_allclose(anti, np.sin(2 * np.pi * x) / (2 * np.pi), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 100])
+@pytest.mark.parametrize("n_f", [None, 2, 4, 6])
+def test_evolve_matches_direct_cole_hopf_oracle(n, n_f):
+    # every row against its own Cole-Hopf evolution built on the direct DFT;
+    # row 1 is the alpha = 1, t = 0.25 case whose two-mode phi dips <= 0
+    nu = 0.02
+    rng = np.random.default_rng(n + (n_f or 0))
+    alphas = rng.uniform(0, 1, 6)
+    times = rng.uniform(0, 1, 6)
+    alphas[:2], times[:2] = [0.4, 1.0], [0.0, 0.25]
+    U0 = bg.initial_condition_u1(alphas, bg.Grid(n))
+    out = bg.evolve_exact(U0, nu, times, n_f=n_f)
+    for u0, t, row in zip(U0, times, out):
+        reference = direct_cole_hopf_evolve(u0, nu, t, n_f)
+        assert np.abs(row - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +222,10 @@ def test_truncated_evolution_is_finite_where_phi_dips_nonpositive():
     # two retained modes at a short horizon: the reduced phi dips negative
     nu = 0.02
     u0 = bg.sample_u1(1.0, 0.0, nu, n_x=100)
-    coeff = bg.dft(bg.cole_hopf_forward(u0, nu))
-    k = bg.wavenumbers(100)
+    coeff = direct_dft(bg.cole_hopf_forward(u0, nu))
+    k = np.arange(-50, 50)
     coeff[np.abs(k) > 1] = 0.0
-    assert bg.idft(coeff * np.exp(-4 * np.pi**2 * k**2 * nu * 0.25)).min() <= 0
+    assert direct_idft(coeff * np.exp(-4 * np.pi**2 * k**2 * nu * 0.25)).min() <= 0
     assert np.all(np.isfinite(bg.evolve_exact(u0, nu, 0.25, n_f=2)))
 
 
