@@ -94,8 +94,11 @@ def fit_pod(factors, rank: int, nu: float, tau: float, substeps: int = 20) -> Po
 
 
 def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ijk,...j,...k->...i", model.advection, c, c)
-    return c @ model.diffusion.T + quad
+    """dc/dt = D c + N(c, c), the quadratic term as one matmul over the r^2
+    products c_j c_k."""
+    r = model.rank
+    cc = (c[..., :, None] * c[..., None, :]).reshape(*c.shape[:-1], r * r)
+    return c @ model.diffusion.T + cc @ model.advection.reshape(r, r * r).T
 
 
 def pod_predict(model: PodModel, U: np.ndarray, n_steps: int) -> np.ndarray:

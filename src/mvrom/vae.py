@@ -219,17 +219,19 @@ def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray, cache=None) 
     h = np.asarray(X, dtype=np.float64)
     n_layers = len(sizes) - 1
     for i in range(n_layers):
-        pre = h @ model.params[f"{prefix}W{i}"] + model.params[f"{prefix}b{i}"]
+        pre = h @ model.params[f"{prefix}W{i}"]
+        pre += model.params[f"{prefix}b{i}"]
         if cache is not None and not np.all(np.isfinite(pre)):
             raise ad.NonFiniteError(f"non-finite pre-activation in layer {prefix}{i}")
         slope = None
         if i < n_layers - 1:
             if model.activation == "relu":
-                slope = pre > 0
-                pre = np.maximum(pre, 0.0, out=pre)
+                if cache is not None:  # only the backward pass reads the mask
+                    slope = pre > 0
+                np.maximum(pre, 0.0, out=pre)
             else:
                 slope = np.where(pre > 0, 1.0, model.leaky_slope)
-                pre = pre * slope
+                pre *= slope
         if cache is not None:
             cache.append((h, slope))
         h = pre
