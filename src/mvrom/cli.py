@@ -82,21 +82,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(raw: str):
-    parts = [float(v) for v in raw.split(",")]
-    if len(parts) != 2:
-        raise ex.ConfigError(f"expected 'lo,hi', got '{raw}'")
+def _require(ok: bool, flag: str, need: str, value) -> None:
+    if not ok:
+        raise ex.ConfigError(f"{flag} must be {need}, got {value}")
+
+
+def _parse_floats(raw: str, flag: str) -> list[float]:
+    try:
+        values = [float(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ex.ConfigError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
+    _require(all(np.isfinite(values)), flag, "finite", repr(raw))
+    return values
+
+
+def _parse_range(raw: str, flag: str):
+    parts = _parse_floats(raw, flag)
+    _require(len(parts) == 2 and parts[0] <= parts[1], flag, "'lo,hi' with lo <= hi", repr(raw))
     return parts[0], parts[1]
 
 
 def cmd_gen_data(args) -> int:
+    # every flag is checked before a field is evolved or a file written
+    _require(args.m >= 1, "--m", "at least 1", args.m)
+    if args.kind == "burgers":
+        _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
+        _require(0 < args.tau < np.inf, "--tau", "positive and finite", args.tau)
+        _require(args.n_x >= 16 and args.n_x % 2 == 0, "--n-x", "even and at least 16", args.n_x)
+        alpha_range = _parse_range(args.alpha_range, "--alpha-range")
+        t_range = _parse_range(args.t_range, "--t-range")
+        _require(t_range[0] >= 0, "--t-range", "nonnegative", repr(args.t_range))
+    else:
+        _require(0 <= args.sigma < np.inf, "--sigma", "nonnegative and finite", args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "burgers":
         config = bg.BurgersConfig(nu=args.nu, tau=args.tau, n_x=args.n_x)
-        data = bg.generate_burgers_dataset(
-            config, args.m, _parse_range(args.alpha_range), _parse_range(args.t_range), args.seed
-        )
+        data = bg.generate_burgers_dataset(config, args.m, alpha_range, t_range, args.seed)
         X, Y = data.X, data.Y
         datafiles.save_pairs(out, X, Y, config.nu, config.tau)
     else:
@@ -183,7 +205,11 @@ def cmd_eval(args) -> int:
 
 def cmd_export_trace(args) -> int:
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
-    alphas = np.array([float(a) for a in args.alphas.split(",") if a.strip()])
+    _require(model.latent_dim <= 3, "--checkpoint", "a model with a latent of at most 3 "
+             "dimensions (trace export is for plotting)", f"{model.latent_dim} dimensions")
+    alphas = np.array(_parse_floats(args.alphas, "--alphas"))
+    _require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
+    _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
     n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)

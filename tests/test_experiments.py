@@ -866,6 +866,41 @@ def test_cli_nonfinite_rollout_and_trace_exit_1_naming_the_file(tmp_path, capsys
     assert not trace.exists()
 
 
+def _evolution_forbidden(*args, **kwargs):
+    raise AssertionError("a field was evolved before the flags were checked")
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("burgers", "--nu", "0"), ("burgers", "--tau", "0"), ("burgers", "--m", "0"),
+    ("burgers", "--n-x", "15"), ("burgers", "--t-range", "0,-1"),
+    ("burgers", "--alpha-range", "0,x"), ("arm-torus", "--sigma", "-1"),
+])
+def test_cli_gen_data_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, kind, flag, value):
+    monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
+    out = tmp_path / "data" / "pairs.bin"
+    assert cli.main(["gen-data", "--kind", kind, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--checkpoint", None), ("--alphas", "0,x"), ("--t", "-1"), ("--nu", "0"),
+])
+def test_cli_export_trace_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, flag, value):
+    # flag --checkpoint: a torus latent has 4 dimensions, too many to plot
+    latent = vae.make_latent("torus" if value is None else "euclidean")
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, latent, hidden=(4,)), ckpt)
+    monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
+    files = sorted(tmp_path.iterdir())
+    argv = ["export-trace", "--checkpoint", str(ckpt), "--out", str(tmp_path / "trace.csv")]
+    assert cli.main(argv + ([flag, value] if value is not None else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} ")
+    assert sorted(tmp_path.iterdir()) == files
+
+
 def test_cli_config_error_exit_code(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[experiment]\nkind = nonsense\n")
