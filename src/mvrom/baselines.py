@@ -94,9 +94,7 @@ def fit_pod(factors, rank: int, nu: float, tau: float, substeps: int = 20) -> Po
 
 
 def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
-    """dc/dt = D c + N(c, c), the quadratic term as one matmul over the r^2
-    products c_j c_k."""
-    r = model.rank
+    r = model.rank  # the quadratic term is one matmul over the r^2 products c_j c_k
     cc = (c[..., :, None] * c[..., None, :]).reshape(*c.shape[:-1], r * r)
     return c @ model.diffusion.T + cc @ model.advection.reshape(r, r * r).T
 

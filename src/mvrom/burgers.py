@@ -6,10 +6,8 @@ each mode of phi decays by exp(-4 pi^2 k^2 nu t).  Truncating phi's spectrum
 to |k| <= n_f/2 before decay and inversion gives the spectral-truncation
 reduced model used as a baseline.
 
-Every field is real, so its spectrum is Hermitian (c_-k = conj(c_k)) and the
-transforms here are the real half-spectrum ones, ``np.fft.rfft``/``irfft``
-over wavenumbers k = 0 .. n/2: the same numbers as a full complex transform
-at about half the cost.
+Fields are real, so their spectra are Hermitian: every transform here is the
+half-spectrum ``np.fft.rfft``/``irfft`` over wavenumbers k = 0 .. n/2.
 
 Fields are float arrays whose last axis is the grid: B fields on n points
 are one (B, n) array, and every function here acts along the last axis, so
@@ -81,15 +79,11 @@ class BurgersData:
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
-    """Antiderivative of a mean-zero periodic signal, pinned to zero at x=0.
-
-    The k = 0 and Nyquist modes have no periodic antiderivative and are dropped.
-    """
+    """Antiderivative of a mean-zero periodic signal, pinned to zero at x=0;
+    the k = 0 and Nyquist modes, which have none, are dropped."""
     n = values.shape[-1]
     c = np.fft.rfft(values)
-    k = np.arange(c.shape[-1])
-    k[0] = 1  # c_0 is zeroed below; this keeps 1/k finite
-    c *= -0.5j / (np.pi * k)  # 1 / (2 pi i k)
+    c[..., 1:] *= -0.5j / (np.pi * np.arange(1, c.shape[-1]))  # 1 / (2 pi i k)
     c[..., 0] = 0.0
     if n % 2 == 0:
         c[..., -1] = 0.0
@@ -164,12 +158,10 @@ def evolve_exact(
     shape (H, 1) evolves every row to each of H times and returns (H, B, n).
     Untruncated, a row whose t is 0 comes back unchanged.
 
-    phi0's half spectrum (k = 0 .. n/2) decays by exp(-4 pi^2 k^2 nu t).
-    Truncation zeroes its bins k > n_f/2 before decay and inversion, which on
-    the Hermitian spectrum is |k| > n_f/2 (evolution is diagonal, so
-    truncating before or after decay is the same).  Where the reduced phi
-    dips <= 0 the truncated inverse is large but finite: it divides by phi
-    pointwise and takes no logarithm.
+    Truncation zeroes phi0's half-spectrum bins k > n_f/2 before decay and
+    inversion (evolution is diagonal, so truncating before or after decay is
+    the same).  Where the reduced phi dips <= 0 the truncated inverse is large
+    but finite: it divides by phi pointwise and takes no logarithm.
     """
     U0 = np.asarray(U0, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)

@@ -84,34 +84,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _require(ok: bool, flag: str, need: str, value) -> None:
     if not ok:
-        raise ex.ConfigError(f"{flag} must be {need}, got {value}")
+        raise ex.ConfigError(f"{flag} must be {need}, got {value!r}")
 
 
 def _parse_floats(raw: str, flag: str) -> list[float]:
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise ex.ConfigError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
-    _require(all(np.isfinite(values)), flag, "finite", repr(raw))
+        values = [np.nan]
+    _require(all(np.isfinite(values)), flag, "comma-separated finite numbers", raw)
     return values
 
 
 def _parse_range(raw: str, flag: str):
     parts = _parse_floats(raw, flag)
-    _require(len(parts) == 2 and parts[0] <= parts[1], flag, "'lo,hi' with lo <= hi", repr(raw))
+    _require(len(parts) == 2 and parts[0] <= parts[1], flag, "'lo,hi' with lo <= hi", raw)
     return parts[0], parts[1]
 
 
 def cmd_gen_data(args) -> int:
-    # every flag is checked before a field is evolved or a file written
-    _require(args.m >= 1, "--m", "at least 1", args.m)
+    _require(args.m >= 1, "--m", "at least 1", args.m)  # every flag before any evolution
     if args.kind == "burgers":
-        _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
-        _require(0 < args.tau < np.inf, "--tau", "positive and finite", args.tau)
+        for flag, value in (("--nu", args.nu), ("--tau", args.tau)):
+            _require(0 < value < np.inf, flag, "positive and finite", value)
         _require(args.n_x >= 16 and args.n_x % 2 == 0, "--n-x", "even and at least 16", args.n_x)
         alpha_range = _parse_range(args.alpha_range, "--alpha-range")
         t_range = _parse_range(args.t_range, "--t-range")
-        _require(t_range[0] >= 0, "--t-range", "nonnegative", repr(args.t_range))
+        _require(t_range[0] >= 0, "--t-range", "nonnegative", args.t_range)
     else:
         _require(0 <= args.sigma < np.inf, "--sigma", "nonnegative and finite", args.sigma)
     out = Path(args.out)
@@ -205,8 +204,8 @@ def cmd_eval(args) -> int:
 
 def cmd_export_trace(args) -> int:
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
-    _require(model.latent_dim <= 3, "--checkpoint", "a model with a latent of at most 3 "
-             "dimensions (trace export is for plotting)", f"{model.latent_dim} dimensions")
+    _require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
+             "dimensions (traces are for plotting)", model.latent_dim)
     alphas = np.array(_parse_floats(args.alphas, "--alphas"))
     _require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
     _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)

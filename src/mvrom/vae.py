@@ -226,8 +226,7 @@ def mlp_forward(model: VaeModel, prefix: str, sizes, X: np.ndarray, cache=None) 
         slope = None
         if i < n_layers - 1:
             if model.activation == "relu":
-                if cache is not None:  # only the backward pass reads the mask
-                    slope = pre > 0
+                slope = None if cache is None else pre > 0  # only backward reads it
                 np.maximum(pre, 0.0, out=pre)
             else:
                 slope = np.where(pre > 0, 1.0, model.leaky_slope)
