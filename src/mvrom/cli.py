@@ -209,6 +209,7 @@ def cmd_export_trace(args) -> int:
     alphas = np.array(_parse_floats(args.alphas, "--alphas"))
     _require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
     _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
+    _require(args.steps >= 0, "--steps", "nonnegative", args.steps)
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
     n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)

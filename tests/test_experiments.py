@@ -885,7 +885,7 @@ def test_cli_gen_data_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--checkpoint", None), ("--alphas", "0,x"), ("--t", "-1"), ("--nu", "0"),
+    ("--checkpoint", None), ("--alphas", "0,x"), ("--t", "-1"), ("--nu", "0"), ("--steps", "-2"),
 ])
 def test_cli_export_trace_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, flag, value):
     # flag --checkpoint: a torus latent has 4 dimensions, too many to plot
