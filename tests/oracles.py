@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately share no code with the implementation paths they verify:
-the DFT is the direct O(n^2) sum, and the Burgers integrator steps the PDE
-in time (integrating-factor RK4 on the advection term) instead of using the
-Cole-Hopf transform.  The projection reference shares the manifold's charts
+the DFT is the direct O(n^2) sum, the spectral antiderivative, derivative
+and Cole-Hopf evolution are built on it, and the Burgers integrator steps the
+PDE in time (integrating-factor RK4 on the advection term) instead of using
+the Cole-Hopf transform.  The projection reference shares the manifold's charts
 with the package, not its start points or its solver, and the stacked Klein
 frames are the same formulas assembled another way.  The per-row Burgers
 references run the batched paths' arithmetic one sample at a time, the
