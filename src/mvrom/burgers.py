@@ -128,8 +128,9 @@ def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
     return -2.0 * nu * spectral_derivative(np.log(phi))
 
 
-def _truncated_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
-    """Inversion u = -2 nu phi_x / phi evaluated pointwise.
+def _truncated_inverse(phi: np.ndarray, dphi: np.ndarray, nu: float) -> np.ndarray:
+    """Inversion u = -2 nu phi_x / phi evaluated pointwise, given phi and its
+    spectral derivative dphi on the grid.
 
     For a trigonometric polynomial phi the spectral derivative is exact, so
     this is the pointwise-exact inverse of a truncated transform and stays
@@ -137,7 +138,6 @@ def _truncated_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
     denominator floor, relative to each row's largest |phi|, avoids inf at
     accidental grid zeros.
     """
-    dphi = spectral_derivative(phi)
     floor = 1e-12 * np.max(np.abs(phi), axis=-1, keepdims=True)
     denom = np.where(np.abs(phi) < floor, np.copysign(floor, phi), phi)
     return -2.0 * nu * dphi / denom
@@ -172,13 +172,23 @@ def evolve_exact(
 
     coeff = np.fft.rfft(cole_hopf_forward(U0, nu))
     k = np.arange(coeff.shape[-1])
-    if n_f is not None:
-        coeff[..., n_f // 2 + 1 :] = 0.0
-    phi_t = np.fft.irfft(coeff * np.exp(-4.0 * np.pi**2 * k**2.0 * nu * t[..., None]), n)
-
     if n_f is None:
+        phi_t = np.fft.irfft(coeff * _heat_decay(k, nu, t), n)
         return np.where(t[..., None] == 0, U0, cole_hopf_inverse(phi_t, nu))
-    return _truncated_inverse(phi_t, nu)
+
+    coeff[..., n_f // 2 + 1 :] = 0.0
+    coeff = coeff * _heat_decay(k, nu, t)
+    phi_t = np.fft.irfft(coeff, n)
+    # phi_t's derivative from the spectrum at hand, as spectral_derivative takes it
+    coeff *= 2j * np.pi * k
+    coeff[..., -1] = 0.0
+    return _truncated_inverse(phi_t, np.fft.irfft(coeff, n), nu)
+
+
+def _heat_decay(k: np.ndarray, nu: float, t: np.ndarray) -> np.ndarray:
+    """exp(-4 pi^2 k^2 nu t), the factor by which the heat flow scales mode k
+    of phi in time t; shape t.shape + k.shape."""
+    return np.exp(-4.0 * np.pi**2 * k**2.0 * nu * t[..., None])
 
 
 def initial_condition_u1(alpha, grid: Grid) -> np.ndarray:

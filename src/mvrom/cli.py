@@ -167,6 +167,7 @@ def _read_field(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
+    _require(args.steps >= 0, "--steps", "nonnegative", args.steps)
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:

@@ -7,9 +7,11 @@ charts.  The projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a
 backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a
 start point:
 
-* analytic charts start from the surface's closed-form ``seed(w)``; a row
+* analytic charts start from the surface's closed-form ``seed(w)`` and
+  the surface's ``solve`` minimizes Phi from there (for the Klein bottle by
+  Newton in u1 alone, the cross-section angle u2 being closed-form); a row
   that ends degraded, at a saddle of Phi, or above the Phi of the surface's
-  ``retry_seed`` is refined again from that seed, and a converged retry
+  ``retry_seed`` is solved again from that seed, and a converged retry
   replaces it unless it lies higher;
 * quadratic charts start at the ``CANDIDATES`` nearest cloud points of a
   k-d tree query, one Newton run in each candidate's chart, and the
@@ -136,6 +138,10 @@ class ProductCirclesSurface:
         """``seed`` is exact: the same start, with an infinite Phi."""
         return self.seed(W), np.full(len(W), np.inf)
 
+    def solve(self, W: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """``seed`` is exact, so a start from it is the solution: a copy of U."""
+        return U.copy()
+
     def grid_params(self, resolution: int) -> np.ndarray:
         axes = [np.arange(resolution) * 2 * np.pi / resolution] * self.m
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -155,6 +161,10 @@ class KleinSurface:
     (u1, u2) ~ (u1 + 2*pi, 2*pi - u2); on [0, 2*pi) x [0, 2*pi) it is
     injective, so a uniform grid there samples the surface exactly once.
     a > b keeps the image embedded (no self-intersection).
+
+    For fixed u1 the points sigma(u1, .) form a circle whose nearest point to
+    w is closed-form (``seed``), so ``solve`` minimizes Phi by Newton in u1
+    alone and takes u2 from that circle.
     """
 
     m = 2
@@ -254,6 +264,88 @@ class KleinSurface:
         phi = 0.5 * (np.sum(W * W, axis=1) - self.a**2 + self.b**2) - score[rows, best]
         return U, phi
 
+    def reduced(self, W: np.ndarray, u1: np.ndarray):
+        """Phi minimized over u2, as a function of u1, with its derivatives.
+
+        Returns (x, y, F, F', F'', g) per row: x and y as in ``seed``, so the
+        best u2 is atan2(y, x) and Phi = 0.5 (|w|^2 - a^2 + b^2) - F with
+        F = a x + b r, r = hypot(x, y); and g = |dsigma/du1|^2 there.  With
+        (c, s) = (x, y) / r, x'' = -(x + a) and y'' = -y/4,
+
+            F'  = a x' + b (c x' + s y'),
+            F'' = a x'' + b (c x'' + s y'' + (c y' - s x')^2 / r).
+
+        On the core circle (r = 0) F has a kink; there (c, s) = (1, 0), the
+        u2 = 0 that atan2 gives, and F'' = +inf.
+        """
+        a, b = self.a, self.b
+        c1, s1 = np.cos(u1), np.sin(u1)
+        ch, sh = np.cos(u1 / 2), np.sin(u1 / 2)
+        x = W[:, 0] * c1 + W[:, 1] * s1 - a
+        y = W[:, 2] * ch + W[:, 3] * sh
+        dx = W[:, 1] * c1 - W[:, 0] * s1
+        dy = 0.5 * (W[:, 3] * ch - W[:, 2] * sh)
+        r = np.hypot(x, y)
+        off = r > 0
+        r_off = np.where(off, r, 1.0)
+        c, s = np.where(off, x / r_off, 1.0), y / r_off
+        bend = np.where(off, (c * dy - s * dx) ** 2 / r_off, np.inf)
+        F = a * x + b * r
+        dF = a * dx + b * (c * dx + s * dy)
+        d2F = -a * (x + a) + b * (bend - c * (x + a) - 0.25 * s * y)
+        g = (a + b * c) ** 2 + 0.25 * (b * s) ** 2
+        return x, y, F, dF, d2F, g
+
+    def solve(self, W: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """The nearest point's parameters, by Newton in u1 from U's u1.
+
+        With u2 at its best for every u1 (``reduced``), Phi is a function of
+        u1 alone, and dPhi/du2 = 0 leaves dPhi/du1 = -F': variable projection
+        (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  So |F'| is
+        |grad Phi|, and a row leaves as soon as it is at most ``NEWTON_TOL``.
+        The step is Newton's where -F'' > 1e-10 and Gauss-Newton's, on
+        g = |dsigma/du1|^2 >= (a - b)^2, elsewhere.  As in ``_refine``, a
+        step that raises Phi while |F'| > 1e-4 is halved, with nine
+        evaluations in all; the iteration cap is ``NEWTON_MAX_ITER``.  Every
+        operation acts row by row.
+        """
+        const = 0.5 * (np.sum(W * W, axis=1) - self.a**2 + self.b**2)
+        u1 = U[:, 0].copy()
+        state = (u1, *self.reduced(W, u1))  # u1, x, y, F, F', F'', g
+        final = state[:3]  # each row's u1, x and y as it leaves
+        rows = np.arange(len(W))
+        for it in range(NEWTON_MAX_ITER + 1):
+            go_on = (np.abs(state[4]) > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
+            if not go_on.all():
+                stop = ~go_on
+                for out, part in zip(final, state):
+                    out[rows[stop]] = part[stop]
+                rows = rows[go_on]
+                if not rows.size:
+                    break
+                state = tuple(part[go_on] for part in state)
+                W, const = W[go_on], const[go_on]
+            u, _, _, F, dF, d2F, g = state
+            step = dF / np.where(-d2F > 1e-10, -d2F, g)
+            phi = const - F
+            u_new = u + step
+            new = self.reduced(W, u_new)
+            phi_new = const - new[2]
+            worse = np.flatnonzero((np.abs(dF) > 1e-4) & (phi_new > phi * (1 + 1e-12) + 1e-15))
+            for _ in range(8):
+                if not worse.size:
+                    break
+                step[worse] *= 0.5
+                u_new[worse] = u[worse] + step[worse]
+                part = self.reduced(W[worse], u_new[worse])
+                for whole, p in zip(new, part):
+                    whole[worse] = p
+                phi_new[worse] = p = const[worse] - part[2]
+                worse = worse[p > phi[worse] * (1 + 1e-12) + 1e-15]
+            state = (u_new, *new)
+        u1, x, y = final
+        return np.stack([u1, np.arctan2(y, x)], axis=-1)
+
 # ---------------------------------------------------------------------------
 # local quadratic charts fitted to a point cloud
 
@@ -324,13 +416,14 @@ class PointCloudManifold:
     """An m-manifold in R^n with charts for the nearest-point projection.
 
     ``chart_kind`` is "analytic" or "quadratic".  Analytic charts are one
-    global parameterization ``surface`` with exact derivatives; Newton starts
-    from the surface's closed-form seed, so no point cloud or spatial index
-    is needed.  ``points`` and ``chart_params`` are optional for them and
-    kept only so that ``save`` writes a loaded cloud back out.  Quadratic
-    charts are local Monge-gauge fits to a dense cloud, one per point; a k-d
-    tree over the points picks the charts Newton starts in.  Points and
-    charts are immutable after construction.
+    global parameterization ``surface`` with exact derivatives; the surface
+    solves its own projection from its closed-form seed (exact for a product
+    of circles, Newton in u1 alone for the Klein bottle), so no point cloud
+    or spatial index is needed.  ``points`` and ``chart_params`` are
+    optional for them and kept only so that ``save`` writes a loaded cloud
+    back out.  Quadratic charts are local Monge-gauge fits to a dense cloud,
+    one per point; a k-d tree over the points picks the charts Newton starts
+    in.  Points and charts are immutable after construction.
     """
 
     def __init__(
@@ -567,8 +660,9 @@ def _solve(H, R, det, use_pinv):
 
 
 def _refine(manifold, W, ids, U):
-    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's chart from
-    the start parameters U, which are overwritten.
+    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's quadratic
+    chart from the start parameters U, which are overwritten.  (Analytic
+    charts are minimized by their surface's ``solve``.)
 
     Returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per row.
 
@@ -634,6 +728,16 @@ def _refine(manifold, W, ids, U):
     return U, sigma, phi, gnorm, jac, hess
 
 
+def _solve_on_surface(manifold, W, start):
+    """The surface's own minimization of Phi from ``start``, then one frames
+    call; returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per
+    row, as ``_refine`` does."""
+    U = manifold.surface.solve(W, start)
+    sigma, jac, hess = manifold.chart_frames(np.full(len(W), -1), U)
+    gnorm = np.linalg.norm(np.einsum("bnm,bn->bm", jac, W - sigma), axis=-1)
+    return U, sigma, _phi_value(W, sigma), gnorm, jac, hess
+
+
 def _phi_hessian(jac, hess, residual):
     """The Hessian J^T J - (w - sigma) . d2sigma of Phi, per row."""
     return np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
@@ -659,16 +763,20 @@ def _ift_jacobians(jac, hess, residual):
 def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
     """Project each row of W onto the manifold by Newton from a start point.
 
-    Analytic charts start from the surface's closed-form seed; rows that end
-    degraded, at a saddle, or above the surface's retry seed are refined
-    again from that seed, and ``chart_id`` and ``coarse_index`` are -1.
+    Analytic charts: the surface's ``solve`` minimizes Phi from its
+    closed-form seed (a product of circles takes no step; the Klein bottle
+    runs Newton in u1 with u2 in closed form), and one ``chart_frames`` call
+    at the result gives sigma, dsigma/du and d2sigma/du2, from which Phi,
+    |grad Phi|, the saddle test and the IFT Jacobian come.  Rows that end
+    degraded, at a saddle, or above the surface's retry seed are solved
+    again from that seed; ``chart_id`` and ``coarse_index`` are -1.
     Quadratic charts start in the charts of the ``CANDIDATES`` nearest cloud
-    points (k-d tree); the minimal Phi wins and exact ties break to the
-    lowest chart id.  A row that still
-    does not converge falls back to its seed or its coarse cloud point with
-    ``degraded`` set; near-singular Hessians (medial axis) switch to a
-    pseudo-inverse Jacobian with ``singular`` set.  Each row's result depends
-    on that row alone, not on the rest of the batch.
+    points (k-d tree) and run ``_refine``; the minimal Phi wins and exact
+    ties break to the lowest chart id.  A row that still does not converge
+    falls back to its seed or its coarse cloud point with ``degraded`` set;
+    near-singular Hessians (medial axis) switch to a pseudo-inverse Jacobian
+    with ``singular`` set.  Each row's result depends on that row alone, not
+    on the rest of the batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != manifold.n:
@@ -680,9 +788,9 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     if manifold.chart_kind == "analytic":
         coarse = np.full(B, -1)
         start = manifold.surface.seed(W)
-        result = _refine(manifold, W, coarse, start.copy())
+        result = _solve_on_surface(manifold, W, start)
         U, sigma, phi, gnorm, jac, hess = result
-        # Refine again from the retry seed the rows Newton could not place,
+        # Solve again from the retry seed the rows Newton could not place,
         # left at a saddle, or left above that seed (by more than solver
         # tolerance): a converged retry replaces a row that did not converge
         # or that lies higher.
@@ -691,7 +799,7 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         seed2, seed2_phi = manifold.surface.retry_seed(W)
         retry = np.flatnonzero((gnorm > DEGRADED_TOL) | saddle | (seed2_phi < phi - NEWTON_TOL))
         if retry.size:
-            cand = _refine(manifold, W[retry], coarse[retry], seed2[retry])
+            cand = _solve_on_surface(manifold, W[retry], seed2[retry])
             better = (cand[3] <= DEGRADED_TOL) & ((gnorm[retry] > DEGRADED_TOL) | (cand[2] < phi[retry]))
             for out, part in zip(result, cand):
                 out[retry[better]] = part[better]

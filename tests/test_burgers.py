@@ -184,9 +184,9 @@ def test_truncated_inverse_floor_is_per_row():
     small = np.cos(2 * np.pi * x) + 1.5
     small[5] = 0.0
     phi = np.stack([small, 1e15 * (np.cos(2 * np.pi * x) + 2.0)])
-    batched = bg._truncated_inverse(phi, 0.02)
+    batched = bg._truncated_inverse(phi, bg.spectral_derivative(phi), 0.02)
     for row, out in zip(phi, batched):
-        np.testing.assert_array_equal(out, bg._truncated_inverse(row, 0.02))
+        np.testing.assert_array_equal(out, bg._truncated_inverse(row, bg.spectral_derivative(row), 0.02))
     assert np.all(np.isfinite(batched))
 
 

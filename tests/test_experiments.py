@@ -901,6 +901,20 @@ def test_cli_export_trace_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypat
     assert sorted(tmp_path.iterdir()) == files
 
 
+def test_cli_eval_negative_steps_exits_2_before_loading(tmp_path, capsys, monkeypatch):
+    def load_forbidden(path):
+        raise AssertionError("the checkpoint was loaded before the flags were checked")
+
+    monkeypatch.setattr(vae, "load_checkpoint", load_forbidden)
+    field = tmp_path / "field.txt"
+    np.savetxt(field, np.sin(2 * np.pi * np.arange(64) / 64))
+    argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--input-field", str(field),
+            "--out", str(tmp_path / "rollout"), "--steps", "-2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: --steps must be nonnegative, got -2")
+    assert sorted(tmp_path.iterdir()) == [field]
+
+
 def test_cli_config_error_exit_code(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[experiment]\nkind = nonsense\n")

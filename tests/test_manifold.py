@@ -451,6 +451,28 @@ def test_seeded_projection_matches_tree_reference(klein_cloud, W):
     assert np.all(got.phi[ref_flagged] <= ref["phi"][ref_flagged] * (1 + 1e-12))
 
 
+def test_klein_reduced_objective_derivatives_and_envelope(klein_cloud):
+    # near-surface, Gaussian and seam (z3-z4 plane) rows at random u1
+    rng = np.random.default_rng(25)
+    near = KLEIN.frames(rng.uniform(0, 2 * np.pi, size=(40, 2)))[0] + 0.1 * rng.normal(size=(40, 4))
+    t = rng.uniform(0, 2 * np.pi, size=(40, 1))
+    seam = np.hstack([np.zeros((40, 2)), rng.uniform(0.5, 4, size=(40, 1)) * np.hstack([np.cos(t), np.sin(t)])])
+    W = np.vstack([near, 2.0 * rng.normal(size=(40, 4)), seam])
+    u1 = rng.uniform(0, 4 * np.pi, size=len(W))
+    h = 1e-4
+    _, _, F, dF, d2F, _ = KLEIN.reduced(W, u1)
+    F_plus, F_minus = KLEIN.reduced(W, u1 + h)[2], KLEIN.reduced(W, u1 - h)[2]
+    assert np.all(np.abs(dF - (F_plus - F_minus) / (2 * h)) <= 1e-6 * (1 + np.abs(dF)))
+    assert np.all(np.abs(d2F - (F_plus - 2 * F + F_minus) / h**2) <= 1e-5 * (1 + np.abs(d2F)))
+    # at the best u2, dPhi/du2 = 0: the gradient from the frames is -F'
+    res = mf.nearest_point_batch(W, klein_cloud)
+    converged = ~res.degraded & ~res.singular
+    assert converged.all()
+    dF_end = KLEIN.reduced(W, res.u[:, 0])[3]
+    rounding = 1e-14 * (1 + np.sum(W * W, axis=1))
+    assert np.all(np.abs(res.grad_norm - np.abs(dF_end)) <= rounding)
+
+
 def test_converged_rows_leave_the_newton_loop(klein_cloud, torus_quad_cloud, monkeypatch):
     rows = []
     frames = mf.PointCloudManifold.chart_frames
