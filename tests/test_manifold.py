@@ -473,6 +473,81 @@ def test_klein_reduced_objective_derivatives_and_envelope(klein_cloud):
     assert np.all(np.abs(res.grad_norm - np.abs(dF_end)) <= rounding)
 
 
+def _klein_profile(W, u1):
+    """Phi at the best u2 for each u1 (the cross-section circle of ``seed``),
+    F' = -dPhi/du1 there, g = |dsigma/du1|^2, and Phi'' by central
+    differences: from the frames alone, not from ``reduced``."""
+
+    def at(u1):
+        x = W[:, 0] * np.cos(u1) + W[:, 1] * np.sin(u1) - KLEIN.a
+        y = W[:, 2] * np.cos(u1 / 2) + W[:, 3] * np.sin(u1 / 2)
+        sigma, jac, _ = KLEIN.frames(np.stack([u1, np.arctan2(y, x)], axis=-1))
+        r = W - sigma
+        return 0.5 * np.sum(r * r, axis=1), np.sum(jac[:, :, 0] * r, axis=1), np.sum(jac[:, :, 0] ** 2, axis=1)
+
+    phi, dF, g = at(u1)
+    h = 1e-4
+    d2phi = (at(u1 + h)[0] - 2 * phi + at(u1 - h)[0]) / h**2
+    return phi, dF, g, d2phi
+
+
+def _klein_one_step(W, u0, monkeypatch):
+    """u1 after one iteration of ``KleinSurface.solve`` from u0."""
+    monkeypatch.setattr(mf, "NEWTON_MAX_ITER", 1)
+    return KLEIN.solve(W, np.stack([u0, np.zeros_like(u0)], axis=-1))[:, 0]
+
+
+# Far-field rows and starts whose first step raises Phi: two where Phi is
+# convex in u1 (a Newton step) and two where it is concave (Gauss-Newton).
+OVERSHOOT_W = np.array([
+    [-4.4, -1.0, -2.9, 3.6],
+    [-3.6, -0.9, -2.9, -4.2],
+    [5.5, -0.1, -7.5, -1.9],
+    [-6.6, 8.7, -0.3, -0.3],
+])
+OVERSHOOT_U1 = np.array([4.3, 2.2, 4.3, 3.7])
+# Rows and starts where Phi is concave in u1 (-F'' <= 1e-10), so the step
+# divides F' by g, and that step lowers Phi.
+CONCAVE_W = np.array([
+    [1.0, 2.5, 1.0, -3.9],
+    [2.7, 1.3, -1.6, 1.7],
+    [1.3, 1.3, 12.7, -6.7],
+    [1.8, 2.7, 1.0, -2.5],
+])
+CONCAVE_U1 = np.array([3.3, 3.8, 3.8, 5.5])
+
+
+def test_klein_solve_halves_a_far_field_step_that_raises_phi(monkeypatch):
+    W, u0 = OVERSHOOT_W, OVERSHOOT_U1
+    phi0, dF0, g0, d2phi0 = _klein_profile(W, u0)
+    assert np.all(np.abs(dF0) > 1e-4) and np.all(np.abs(d2phi0) > 0.5)
+    assert np.any(d2phi0 > 0) and np.any(d2phi0 < 0)
+    full = dF0 / np.where(d2phi0 > 0, d2phi0, g0)
+    assert np.all(_klein_profile(W, u0 + full)[0] > 1.05 * phi0)
+    # one iteration keeps the first halving of the step that lowers Phi
+    u1 = _klein_one_step(W, u0, monkeypatch)
+    assert np.all(_klein_profile(W, u1)[0] < phi0)
+    halvings = np.log2(full / (u1 - u0))
+    assert np.all(np.abs(halvings - np.round(halvings)) < 1e-3)
+    assert np.all((halvings > 0.5) & (halvings < 8.5))
+    # to the end, the solve converges to a point below its start
+    monkeypatch.undo()
+    u_end = KLEIN.solve(W, np.stack([u0, np.zeros(4)], axis=-1))[:, 0]
+    phi_end, dF_end, _, _ = _klein_profile(W, u_end)
+    assert np.all(phi_end < phi0) and np.all(np.abs(dF_end) <= mf.NEWTON_TOL)
+
+
+def test_klein_solve_takes_the_gauss_newton_step_where_phi_is_concave(monkeypatch):
+    W, u0 = CONCAVE_W, CONCAVE_U1
+    phi0, dF0, g0, d2phi0 = _klein_profile(W, u0)
+    assert np.all(d2phi0 < -0.5) and np.all(np.abs(dF0) > 0.1)
+    np.testing.assert_allclose(-KLEIN.reduced(W, u0)[4], d2phi0, rtol=1e-3)
+    expected = u0 + dF0 / g0
+    assert np.all(_klein_profile(W, expected)[0] < phi0)  # so no halving
+    u1 = _klein_one_step(W, u0, monkeypatch)
+    assert np.all(np.abs(u1 - expected) <= 1e-12 * (1 + np.abs(expected)))
+
+
 def test_converged_rows_leave_the_newton_loop(klein_cloud, torus_quad_cloud, monkeypatch):
     rows = []
     frames = mf.PointCloudManifold.chart_frames
