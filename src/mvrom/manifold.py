@@ -38,6 +38,10 @@ sample's projection is bit-identical whatever batch it is projected in.
 Every manifold offers one batch method, ``project(W) -> (Z, J, flagged)``:
 projected points, per-sample Jacobians dLambda/dw and a mask of samples
 whose projection is unusable.
+
+``scipy.spatial`` (and with it ``scipy.linalg`` and ``scipy.sparse``) is
+imported only when a k-d tree is built: by a quadratic cloud, its chart fit,
+or ``_cloud_from_surface``.  The torus and analytic latents never load it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 
@@ -349,6 +352,15 @@ class KleinSurface:
 # ---------------------------------------------------------------------------
 # local quadratic charts fitted to a point cloud
 
+
+def _kd_tree(points: np.ndarray):
+    """A k-d tree over the rows of ``points``; the only import of
+    ``scipy.spatial``, which costs about 35 MB resident and 0.3 s."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 @dataclass
 class MongeCharts:
     """Per-point quadratic height-function charts over fitted tangent planes.
@@ -385,7 +397,7 @@ def fit_monge_charts(points: np.ndarray, m: int, k_neighbors: int = 12) -> Monge
     n_quad = m * (m + 1) // 2
     if k_neighbors < m + n_quad + 1:
         raise ValueError(f"need at least {m + n_quad + 1} neighbors to fit, got {k_neighbors}")
-    tree = cKDTree(points)
+    tree = _kd_tree(points)
     _, idx = tree.query(points, k=k_neighbors + 1)
     diffs = points[idx[:, 1:]] - points[:, None, :]  # (P, k, n), excluding self
     # local frame: principal directions of the neighbor cloud
@@ -423,7 +435,9 @@ class PointCloudManifold:
     optional for them and kept only so that ``save`` writes a loaded cloud
     back out.  Quadratic charts are local Monge-gauge fits to a dense cloud,
     one per point; a k-d tree over the points picks the charts Newton starts
-    in.  Points and charts are immutable after construction.
+    in.  Building that tree is what first imports ``scipy.spatial``; an
+    analytic cloud never loads it.  Points and charts are immutable after
+    construction.
     """
 
     def __init__(
@@ -456,7 +470,7 @@ class PointCloudManifold:
         else:
             self.chart_params = None
             self.monge = fit_monge_charts(self.points, self.m, self.k_neighbors)
-            self.tree = cKDTree(self.points)
+            self.tree = _kd_tree(self.points)
 
     @property
     def num_points(self) -> int:
@@ -565,7 +579,7 @@ def _cloud_from_surface(surface, resolution: int) -> PointCloudManifold:
     params = surface.grid_params(resolution)
     points, _, _ = surface.frames(params)
     # drop accidental duplicates closer than half the typical spacing
-    tree = cKDTree(points)
+    tree = _kd_tree(points)
     dists, _ = tree.query(points, k=2)
     spacing = np.median(dists[:, 1])
     pairs = tree.query_pairs(0.5 * spacing)

@@ -317,13 +317,18 @@ def latent_rollout(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
-    """Decode the latent rollout of the rows of X (B, n) in one batch.
+    """Decode the latent rollout of the rows of X (B, n), one horizon's B
+    rows at a time, so the decoder's temporaries are B rows deep whatever
+    n_steps is.
 
     Returns (n_steps + 1, B, n_out): entry k is the prediction at t + k*tau,
     entry 0 the plain reconstruction.
     """
     z = latent_rollout(model, X, n_steps)
-    return decode(model, z.reshape(-1, z.shape[-1])).reshape(*z.shape[:2], model.output_dim)
+    out = np.empty(z.shape[:2] + (model.output_dim,))
+    for k, z_k in enumerate(z):
+        out[k] = decode(model, z_k)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,27 @@ def test_predict_multistep_untrained_is_finite():
     assert np.all(np.isfinite(out))
 
 
+def test_paper_size_predict_multistep_decodes_one_horizon_at_a_time():
+    # a paper-size rollout (100-400-400-2 and back, B=256, 4 steps) peaks at
+    # its output plus about two 256x400 decoder activations, not at
+    # (n_steps + 1) * B rows through the decoder, and it is bit for bit the
+    # decode of the stacked rollout in one call
+    model = vae.build_vae(100, vae.make_latent("euclidean", dim=2), hidden=(400, 400), seed=1)
+    X = np.random.default_rng(0).uniform(-1, 1, size=(256, 100))
+    tracemalloc.start()
+    try:
+        out = vae.predict_multistep(model, X, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = 256 * 400 * 8
+    assert out.shape == (5, 256, 100)
+    assert peak <= out.nbytes + 2.25 * activation, f"predict_multistep peaked at {peak} bytes"
+    z = vae.latent_rollout(model, X, 4)
+    whole = vae.decode(model, z.reshape(-1, 2)).reshape(out.shape)
+    assert out.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("latent_name", ["euclidean", "torus"])
 def test_predict_multistep_batch_matches_single_rows(latent_name):
     # every row of the batch is returned, each as its own single-row call gives it
