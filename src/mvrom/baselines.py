@@ -17,10 +17,17 @@ from .burgers import spectral_derivative, spectral_second_derivative
 
 
 def svd(matrix: np.ndarray):
-    """A = U diag(s) V^T with non-increasing singular values; V has columns."""
+    """A = U diag(s) V^T with non-increasing singular values; V has columns.
+
+    A wide A (fewer rows than columns, as n x m snapshots are) is factored
+    through its tall transpose, A^T = V diag(s) U^T, which LAPACK does faster.
+    """
     A = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise ValueError("svd requires finite entries")
+    if A.shape[0] < A.shape[1]:
+        V, s, Ut = np.linalg.svd(A.T, full_matrices=False)
+        return Ut.T, s, V
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return U, s, Vt.T
 
@@ -93,27 +100,30 @@ def fit_pod(factors, rank: int, nu: float, tau: float, substeps: int = 20) -> Po
     return PodModel(rank, Ur, diffusion, advection, nu, tau, substeps)
 
 
-def _reduced_rhs(model: PodModel, c: np.ndarray) -> np.ndarray:
-    r = model.rank  # the quadratic term is one matmul over the r^2 products c_j c_k
-    cc = (c[..., :, None] * c[..., None, :]).reshape(*c.shape[:-1], r * r)
-    return c @ model.diffusion.T + cc @ model.advection.reshape(r, r * r).T
-
-
 def pod_predict(model: PodModel, U: np.ndarray, n_steps: int) -> np.ndarray:
     """States U (B, n) -> (n_steps + 1, B, n): one RK4 integration of the
     reduced system to n_steps * tau, lifted back at every multiple of tau.
-    One row whose coefficients blow up (non-finite or norm > 1e6) fails all."""
+    One row whose coefficients blow up (|c|^2 > 1e12, or not finite) fails all."""
+    r = model.rank  # the quadratic term is one matmul over the r^2 products c_j c_k
+    diffusion_t, advection_t = model.diffusion.T, model.advection.reshape(r, r * r).T
+
+    def rhs(c):
+        cc = (c[..., :, None] * c[..., None, :]).reshape(*c.shape[:-1], r * r)
+        return c @ diffusion_t + cc @ advection_t
+
     c = np.asarray(U, dtype=np.float64) @ model.basis
     dt = model.tau / model.substeps
+    half, sixth = 0.5 * dt, dt / 6.0
     steps = [c]
     for _ in range(n_steps):
         for _ in range(model.substeps):
-            k1 = _reduced_rhs(model, c)
-            k2 = _reduced_rhs(model, c + 0.5 * dt * k1)
-            k3 = _reduced_rhs(model, c + 0.5 * dt * k2)
-            k4 = _reduced_rhs(model, c + dt * k3)
-            c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(c)) or np.any(np.linalg.norm(c, axis=-1) > 1e6):
+            k1 = rhs(c)
+            k2 = rhs(c + half * k1)
+            k3 = rhs(c + half * k2)
+            k4 = rhs(c + dt * k3)
+            c = c + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            # NaN and Inf fail the comparison, as does a finite c whose square overflows
+            if not np.all(np.einsum("...i,...i", c, c) <= 1e12):
                 raise RuntimeError(f"reduced model unstable at rank {model.rank}")
         steps.append(c)
     return np.stack(steps) @ model.basis.T

@@ -13,7 +13,9 @@ Fields are float arrays whose last axis is the grid: B fields on n points
 are one (B, n) array, and every function here acts along the last axis, so
 one call serves a whole batch and each row comes out as it would alone.
 Evolution times broadcast against the rows (``evolve_exact``); a row
-evolved by t = 0 comes back unchanged.
+evolved by t = 0 comes back unchanged, and when every t is 0 it comes back
+without a transform.  The Cole-Hopf helpers subtract, scale, exponentiate
+and take logarithms in arrays they made themselves, never in one passed in.
 """
 
 from __future__ import annotations
@@ -52,13 +54,31 @@ class BurgersConfig:
 
 
 @dataclass
-class BurgersData:
-    """m evolution pairs: Y[i] is X[i] advanced by tau.
+class BurgersStates:
+    """m fields X (m, n), each with its blend parameter ``alpha`` and start
+    time ``t`` (m,; NaN when unknown, as for data read from a file).
+    Construction checks the shapes and that every field value is finite."""
 
-    ``alpha`` and ``t`` are each row's blend parameter and start time (NaN
-    when unknown, as for data read from a file).  Construction checks the
-    shapes and that every field value is finite.
-    """
+    X: np.ndarray
+    alpha: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, np.float64)
+        self.alpha, self.t = np.asarray(self.alpha, np.float64), np.asarray(self.t, np.float64)
+        m = self.X.shape[0] if self.X.ndim == 2 else -1
+        if self.alpha.shape != (m,) or self.t.shape != (m,):
+            raise ValueError(f"expected (m, n) fields and (m,) parameters, got X {self.X.shape}, "
+                             f"alpha {self.alpha.shape}, t {self.t.shape}")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("field values must be finite")
+
+
+@dataclass
+class BurgersData:
+    """m evolution pairs: Y[i] is X[i] advanced by tau; X, ``alpha`` and
+    ``t`` are checked as ``BurgersStates`` are, and Y must be finite and of
+    X's shape."""
 
     X: np.ndarray  # (m, n)
     Y: np.ndarray  # (m, n)
@@ -66,15 +86,12 @@ class BurgersData:
     t: np.ndarray  # (m,)
 
     def __post_init__(self):
-        self.X, self.Y = np.asarray(self.X, np.float64), np.asarray(self.Y, np.float64)
-        self.alpha, self.t = np.asarray(self.alpha, np.float64), np.asarray(self.t, np.float64)
-        m = self.X.shape[0] if self.X.ndim == 2 else -1
-        if self.Y.shape != self.X.shape or self.alpha.shape != (m,) or self.t.shape != (m,):
-            raise ValueError(
-                f"expected (m, n) fields and (m,) parameters, got X {self.X.shape}, "
-                f"Y {self.Y.shape}, alpha {self.alpha.shape}, t {self.t.shape}"
-            )
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
+        states = BurgersStates(self.X, self.alpha, self.t)
+        self.X, self.alpha, self.t = states.X, states.alpha, states.t
+        self.Y = np.asarray(self.Y, np.float64)
+        if self.Y.shape != self.X.shape:
+            raise ValueError(f"expected targets Y of X's shape {self.X.shape}, got {self.Y.shape}")
+        if not np.all(np.isfinite(self.Y)):
             raise ValueError("field values must be finite")
 
 
@@ -88,16 +105,19 @@ def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     scale[(k == 0) | (2 * k == n)] = 0.0
     c *= scale  # whole rows: an update of the slice c[..., 1:] runs several times slower
     anti = np.fft.irfft(c, n)
-    return anti - anti[..., :1]
+    anti -= anti[..., :1].copy()
+    return anti
+
+
+def _derivative_of_spectrum(c: np.ndarray, n: int) -> np.ndarray:
+    """The field whose half-spectrum is c, differentiated; c is overwritten."""
+    c *= 2j * np.pi * np.arange(c.shape[-1])
+    c[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
+    return np.fft.irfft(c, n)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    c = np.fft.rfft(values)
-    k = np.arange(n // 2 + 1)
-    c *= 2j * np.pi * k
-    c[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    return np.fft.irfft(c, n)
+    return _derivative_of_spectrum(np.fft.rfft(values), values.shape[-1])
 
 
 def spectral_second_derivative(values: np.ndarray) -> np.ndarray:
@@ -107,14 +127,20 @@ def spectral_second_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c * -((2 * np.pi * k) ** 2), n)
 
 
-def cole_hopf_forward(u: np.ndarray, nu: float) -> np.ndarray:
-    """phi = exp(-(1/2nu) int_0^x u dx'); phi(0) = 1 and phi > 0."""
-    u = np.asarray(u, dtype=np.float64)
+def _require_mean_zero(u: np.ndarray):
     mean = np.max(np.abs(np.mean(u, axis=-1)), initial=0.0)
     if mean > 1e-8:
         raise ValueError(f"Cole-Hopf requires mean-zero field (mean = {mean:.3e})")
-    anti = spectral_antiderivative(u)
-    return np.exp(-anti / (2.0 * nu))
+
+
+def cole_hopf_forward(u: np.ndarray, nu: float) -> np.ndarray:
+    """phi = exp(-(1/2nu) int_0^x u dx'); phi(0) = 1 and phi > 0."""
+    u = np.asarray(u, dtype=np.float64)
+    _require_mean_zero(u)
+    phi = spectral_antiderivative(u)
+    np.negative(phi, out=phi)
+    phi /= 2.0 * nu
+    return np.exp(phi, out=phi)
 
 
 def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
@@ -125,7 +151,10 @@ def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
             "Cole-Hopf inverse undefined: phi <= 0 somewhere "
             "(logarithm undefined; signals under-resolved grid)"
         )
-    return -2.0 * nu * spectral_derivative(np.log(phi))
+    n = phi.shape[-1]
+    u = _derivative_of_spectrum(np.fft.rfft(np.log(phi)), n)  # ln(phi) freed once transformed
+    u *= -2.0 * nu
+    return u
 
 
 def _truncated_inverse(phi: np.ndarray, dphi: np.ndarray, nu: float) -> np.ndarray:
@@ -155,7 +184,8 @@ def evolve_exact(
     ``t`` broadcasts against the row axes: a scalar evolves every row by the
     same time, shape (B,) gives each row of a (B, n) batch its own time, and
     shape (H, 1) evolves every row to each of H times and returns (H, B, n).
-    Untruncated, a row whose t is 0 comes back unchanged.
+    Untruncated, a row whose t is 0 comes back unchanged; when every t is 0
+    the rows are checked for mean zero and copied, with no transform.
 
     Truncation zeroes phi0's half-spectrum bins k > n_f/2 before decay and
     inversion (evolution is diagonal, so truncating before or after decay is
@@ -170,25 +200,29 @@ def evolve_exact(
     if n_f is not None and (n_f % 2 != 0 or not (2 <= n_f <= n)):
         raise ValueError(f"truncation n_f must be even with 2 <= n_f <= {n}, got {n_f}")
 
+    at_zero = t[..., None] == 0
+    if n_f is None and at_zero.all():
+        _require_mean_zero(U0)
+        return np.broadcast_to(U0, np.broadcast_shapes(at_zero.shape, U0.shape)).copy()
+
     coeff = np.fft.rfft(cole_hopf_forward(U0, nu))
     k = np.arange(coeff.shape[-1])
     if n_f is None:
-        phi_t = np.fft.irfft(coeff * _heat_decay(k, nu, t), n)
-        return np.where(t[..., None] == 0, U0, cole_hopf_inverse(phi_t, nu))
+        u = cole_hopf_inverse(np.fft.irfft(coeff * _heat_decay(k, nu, t), n), nu)
+        return np.where(at_zero, U0, u) if at_zero.any() else u
 
     coeff[..., n_f // 2 + 1 :] = 0.0
     coeff = coeff * _heat_decay(k, nu, t)
     phi_t = np.fft.irfft(coeff, n)
     # phi_t's derivative from the spectrum at hand, as spectral_derivative takes it
-    coeff *= 2j * np.pi * k
-    coeff[..., -1] = 0.0
-    return _truncated_inverse(phi_t, np.fft.irfft(coeff, n), nu)
+    return _truncated_inverse(phi_t, _derivative_of_spectrum(coeff, n), nu)
 
 
 def _heat_decay(k: np.ndarray, nu: float, t: np.ndarray) -> np.ndarray:
     """exp(-4 pi^2 k^2 nu t), the factor by which the heat flow scales mode k
     of phi in time t; shape t.shape + k.shape."""
-    return np.exp(-4.0 * np.pi**2 * k**2.0 * nu * t[..., None])
+    decay = -4.0 * np.pi**2 * k**2.0 * nu * t[..., None]
+    return np.exp(decay, out=decay)
 
 
 def initial_condition_u1(alpha, grid: Grid) -> np.ndarray:
@@ -204,6 +238,22 @@ def sample_u1(alpha, t, nu: float, n_x: int = 100) -> np.ndarray:
     return evolve_exact(initial_condition_u1(alpha, Grid(n_x)), nu, t)
 
 
+def sample_burgers_states(
+    config: BurgersConfig,
+    m: int,
+    alpha_range: tuple[float, float] = (0.0, 1.0),
+    t_range: tuple[float, float] = (0.0, 0.75),
+    seed: int = 0,
+) -> BurgersStates:
+    """m fields u1(alpha_i) at t_i, with alpha_i and then t_i drawn uniformly."""
+    if m < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(alpha_range[0], alpha_range[1], size=m)
+    times = rng.uniform(t_range[0], t_range[1], size=m)
+    return BurgersStates(sample_u1(alphas, times, config.nu, config.n_x), alphas, times)
+
+
 def generate_burgers_dataset(
     config: BurgersConfig,
     m: int,
@@ -211,14 +261,10 @@ def generate_burgers_dataset(
     t_range: tuple[float, float] = (0.0, 0.75),
     seed: int = 0,
 ) -> BurgersData:
-    """m evolution pairs (u(t_i), u(t_i + tau)) with alpha, t_i drawn uniformly."""
-    if m < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(alpha_range[0], alpha_range[1], size=m)
-    times = rng.uniform(t_range[0], t_range[1], size=m)
-    X = sample_u1(alphas, times, config.nu, config.n_x)
-    return BurgersData(X, evolve_exact(X, config.nu, config.tau), alphas, times)
+    """m evolution pairs (u(t_i), u(t_i + tau)): ``sample_burgers_states``'s
+    fields, each advanced by tau."""
+    s = sample_burgers_states(config, m, alpha_range, t_range, seed)
+    return BurgersData(s.X, evolve_exact(s.X, config.nu, config.tau), s.alpha, s.t)
 
 
 def pairs_to_arrays(data: BurgersData) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ columnar export exists for inspection and external plotting.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,36 +39,35 @@ def save_pairs(path, X: np.ndarray, Y: np.ndarray, param1: float = 0.0, param2: 
     if X.shape != Y.shape or X.ndim != 2:
         raise ValueError(f"expected matching (m, dim) arrays, got {X.shape} and {Y.shape}")
     m, dim = X.shape
-    interleaved = np.empty((2 * m, dim))
+    interleaved = np.empty((2 * m, dim), "<f8")
     interleaved[0::2] = X
     interleaved[1::2] = Y
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(dim, m, float(param1), float(param2)))
-        interleaved.astype("<f8").tofile(fh)
+        interleaved.tofile(fh)
 
 
 def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
-    """Read a pair file; its size must be exactly what its header implies."""
-    data = Path(path).read_bytes()
-    magic = data[: len(MAGIC)]
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a pair-dataset file (bad magic {magic!r})")
-    start = len(MAGIC) + _HEADER.size
-    if len(data) < start:
-        raise ValueError(f"{path}: truncated header")
-    dim, count, p1, p2 = _HEADER.unpack_from(data, len(MAGIC))
-    expected = start + 16 * count * dim
-    if len(data) != expected:
-        raise ValueError(
-            f"{path}: {len(data)} bytes, but {count} pairs of dimension {dim} need {expected}"
-        )
-    interleaved = np.frombuffer(data, "<f8", 2 * count * dim, start).reshape(2 * count, dim)
-    return (
-        interleaved[0::2].copy(),
-        interleaved[1::2].copy(),
-        PairHeader(dim, count, p1, p2),
-    )
+    """Read a pair file; its size must be exactly what its header implies.
+
+    The file's values are read once, into one array: X and Y are its even
+    and odd rows, as views."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a pair-dataset file (bad magic {magic!r})")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        dim, count, p1, p2 = _HEADER.unpack(head)
+        size, expected = os.fstat(fh.fileno()).st_size, len(MAGIC) + _HEADER.size + 16 * count * dim
+        if size != expected:
+            raise ValueError(
+                f"{path}: {size} bytes, but {count} pairs of dimension {dim} need {expected}"
+            )
+        interleaved = np.fromfile(fh, "<f8", 2 * count * dim).reshape(2 * count, dim)
+    return interleaved[0::2], interleaved[1::2], PairHeader(dim, count, p1, p2)
 
 
 def export_pairs_text(path, X: np.ndarray, Y: np.ndarray):

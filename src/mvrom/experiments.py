@@ -12,11 +12,13 @@ per latent kind: a cloud file is read and its charts fitted once) and hands
 it to every cell; a setting or file it cannot prepare from is a ConfigError
 before any cell runs.  A cell only trains, evaluates and writes.
 
-Burgers data stays in (B, n) arrays from generation to the error table
-(``burgers.BurgersData``): each stage -- exact truth at every horizon, a
-model's rollout, a baseline's prediction -- is one batched call over all
-test samples, and results come back as (horizon, B, n).  Horizon 0 is the
-input itself: exact evolution by t = 0 returns a row unchanged.
+Burgers data stays in (B, n) arrays from generation to the error table:
+training sets are pairs (``burgers.BurgersData``) and test sets are states
+(``burgers.BurgersStates``: fields, blend parameters and start times, no
+targets).  Each stage -- exact truth at every horizon, a model's rollout, a
+baseline's prediction -- is one batched call over all test samples, and
+results come back as (horizon, B, n).  Horizon 0 is the input itself: exact
+evolution by t = 0 returns a row unchanged.
 """
 
 from __future__ import annotations
@@ -373,31 +375,36 @@ def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConf
     return vae.TrainConfig(**kwargs)
 
 
-def _draw_burgers_set(cfg: ExperimentConfig, config, size: str, times: str, seed: int):
-    """``dataset.<size>`` pairs, alpha and start times in their configured ranges."""
+def _draw_burgers_set(draw, cfg: ExperimentConfig, config, size: str, times: str, seed: int):
+    """``draw`` (``bg.sample_burgers_states`` or ``bg.generate_burgers_dataset``)
+    of ``dataset.<size>`` rows, alpha and start times in their configured ranges."""
     count = cfg.get_int("dataset", size)
     if count < 1:
         raise ConfigError(f"dataset.{size} must be at least 1, got {count}")
     ranges = [(cfg.get_float("dataset", f"{key}_min"), cfg.get_float("dataset", f"{key}_max"))
               for key in ("alpha", times)]
-    return bg.generate_burgers_dataset(config, count, *ranges, seed)
+    return draw(config, count, *ranges, seed)
 
 
 def burgers_test_set(cfg: ExperimentConfig, seed: int):
-    """(config, test): the Burgers config and the test set, drawn from seed + 1."""
+    """(config, test): the Burgers config and the test set, ``BurgersStates``
+    drawn from seed + 1.  A test set has no targets: evaluation evolves its
+    states to every horizon itself."""
     config = burgers_config(cfg)
-    return config, _draw_burgers_set(cfg, config, "m_test", "test_t", seed + 1)
+    return config, _draw_burgers_set(bg.sample_burgers_states, cfg, config, "m_test", "test_t",
+                                     seed + 1)
 
 
 def generate_burgers_sets(cfg: ExperimentConfig, seed: int):
-    """(config, train, test): the training data and ``burgers_test_set``, both
-    ``BurgersData``; a runner calls it once through ``prepare``.  Training
+    """(config, train, test): the training pairs (``BurgersData``) and
+    ``burgers_test_set``; a runner calls it once through ``prepare``.  Training
     pairs come from ``dataset.file`` when set (made with the configured n_x,
     nu and tau; blend parameters and start times unstored: NaN), else from seed."""
     config, test = burgers_test_set(cfg, seed)
     path = cfg.get("dataset", "file")
     if not path:
-        return config, _draw_burgers_set(cfg, config, "m_train", "t", seed), test
+        train = _draw_burgers_set(bg.generate_burgers_dataset, cfg, config, "m_train", "t", seed)
+        return config, train, test
     X, Y, header = datafiles.load_pairs(path)
     made, want = (header.param1, header.param2, header.dim), astuple(config)
     if made != want:
@@ -416,7 +423,7 @@ def burgers_truth_at_horizons(X, config: bg.BurgersConfig, horizons) -> np.ndarr
     return bg.evolve_exact(X, config.nu, times)
 
 
-def evaluate_burgers_model(model, data: bg.BurgersData, config: bg.BurgersConfig, horizons) -> dict:
+def evaluate_burgers_model(model, data: bg.BurgersStates, config: bg.BurgersConfig, horizons) -> dict:
     """Mean L1-relative error per horizon (column '0.00s' is reconstruction)."""
     preds = vae.predict_multistep(model, data.X, max(horizons))
     truths = burgers_truth_at_horizons(data.X, config, horizons)

@@ -753,20 +753,22 @@ def _solve_on_surface(manifold, W, start):
 
 
 def _phi_hessian(jac, hess, residual):
-    """The Hessian J^T J - (w - sigma) . d2sigma of Phi, per row."""
-    return np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
+    """(A, eigenvalues of A): the Hessian A = J^T J - (w - sigma) . d2sigma
+    of Phi per row, and its ascending eigenvalues."""
+    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", residual, hess)
+    return A, _sym_eigvalsh(A)
 
 
-def _ift_jacobians(jac, hess, residual):
-    """dLambda/dw = J A^{-1} J^T per row, with A the full Hessian of Phi.
+def _ift_jacobians(jac, A, eigs):
+    """dLambda/dw = J A^{-1} J^T per row, with A the full Hessian of Phi and
+    eigs its eigenvalues, as ``_phi_hessian`` gives them.
 
     Returns (Jacobians, singular).  A is symmetric, so its singular values
     are the absolute values of its eigenvalues; a row whose condition number
     exceeds ``COND_LIMIT`` (or whose A is exactly singular) is flagged
     singular and takes the pseudo-inverse of A.
     """
-    A = _phi_hessian(jac, hess, residual)
-    s = np.abs(_sym_eigvalsh(A))
+    s = np.abs(eigs)
     s_min, s_max = s.min(axis=-1), s.max(axis=-1)
     det = _det(A)
     singular = ~(s_min > 0) | (s_max > COND_LIMIT * s_min) | (det == 0)
@@ -781,7 +783,9 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     closed-form seed (a product of circles takes no step; the Klein bottle
     runs Newton in u1 with u2 in closed form), and one ``chart_frames`` call
     at the result gives sigma, dsigma/du and d2sigma/du2, from which Phi,
-    |grad Phi|, the saddle test and the IFT Jacobian come.  Rows that end
+    |grad Phi|, the saddle test and the IFT Jacobian come (Phi's Hessian and
+    its eigenvalues are built once per row, and again only for a row whose
+    solution a retry or the fallback replaces).  Rows that end
     degraded, at a saddle, or above the surface's retry seed are solved
     again from that seed; ``chart_id`` and ``coarse_index`` are -1.
     Quadratic charts start in the charts of the ``CANDIDATES`` nearest cloud
@@ -808,15 +812,18 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         # left at a saddle, or left above that seed (by more than solver
         # tolerance): a converged retry replaces a row that did not converge
         # or that lies higher.
-        eigs = _sym_eigvalsh(_phi_hessian(jac, hess, W - sigma))
+        A, eigs = _phi_hessian(jac, hess, W - sigma)
         saddle = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
         seed2, seed2_phi = manifold.surface.retry_seed(W)
         retry = np.flatnonzero((gnorm > DEGRADED_TOL) | saddle | (seed2_phi < phi - NEWTON_TOL))
         if retry.size:
             cand = _solve_on_surface(manifold, W[retry], seed2[retry])
             better = (cand[3] <= DEGRADED_TOL) & ((gnorm[retry] > DEGRADED_TOL) | (cand[2] < phi[retry]))
+            replaced = retry[better]
             for out, part in zip(result, cand):
-                out[retry[better]] = part[better]
+                out[replaced] = part[better]
+            A[replaced], eigs[replaced] = _phi_hessian(
+                jac[replaced], hess[replaced], W[replaced] - sigma[replaced])
         chart_id = coarse.copy()
     else:
         K = min(CANDIDATES, manifold.num_points)
@@ -839,6 +846,7 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         take = np.arange(B) * K + pick
         U, sigma, phi, gnorm, jac, hess = (x[take] for x in (U, sigma, phi, gnorm, jac, hess))
         chart_id = idx[np.arange(B), pick]
+        A, eigs = _phi_hessian(jac, hess, W - sigma)
 
     degraded = gnorm > DEGRADED_TOL
     if np.any(degraded):
@@ -848,8 +856,10 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         frames = manifold.chart_frames(chart_id[degraded], U[degraded])
         sigma[degraded], jac[degraded], hess[degraded] = frames
         phi[degraded] = _phi_value(W[degraded], sigma[degraded])
+        A[degraded], eigs[degraded] = _phi_hessian(jac[degraded], hess[degraded],
+                                                   W[degraded] - sigma[degraded])
 
-    jacobians, singular = _ift_jacobians(jac, hess, W - sigma)
+    jacobians, singular = _ift_jacobians(jac, A, eigs)
     return BatchProjection(
         z=sigma,
         chart_id=chart_id,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -554,36 +555,42 @@ def load_checkpoint(path) -> VaeModel:
     finite, every header field be present with the type ``save_checkpoint``
     writes, its latent's dimension be the encoder's output and the decoder's
     input width, and its activation, leaky slope and flow pass ``VaeModel``'s
-    checks.  A Klein latent is rebuilt from its radii; no cloud is built."""
+    checks.  A Klein latent is rebuilt from its radii; no cloud is built.
+
+    The file is read once: the weights land in one array, and each parameter
+    is a view of it."""
     path = Path(path)
-    data = path.read_bytes()
-    magic = data[: len(_CKPT_MAGIC)]
-    if magic != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-    start = len(_CKPT_MAGIC) + 8
-    if len(data) < start:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    version, blob_len = struct.unpack_from("<II", data, len(_CKPT_MAGIC))
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if len(data) < start + blob_len:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(data[start : start + blob_len].decode())
-        shapes = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: corrupt checkpoint header ({exc})") from None
-    counts = [math.prod(shape) for _, shape in shapes]
-    expected = start + blob_len + 8 * sum(counts)
-    if len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes, but its header implies {expected}")
-    if header.get("learn_sigmas", False):
-        raise ValueError(f"{path}: learnable noise scales are no longer supported")
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_CKPT_MAGIC))
+        if magic != _CKPT_MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
+        head = fh.read(8)
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, blob_len = struct.unpack("<II", head)
+        if version != _CKPT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        blob = fh.read(blob_len)
+        if len(blob) < blob_len:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(blob.decode())
+            shapes = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: corrupt checkpoint header ({exc})") from None
+        counts = [math.prod(shape) for _, shape in shapes]
+        size = os.fstat(fh.fileno()).st_size
+        expected = len(_CKPT_MAGIC) + 8 + blob_len + 8 * sum(counts)
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, but its header implies {expected}")
+        if header.get("learn_sigmas", False):
+            raise ValueError(f"{path}: learnable noise scales are no longer supported")
+        weights = np.fromfile(fh, "<f8", sum(counts))
     params = {}
-    offset = start + blob_len
+    offset = 0
     for (name, shape), count in zip(shapes, counts):
-        params[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape).copy()
-        offset += 8 * count
+        params[name] = weights[offset : offset + count].reshape(shape)
+        offset += count
         if not np.all(np.isfinite(params[name])):
             raise ValueError(f"{path}: parameter '{name}' has non-finite values")
 

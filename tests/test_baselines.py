@@ -166,6 +166,14 @@ def test_pod_instability_is_reported():
     with pytest.raises(RuntimeError, match="unstable"):
         lb.pod_predict(model, U, 50)
     assert np.all(np.isfinite(lb.pod_predict(model, U[[0, 2]], 2)))
+    # a finite row whose coefficient norm passes 1e6 within one substep, and
+    # a non-finite row, each fail the call as well
+    big = np.outer([0.0, 1e7], np.sin(2 * np.pi * 10 * x))
+    assert np.all(np.isfinite(big))
+    with pytest.raises(RuntimeError, match="unstable"):
+        lb.pod_predict(model, big, 1)
+    with pytest.raises(RuntimeError, match="unstable"):
+        lb.pod_predict(model, np.vstack([U[0], np.full(n, np.nan)]), 1)
 
 
 def _burgers_rollout_setup(rank, m_test=12):

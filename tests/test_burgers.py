@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,25 @@ def test_evolve_zero_time_is_identity():
     out = bg.evolve_exact(U, 0.02, [0.0, 0.3, 0.0])
     np.testing.assert_array_equal(out[[0, 2]], U[[0, 2]])
     assert not np.array_equal(out[1], U[1])
+
+
+@pytest.mark.parametrize("t", [0.0, np.zeros(3), np.zeros((2, 1))])
+def test_evolve_by_zero_time_returns_the_input_without_a_transform(t, monkeypatch):
+    # scalar, (B,) and (H, 1) times that are all 0 give back U0, broadcast to
+    # the output shape, bit for bit and in a new array; no FFT runs, and a
+    # field whose mean is not zero is still refused
+    U = bg.sample_u1([0.2, 0.7, 0.9], 0.3, 0.02, n_x=64)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("evolution by t = 0 took a transform")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    out = bg.evolve_exact(U, 0.02, t)
+    assert out.shape == np.broadcast_shapes(np.shape(t) + (1,), U.shape)
+    assert out.tobytes() == np.broadcast_to(U, out.shape).tobytes()
+    assert not np.shares_memory(out, U)
+    with pytest.raises(ValueError, match="mean-zero"):
+        bg.evolve_exact(U + 1e-3, 0.02, t)
 
 
 @pytest.mark.parametrize("alpha,t", [(1.0, 0.25), (0.5, 0.25), (0.0, 0.5)])
@@ -286,6 +307,18 @@ def test_dataset_targets_consistent_with_evolver():
         np.testing.assert_array_equal(y, bg.evolve_exact(x, config.nu, config.tau))
 
 
+@pytest.mark.parametrize("t_range", [(0.0, 0.0), (0.0, 0.75)])
+def test_states_are_the_inputs_of_the_pairs_drawn_from_the_same_seed(t_range):
+    # a test set draws alpha, then t, from the rng as a training set does,
+    # and computes no targets
+    config = bg.BurgersConfig(n_x=64)
+    states = bg.sample_burgers_states(config, 9, (0.2, 0.8), t_range, seed=4)
+    pairs = bg.generate_burgers_dataset(config, 9, (0.2, 0.8), t_range, seed=4)
+    assert not hasattr(states, "Y")
+    for name in ("X", "alpha", "t"):
+        assert getattr(states, name).tobytes() == getattr(pairs, name).tobytes()
+
+
 def test_dataset_validates_shapes_and_finiteness():
     X = np.zeros((3, 16))
     with pytest.raises(ValueError, match="expected"):
@@ -296,6 +329,10 @@ def test_dataset_validates_shapes_and_finiteness():
     Y[1, 4] = np.nan
     with pytest.raises(ValueError, match="finite"):
         bg.BurgersData(X, Y, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="expected"):
+        bg.BurgersStates(X, np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        bg.BurgersStates(Y, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +351,24 @@ def test_pair_file_roundtrip(tmp_path):
     assert header.dim == 32 and header.count == 5
     assert header.param1 == pytest.approx(config.nu)
     assert header.param2 == pytest.approx(config.tau)
+
+
+def test_pair_file_loads_into_one_array(tmp_path):
+    # 1024 pairs of 100 points (1.6 MB): the values are read once, and X and
+    # Y are the even and odd rows of that one array
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(1024, 100)), rng.normal(size=(1024, 100))
+    path = tmp_path / "pairs.bin"
+    datafiles.save_pairs(path, X, Y, 0.02, 0.25)
+    tracemalloc.start()
+    try:
+        X2, Y2, _ = datafiles.load_pairs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (X.nbytes + Y.nbytes), f"load_pairs peaked at {peak} bytes"
+    assert X2.base is not None and X2.base is Y2.base
+    assert X2.tobytes() == X.tobytes() and Y2.tobytes() == Y.tobytes()
 
 
 def test_pair_file_rejects_bad_magic(tmp_path):

@@ -512,7 +512,7 @@ def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):
     data = bg.generate_burgers_dataset(bg.BurgersConfig(n_x=64), 40, seed=3)
     datafiles.save_pairs(pairs, data.X, data.Y, 0.02, 0.25)
     _save_quadratic_torus_cloud(cloud)
-    for module, name in [(datafiles, "load_pairs"), (bg, "generate_burgers_dataset"),
+    for module, name in [(datafiles, "load_pairs"), (bg, "sample_burgers_states"),
                          (mech, "generate_arm_torus"), (mech, "add_noise"),
                          (mf, "load_pointcloud")]:
         count(module, name)
@@ -520,7 +520,7 @@ def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):
     cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides(
         [f"dataset.file={pairs}", "sweep.beta=1,2", "sweep.gamma=0.5,0", "train.epochs=1"]))
     assert ex.run_experiment(cfg, tmp_path / "burgers")[1] == 0
-    assert calls == {"load_pairs": 1, "generate_burgers_dataset": 1}
+    assert calls == {"load_pairs": 1, "sample_burgers_states": 1}
 
     calls.clear()
     cfg = ex.ExperimentConfig.from_file(None, overrides=[

@@ -451,6 +451,24 @@ def test_seeded_projection_matches_tree_reference(klein_cloud, W):
     assert np.all(got.phi[ref_flagged] <= ref["phi"][ref_flagged] * (1 + 1e-12))
 
 
+def test_ift_jacobian_of_a_retried_row_is_taken_at_its_final_point(klein_cloud):
+    # the first seed leaves these rows degraded (the first two) or at a saddle
+    # (the last); a solve from the retry seed replaces each with another point,
+    # and the Hessian behind its Jacobian must be rebuilt at that point
+    W = np.array([
+        [0.0800952415643587, 0.07116811072413737, -0.3299557953551792, 0.96714383444054],
+        [-0.09026129884426844, 0.10539928073223953, -1.0168616608880134, 0.48789266406577286],
+        [0.0, 0.0, 0.0, 3.0],
+    ])
+    first = mf._solve_on_surface(klein_cloud, W, klein_cloud.surface.seed(W))
+    got = mf.nearest_point_batch(W, klein_cloud)
+    assert np.all(np.abs(got.z - first[1]).max(axis=1) > 1e-3)
+    J_ref, singular = reference_ift_jacobian(W, klein_cloud, got.chart_id, got.u)
+    assert not singular.any() and not got.singular.any()
+    J_err = np.abs(got.jacobian - J_ref).max(axis=(1, 2))
+    assert np.all(J_err <= 1e-9 * np.maximum(1.0, np.abs(J_ref).max(axis=(1, 2))))
+
+
 def test_klein_reduced_objective_derivatives_and_envelope(klein_cloud):
     # near-surface, Gaussian and seam (z3-z4 plane) rows at random u1
     rng = np.random.default_rng(25)

@@ -655,6 +655,27 @@ def test_checkpoint_roundtrip(tmp_path, latent_name):
     assert path.with_name(path.name + ".meta.txt").exists()
 
 
+def test_paper_size_checkpoint_loads_into_one_copy_of_its_weights(tmp_path):
+    # loading a paper-size checkpoint (100-400-400-2 and back, 3.2 MB of
+    # weights) holds one copy of the weights, of which every parameter is a
+    # view: the file is not held as bytes beside a copy of each parameter
+    model = vae.build_vae(100, vae.make_latent("euclidean", dim=2), hidden=(400, 400), seed=1)
+    path = tmp_path / "model.ckpt"
+    vae.save_checkpoint(model, path)
+    weight_bytes = sum(p.nbytes for p in model.params.values())
+    tracemalloc.start()
+    try:
+        loaded = vae.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * weight_bytes, f"load_checkpoint peaked at {peak / weight_bytes:.2f}x"
+    owners = [p.base for p in loaded.params.values()]
+    assert owners[0] is not None and all(owner is owners[0] for owner in owners)
+    for k in model.params:
+        assert loaded.params[k].tobytes() == model.params[k].tobytes()
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
