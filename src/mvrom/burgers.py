@@ -145,14 +145,21 @@ def cole_hopf_forward(u: np.ndarray, nu: float) -> np.ndarray:
 
 def cole_hopf_inverse(phi: np.ndarray, nu: float) -> np.ndarray:
     """u = -2 nu d/dx ln(phi), differentiated spectrally."""
-    phi = np.asarray(phi, dtype=np.float64)
+    return _cole_hopf_inverse_of_own(np.array(phi, dtype=np.float64), nu)
+
+
+def _cole_hopf_inverse_of_own(phi: np.ndarray, nu: float) -> np.ndarray:
+    """``cole_hopf_inverse`` of a phi no one else holds: its logarithm is
+    taken in place, and dropped once its spectrum is taken."""
     if np.any(phi <= 0):
         raise ValueError(
             "Cole-Hopf inverse undefined: phi <= 0 somewhere "
             "(logarithm undefined; signals under-resolved grid)"
         )
     n = phi.shape[-1]
-    u = _derivative_of_spectrum(np.fft.rfft(np.log(phi)), n)  # ln(phi) freed once transformed
+    c = np.fft.rfft(np.log(phi, out=phi))
+    del phi
+    u = _derivative_of_spectrum(c, n)
     u *= -2.0 * nu
     return u
 
@@ -208,7 +215,7 @@ def evolve_exact(
     coeff = np.fft.rfft(cole_hopf_forward(U0, nu))
     k = np.arange(coeff.shape[-1])
     if n_f is None:
-        u = cole_hopf_inverse(np.fft.irfft(coeff * _heat_decay(k, nu, t), n), nu)
+        u = _cole_hopf_inverse_of_own(np.fft.irfft(coeff * _heat_decay(k, nu, t), n), nu)
         return np.where(at_zero, U0, u) if at_zero.any() else u
 
     coeff[..., n_f // 2 + 1 :] = 0.0

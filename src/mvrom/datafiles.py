@@ -61,7 +61,8 @@ def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
         if len(head) < _HEADER.size:
             raise ValueError(f"{path}: truncated header")
         dim, count, p1, p2 = _HEADER.unpack(head)
-        size, expected = os.fstat(fh.fileno()).st_size, len(MAGIC) + _HEADER.size + 16 * count * dim
+        size = os.fstat(fh.fileno()).st_size
+        expected = len(MAGIC) + _HEADER.size + 16 * count * dim
         if size != expected:
             raise ValueError(
                 f"{path}: {size} bytes, but {count} pairs of dimension {dim} need {expected}"
