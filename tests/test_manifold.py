@@ -651,6 +651,68 @@ def test_adjacent_quadratic_charts_agree(torus_quad_cloud):
     assert np.abs(z[0] - z[1]).max() < 1e-4
 
 
+# Rows near the torus's medial locus (the origin and the two circles' centres)
+# and a candidate chart of each, the last the nearest, in which the Newton
+# step from the chart's own point stays inside the trust region but raises Phi.
+QUAD_OVERSHOOT_W = np.array([
+    [-0.005, -0.006, 0.083, 0.081],
+    [0.003, 0.004, -0.037, 0.063],
+    [0.003, -0.004, 0.219, -0.055],
+    [-0.077, -0.226, -0.002, 0.003],
+])
+QUAD_OVERSHOOT_IDS = np.array([6060, 1472, 7868, 6465])
+
+
+def test_refine_halves_a_far_field_step_that_raises_phi(torus_quad_cloud, monkeypatch):
+    cloud, W, ids = torus_quad_cloud, QUAD_OVERSHOOT_W, QUAD_OVERSHOOT_IDS
+    U0 = np.zeros((len(W), 2))
+
+    def phi_at(U):
+        return 0.5 * np.sum((W - cloud.chart_frames(ids, U)[0]) ** 2, axis=1)
+
+    sigma, jac, hess = cloud.chart_frames(ids, U0)
+    G = -np.einsum("bnm,bn->bm", jac, W - sigma)
+    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", W - sigma, hess)
+    assert np.all(np.linalg.norm(G, axis=1) > 1e-4) and np.all(np.linalg.eigvalsh(A)[:, 0] > 0)
+    full = -np.linalg.solve(A, G[:, :, None])[:, :, 0]
+    assert np.all(np.abs(full) < 1.5 * cloud.monge.radius[ids][:, None])
+    phi0 = phi_at(U0)
+    assert np.all(phi_at(full) > phi0 * (1 + 1e-5))
+    # one iteration keeps the first halving of the step that lowers Phi
+    monkeypatch.setattr(mf, "NEWTON_MAX_ITER", 1)
+    U1 = mf._refine(cloud, W, ids, U0.copy())[0]
+    assert np.all(phi_at(U1) < phi0)
+    halvings = np.log2(full / U1)
+    assert np.all(np.abs(halvings - np.round(halvings)) < 1e-6)
+    assert np.all((halvings > 0.5) & (halvings < 8.5))
+    assert halvings.max() > 2.5  # one row halves three times
+    # to the end, Newton converges to a point below its start
+    monkeypatch.undo()
+    _, _, phi_end, gnorm_end, _, _ = mf._refine(cloud, W, ids, U0.copy())
+    assert np.all(phi_end < phi0) and np.all(gnorm_end <= mf.NEWTON_TOL)
+
+
+def test_quadratic_circle_projection_with_one_parameter():
+    # m = 1: Newton's eigenvalues, determinants and solves go through LAPACK
+    cloud = mf.PointCloudManifold(
+        1, 2, build_torus_pointcloud(resolution=512, radii=(1.0,)).points, "quadratic"
+    )
+    rng = np.random.default_rng(16)
+    gauss = rng.normal(size=(200, 2))
+    angle = rng.uniform(0, 2 * np.pi, size=(200, 1))
+    near = rng.uniform(0.95, 1.05, size=(200, 1)) * np.hstack([np.cos(angle), np.sin(angle)])
+    for W in (gauss, near):
+        batch = mf.nearest_point_batch(W, cloud)
+        assert not (batch.degraded | batch.singular).any()
+        assert batch.grad_norm.max() <= mf.NEWTON_TOL
+        r = np.linalg.norm(W, axis=1)
+        err = np.linalg.norm(batch.z - W / r[:, None], axis=1)
+        # a chart's tilt moves z by about 2e-5 / |w| towards the centre
+        # (the medial axis), and by a few 1e-6 elsewhere
+        assert np.all(err * np.minimum(r, 1.0) <= 3e-5)
+        assert err[np.abs(r - 1) <= 0.05].max() <= 1e-5
+
+
 def test_monge_ift_jacobian_matches_finite_differences(torus_quad_cloud):
     rng = np.random.default_rng(15)
     ids = rng.choice(torus_quad_cloud.num_points, size=20, replace=False)
