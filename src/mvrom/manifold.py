@@ -4,8 +4,8 @@ A latent manifold is either the analytic torus (a closed-form normalization
 map) or a ``PointCloudManifold``: a global analytic parameterization (Klein
 bottle, product of circles) or a dense point cloud with local quadratic
 charts.  The projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a
-backtracked Newton minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a
-start point:
+minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a start point by one
+backtracked Newton driver, ``_newton``, with each solver's own step:
 
 * analytic charts start from the surface's closed-form ``seed(w)`` and
   the surface's ``solve`` minimizes Phi from there (for the Klein bottle by
@@ -31,9 +31,9 @@ At zero residual the formula reduces to the orthogonal tangent-space
 projector.
 
 For m = 2, which every shipped manifold has, the 2x2 eigenvalues, solves
-and condition numbers are closed forms; other m use LAPACK.  A row stops
-iterating as soon as it converges, and every step acts row by row, so a
-sample's projection is bit-identical whatever batch it is projected in.
+and condition numbers are closed forms; other m use LAPACK.  Every step acts
+row by row, so a sample's projection is bit-identical whatever batch it is
+projected in.
 
 Every manifold offers one batch method, ``project(W) -> (Z, J, flagged)``:
 projected points, per-sample Jacobians dLambda/dw and a mask of samples
@@ -300,53 +300,25 @@ class KleinSurface:
         return x, y, F, dF, d2F, g
 
     def solve(self, W: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """The nearest point's parameters, by Newton in u1 from U's u1.
+        """The nearest point's parameters, by ``_newton`` in u1 from U's u1.
 
         With u2 at its best for every u1 (``reduced``), Phi is a function of
         u1 alone, and dPhi/du2 = 0 leaves dPhi/du1 = -F': variable projection
         (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  So |F'| is
-        |grad Phi|, and a row leaves as soon as it is at most ``NEWTON_TOL``.
-        The step is Newton's where -F'' > 1e-10 and Gauss-Newton's, on
-        g = |dsigma/du1|^2 >= (a - b)^2, elsewhere.  As in ``_refine``, a
-        step that raises Phi while |F'| > 1e-4 is halved, with nine
-        evaluations in all; the iteration cap is ``NEWTON_MAX_ITER``.  Every
-        operation acts row by row.
+        |grad Phi|.  The step is Newton's where -F'' > 1e-10 and
+        Gauss-Newton's, on g = |dsigma/du1|^2 >= (a - b)^2, elsewhere.
         """
+
+        def evaluate(u1, W, const):
+            x, y, F, dF, d2F, g = self.reduced(W, u1)
+            return u1, const - F, np.abs(dF), x, y, dF, d2F, g
+
+        def step(state, W, const):
+            dF, d2F, g = state[5:]
+            return dF / np.where(-d2F > 1e-10, -d2F, g)
+
         const = 0.5 * (np.sum(W * W, axis=1) - self.a**2 + self.b**2)
-        u1 = U[:, 0].copy()
-        state = (u1, *self.reduced(W, u1))  # u1, x, y, F, F', F'', g
-        final = state[:3]  # each row's u1, x and y as it leaves
-        rows = np.arange(len(W))
-        for it in range(NEWTON_MAX_ITER + 1):
-            go_on = (np.abs(state[4]) > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
-            if not go_on.all():
-                stop = ~go_on
-                for out, part in zip(final, state):
-                    out[rows[stop]] = part[stop]
-                rows = rows[go_on]
-                if not rows.size:
-                    break
-                state = tuple(part[go_on] for part in state)
-                W, const = W[go_on], const[go_on]
-            u, _, _, F, dF, d2F, g = state
-            step = dF / np.where(-d2F > 1e-10, -d2F, g)
-            phi = const - F
-            u_new = u + step
-            new = self.reduced(W, u_new)
-            phi_new = const - new[2]
-            worse = np.flatnonzero((np.abs(dF) > 1e-4) & (phi_new > phi * (1 + 1e-12) + 1e-15))
-            for _ in range(8):
-                if not worse.size:
-                    break
-                step[worse] *= 0.5
-                u_new[worse] = u[worse] + step[worse]
-                part = self.reduced(W[worse], u_new[worse])
-                for whole, p in zip(new, part):
-                    whole[worse] = p
-                phi_new[worse] = p = const[worse] - part[2]
-                worse = worse[p > phi[worse] * (1 + 1e-12) + 1e-15]
-            state = (u_new, *new)
-        u1, x, y = final
+        u1, _, _, x, y, *_ = _newton(evaluate, step, U[:, 0].copy(), W, const)
         return np.stack([u1, np.arctan2(y, x)], axis=-1)
 
 # ---------------------------------------------------------------------------
@@ -438,6 +410,13 @@ class PointCloudManifold:
     in.  Building that tree is what first imports ``scipy.spatial``; an
     analytic cloud never loads it.  Points and charts are immutable after
     construction.
+
+    Quadratic charts do not resolve the medial axis: within a few 1e-3 of
+    one circle's centre on a resolution-96 quadratic torus, Phi's Hessian is
+    indefinite in every candidate chart, no candidate reaches
+    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps, and the sample ends
+    ``degraded``, so it is flagged; under the ``skip`` policy it leaves the
+    loss.
     """
 
     def __init__(
@@ -673,38 +652,30 @@ def _solve(H, R, det, use_pinv):
     return X
 
 
-def _refine(manifold, W, ids, U):
-    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's quadratic
-    chart from the start parameters U, which are overwritten.  (Analytic
-    charts are minimized by their surface's ``solve``.)
+def _newton(evaluate, newton_step, U, *data):
+    """Backtracked Newton minimization of Phi, row by row; both nearest-point
+    solvers (``_refine`` and ``KleinSurface.solve``) run it.
 
-    Returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per row.
+    ``evaluate(U, *data)`` returns a state tuple (U, Phi, |grad Phi|, ...)
+    at the parameters U, which it may move (into a trust region, say), with
+    whatever else ``newton_step(state, *data)`` needs to return the full
+    step from that state.  ``U`` and each array of ``data`` hold one row per
+    sample.  Returns each row's state as it leaves.
 
-    Backtracked Newton on the full Hessian A of Phi wherever A is positive
-    definite (everywhere except near the medial axis), falling back to
-    Gauss-Newton otherwise.  Gauss-Newton alone contracts with rate
-    |1 - A/J'J| per step, which approaches 1 for far-off-manifold points and
-    cannot reach the gradient tolerance within the iteration cap; Newton
-    shares its zeros of G and is quadratic inside the basin.
-
-    A row leaves the iteration as soon as its gradient norm is at most
-    ``NEWTON_TOL``; backtracking re-evaluates the frames of only the rows
-    whose step made Phi worse.  Every operation acts row by row, so a row's
-    result does not depend on the other rows of the batch.
+    A row leaves as soon as |grad Phi| is at most ``NEWTON_TOL``, or after
+    ``NEWTON_MAX_ITER`` steps.  A step that raises Phi while
+    |grad Phi| > 1e-4 is halved, with nine evaluations in all, and the last
+    is kept: only in the far field, since inside the quadratic basin the
+    decrease per step drops below the float resolution of Phi and damping
+    would stall convergence.  Only the halved rows are evaluated again.
+    Every operation acts row by row, so a row's result does not depend on
+    the other rows of the batch.
     """
-    sigma, jac, hess = manifold.chart_frames(ids, U)
-    phi = _phi_value(W, sigma)
-    gnorm = np.empty(len(ids))
-    final = (U, sigma, jac, hess, phi)  # each row's values as it leaves
-    state = final  # values of the rows still iterating, compacted
-    rows = np.arange(len(ids))
+    state = evaluate(U, *data)
+    final = state  # each row's state as it leaves
+    rows = np.arange(len(U))
     for it in range(NEWTON_MAX_ITER + 1):
-        Ua, sa, ja, ha, pa = state
-        residual = W - sa
-        G = -np.einsum("bnm,bn->bm", ja, residual)
-        g = np.linalg.norm(G, axis=-1)
-        gnorm[rows] = g
-        go_on = (g > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
+        go_on = (state[2] > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
         if not go_on.all():
             stop = ~go_on
             for out, part in zip(final, state):
@@ -712,33 +683,55 @@ def _refine(manifold, W, ids, U):
             rows = rows[go_on]
             if not rows.size:
                 break
-            Ua, sa, ja, ha, pa = state = tuple(part[go_on] for part in state)
-            W, ids, G, g, residual = W[go_on], ids[go_on], G[go_on], g[go_on], residual[go_on]
-        JtJ = np.einsum("bni,bnj->bij", ja, ja)
-        A = JtJ - np.einsum("bn,bnij->bij", residual, ha)
-        eigs = _sym_eigvalsh(A)
-        pos_def = eigs[:, 0] > 1e-10 * np.maximum(1.0, eigs[:, -1])
-        h_eff = np.where(pos_def[:, None, None], A, JtJ)
-        det = _det(h_eff)
-        step = -_solve(h_eff, G[:, :, None], det, det == 0)[:, :, 0]
-        # Backtrack where the full step increases Phi, but only in the far
-        # field: inside the quadratic basin the decrease per step drops below
-        # float resolution of Phi and damping would stall convergence.
-        U_new = manifold.clamp_params(ids, Ua + step)
-        s_new, j_new, h_new = manifold.chart_frames(ids, U_new)
-        p_new = _phi_value(W, s_new)
-        worse = np.flatnonzero((g > 1e-4) & (p_new > pa * (1 + 1e-12) + 1e-15))
-        for _ in range(8):  # nine evaluations in all; the last is kept
+            state = tuple(part[go_on] for part in state)
+            data = tuple(part[go_on] for part in data)
+        U, phi, gnorm = state[:3]
+        step = newton_step(state, *data)
+        new = evaluate(U + step, *data)
+        worse = np.flatnonzero((gnorm > 1e-4) & (new[1] > phi * (1 + 1e-12) + 1e-15))
+        for _ in range(8):
             if not worse.size:
                 break
             step[worse] *= 0.5
-            U_new[worse] = manifold.clamp_params(ids[worse], Ua[worse] + step[worse])
-            s, j, h = manifold.chart_frames(ids[worse], U_new[worse])
-            s_new[worse], j_new[worse], h_new[worse] = s, j, h
-            p_new[worse] = p = _phi_value(W[worse], s)
-            worse = worse[p > pa[worse] * (1 + 1e-12) + 1e-15]
-        state = (U_new, s_new, j_new, h_new, p_new)
-    U, sigma, jac, hess, phi = final
+            part = evaluate(U[worse] + step[worse], *(d[worse] for d in data))
+            for whole, p in zip(new, part):
+                whole[worse] = p
+            worse = worse[part[1] > phi[worse] * (1 + 1e-12) + 1e-15]
+        state = new
+    return final
+
+
+def _refine(manifold, W, ids, U):
+    """Minimize Phi(u) = 0.5|w - sigma(u)|^2 within each row's quadratic
+    chart by ``_newton`` from the start parameters U, kept inside the
+    chart's trust region.  (Analytic charts are minimized by their
+    surface's ``solve``.)
+
+    Returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per row.
+
+    The step is Newton's on the full Hessian A of Phi wherever A is positive
+    definite (everywhere except near the medial axis) and Gauss-Newton's
+    otherwise.  Gauss-Newton alone contracts with rate |1 - A/J'J| per step,
+    which approaches 1 for far-off-manifold points and cannot reach the
+    gradient tolerance within the iteration cap; Newton shares its zeros of
+    G and is quadratic inside the basin.
+    """
+
+    def evaluate(U, W, ids):
+        U = manifold.clamp_params(ids, U)
+        sigma, jac, hess = manifold.chart_frames(ids, U)
+        G = -np.einsum("bnm,bn->bm", jac, W - sigma)
+        return U, _phi_value(W, sigma), np.linalg.norm(G, axis=-1), G, sigma, jac, hess
+
+    def step(state, W, ids):
+        _, _, _, G, sigma, jac, hess = state
+        A, eigs = _phi_hessian(jac, hess, W - sigma)
+        pos_def = eigs[:, 0] > 1e-10 * np.maximum(1.0, eigs[:, -1])
+        h_eff = np.where(pos_def[:, None, None], A, np.einsum("bni,bnj->bij", jac, jac))
+        det = _det(h_eff)
+        return -_solve(h_eff, G[:, :, None], det, det == 0)[:, :, 0]
+
+    U, phi, gnorm, _, sigma, jac, hess = _newton(evaluate, step, U, W, ids)
     return U, sigma, phi, gnorm, jac, hess
 
 
@@ -781,7 +774,7 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
 
     Analytic charts: the surface's ``solve`` minimizes Phi from its
     closed-form seed (a product of circles takes no step; the Klein bottle
-    runs Newton in u1 with u2 in closed form), and one ``chart_frames`` call
+    runs ``_newton`` in u1 with u2 in closed form), and one ``chart_frames`` call
     at the result gives sigma, dsigma/du and d2sigma/du2, from which Phi,
     |grad Phi|, the saddle test and the IFT Jacobian come (Phi's Hessian and
     its eigenvalues are built once per row, and again only for a row whose

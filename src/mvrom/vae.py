@@ -23,7 +23,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +356,7 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
 
     tape = ad.Tape()
     rows = np.concatenate([X, Y][:paths])
-    noise = np.concatenate([sig_e * rng.standard_normal((B, d_lat)) for _ in range(paths)])
+    noise = sig_e * rng.standard_normal((paths * B, d_lat))
     a = _mlp_tape(model, "enc_", model.encoder_sizes, tape.constant(rows))
     z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
     if model.flow == "exp-decay":
@@ -449,7 +449,8 @@ def train(
                                        f"{objective.data:.3e}", history)
             tape.backward(objective, into=grads)
             ad.adam_step(theta, grad, state, lr=config.lr)
-            sums += astuple(breakdown)
+            sums += (breakdown.total, breakdown.reconstruction, breakdown.kl,
+                     breakdown.regularization)
             n_batches += 1
         mean = sums / n_batches
         stats = EpochStats(epoch, LossBreakdown(*mean))
