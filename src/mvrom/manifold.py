@@ -311,11 +311,10 @@ class KleinSurface:
 
         def evaluate(u1, W, const):
             x, y, F, dF, d2F, g = self.reduced(W, u1)
-            return u1, const - F, np.abs(dF), x, y, dF, d2F, g
+            return u1, const - F, np.abs(dF), x, y, dF, np.where(-d2F > 1e-10, -d2F, g)
 
         def step(state, W, const):
-            dF, d2F, g = state[5:]
-            return dF / np.where(-d2F > 1e-10, -d2F, g)
+            return state[5] / state[6]
 
         const = 0.5 * (np.sum(W * W, axis=1) - self.a**2 + self.b**2)
         u1, _, _, x, y, *_ = _newton(evaluate, step, U[:, 0].copy(), W, const)
@@ -678,8 +677,9 @@ def _newton(evaluate, newton_step, U, *data):
         go_on = (state[2] > NEWTON_TOL) & (it < NEWTON_MAX_ITER)
         if not go_on.all():
             stop = ~go_on
+            done = rows[stop]
             for out, part in zip(final, state):
-                out[rows[stop]] = part[stop]
+                out[done] = part[stop]
             rows = rows[go_on]
             if not rows.size:
                 break
