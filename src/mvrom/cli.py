@@ -82,37 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(ok: bool, flag: str, need: str, value) -> None:
-    if not ok:
-        raise ex.ConfigError(f"{flag} must be {need}, got {value!r}")
-
-
 def _parse_floats(raw: str, flag: str) -> list[float]:
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         values = [np.nan]
-    _require(all(np.isfinite(values)), flag, "comma-separated finite numbers", raw)
+    ex.require(all(np.isfinite(values)), flag, "comma-separated finite numbers", raw)
     return values
 
 
-def _parse_range(raw: str, flag: str):
-    parts = _parse_floats(raw, flag)
-    _require(len(parts) == 2 and parts[0] <= parts[1], flag, "'lo,hi' with lo <= hi", raw)
-    return parts[0], parts[1]
-
-
 def cmd_gen_data(args) -> int:
-    _require(args.m >= 1, "--m", "at least 1", args.m)  # every flag before any evolution
+    ex.require(args.m >= 1, "--m", "at least 1", args.m)  # every flag before any evolution
     if args.kind == "burgers":
-        for flag, value in (("--nu", args.nu), ("--tau", args.tau)):
-            _require(0 < value < np.inf, flag, "positive and finite", value)
-        _require(args.n_x >= 16 and args.n_x % 2 == 0, "--n-x", "even and at least 16", args.n_x)
-        alpha_range = _parse_range(args.alpha_range, "--alpha-range")
-        t_range = _parse_range(args.t_range, "--t-range")
-        _require(t_range[0] >= 0, "--t-range", "nonnegative", args.t_range)
+        alpha_range = _parse_floats(args.alpha_range, "--alpha-range")
+        t_range = _parse_floats(args.t_range, "--t-range")
+        ex.check_burgers(("--nu", args.nu), ("--tau", args.tau), ("--n-x", args.n_x),
+                         ("--alpha-range", alpha_range), ("--t-range", t_range))
     else:
-        _require(0 <= args.sigma < np.inf, "--sigma", "nonnegative and finite", args.sigma)
+        ex.require(0 <= args.sigma < np.inf, "--sigma", "nonnegative and finite", args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "burgers":
@@ -167,7 +154,7 @@ def _read_field(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    _require(args.steps >= 0, "--steps", "nonnegative", args.steps)
+    ex.require(args.steps >= 0, "--steps", "nonnegative", args.steps)
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
@@ -205,12 +192,12 @@ def cmd_eval(args) -> int:
 
 def cmd_export_trace(args) -> int:
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
-    _require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
-             "dimensions (traces are for plotting)", model.latent_dim)
+    ex.require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
+               "dimensions (traces are for plotting)", model.latent_dim)
     alphas = np.array(_parse_floats(args.alphas, "--alphas"))
-    _require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
-    _require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
-    _require(args.steps >= 0, "--steps", "nonnegative", args.steps)
+    ex.require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
+    ex.require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
+    ex.require(args.steps >= 0, "--steps", "nonnegative", args.steps)
     X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
     out = Path(args.out)
     n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)

@@ -49,7 +49,8 @@ def save_pairs(path, X: np.ndarray, Y: np.ndarray, param1: float = 0.0, param2: 
 
 
 def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
-    """Read a pair file; its size must be exactly what its header implies.
+    """Read a pair file; its size must be exactly what its header implies, and
+    its values finite: a NaN or Inf is named by its pair (1 is the first) and path.
 
     The file's values are read once, into one array: X and Y are its even
     and odd rows, as views."""
@@ -68,6 +69,11 @@ def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
                 f"{path}: {size} bytes, but {count} pairs of dimension {dim} need {expected}"
             )
         interleaved = np.fromfile(fh, "<f8", 2 * count * dim).reshape(2 * count, dim)
+    # NaN and Inf reach min or max, which need no array of the file's size
+    if interleaved.size and not np.isfinite([interleaved.min(), interleaved.max()]).all():
+        row = np.flatnonzero(~np.isfinite(interleaved).all(axis=1))[0]
+        raise ValueError(f"{path}: non-finite value in pair {row // 2 + 1}, "
+                         f"{('input X', 'target Y')[row % 2]}")
     return interleaved[0::2], interleaved[1::2], PairHeader(dim, count, p1, p2)
 
 

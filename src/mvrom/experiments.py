@@ -49,6 +49,25 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
+def require(ok: bool, name: str, need: str, value) -> None:
+    """A ConfigError naming the flag or config key ``name`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
+def check_burgers(nu, tau, n_x, alpha, *times) -> None:
+    """The checks gen-data's flags and the [dataset] keys share.  Each
+    argument is (flag or key, value); alpha's and each start time's value is
+    a (lo, hi) range, and start times are nonnegative."""
+    for name, value in (nu, tau):
+        require(0 < value < math.inf, name, "positive and finite", value)
+    require(n_x[1] >= 16 and n_x[1] % 2 == 0, n_x[0], "even and at least 16", n_x[1])
+    for i, (name, bounds) in enumerate((alpha, *times)):
+        require(len(bounds) == 2 and -math.inf < bounds[0] <= bounds[1] < math.inf, name,
+                "a finite range lo, hi with lo <= hi", bounds)
+        require(i == 0 or bounds[0] >= 0, name, "nonnegative", bounds[0])
+
+
 # ---------------------------------------------------------------------------
 # error metrics
 
@@ -286,11 +305,13 @@ def resolve_output_dir(out) -> Path:
 
 
 def burgers_config(cfg: ExperimentConfig) -> bg.BurgersConfig:
-    return bg.BurgersConfig(
-        nu=cfg.get_float("dataset", "nu"),
-        tau=cfg.get_float("dataset", "tau"),
-        n_x=cfg.get_int("dataset", "n_x"),
-    )
+    """The Burgers config, once each [dataset] key of a Burgers set passes ``check_burgers``."""
+    get = functools.partial(cfg.get_float, "dataset")
+    nu, tau, n_x = get("nu"), get("tau"), cfg.get_int("dataset", "n_x")
+    ranges = [(f"dataset.{r}_min, dataset.{r}_max", (get(f"{r}_min"), get(f"{r}_max")))
+              for r in ("alpha", "t", "test_t")]
+    check_burgers(("dataset.nu", nu), ("dataset.tau", tau), ("dataset.n_x", n_x), *ranges)
+    return bg.BurgersConfig(nu, tau, n_x)
 
 
 def klein_config(cfg: ExperimentConfig) -> mf.KleinConfig:

@@ -1,10 +1,11 @@
 """Manifold latent spaces: nearest-point projection and its gradients.
 
 A latent manifold is either the analytic torus (a closed-form normalization
-map) or a ``PointCloudManifold``: a global analytic parameterization (Klein
-bottle, product of circles) or a dense point cloud with local quadratic
-charts.  The projection Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a
-minimization of Phi(u) = 0.5*|w - sigma(u)|^2 from a start point by one
+map) or a ``PointCloudManifold``: a global analytic parameterization (the
+Klein bottle) or a dense point cloud with local quadratic charts, read from
+a cloud file (``load_pointcloud``).  The projection
+Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a minimization of
+Phi(u) = 0.5*|w - sigma(u)|^2 from a start point by one
 backtracked Newton driver, ``_newton``, with each solver's own step:
 
 * analytic charts start from the surface's closed-form ``seed(w)`` and
@@ -40,8 +41,8 @@ projected points, per-sample Jacobians dLambda/dw and a mask of samples
 whose projection is unusable.
 
 ``scipy.spatial`` (and with it ``scipy.linalg`` and ``scipy.sparse``) is
-imported only when a k-d tree is built: by a quadratic cloud, its chart fit,
-or ``_cloud_from_surface``.  The torus and analytic latents never load it.
+imported only when a quadratic cloud builds its k-d tree (one tree serves its
+chart fit and its projections).  The torus and analytic latents never load it.
 """
 
 from __future__ import annotations
@@ -66,92 +67,45 @@ class ProjectionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# analytic product-of-circles manifold (torus for two factors)
+# the analytic torus: a product of two unit circles
 
 
 class AnalyticTorus:
     """Unit product of two circles in R^4 with closed-form projection.
 
     Each coordinate pair is normalized independently; the Jacobian is block
-    diagonal with 2x2 blocks (I - zhat zhat^T) / |w_pair|.
+    diagonal with 2x2 blocks (I - zhat zhat^T) / |w_pair|.  A row with a
+    pair within ``CENTER_EPS`` of its circle's centre, where the nearest
+    point is not unique, is flagged: its Z is finite (that pair maps to
+    (1, 0)) and its Jacobian zero.
     """
 
     m = 2
     n = 4
 
     def project(self, W: np.ndarray):
-        """(Z, Jacobians, flagged) for a (B, 4) batch; nothing is ever flagged."""
+        """(Z, Jacobians, flagged) for a (B, 4) batch."""
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != 4:
             raise ProjectionError(f"torus projection expects (B, 4) inputs, got {W.shape}")
         pairs = W.reshape(-1, 2, 2)
         norms = np.linalg.norm(pairs, axis=-1)
-        if np.any(norms < CENTER_EPS):
-            raise ProjectionError("projection undefined at circle center")
+        center = norms < CENTER_EPS
+        norms[center] = np.inf
         zhat = pairs / norms[..., None]
+        zhat[center] = (1.0, 0.0)
         Z = zhat.reshape(W.shape)
-        eye = np.eye(2)
-        blocks = (eye[None, None] - zhat[..., :, None] * zhat[..., None, :]) / norms[
-            ..., None, None
-        ]
+        blocks = (np.eye(2) - zhat[..., :, None] * zhat[..., None, :]) / norms[..., None, None]
         J = np.zeros((W.shape[0], 4, 4))
         J[:, 0:2, 0:2] = blocks[:, 0]
         J[:, 2:4, 2:4] = blocks[:, 1]
-        return Z, J, np.zeros(W.shape[0], dtype=bool)
+        flagged = center.any(axis=1)
+        J[flagged] = 0.0
+        return Z, J, flagged
 
 
 # ---------------------------------------------------------------------------
-# analytic surfaces (global parameterizations with exact derivatives)
-
-
-class ProductCirclesSurface:
-    """sigma(u) = (r_1 cos u_1, r_1 sin u_1, ..., r_m cos u_m, r_m sin u_m)."""
-
-    def __init__(self, radii):
-        self.radii = tuple(float(r) for r in radii)
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("circle radii must be positive")
-        self.m = len(self.radii)
-        self.n = 2 * self.m
-
-    def frames(self, U: np.ndarray):
-        U = np.asarray(U, dtype=np.float64)
-        B = U.shape[:-1]
-        sigma = np.zeros(B + (self.n,))
-        jac = np.zeros(B + (self.n, self.m))
-        hess = np.zeros(B + (self.n, self.m, self.m))
-        for i, r in enumerate(self.radii):
-            c, s = r * np.cos(U[..., i]), r * np.sin(U[..., i])
-            sigma[..., 2 * i] = c
-            sigma[..., 2 * i + 1] = s
-            jac[..., 2 * i, i] = -s
-            jac[..., 2 * i + 1, i] = c
-            hess[..., 2 * i, i, i] = -c
-            hess[..., 2 * i + 1, i, i] = -s
-        return sigma, jac, hess
-
-    def canonicalize(self, U: np.ndarray) -> np.ndarray:
-        return np.mod(U, 2 * np.pi)
-
-    def seed(self, W: np.ndarray) -> np.ndarray:
-        """The nearest point's parameters: the angle of each coordinate pair."""
-        return np.arctan2(W[:, 1::2], W[:, 0::2])
-
-    def retry_seed(self, W: np.ndarray):
-        """``seed`` is exact: the same start, with an infinite Phi."""
-        return self.seed(W), np.full(len(W), np.inf)
-
-    def solve(self, W: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """``seed`` is exact, so a start from it is the solution: a copy of U."""
-        return U.copy()
-
-    def grid_params(self, resolution: int) -> np.ndarray:
-        axes = [np.arange(resolution) * 2 * np.pi / resolution] * self.m
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
-
-    def descriptor(self):
-        return ("circles",) + self.radii
+# the Klein bottle: a global parameterization with exact derivatives
 
 
 class KleinSurface:
@@ -229,14 +183,6 @@ class KleinSurface:
         u1 = np.where(flip, u1 - 2 * np.pi, u1)
         u2 = np.where(flip, np.mod(2 * np.pi - u2, 2 * np.pi), u2)
         return np.stack([u1, u2], axis=-1)
-
-    def grid_params(self, resolution: int) -> np.ndarray:
-        axis = np.arange(resolution) * 2 * np.pi / resolution
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([g1.reshape(-1), g2.reshape(-1)], axis=-1)
-
-    def descriptor(self):
-        return ("klein", self.a, self.b)
 
     def seed(self, W: np.ndarray) -> np.ndarray:
         """Newton start: u1 is the angle of (w1, w2), u2 the nearest point of
@@ -324,14 +270,6 @@ class KleinSurface:
 # local quadratic charts fitted to a point cloud
 
 
-def _kd_tree(points: np.ndarray):
-    """A k-d tree over the rows of ``points``; the only import of
-    ``scipy.spatial``, which costs about 35 MB resident and 0.3 s."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points)
-
-
 @dataclass
 class MongeCharts:
     """Per-point quadratic height-function charts over fitted tangent planes.
@@ -362,13 +300,14 @@ def _quad_design(xi: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def fit_monge_charts(points: np.ndarray, m: int, k_neighbors: int = 12) -> MongeCharts:
-    points = np.asarray(points, dtype=np.float64)
+def fit_monge_charts(points: np.ndarray, tree, m: int, k_neighbors: int = 12) -> MongeCharts:
+    """One chart per row of ``points``, fitted to its ``k_neighbors`` nearest
+    neighbours as ``tree``, a k-d tree over those points, finds them."""
     P, n = points.shape
     n_quad = m * (m + 1) // 2
-    if k_neighbors < m + n_quad + 1:
-        raise ValueError(f"need at least {m + n_quad + 1} neighbors to fit, got {k_neighbors}")
-    tree = _kd_tree(points)
+    if not m + n_quad + 1 <= k_neighbors < P:
+        raise ValueError(f"need {m + n_quad + 1} <= k_neighbors < {P} points to fit, "
+                         f"got {k_neighbors}")
     _, idx = tree.query(points, k=k_neighbors + 1)
     diffs = points[idx[:, 1:]] - points[:, None, :]  # (P, k, n), excluding self
     # local frame: principal directions of the neighbor cloud
@@ -400,14 +339,14 @@ class PointCloudManifold:
 
     ``chart_kind`` is "analytic" or "quadratic".  Analytic charts are one
     global parameterization ``surface`` with exact derivatives; the surface
-    solves its own projection from its closed-form seed (exact for a product
-    of circles, Newton in u1 alone for the Klein bottle), so no point cloud
-    or spatial index is needed.  ``points`` and ``chart_params`` are
-    optional for them and kept only so that ``save`` writes a loaded cloud
-    back out.  Quadratic charts are local Monge-gauge fits to a dense cloud,
-    one per point; a k-d tree over the points picks the charts Newton starts
-    in.  Building that tree is what first imports ``scipy.spatial``; an
-    analytic cloud never loads it.  Points and charts are immutable after
+    solves its own projection from its closed-form seed (Newton in u1 alone
+    for the Klein bottle), so no point cloud or spatial index is needed, and
+    ``points`` and ``chart_params`` are optional: ``build_klein_pointcloud``
+    fills them with a grid.  Quadratic charts are local Monge-gauge fits to
+    a dense cloud, one per point; one k-d tree over the points, ``tree``,
+    finds the neighbours each chart is fitted to and the charts Newton
+    starts in.  Building that tree is what first imports ``scipy.spatial``;
+    an analytic cloud never loads it.  Points and charts are immutable after
     construction.
 
     Quadratic charts do not resolve the medial axis: within a few 1e-3 of
@@ -430,6 +369,8 @@ class PointCloudManifold:
     ):
         self.m = int(m)
         self.n = int(n)
+        if not 0 < self.m < self.n:
+            raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if chart_kind not in ("analytic", "quadratic"):
             raise ValueError(f"unknown chart kind '{chart_kind}'")
         if points is None and chart_kind == "analytic":
@@ -447,8 +388,10 @@ class PointCloudManifold:
             self.monge = None
         else:
             self.chart_params = None
-            self.monge = fit_monge_charts(self.points, self.m, self.k_neighbors)
-            self.tree = _kd_tree(self.points)
+            from scipy.spatial import cKDTree  # its only import: about 35 MB and 0.3 s
+
+            self.tree = tree = cKDTree(self.points)
+            self.monge = fit_monge_charts(self.points, tree, self.m, self.k_neighbors)
 
     @property
     def num_points(self) -> int:
@@ -490,28 +433,16 @@ class PointCloudManifold:
         batch = nearest_point_batch(W, self)
         return batch.z, batch.jacobian, batch.degraded | batch.singular
 
-    # -- plain-text persistence ------------------------------------------
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            if self.chart_kind == "analytic":
-                desc = self.surface.descriptor()
-                kind = desc[0]
-                params = " ".join(f"{v:.17g}" for v in desc[1:])
-                fh.write(f"{self.m} {self.n} {self.num_points} {kind} {params}\n")
-                rows = np.hstack([self.points, self.chart_params])
-            else:
-                fh.write(f"{self.m} {self.n} {self.num_points} quadratic {self.k_neighbors}\n")
-                rows = self.points
-            np.savetxt(fh, rows, fmt="%.17g")
-
 
 def load_pointcloud(path) -> PointCloudManifold:
-    """Read a cloud written by ``PointCloudManifold.save``.
+    """Read a quadratic-chart cloud (``model.pointcloud_file``): a header line
+    ``m n count quadratic [k_neighbors]`` (12 neighbours by default), then
+    ``count`` rows of n numbers, one point each.
 
     The header must parse, the file must end in a newline, and the body must
-    hold exactly ``count`` finite rows of n (quadratic) or n + m (analytic)
-    columns; any other file raises a ValueError naming it.
+    hold exactly ``count`` finite rows of n columns; any other file raises a
+    ValueError naming it.  So does a cloud of any other kind: the closed-form
+    latents are ``model.latent=klein|torus``, not files.
     """
     text = Path(path).read_text()
     if not text.endswith("\n"):
@@ -522,18 +453,12 @@ def load_pointcloud(path) -> PointCloudManifold:
         m, n, count, kind = int(header[0]), int(header[1]), int(header[2]), header[3]
         if not 0 < m < n or count < 1:
             raise ValueError(f"need 0 < m < n and rows > 0, got {m}, {n}, {count}")
-        if kind == "quadratic":
-            k_neighbors, width = int(header[4]) if len(header) > 4 else 12, n
-        elif kind == "klein":
-            surface, width = KleinSurface(float(header[4]), float(header[5])), n + m
-        elif kind == "circles":
-            surface, width = ProductCirclesSurface([float(v) for v in header[4:]]), n + m
-        else:
-            raise ValueError(f"unknown chart kind '{kind}'")
-        if kind != "quadratic" and (surface.m, surface.n) != (m, n):
-            raise ValueError(f"a {kind} surface has m={surface.m}, n={surface.n}")
+        k_neighbors = int(header[4]) if kind == "quadratic" and len(header) > 4 else 12
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: corrupt point-cloud header ({exc})") from None
+    if kind != "quadratic":
+        raise ValueError(f"{path}: a '{kind}' point cloud; only quadratic-chart clouds are read "
+                         "(the closed-form latents are model.latent=klein|torus)")
     lines = body.splitlines()
     if len(lines) != count:
         raise ValueError(f"{path}: expected {count} rows, found {len(lines)}")
@@ -541,33 +466,15 @@ def load_pointcloud(path) -> PointCloudManifold:
         rows = np.loadtxt(lines, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable point-cloud rows ({exc})") from None
-    if rows.shape[1] != width:
-        raise ValueError(f"{path}: expected {width} columns, found {rows.shape[1]}")
+    if rows.shape[1] != n:
+        raise ValueError(f"{path}: expected {n} columns, found {rows.shape[1]}")
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value in data row {bad[0] + 1}")
-    if kind == "quadratic":
+    try:
         return PointCloudManifold(m, n, rows, "quadratic", k_neighbors=k_neighbors)
-    return PointCloudManifold(
-        m, n, rows[:, :n], "analytic", surface=surface, chart_params=rows[:, n:]
-    )
-
-
-def _cloud_from_surface(surface, resolution: int) -> PointCloudManifold:
-    params = surface.grid_params(resolution)
-    points, _, _ = surface.frames(params)
-    # drop accidental duplicates closer than half the typical spacing
-    tree = _kd_tree(points)
-    dists, _ = tree.query(points, k=2)
-    spacing = np.median(dists[:, 1])
-    pairs = tree.query_pairs(0.5 * spacing)
-    if pairs:
-        drop = {max(i, j) for i, j in pairs}
-        keep = np.array([i for i in range(len(points)) if i not in drop])
-        points, params = points[keep], params[keep]
-    return PointCloudManifold(
-        surface.m, 2 * surface.m, points, "analytic", surface=surface, chart_params=params
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -586,8 +493,14 @@ class KleinConfig:
 
 
 def build_klein_pointcloud(config: KleinConfig) -> PointCloudManifold:
-    """A resolution x resolution grid of the Klein bottle, with analytic charts."""
-    return _cloud_from_surface(KleinSurface(config.a, config.b), config.resolution)
+    """A resolution x resolution grid of the Klein bottle, with analytic
+    charts.  The grid spacing is uniform and the map injective on the
+    grid's domain, so no two points coincide."""
+    surface = KleinSurface(config.a, config.b)
+    axis = np.arange(config.resolution) * 2 * np.pi / config.resolution
+    params = np.stack([g.reshape(-1) for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    return PointCloudManifold(2, 4, surface.frames(params)[0], "analytic", surface=surface,
+                              chart_params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +686,8 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     """Project each row of W onto the manifold by Newton from a start point.
 
     Analytic charts: the surface's ``solve`` minimizes Phi from its
-    closed-form seed (a product of circles takes no step; the Klein bottle
-    runs ``_newton`` in u1 with u2 in closed form), and one ``chart_frames`` call
+    closed-form seed (the Klein bottle runs ``_newton`` in u1 with u2 in
+    closed form), and one ``chart_frames`` call
     at the result gives sigma, dsigma/du and d2sigma/du2, from which Phi,
     |grad Phi|, the saddle test and the IFT Jacobian come (Phi's Hessian and
     its eigenvalues are built once per row, and again only for a row whose
@@ -819,10 +732,8 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
                 jac[replaced], hess[replaced], W[replaced] - sigma[replaced])
         chart_id = coarse.copy()
     else:
-        K = min(CANDIDATES, manifold.num_points)
+        K = CANDIDATES  # a quadratic cloud has more points than its fit's 3 or more neighbours
         dists, idx = manifold.tree.query(W, k=K)
-        if K == 1:
-            dists, idx = dists[:, None], idx[:, None]
         # exact-tie determinism: order equal-distance candidates by index
         order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
         idx = np.take_along_axis(idx, order, axis=1)

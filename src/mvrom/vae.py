@@ -88,7 +88,7 @@ def make_latent(kind: str, policy: str = "raise", dim: int = 2,
                 klein: mf.KleinConfig | None = None, cloud=None) -> LatentSpec:
     """The latent of ``kind``: R^dim (euclidean), the unit torus in R^4, the
     Klein bottle in R^4 with the radii of ``klein`` (analytic charts; no
-    cloud is built), or the manifold ``cloud`` (pointcloud)."""
+    cloud is built), or the quadratic-chart cloud ``cloud`` (pointcloud)."""
     if kind == "euclidean":
         return LatentSpec(kind, dim, None, policy)
     if kind == "torus":
@@ -98,6 +98,8 @@ def make_latent(kind: str, policy: str = "raise", dim: int = 2,
         return LatentSpec(kind, 4, mf.PointCloudManifold(2, 4, None, "analytic", surface), policy,
                           klein)
     if kind == "pointcloud":
+        if cloud.chart_kind != "quadratic":
+            raise ValueError("a pointcloud latent needs a cloud with quadratic charts")
         return LatentSpec(kind, cloud.n, cloud, policy)
     raise ValueError(f"unknown latent kind '{kind}'")
 
@@ -470,9 +472,9 @@ _CKPT_VERSION = 1
 def save_checkpoint(model: VaeModel, path):
     """Versioned binary: header (architecture, latent kind, scalars) + weights.
 
-    A plain-text sidecar `<path>.meta.txt` summarizes the model; a
-    user-supplied point-cloud latent is stored next to the checkpoint as
-    `<path>.manifold` in the cloud text format.
+    A pointcloud latent's points follow the weights, with [m, point count,
+    ``k_neighbors``] in the header field ``pointcloud``, which no other latent
+    writes.  A plain-text sidecar `<path>.meta.txt` summarizes the model.
     """
     path = Path(path)
     names = sorted(model.params)
@@ -494,15 +496,18 @@ def save_checkpoint(model: VaeModel, path):
     if model.latent.kind == "klein":
         klein = model.latent.klein
         header["klein"] = [klein.a, klein.b, klein.resolution]
+    arrays = [model.params[n] for n in names]
     if model.latent.kind == "pointcloud":
-        model.latent.manifold.save(path.with_name(path.name + ".manifold"))
+        cloud = model.latent.manifold
+        header["pointcloud"] = [cloud.m, cloud.num_points, cloud.k_neighbors]
+        arrays.append(cloud.points)
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n], dtype="<f8").tobytes())
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
     lines = [f"{k}: {v}" for k, v in header.items() if k != "params"]
     lines.append(f"parameters: {sum(model.params[n].size for n in names)}")
     path.with_name(path.name + ".meta.txt").write_text("\n".join(lines) + "\n")
@@ -544,6 +549,12 @@ def _one_of(*choices):
     return parse
 
 
+def _cloud_shape(value):
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"expected [m, points, k_neighbors], got {value!r}")
+    return [_count(v) for v in value]
+
+
 def _klein_config(value):
     if not isinstance(value, list) or len(value) != 3:
         raise ValueError(f"expected [a, b, resolution], got {value!r}")
@@ -556,11 +567,24 @@ def load_checkpoint(path) -> VaeModel:
     finite, every header field be present with the type ``save_checkpoint``
     writes, its latent's dimension be the encoder's output and the decoder's
     input width, and its activation, leaky slope and flow pass ``VaeModel``'s
-    checks.  A Klein latent is rebuilt from its radii; no cloud is built.
+    checks.  A Klein latent is rebuilt from its radii; no cloud is built.  A
+    pointcloud latent's points are read and checked as a parameter, and its
+    charts fitted again; older files keep them in a `<path>.manifold` sidecar.
 
     The file is read once: the weights land in one array, and each parameter
     is a view of it."""
     path = Path(path)
+
+    def field(key, parse):
+        """``parse(header[key])``; a missing or unparsable field raises a
+        ValueError naming the file and the field."""
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header has no '{key}' field")
+        try:
+            return parse(header[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint header field '{key}': {exc}") from None
+
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -579,6 +603,12 @@ def load_checkpoint(path) -> VaeModel:
             shapes = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt checkpoint header ({exc})") from None
+        kind = field("latent_kind", _one_of("euclidean", "torus", "klein", "pointcloud"))
+        dim = field("latent_dim", _count)
+        cloud = None
+        if kind == "pointcloud" and "pointcloud" in header:  # its points follow the weights
+            cloud = field("pointcloud", _cloud_shape)  # [m, points, k_neighbors]
+            shapes.append(("pointcloud", (cloud[1], dim)))
         counts = [math.prod(shape) for _, shape in shapes]
         size = os.fstat(fh.fileno()).st_size
         expected = len(_CKPT_MAGIC) + 8 + blob_len + 8 * sum(counts)
@@ -594,23 +624,16 @@ def load_checkpoint(path) -> VaeModel:
         offset += count
         if not np.all(np.isfinite(params[name])):
             raise ValueError(f"{path}: parameter '{name}' has non-finite values")
-
-    def field(key, parse):
-        """``parse(header[key])``; a missing or unparsable field raises a
-        ValueError naming the file and the field."""
-        if key not in header:
-            raise ValueError(f"{path}: checkpoint header has no '{key}' field")
+    if cloud:
         try:
-            return parse(header[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: checkpoint header field '{key}': {exc}") from None
-
-    kind = field("latent_kind", _one_of("euclidean", "torus", "klein", "pointcloud"))
-    cloud_file = path.with_name(path.name + ".manifold")
-    latent = make_latent(kind, field("latent_policy", _one_of("raise", "skip")),
-                         field("latent_dim", _count),
-                         field("klein", _klein_config) if kind == "klein" else None,
-                         mf.load_pointcloud(cloud_file) if kind == "pointcloud" else None)
+            cloud = mf.PointCloudManifold(cloud[0], dim, params.pop("pointcloud"), "quadratic",
+                                          k_neighbors=cloud[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint header field 'pointcloud': {exc}") from None
+    elif kind == "pointcloud":  # written before checkpoints carried their cloud
+        cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
+    latent = make_latent(kind, field("latent_policy", _one_of("raise", "skip")), dim,
+                         field("klein", _klein_config) if kind == "klein" else None, cloud)
     sizes = [field(key, _sizes) for key in ("encoder_sizes", "decoder_sizes")]
     for key, prefix, layers in zip(("encoder_sizes", "decoder_sizes"), ("enc_", "dec_"), sizes):
         if {n: p.shape for n, p in params.items() if n.startswith(prefix)} != {

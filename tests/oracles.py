@@ -279,13 +279,73 @@ def pod_predict_row(model, u, n_steps):
 # test-only builders and checks
 
 
+class ProductCirclesSurface:
+    """sigma(u) = (r_1 cos u_1, r_1 sin u_1, ..., r_m cos u_m, r_m sin u_m): a
+    surface for analytic-chart clouds, whose ``seed`` is the exact solution."""
+
+    def __init__(self, radii):
+        self.radii = tuple(float(r) for r in radii)
+        if any(r <= 0 for r in self.radii):
+            raise ValueError("circle radii must be positive")
+        self.m = len(self.radii)
+        self.n = 2 * self.m
+
+    def frames(self, U):
+        U = np.asarray(U, dtype=np.float64)
+        B = U.shape[:-1]
+        sigma = np.zeros(B + (self.n,))
+        jac = np.zeros(B + (self.n, self.m))
+        hess = np.zeros(B + (self.n, self.m, self.m))
+        for i, r in enumerate(self.radii):
+            c, s = r * np.cos(U[..., i]), r * np.sin(U[..., i])
+            sigma[..., 2 * i] = c
+            sigma[..., 2 * i + 1] = s
+            jac[..., 2 * i, i] = -s
+            jac[..., 2 * i + 1, i] = c
+            hess[..., 2 * i, i, i] = -c
+            hess[..., 2 * i + 1, i, i] = -s
+        return sigma, jac, hess
+
+    def canonicalize(self, U):
+        return np.mod(U, 2 * np.pi)
+
+    def seed(self, W):
+        """The nearest point's parameters: the angle of each coordinate pair."""
+        return np.arctan2(W[:, 1::2], W[:, 0::2])
+
+    def retry_seed(self, W):
+        """``seed`` is exact: the same start, with an infinite Phi."""
+        return self.seed(W), np.full(len(W), np.inf)
+
+    def solve(self, W, U):
+        """``seed`` is exact, so a start from it is the solution: a copy of U."""
+        return U.copy()
+
+    def grid_params(self, resolution):
+        axes = [np.arange(resolution) * 2 * np.pi / resolution] * self.m
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+
+
 def build_torus_pointcloud(resolution=256, radii=(1.0, 1.0)):
-    """Point cloud of the product of circles with analytic charts."""
+    """A resolution^m grid of the product of circles with analytic charts."""
     from mvrom import manifold as mf
 
     if resolution < 64:
         raise ValueError("need at least 64 samples per parameter direction")
-    return mf._cloud_from_surface(mf.ProductCirclesSurface(radii), resolution)
+    surface = ProductCirclesSurface(radii)
+    params = surface.grid_params(resolution)
+    return mf.PointCloudManifold(surface.m, surface.n, surface.frames(params)[0], "analytic",
+                                 surface=surface, chart_params=params)
+
+
+def write_pointcloud(path, points, m, k_neighbors=12):
+    """A quadratic-chart cloud file as ``manifold.load_pointcloud`` reads it:
+    the header ``m n count quadratic k_neighbors``, then one point per row."""
+    points = np.asarray(points, dtype=np.float64)
+    with open(path, "w") as fh:
+        fh.write(f"{m} {points.shape[1]} {len(points)} quadratic {k_neighbors}\n")
+        np.savetxt(fh, points, fmt="%.17g")
 
 
 def arm_constraint_residuals(config, samples):

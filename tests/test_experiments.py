@@ -14,7 +14,7 @@ from mvrom import manifold as mf
 from mvrom import mechanics as mech
 from mvrom import vae
 
-from oracles import build_torus_pointcloud, table_complete
+from oracles import build_torus_pointcloud, table_complete, write_pointcloud
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +230,8 @@ def test_burgers_vae_cell_recompute_matches_table(tmp_path):
 
 
 def _save_quadratic_torus_cloud(path):
-    """The resolution-64 torus as a quadratic (Monge-chart) cloud with a k-d tree."""
-    points = build_torus_pointcloud(resolution=64).points
-    mf.PointCloudManifold(2, 4, points, "quadratic").save(path)
+    """The resolution-64 torus as a quadratic (Monge-chart) cloud file."""
+    write_pointcloud(path, build_torus_pointcloud(resolution=64).points, 2)
 
 
 def _run_serial_and_pool(tmp_path, overrides):
@@ -323,11 +322,9 @@ def test_mech_recon_table_shape(tmp_path):
 
 
 def _save_circle_cloud(path):
-    """A unit circle (m=1) in the plane (n=2) with analytic charts."""
-    surface = mf.ProductCirclesSurface([1.0])
-    params = surface.grid_params(64)
-    points = surface.frames(params)[0]
-    mf.PointCloudManifold(1, 2, points, "analytic", surface=surface, chart_params=params).save(path)
+    """A 64-point unit circle (m=1) in the plane (n=2) as a quadratic cloud file."""
+    theta = np.arange(64) * 2 * np.pi / 64
+    write_pointcloud(path, np.stack([np.cos(theta), np.sin(theta)], axis=1), 1)
 
 
 @pytest.mark.parametrize(
@@ -492,6 +489,54 @@ def test_cli_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, defect)
     assert cli.main(argv) == 2
     assert str(path) in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*/model.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["train", "baselines"])
+def test_cli_pair_file_with_a_nan_exits_2_naming_file_pair_and_path(tmp_path, capsys, command):
+    path = tmp_path / "pairs.bin"
+    data = bg.generate_burgers_dataset(bg.BurgersConfig(), 4, seed=3)
+    Y = data.Y.copy()
+    Y[2, 7] = np.nan
+    datafiles.save_pairs(path, data.X, Y, 0.02, 0.25)
+    argv = [command, "--set", f"dataset.file={path}", "--set", "dataset.m_test=4",
+            "--set", "model.hidden=4", "--set", "train.epochs=1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: non-finite value in pair 3, target Y\n")
+
+
+@pytest.mark.parametrize("header", ["2 4 3 klein 2 1", "2 4 3 circles 1 1"])
+def test_cli_analytic_cloud_file_exits_2_naming_it(tmp_path, capsys, header):
+    # the closed-form latents are settings (model.latent=klein|torus), not files
+    path = tmp_path / "old.cloud"
+    path.write_text(header + "\n" + "1 0 0 0 0 0\n" * 3)
+    argv = ["sweep", "--set", "experiment.kind=mech-recon", "--set", "sweep.latent=pointcloud",
+            "--set", f"model.pointcloud_file={path}", "--set", "dataset.m=40",
+            "--set", "model.hidden=4", "--set", "train.epochs=1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: a '{header.split()[3]}' point cloud")
+    assert "model.latent=klein|torus" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dataset.alpha_max", "nan"), ("dataset.alpha_min", "2"), ("dataset.t_max", "inf"),
+    ("dataset.t_min", "-1"), ("dataset.test_t_max", "inf"), ("dataset.test_t_min", "nan"),
+    ("dataset.nu", "nan"), ("dataset.tau", "inf"), ("dataset.nu", "0"), ("dataset.n_x", "15"),
+])
+@pytest.mark.parametrize("command", ["baselines", "train", "sweep"])
+def test_cli_bad_burgers_config_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
+                                                      key, value):
+    # the [dataset] keys pass the checks the gen-data flags do, before any draw
+    monkeypatch.setattr(bg, "sample_burgers_states", _evolution_forbidden)
+    monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
+    out = tmp_path / "out"
+    sets = ["dataset.m_train=8", "dataset.m_test=4", "model.hidden=4", "train.epochs=1",
+            f"{key}={value}"]
+    assert cli.main([command, "--out", str(out)] + [a for i in sets for a in ("--set", i)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset.") and key in err.split(" must be ")[0]
+    assert not [p for p in out.iterdir() if p.is_dir()]
 
 
 def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):

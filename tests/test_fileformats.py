@@ -1,8 +1,8 @@
 """Every file format rejects a damaged file with an error that names it.
 
-The binary formats reject any size that disagrees with the header; the
-point-cloud text format rejects truncation, a wrong column count and
-non-finite values.
+The binary formats reject any size that disagrees with the header, and a
+non-finite value; the point-cloud text format rejects truncation, a wrong
+column count and non-finite values.
 """
 
 import re
@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mvrom import datafiles
 from mvrom import manifold as mf
 from mvrom import vae
+
+from oracles import write_pointcloud
 
 SETTINGS = settings(
     max_examples=150,
@@ -35,11 +37,24 @@ def corrupted(blob: bytes, data) -> bytes:
     return blob[:at] + data.draw(st.binary(min_size=1, max_size=15), label="pad") + blob[at:]
 
 
-@given(data=st.data())
+def _circle_points(count=32):
+    theta = np.arange(count) * 2 * np.pi / count
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+LATENTS = {
+    "euclidean": vae.make_latent("euclidean", dim=2),
+    # its points follow the weights in the checkpoint
+    "pointcloud": vae.make_latent(
+        "pointcloud", cloud=mf.PointCloudManifold(1, 2, _circle_points(), "quadratic")),
+}
+
+
+@given(latent=st.sampled_from(sorted(LATENTS)), data=st.data())
 @SETTINGS
-def test_checkpoint_rejects_any_truncation_or_padding(tmp_path, data):
+def test_checkpoint_rejects_any_truncation_or_padding(tmp_path, latent, data):
     path = tmp_path / "model.ckpt"
-    model = vae.build_vae(6, vae.make_latent("euclidean", dim=2), hidden=(4,), seed=0)
+    model = vae.build_vae(6, LATENTS[latent], hidden=(4,), seed=0)
     vae.save_checkpoint(model, path)
     path.write_bytes(corrupted(path.read_bytes(), data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -57,18 +72,29 @@ def test_pair_file_rejects_any_truncation_or_padding(tmp_path, data):
         datafiles.load_pairs(path)
 
 
-def _circle_cloud(kind: str) -> mf.PointCloudManifold:
-    theta = np.arange(32) * 2 * np.pi / 32
-    points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if kind == "quadratic":
-        return mf.PointCloudManifold(1, 2, points, "quadratic")
-    surface = mf.ProductCirclesSurface([1.0])
-    return mf.PointCloudManifold(
-        1, 2, points, "analytic", surface=surface, chart_params=theta[:, None]
-    )
+@pytest.mark.parametrize("path_name, row", [("input X", 0), ("target Y", 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pair_file_rejects_a_nonfinite_value_naming_its_pair_and_path(tmp_path, path_name, row,
+                                                                     bad):
+    path = tmp_path / "pairs.bin"
+    X = np.arange(12.0).reshape(3, 4)
+    Y = X + 0.5
+    (X if path_name == "input X" else Y)[row, 1] = bad
+    datafiles.save_pairs(path, X, Y, 0.02, 0.25)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: non-finite value in pair {row + 1}, {path_name}")):
+        datafiles.load_pairs(path)
 
 
-CLOUDS = {kind: _circle_cloud(kind) for kind in ("quadratic", "analytic")}
+def test_pointcloud_checkpoint_rejects_a_nonfinite_point(tmp_path):
+    path = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(6, LATENTS["pointcloud"], hidden=(4,), seed=0), path)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array(np.nan, "<f8").tobytes()  # the last point's y
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'pointcloud' "
+                                                   "has non-finite values")):
+        vae.load_checkpoint(path)
 
 
 def damaged_cloud(text: str, data) -> str:
@@ -80,14 +106,11 @@ def damaged_cloud(text: str, data) -> str:
     if change == "truncate":  # half the cuts fall in the last row, which may still parse
         tail = st.integers(len(text) - 40, len(text) - 1)
         return text[: data.draw(st.integers(0, len(text) - 1) | tail, label="cut")]
-    if change == "header":  # m, n, the row count or, for circles, one radius too many
+    if change == "header":  # m, n, the row count or the neighbour count
         fields = header.split()
-        field = data.draw(st.integers(0, 3 if fields[3] == "circles" else 2), label="field")
-        if field == 3:
-            fields.append("1.0")
-        else:
-            fields[field] = data.draw(
-                st.sampled_from(["0", "-1", "2.5", "x", "33", "31"]), label="size")
+        field = data.draw(st.sampled_from([0, 1, 2, 4]), label="field")
+        sizes = ["0", "-1", "2.5", "x"] + (["2", "32"] if field == 4 else ["33", "31"])
+        fields[field] = data.draw(st.sampled_from(sizes), label="size")
         header = " ".join(fields)
     if change == "header":
         picked = ()
@@ -108,11 +131,11 @@ def damaged_cloud(text: str, data) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-@given(kind=st.sampled_from(sorted(CLOUDS)), data=st.data())
+@given(data=st.data())
 @SETTINGS
-def test_pointcloud_rejects_any_damage(tmp_path, kind, data):
+def test_pointcloud_rejects_any_damage(tmp_path, data):
     path = tmp_path / "cloud.manifold"
-    CLOUDS[kind].save(path)
+    write_pointcloud(path, _circle_points(), 1)
     path.write_text(damaged_cloud(path.read_text(), data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         mf.load_pointcloud(path)

@@ -63,8 +63,8 @@ def test_quadratic_cloud_loads_scipy_spatial_when_it_builds_its_tree(tmp_path):
         from mvrom import vae
 
         assert "scipy.spatial" not in sys.modules
-        surface = mf.ProductCirclesSurface((1.0, 1.0))
-        points = surface.frames(surface.grid_params(64))[0]
+        u1, u2 = np.meshgrid(*[np.arange(64) * np.pi / 32] * 2, indexing="ij")
+        points = np.stack([np.cos(u1), np.sin(u1), np.cos(u2), np.sin(u2)], -1).reshape(-1, 4)
         latent = vae.make_latent("pointcloud", cloud=mf.PointCloudManifold(2, 4, points, "quadratic"))
         W = np.random.default_rng(0).normal(size=(5, 4))
         Z, J, flagged = latent.manifold.project(W)

@@ -1,15 +1,19 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import spatial
 
 from mvrom import autodiff as ad
 from mvrom import manifold as mf
+from mvrom import vae
 
 from oracles import (
-    build_torus_pointcloud, klein_frames_stacked, reference_ift_jacobian, reference_projection,
-    sq_sum,
+    ProductCirclesSurface, build_torus_pointcloud, klein_frames_stacked, reference_ift_jacobian,
+    reference_projection, sq_sum, write_pointcloud,
 )
 
 
@@ -82,11 +86,42 @@ def test_project_torus_jacobian_matches_finite_differences():
         assert np.abs(J - J_fd).max() / (1 + np.abs(J_fd).max()) < 1e-8
 
 
-def test_project_torus_rejects_center():
-    with pytest.raises(mf.ProjectionError, match="circle center"):
-        mf.AnalyticTorus().project(np.array([[0.0, 0.0, 1.0, 0.0]]))
+def test_project_torus_flags_centre_rows():
+    # a pair within CENTER_EPS of its circle's centre has no unique nearest
+    # point: its row is flagged, with a finite Z on the torus and a zero
+    # Jacobian, and the other rows project as before
+    W = np.array([[0.0, 0.0, 1.0, 0.0], [0.6, 0.8, 2.0, 0.0], [3.0, 4.0, 5e-9, 0.0]])
+    Z, J, flagged = mf.AnalyticTorus().project(W)
+    np.testing.assert_array_equal(flagged, [True, False, True])
+    np.testing.assert_array_equal(Z, [[1.0, 0.0, 1.0, 0.0], [0.6, 0.8, 1.0, 0.0],
+                                      [0.6, 0.8, 1.0, 0.0]])
+    assert not J[flagged].any() and J[1].any()
+    np.testing.assert_array_equal(Z[1:2], mf.AnalyticTorus().project(W[1:2])[0])
     with pytest.raises(mf.ProjectionError, match="\\(B, 4\\)"):
         mf.AnalyticTorus().project(np.array([1.0, 0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip"])
+def test_torus_centre_sample_follows_the_projection_policy(policy):
+    # an identity encoder with negligible noise puts sample 1's code at the
+    # first circle's centre: "raise" fails the batch naming it, and "skip"
+    # drops it from the loss, so moving its rows moves no term
+    model = vae.build_vae(4, vae.make_latent("torus", policy), hidden=(), sigma_e=1e-12, seed=5)
+    model.params["enc_W0"][:] = np.eye(4)
+    model.params["enc_b0"][:] = 0.0
+    X = np.array([[0.6, 0.8, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.8, 0.6]])
+    Y = np.roll(X, 1, axis=1) + 0.5
+    config = vae.TrainConfig(gamma=0.5, seed=0)
+    if policy == "raise":
+        with pytest.raises(mf.ProjectionError, match=r"^projection flagged for batch samples "
+                                                     r"1 \(input X\)$"):
+            vae.loss(model, X, Y, config, np.random.default_rng(0))
+        return
+    terms = vae.loss(model, X, Y, config, np.random.default_rng(0))[2]
+    assert np.isfinite(terms.total)
+    X2, Y2 = X.copy(), Y.copy()
+    X2[1, 2:], Y2[1] = (2.0, 0.0), -0.5
+    assert vae.loss(model, X2, Y2, config, np.random.default_rng(0))[2] == terms
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +145,7 @@ def test_klein_surface_requires_embedding_regularity():
 
 @pytest.mark.parametrize(
     "surf",
-    [mf.KleinSurface(2.0, 1.0), mf.ProductCirclesSurface((1.0, 1.0)), mf.ProductCirclesSurface((1.0,))],
+    [mf.KleinSurface(2.0, 1.0), ProductCirclesSurface((1.0, 1.0)), ProductCirclesSurface((1.0,))],
     ids=["klein", "torus", "circle"],
 )
 def test_surface_derivatives_match_finite_differences(surf):
@@ -732,27 +767,45 @@ def test_monge_ift_jacobian_matches_finite_differences(torus_quad_cloud):
 # persistence
 
 
-def test_pointcloud_roundtrip_analytic(tmp_path, klein_cloud):
-    path = tmp_path / "klein.cloud"
-    klein_cloud.save(path)
-    loaded = mf.load_pointcloud(path)
-    assert loaded.chart_kind == "analytic"
-    np.testing.assert_allclose(loaded.points, klein_cloud.points, atol=1e-12)
-    np.testing.assert_allclose(loaded.chart_params, klein_cloud.chart_params, atol=1e-12)
-    assert isinstance(loaded.surface, mf.KleinSurface)
-    assert loaded.surface.a == klein_cloud.surface.a
+@pytest.mark.parametrize("header", ["2 4 3 klein 2 1", "2 4 3 circles 1 1", "1 2 3 cubic 12"])
+def test_pointcloud_file_of_another_kind_is_refused_naming_the_file(tmp_path, header):
+    # analytic clouds are not files: the closed-form latents have settings
+    path = tmp_path / "old.cloud"
+    path.write_text(header + "\n" + "1 0 0 0 0 0\n" * 3)
+    kind = header.split()[3]
+    message = re.escape(f"{path}: a '{kind}' point cloud; ") + r".*model\.latent=klein\|torus"
+    with pytest.raises(ValueError, match=message):
+        mf.load_pointcloud(path)
 
 
 def test_pointcloud_roundtrip_quadratic(tmp_path, torus_quad_cloud):
     path = tmp_path / "torus.cloud"
-    torus_quad_cloud.save(path)
+    write_pointcloud(path, torus_quad_cloud.points, 2, torus_quad_cloud.k_neighbors)
     loaded = mf.load_pointcloud(path)
-    assert loaded.chart_kind == "quadratic"
-    np.testing.assert_allclose(loaded.points, torus_quad_cloud.points, atol=1e-12)
-    w = torus_quad_cloud.points[123:124] * 1.05
+    assert loaded.chart_kind == "quadratic" and loaded.k_neighbors == 12
+    np.testing.assert_array_equal(loaded.points, torus_quad_cloud.points)
+    w = torus_quad_cloud.points[::97] * 1.05
     a = mf.nearest_point_batch(w, torus_quad_cloud)
     b = mf.nearest_point_batch(w, loaded)
-    np.testing.assert_allclose(a.z, b.z, atol=1e-12)
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def test_quadratic_cloud_builds_one_tree_for_its_fit_and_its_projections(monkeypatch):
+    # the chart fit queries the cloud's own tree, which projections query too
+    built = []
+
+    class Tree(spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(spatial, "cKDTree", Tree)
+    cloud = mf.PointCloudManifold(2, 4, build_torus_pointcloud(resolution=64).points, "quadratic")
+    assert built == [cloud.tree]
+    twelve = np.arange(12) * np.pi / 6
+    with pytest.raises(ValueError, match="k_neighbors < 12 points"):  # the fit needs 13
+        mf.PointCloudManifold(1, 2, np.stack([np.cos(twelve), np.sin(twelve)], 1), "quadratic")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -636,12 +637,14 @@ def test_checkpoint_roundtrip(tmp_path, latent_name):
         latent = vae.make_latent("klein", "skip", klein=mf.KleinConfig(2.5, 0.75, 96))
         in_dim = 4
     else:
-        cloud = build_torus_pointcloud(resolution=64)
+        points = build_torus_pointcloud(resolution=64).points
+        cloud = mf.PointCloudManifold(2, 4, points, "quadratic")
         latent = vae.make_latent("pointcloud", cloud=cloud)
         in_dim = 4
     model = vae.build_vae(in_dim, latent, hidden=(8,), seed=3)
     path = tmp_path / "model.ckpt"
     vae.save_checkpoint(model, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.meta.txt"]
     loaded = vae.load_checkpoint(path)
     assert loaded.encoder_sizes == list(model.encoder_sizes)
     fields = ("kind", "dim", "label", "policy")
@@ -653,6 +656,45 @@ def test_checkpoint_roundtrip(tmp_path, latent_name):
         vae.predict_multistep(model, X, 2), vae.predict_multistep(loaded, X, 2)
     )
     assert path.with_name(path.name + ".meta.txt").exists()
+
+
+def test_pointcloud_checkpoint_carries_its_cloud_and_projects_bit_identically(tmp_path):
+    # the points and k_neighbors travel in the checkpoint: with no cloud file
+    # anywhere, the reloaded latent refits the same charts
+    points = build_torus_pointcloud(resolution=64).points
+    cloud = mf.PointCloudManifold(2, 4, points, "quadratic", k_neighbors=10)
+    model = vae.build_vae(4, vae.make_latent("pointcloud", "skip", cloud=cloud), hidden=(8,),
+                          seed=3)
+    path = tmp_path / "model.ckpt"
+    vae.save_checkpoint(model, path)
+    (tmp_path / "elsewhere").mkdir()
+    path = path.rename(tmp_path / "elsewhere" / "model.ckpt")  # alone in its directory
+    loaded = vae.load_checkpoint(path).latent.manifold
+    assert (loaded.m, loaded.n, loaded.k_neighbors) == (2, 4, 10)
+    np.testing.assert_array_equal(loaded.points, points)
+    W = np.random.default_rng(8).normal(size=(200, 4))
+    want, got = mf.nearest_point_batch(W, cloud), mf.nearest_point_batch(W, loaded)
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_checkpoint_with_a_cloud_sidecar_still_loads():
+    # tests/data/pointcloud_sidecar.ckpt was written when a pointcloud
+    # checkpoint kept its cloud in a `<path>.manifold` text file beside it:
+    # a 16-point quadratic unit circle with 4 neighbours per chart, under a
+    # 3-4-2 encoder built by ``build_vae(..., hidden=(4,), seed=5)``
+    path = Path(__file__).parent / "data" / "pointcloud_sidecar.ckpt"
+    model = vae.load_checkpoint(path)
+    assert (model.latent.kind, model.latent.policy, model.latent.label) == (
+        "pointcloud", "skip", "1-manifold")
+    cloud = model.latent.manifold
+    theta = np.arange(16) * 2 * np.pi / 16
+    assert (cloud.m, cloud.k_neighbors) == (1, 4)
+    np.testing.assert_array_equal(cloud.points, np.stack([np.cos(theta), np.sin(theta)], 1))
+    built = vae.build_vae(3, model.latent, hidden=(4,), seed=5)
+    assert model.params.keys() == built.params.keys()
+    for k in built.params:
+        np.testing.assert_array_equal(model.params[k], built.params[k])
 
 
 def test_paper_size_checkpoint_loads_into_one_copy_of_its_weights(tmp_path):
