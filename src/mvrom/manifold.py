@@ -440,9 +440,9 @@ def load_pointcloud(path) -> PointCloudManifold:
     ``count`` rows of n numbers, one point each.
 
     The header must parse, the file must end in a newline, and the body must
-    hold exactly ``count`` finite rows of n columns; any other file raises a
-    ValueError naming it.  So does a cloud of any other kind: the closed-form
-    latents are ``model.latent=klein|torus``, not files.
+    hold exactly ``count`` finite rows of n columns that ``PointCloudManifold``
+    accepts; any other file, and a cloud of any other kind (the closed-form
+    latents are ``model.latent=klein|torus``), raises a ValueError naming it.
     """
     text = Path(path).read_text()
     if not text.endswith("\n"):
@@ -451,8 +451,8 @@ def load_pointcloud(path) -> PointCloudManifold:
     header = header_line.split()
     try:
         m, n, count, kind = int(header[0]), int(header[1]), int(header[2]), header[3]
-        if not 0 < m < n or count < 1:
-            raise ValueError(f"need 0 < m < n and rows > 0, got {m}, {n}, {count}")
+        if count < 1:
+            raise ValueError(f"need rows > 0, got {count}")
         k_neighbors = int(header[4]) if kind == "quadratic" and len(header) > 4 else 12
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: corrupt point-cloud header ({exc})") from None
@@ -687,12 +687,12 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
 
     Analytic charts: the surface's ``solve`` minimizes Phi from its
     closed-form seed (the Klein bottle runs ``_newton`` in u1 with u2 in
-    closed form), and one ``chart_frames`` call
-    at the result gives sigma, dsigma/du and d2sigma/du2, from which Phi,
-    |grad Phi|, the saddle test and the IFT Jacobian come (Phi's Hessian and
-    its eigenvalues are built once per row, and again only for a row whose
-    solution a retry or the fallback replaces).  Rows that end
-    degraded, at a saddle, or above the surface's retry seed are solved
+    closed form), and one ``chart_frames`` call at the result gives sigma,
+    dsigma/du and d2sigma/du2, from which Phi, |grad Phi|, the saddle test
+    and the IFT Jacobian come (Phi's Hessian and its eigenvalues are built
+    once per row, and again only for a row whose solution a retry or the
+    fallback replaces).  Rows that end degraded, at a saddle, or above the
+    surface's retry seed are solved
     again from that seed; ``chart_id`` and ``coarse_index`` are -1.
     Quadratic charts start in the charts of the ``CANDIDATES`` nearest cloud
     points (k-d tree) and run ``_refine``; the minimal Phi wins and exact
@@ -732,7 +732,8 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
                 jac[replaced], hess[replaced], W[replaced] - sigma[replaced])
         chart_id = coarse.copy()
     else:
-        K = CANDIDATES  # a quadratic cloud has more points than its fit's 3 or more neighbours
+        # K > 1 (2-D query arrays): a cloud has more points than its >= 3 fit neighbours
+        K = min(CANDIDATES, manifold.num_points)
         dists, idx = manifold.tree.query(W, k=K)
         # exact-tie determinism: order equal-distance candidates by index
         order = np.lexsort((idx, np.round(dists / 1e-12)), axis=1)
