@@ -264,22 +264,26 @@ class ExperimentConfig:
         return self.sections[section][key]
 
     def get_int(self, section: str, key: str) -> int:
-        try:
-            return int(self.get(section, key))
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be an integer") from exc
+        return self._convert(section, key, self.get(section, key), int)
 
     def get_float(self, section: str, key: str) -> float:
-        try:
-            return float(self.get(section, key))
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be a number") from exc
+        return self._convert(section, key, self.get(section, key), float)
 
     def get_list(self, section: str, key: str, conv=float) -> list:
-        raw = self.get(section, key).strip()
-        if not raw:
-            return []
-        return [conv(part.strip()) for part in raw.split(",") if part.strip()]
+        raw = self.get(section, key)
+        return [self._convert(section, key, part, conv) for part in raw.split(",") if part.strip()]
+
+    @staticmethod
+    def _convert(section: str, key: str, text: str, conv):
+        """``conv(text)``; a ConfigError naming ``section.key`` if that
+        raises a ValueError or gives a float that is NaN or infinite."""
+        try:
+            value = conv(text.strip())
+        except ValueError:
+            value = None
+        ok = value is not None and (conv is not float or math.isfinite(value))
+        require(ok, f"{section}.{key}", "an integer" if conv is int else "a finite number", text.strip())
+        return value
 
     def write(self, path):
         parser = configparser.ConfigParser(interpolation=None)
@@ -359,6 +363,13 @@ def build_model_from_config(
     or over the ``LatentSpec`` given, as a runner builds once for its cells."""
     latent = (latent_kind if isinstance(latent_kind, vae.LatentSpec)
               else latent_from_config(cfg, latent_kind))
+    settings = model_settings(cfg)
+    settings["flow"] = flow or settings["flow"]
+    return vae.build_vae(input_dim, latent, seed=seed, **settings)
+
+
+def model_settings(cfg: ExperimentConfig) -> dict:
+    """The keyword arguments ``vae.build_vae`` takes from the config."""
     variant = cfg.get("model", "variant")
     if variant == "linear":
         hidden = ()
@@ -366,34 +377,21 @@ def build_model_from_config(
         hidden = tuple(cfg.get_list("model", "hidden", int))
     else:
         raise ConfigError(f"unknown model variant '{variant}'")
-    return vae.build_vae(
-        input_dim,
-        latent,
-        hidden=hidden,
-        activation=cfg.get("model", "activation"),
-        leaky_slope=cfg.get_float("model", "leaky_slope"),
-        tau=cfg.get_float("dataset", "tau"),
-        sigma_e=cfg.get_float("model", "sigma_e"),
-        sigma_d=cfg.get_float("model", "sigma_d"),
-        sigma_0=cfg.get_float("model", "sigma_0"),
-        flow=flow or cfg.get("model", "flow"),
-        lambda0_init=cfg.get_float("model", "lambda0_init"),
-        seed=seed,
-    )
+    floats = ("leaky_slope", "sigma_e", "sigma_d", "sigma_0", "lambda0_init")
+    return dict(hidden=hidden, activation=cfg.get("model", "activation"),
+                flow=cfg.get("model", "flow"), tau=cfg.get_float("dataset", "tau"),
+                **{key: cfg.get_float("model", key) for key in floats})
+
+
+def train_settings(cfg: ExperimentConfig) -> dict:
+    """The [train] keys, as ``vae.TrainConfig`` takes them."""
+    settings = {key: cfg.get_float("train", key) for key in ("beta", "gamma", "lr")}
+    ints = ("batch_size", "epochs", "eval_every")
+    return {**settings, **{key: cfg.get_int("train", key) for key in ints}}
 
 
 def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConfig:
-    kwargs = dict(
-        beta=cfg.get_float("train", "beta"),
-        gamma=cfg.get_float("train", "gamma"),
-        lr=cfg.get_float("train", "lr"),
-        batch_size=cfg.get_int("train", "batch_size"),
-        epochs=cfg.get_int("train", "epochs"),
-        eval_every=cfg.get_int("train", "eval_every"),
-        seed=seed,
-    )
-    kwargs.update(over)
-    return vae.TrainConfig(**kwargs)
+    return vae.TrainConfig(**{**train_settings(cfg), "seed": seed, **over})
 
 
 def _draw_burgers_set(draw, cfg: ExperimentConfig, config, size: str, times: str, seed: int):
@@ -590,12 +588,14 @@ def _run_grid(cfg: ExperimentConfig, cell, outer, inner, table: ErrorTable, row)
     and its seed, and returns its error columns.
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
-    names its table row as (method, dim, sweep), and two cells that share a
-    row are a ConfigError before any cell runs.  A cell that raised or
+    names its table row as (method, dim, sweep).  Two cells that share a
+    row, or a model or train setting that does not parse or is not finite,
+    are a ConfigError before any cell runs.  A cell that raised or
     returned a non-finite value is marked failed with its error; otherwise
     its values are added.  Rows and failures come in cell order.
     """
     seed = cfg.get_int("experiment", "seed")
+    model_settings(cfg), train_settings(cfg)
     cells = [(a, b, seed + 100 * i + j) for i, a in enumerate(outer) for j, b in enumerate(inner)]
     rows = [row(a, b) for a, b, _ in cells]
     if len(set(rows)) < len(rows):

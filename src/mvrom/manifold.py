@@ -6,17 +6,19 @@ Klein bottle) or a dense point cloud with local quadratic charts, read from
 a cloud file (``load_pointcloud``).  The projection
 Lambda(w) = argmin_{z in M} 0.5*|w - z|^2 is a minimization of
 Phi(u) = 0.5*|w - sigma(u)|^2 from a start point by one
-backtracked Newton driver, ``_newton``, with each solver's own step:
+backtracked Newton driver, ``_newton``, with each solver's own step, from
+candidate starts that only the chart kinds make differently:
 
-* analytic charts start from the surface's closed-form ``seed(w)`` and
-  the surface's ``solve`` minimizes Phi from there (for the Klein bottle by
-  Newton in u1 alone, the cross-section angle u2 being closed-form); a row
-  that ends degraded, at a saddle of Phi, or above the Phi of the surface's
-  ``retry_seed`` is solved again from that seed, and a converged retry
-  replaces it unless it lies higher;
+* analytic charts start from the surface's closed-form ``seed(w)`` (the
+  Klein bottle's ``solve`` runs Newton in u1 alone, the cross-section angle
+  u2 being closed-form), and a row that ends at no minimum of Phi, or above
+  the Phi of the surface's ``retry_seed``, is solved again from that seed;
 * quadratic charts start at the ``CANDIDATES`` nearest cloud points of a
-  k-d tree query, one Newton run in each candidate's chart, and the
-  candidate with the least Phi wins.
+  k-d tree query, one Newton run in each candidate's chart.
+
+One rule picks the winner: a minimum of Phi beats any other candidate, then
+the least Phi wins; a winner that did not converge is flagged ``degraded``,
+one at a saddle of Phi (the nearest point not unique) ``singular``.
 
 The backward map is the implicit-function-theorem linearization of the
 optimality condition G(u, w) = grad_u Phi = 0:
@@ -349,12 +351,13 @@ class PointCloudManifold:
     an analytic cloud never loads it.  Points and charts are immutable after
     construction.
 
-    Quadratic charts do not resolve the medial axis: within a few 1e-3 of
-    one circle's centre on a resolution-96 quadratic torus, Phi's Hessian is
-    indefinite in every candidate chart, no candidate reaches
-    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps, and the sample ends
-    ``degraded``, so it is flagged; under the ``skip`` policy it leaves the
-    loss.
+    Quadratic charts do not resolve the medial axis; a sample there is
+    flagged, and under the ``skip`` policy it leaves the loss.  On a
+    resolution-96 quadratic torus one exactly at a circle's centre ends at
+    a saddle of Phi in every candidate chart and is flagged ``singular``, as
+    the analytic torus flags it; within a few 1e-3 of that centre no
+    candidate reaches ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps (Phi's
+    Hessian is indefinite in each), and the sample ends ``degraded``.
     """
 
     def __init__(
@@ -516,7 +519,7 @@ class BatchProjection:
     grad_norm: np.ndarray  # (B,) |grad_u Phi| at the solution
     coarse_index: np.ndarray  # (B,) nearest cloud point (coarse phase); -1 for analytic charts
     degraded: np.ndarray  # (B,) bool: Newton failed; fell back to the seed or coarse point
-    singular: np.ndarray  # (B,) bool: Hessian near-singular; pseudo-inverse Jacobian
+    singular: np.ndarray  # (B,) bool: saddle of Phi, or near-singular Hessian (pinv Jacobian)
 
 
 def _phi_value(W, sigma):
@@ -648,14 +651,39 @@ def _refine(manifold, W, ids, U):
     return U, sigma, phi, gnorm, jac, hess
 
 
-def _solve_on_surface(manifold, W, start):
-    """The surface's own minimization of Phi from ``start``, then one frames
-    call; returns (U, sigma, phi, |grad Phi|, dsigma/du, d2sigma/du2) per
-    row, as ``_refine`` does."""
-    U = manifold.surface.solve(W, start)
-    sigma, jac, hess = manifold.chart_frames(np.full(len(W), -1), U)
-    gnorm = np.linalg.norm(np.einsum("bnm,bn->bm", jac, W - sigma), axis=-1)
-    return U, sigma, _phi_value(W, sigma), gnorm, jac, hess
+def _solve_candidates(manifold, W, ids, start):
+    """Minimize Phi per row from ``start`` in the chart ``ids``: analytic
+    charts (ids -1) by their surface's ``solve``, quadratic ones by
+    ``_refine``.  Returns [chart id, U, sigma, phi, |grad Phi|, dsigma/du,
+    d2sigma/du2, A, eigenvalues of A, minimum], A being Phi's Hessian.  A
+    minimum converged (|grad Phi| <= ``DEGRADED_TOL``) with A's least
+    eigenvalue at least -1e-10 max(1, its largest); others are saddles or unconverged."""
+    if manifold.chart_kind == "analytic":
+        U = manifold.surface.solve(W, start)
+        sigma, jac, hess = manifold.chart_frames(ids, U)
+        gnorm = np.linalg.norm(np.einsum("bnm,bn->bm", jac, W - sigma), axis=-1)
+        phi = _phi_value(W, sigma)
+    else:
+        U, sigma, phi, gnorm, jac, hess = _refine(manifold, W, ids, start)
+    A, eigs = _phi_hessian(jac, hess, W - sigma)
+    minimum = (gnorm <= DEGRADED_TOL) & (eigs[:, 0] >= -1e-10 * np.maximum(1.0, eigs[:, -1]))
+    return [ids, U, sigma, phi, gnorm, jac, hess, A, eigs, minimum]
+
+
+def _merge(best, challenger, rows):
+    """Replace, in place, row ``rows[i]`` of the candidates ``best`` by row i
+    of ``challenger`` where the challenger's key (not a minimum, Phi rounded
+    to ``NEWTON_TOL``, chart id) is strictly smaller; a full tie keeps the
+    incumbent."""
+    def key(c, sel):
+        return ~c[9][sel], np.round(c[3][sel] / NEWTON_TOL), c[0][sel]
+
+    less, tied = np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
+    for new, old in zip(key(challenger, slice(None)), key(best, rows)):
+        less |= tied & (new < old)
+        tied &= new == old
+    for out, part in zip(best, challenger):
+        out[rows[less]] = part[less]
 
 
 def _phi_hessian(jac, hess, residual):
@@ -685,22 +713,20 @@ def _ift_jacobians(jac, A, eigs):
 def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchProjection:
     """Project each row of W onto the manifold by Newton from a start point.
 
-    Analytic charts: the surface's ``solve`` minimizes Phi from its
-    closed-form seed (the Klein bottle runs ``_newton`` in u1 with u2 in
-    closed form), and one ``chart_frames`` call at the result gives sigma,
-    dsigma/du and d2sigma/du2, from which Phi, |grad Phi|, the saddle test
-    and the IFT Jacobian come (Phi's Hessian and its eigenvalues are built
-    once per row, and again only for a row whose solution a retry or the
-    fallback replaces).  Rows that end degraded, at a saddle, or above the
-    surface's retry seed are solved
-    again from that seed; ``chart_id`` and ``coarse_index`` are -1.
-    Quadratic charts start in the charts of the ``CANDIDATES`` nearest cloud
-    points (k-d tree) and run ``_refine``; the minimal Phi wins and exact
-    ties break to the lowest chart id.  A row that still does not converge
-    falls back to its seed or its coarse cloud point with ``degraded`` set;
-    near-singular Hessians (medial axis) switch to a pseudo-inverse Jacobian
-    with ``singular`` set.  Each row's result depends on that row alone, not
-    on the rest of the batch.
+    Candidate starts are made, solved (``_solve_candidates``, which also
+    tells whether each is a minimum of Phi) and chosen among by one rule
+    (``_merge``); only the starts differ between chart kinds.  Analytic
+    charts solve from the surface's closed-form seed (the Klein bottle runs
+    ``_newton`` in u1 with u2 in closed form), then again from its retry
+    seed for rows that are no minimum or lie above that seed's Phi by more
+    than solver tolerance; ``chart_id`` and ``coarse_index`` are -1.
+    Quadratic charts solve in the charts of the ``CANDIDATES`` nearest cloud
+    points (k-d tree) by ``_refine``, merged in tree order.  A winner that
+    did not converge falls back to its seed or its coarse cloud point with
+    ``degraded`` set; a winner at a saddle of Phi (the medial axis, where the
+    nearest point is not unique) or with a near-singular Hessian (which
+    switches its Jacobian to a pseudo-inverse) has ``singular`` set.  Each
+    row's result depends on that row alone, not on the rest of the batch.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != manifold.n:
@@ -712,25 +738,11 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
     if manifold.chart_kind == "analytic":
         coarse = np.full(B, -1)
         start = manifold.surface.seed(W)
-        result = _solve_on_surface(manifold, W, start)
-        U, sigma, phi, gnorm, jac, hess = result
-        # Solve again from the retry seed the rows Newton could not place,
-        # left at a saddle, or left above that seed (by more than solver
-        # tolerance): a converged retry replaces a row that did not converge
-        # or that lies higher.
-        A, eigs = _phi_hessian(jac, hess, W - sigma)
-        saddle = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
+        best = _solve_candidates(manifold, W, np.full(B, -1), start)
         seed2, seed2_phi = manifold.surface.retry_seed(W)
-        retry = np.flatnonzero((gnorm > DEGRADED_TOL) | saddle | (seed2_phi < phi - NEWTON_TOL))
+        retry = np.flatnonzero(~best[9] | (seed2_phi < best[3] - NEWTON_TOL))
         if retry.size:
-            cand = _solve_on_surface(manifold, W[retry], seed2[retry])
-            better = (cand[3] <= DEGRADED_TOL) & ((gnorm[retry] > DEGRADED_TOL) | (cand[2] < phi[retry]))
-            replaced = retry[better]
-            for out, part in zip(result, cand):
-                out[replaced] = part[better]
-            A[replaced], eigs[replaced] = _phi_hessian(
-                jac[replaced], hess[replaced], W[replaced] - sigma[replaced])
-        chart_id = coarse.copy()
+            _merge(best, _solve_candidates(manifold, W[retry], coarse[retry], seed2[retry]), retry)
     else:
         # K > 1 (2-D query arrays): a cloud has more points than its >= 3 fit neighbours
         K = min(CANDIDATES, manifold.num_points)
@@ -740,18 +752,12 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
         idx = np.take_along_axis(idx, order, axis=1)
         coarse = idx[:, 0]
         start = np.zeros((B, manifold.m))
-
-        U, sigma, phi, gnorm, jac, hess = _refine(
-            manifold, np.repeat(W, K, axis=0), idx.reshape(-1), np.zeros((B * K, manifold.m))
-        )
-
-        # minimal Phi wins; ties (within solver tolerance) go to the lowest chart id
-        quant = np.round(phi.reshape(B, K) / max(NEWTON_TOL, 1e-14))
-        pick = np.lexsort((idx, quant), axis=1)[:, 0]
-        take = np.arange(B) * K + pick
-        U, sigma, phi, gnorm, jac, hess = (x[take] for x in (U, sigma, phi, gnorm, jac, hess))
-        chart_id = idx[np.arange(B), pick]
-        A, eigs = _phi_hessian(jac, hess, W - sigma)
+        cands = _solve_candidates(manifold, np.repeat(W, K, axis=0), idx.reshape(-1),
+                                  np.zeros((B * K, manifold.m)))
+        best = [c[::K].copy() for c in cands]  # row b's k-th candidate is row b K + k
+        for k in range(1, K):
+            _merge(best, [c[k::K] for c in cands], np.arange(B))
+    chart_id, U, sigma, phi, gnorm, jac, hess, A, eigs, minimum = best
 
     degraded = gnorm > DEGRADED_TOL
     if np.any(degraded):
@@ -765,17 +771,10 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
                                                    W[degraded] - sigma[degraded])
 
     jacobians, singular = _ift_jacobians(jac, A, eigs)
-    return BatchProjection(
-        z=sigma,
-        chart_id=chart_id,
-        u=manifold.canonical_params(U),
-        jacobian=jacobians,
-        phi=phi,
-        grad_norm=gnorm,
-        coarse_index=coarse,
-        degraded=degraded,
-        singular=singular,
-    )
+    singular |= ~degraded & ~minimum  # a saddle of Phi: the medial axis
+    return BatchProjection(z=sigma, chart_id=chart_id, u=manifold.canonical_params(U),
+                           jacobian=jacobians, phi=phi, grad_norm=gnorm, coarse_index=coarse,
+                           degraded=degraded, singular=singular)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,10 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
     over the cloud's points for every chart kind (analytic charts start at
     their points' parameters), LAPACK ``eigvalsh`` for the positive-definite
     test, ``pinv`` for every Newton step, an SVD for the IFT condition
-    number, and every row iterating until the slowest one converges.
+    number, and every row iterating until the slowest one converges.  A
+    converged row whose final Hessian of Phi has, by ``eigvalsh``, a least
+    eigenvalue below -1e-10 max(1, its largest) is a saddle of Phi (the
+    medial axis) and flagged singular.
     Returns a dict with the fields of ``BatchProjection``.
     """
     W = np.asarray(W, dtype=np.float64)
@@ -201,9 +204,12 @@ def reference_projection(W, manifold, tol=1e-10, max_iter=50, candidates=4, cond
     chart_id = np.where(degraded, coarse, chart_id)
     U[degraded] = chart_start(chart_id[degraded])
 
-    sigma = manifold.chart_frames(chart_id, U)[0]
+    sigma, jac, hess = manifold.chart_frames(chart_id, U)
     phi[degraded] = 0.5 * np.sum((W[degraded] - sigma[degraded]) ** 2, axis=-1)
     jacobians, singular = reference_ift_jacobian(W, manifold, chart_id, U, cond_limit)
+    A = np.einsum("bni,bnj->bij", jac, jac) - np.einsum("bn,bnij->bij", W - sigma, hess)
+    eigs = np.linalg.eigvalsh(A)
+    singular |= ~degraded & (eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1]))
     return dict(
         z=sigma, chart_id=chart_id, u=manifold.canonical_params(U), jacobian=jacobians,
         phi=phi, grad_norm=gnorm, coarse_index=coarse, degraded=degraded, singular=singular,

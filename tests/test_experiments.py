@@ -539,6 +539,22 @@ def test_cli_bad_burgers_config_key_exits_2_naming_it(tmp_path, capsys, monkeypa
     assert not [p for p in out.iterdir() if p.is_dir()]
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "train.lr", "nan"), ("train", "train.beta", "inf"), ("train", "model.sigma_e", "nan"),
+    ("train", "model.sigma_d", "inf"), ("train", "model.lambda0_init", "-inf"),
+    ("sweep", "dataset.sigma", "nan"), ("train", "sweep.horizons", "1,x"),
+])
+def test_cli_bad_setting_exits_2_naming_it_before_any_cell(tmp_path, capsys, command, key, value):
+    # a value that is not finite, or does not parse, stops the run in set-up
+    out = tmp_path / "out"
+    kind = "mech-recon" if key == "dataset.sigma" else "burgers-vae"
+    sets = [f"experiment.kind={kind}", "dataset.m_train=8", "dataset.m_test=4", "dataset.m=40",
+            "model.hidden=4", "train.epochs=1", f"{key}={value}"]
+    assert cli.main([command, "--out", str(out)] + [a for i in sets for a in ("--set", i)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+    assert not [p for p in out.iterdir() if p.is_dir()]
+
+
 def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):
     # every cell of a run shares one read of dataset.file, one drawn test
     # set, one clean mechanics set, one noisy split per sigma and one cloud

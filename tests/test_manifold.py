@@ -340,12 +340,14 @@ def test_medial_axis_is_flagged_singular(circle_cloud):
     assert flagged[0]
 
 
-def test_torus_medial_axis_is_flagged_singular(torus_cloud):
-    # the first circle's center, the origin (both circles' centers), a regular point
+@pytest.mark.parametrize("cloud_name", ["torus_cloud", "torus_quad_cloud"])
+def test_torus_medial_axis_is_flagged_singular(cloud_name, request):
+    # the first circle's center, the origin (both circles' centers), a regular
+    # point; in quadratic charts the first two converge to a saddle of Phi
     W = np.array([[0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 1.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = mf.nearest_point_batch(W, torus_cloud)
+        res = mf.nearest_point_batch(W, request.getfixturevalue(cloud_name))
     np.testing.assert_array_equal(res.singular, [True, True, False])
     assert not res.degraded.any()
     assert np.all(np.isfinite(res.jacobian))
@@ -489,19 +491,55 @@ def test_seeded_projection_matches_tree_reference(klein_cloud, W):
 def test_ift_jacobian_of_a_retried_row_is_taken_at_its_final_point(klein_cloud):
     # the first seed leaves these rows degraded (the first two) or at a saddle
     # (the last); a solve from the retry seed replaces each with another point,
-    # and the Hessian behind its Jacobian must be rebuilt at that point
+    # and the Hessian behind its Jacobian must be the one at that point
     W = np.array([
         [0.0800952415643587, 0.07116811072413737, -0.3299557953551792, 0.96714383444054],
         [-0.09026129884426844, 0.10539928073223953, -1.0168616608880134, 0.48789266406577286],
         [0.0, 0.0, 0.0, 3.0],
     ])
-    first = mf._solve_on_surface(klein_cloud, W, klein_cloud.surface.seed(W))
+    # (U, sigma, ...) of the solve from the first seed, after its chart ids
+    first = mf._solve_candidates(klein_cloud, W, np.full(len(W), -1), klein_cloud.surface.seed(W))[1:]
     got = mf.nearest_point_batch(W, klein_cloud)
     assert np.all(np.abs(got.z - first[1]).max(axis=1) > 1e-3)
     J_ref, singular = reference_ift_jacobian(W, klein_cloud, got.chart_id, got.u)
     assert not singular.any() and not got.singular.any()
     J_err = np.abs(got.jacobian - J_ref).max(axis=(1, 2))
     assert np.all(J_err <= 1e-9 * np.maximum(1.0, np.abs(J_ref).max(axis=(1, 2))))
+
+
+def _candidates(chart_id, phi, minimum, tag):
+    """Candidates as ``_solve_candidates`` returns them, by hand: every
+    field but the chart id, Phi and the minimum mask holds ``tag``."""
+    B = len(phi)
+
+    def fill(*shape):
+        return np.full((B, *shape), float(tag))
+
+    return [np.array(chart_id), fill(2), fill(4), np.array(phi, dtype=float), fill(), fill(4, 2),
+            fill(4, 2, 2), fill(2, 2), fill(2), np.array(minimum)]
+
+
+def test_merge_prefers_a_minimum_then_the_least_phi_then_the_lowest_chart():
+    tol = mf.NEWTON_TOL
+    best = _candidates([5] * 7, [1.0] * 7, [False] + [True] * 6, tag=0)
+    challenger = _candidates(
+        [7, 3, 5, 9, 5, 6],
+        [2.0, 1.0 + 0.2 * tol, 1.0, 0.5, 1.0 - 5 * tol, 1.0 - 0.2 * tol],
+        [True, True, True, False, True, True],
+        tag=1,
+    )
+    mf._merge(best, challenger, np.array([0, 1, 2, 3, 4, 6]))
+    # row 0: a minimum beats a lower non-minimum; row 1: Phi equal when
+    # rounded to NEWTON_TOL, so the lower chart id wins; row 2: a full tie
+    # keeps the incumbent; row 3: a lower non-minimum loses to a minimum;
+    # row 4: the lower Phi wins; row 5: not merged; row 6: the higher chart
+    # id loses a rounded-Phi tie
+    won = np.array([True, True, False, False, True, False, False])
+    np.testing.assert_array_equal(best[0], [7, 3, 5, 5, 5, 5, 5])
+    np.testing.assert_array_equal(best[3], [2.0, 1.0 + 0.2 * tol, 1.0, 1.0, 1.0 - 5 * tol, 1.0, 1.0])
+    assert best[9].all()
+    for field in best[1:3] + best[4:9]:  # each winner's whole row moves
+        assert np.all(field.reshape(7, -1) == won[:, None])
 
 
 def test_klein_reduced_objective_derivatives_and_envelope(klein_cloud):
