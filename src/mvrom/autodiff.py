@@ -5,13 +5,13 @@ function with a hand-derived adjoint (Griewank & Walther, *Evaluating
 Derivatives*, 2008).  ``Tape.backward`` walks the list once in reverse; a
 node returns one contribution per input and writes the gradient of each
 parameter it reads into the array it is handed, in training a view of one
-flat vector that ``adam_step`` checks and applies in place.  The generic
-nodes are a sum, a batched custom-Jacobian node for the manifold projection
-and ``Tape.leaf``; the model adds fused nodes of its own (each MLP, the
-latent flow and the training objective).  Node outputs and the adjoints
-between nodes are checked for NaN/Inf.  Nothing the tape stores refers back
-to it, so reference counting frees a dead tape.  ``glorot_init`` draws from
-a ``Generator`` its caller seeds with ``np.random.default_rng(seed)``.
+flat vector that ``adam_step`` checks and applies in place.  The one
+generic node is ``Tape.leaf``; the model records fused nodes of its own
+through ``Tape.record`` (each MLP, the latent layer and the training
+objective).  Node outputs and the adjoints between nodes are checked for
+NaN/Inf.  Nothing the tape stores refers back to it, so reference counting
+frees a dead tape.  ``glorot_init`` draws from a ``Generator`` its caller
+seeds with ``np.random.default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -125,33 +125,6 @@ class Tape:
                     raise NonFiniteError(f"non-finite adjoint from op '{op}'")
                 adjoint[slot] = adjoint[slot] + contrib if slot in adjoint else contrib
         return grads
-
-
-# ---------------------------------------------------------------------------
-# generic nodes
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    return a.tape.record("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def batch_custom_jacobian(x: Tensor, output_values: np.ndarray, jacobians: np.ndarray) -> Tensor:
-    """Per-sample custom-Jacobian node: x (B,n), outputs (B,p), jacobians (B,p,n)."""
-    out = np.asarray(output_values, dtype=np.float64)
-    jac = np.asarray(jacobians, dtype=np.float64)
-    if x.data.ndim != 2 or out.ndim != 2 or jac.ndim != 3:
-        raise ShapeError("batch_custom_jacobian expects (B,n), (B,p), (B,p,n)")
-    B, n = x.data.shape
-    if out.shape[0] != B or jac.shape != (B, out.shape[1], n):
-        raise ShapeError(
-            f"batch_custom_jacobian: jacobians {jac.shape} do not match "
-            f"outputs {out.shape} x inputs {x.data.shape}"
-        )
-    return x.tape.record(
-        "batch_custom_jacobian", out, (x,), lambda g: (np.einsum("bpn,bp->bn", jac, g),)
-    )
 
 
 # ---------------------------------------------------------------------------

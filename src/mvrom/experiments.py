@@ -733,14 +733,15 @@ def run_experiment(cfg: ExperimentConfig, out) -> tuple[ErrorTable, int]:
     """Execute the configured experiment; returns (table, number of failed cells).
 
     Writes the resolved config and the error table under the output
-    directory; reruns with identical config and seed rewrite identical
+    directory once the runner returns, so a run refused in set-up leaves
+    neither; reruns with identical config and seed rewrite identical
     artifacts.
     """
     kind = cfg.get("experiment", "kind")
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind '{kind}'")
     out = resolve_output_dir(out)
-    cfg.write(out / "config.ini")
     table = RUNNERS[kind](cfg, out)
+    cfg.write(out / "config.ini")
     table.write(out)
     return table, table.num_failed

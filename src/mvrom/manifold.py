@@ -40,7 +40,10 @@ projected in.
 
 Every manifold offers one batch method, ``project(W) -> (Z, J, flagged)``:
 projected points, per-sample Jacobians dLambda/dw and a mask of samples
-whose projection is unusable.
+whose projection is unusable.  ``manifold_encode_layer`` is what the VAE's
+latent layer calls; it returns arrays, and the training step's latent node
+(``vae``) applies J^T to its adjoint, so this module does not import
+``autodiff``.
 
 ``scipy.spatial`` (and with it ``scipy.linalg`` and ``scipy.sparse``) is
 imported only when a quadratic cloud builds its k-d tree (one tree serves its
@@ -53,8 +56,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from . import autodiff as ad
 
 CENTER_EPS = 1e-8
 NEWTON_TOL = 1e-10
@@ -778,19 +779,16 @@ def nearest_point_batch(W: np.ndarray, manifold: PointCloudManifold) -> BatchPro
 
 
 # ---------------------------------------------------------------------------
-# tape integration
+# the latent layer's projection
 
 
-def manifold_encode_layer(w: "ad.Tensor", manifold):
-    """Project a batch of encoder outputs onto the latent manifold, on-tape.
-
-    The per-sample Jacobians enter the tape through a batched
-    custom-Jacobian node, so gradients follow the implicit-function-theorem
-    linearization of the projection.  Returns the projected tensor and a
+def manifold_encode_layer(W: np.ndarray, manifold):
+    """(Z, J, valid) for a batch W of encoder outputs: the points projected
+    onto the latent manifold, the per-sample Jacobians dLambda/dw, and a
     per-sample validity mask.  A flagged sample's Jacobian is zeroed, so no
     gradient flows through it; what else a flag does is the latent's
     policy (``vae.LatentSpec``).
     """
-    Z, J, flagged = manifold.project(w.data)
+    Z, J, flagged = manifold.project(W)
     J[flagged] = 0.0
-    return ad.batch_custom_jacobian(w, Z, J), ~flagged
+    return Z, J, ~flagged

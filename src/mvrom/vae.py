@@ -9,12 +9,14 @@ sum of three signed terms,
     KL = -beta * mean_i D_KL(q(z|X_i) || N(0, sigma_0^2 I))
     RR = gamma * mean_i log p(x_i | z''_i),   z'' = encode(x_i), no flow step
 
-and training minimizes -total, one tape node (``objective``) that takes all
-three terms from one residual pass.  The latent flow is z' = exp(-lambda0 tau) z
+and training minimizes -total.  The latent flow is z' = exp(-lambda0 tau) z
 with lambda0 learnable (or the identity, for pure reconstruction tasks).
 Manifold latents insert the nearest-point projection after the noise draw;
 the KL term is evaluated on the pre-projection mean, where the Gaussian form
-is defined.
+is defined.  A training step records four tape nodes: the encoder, the
+latent layer (noise, projection and flow under one hand-written adjoint),
+the decoder, and the objective, which takes all three terms from one
+residual pass.
 """
 
 from __future__ import annotations
@@ -67,21 +69,19 @@ class LatentSpec:
         """Table label: ``R<dim>``, or ``<m>-manifold`` for a manifold latent."""
         return f"R{self.dim}" if self.manifold is None else f"{self.manifold.m}-manifold"
 
-    def raise_if_flagged(self, flagged: np.ndarray, B: int):
-        """Under "raise", fail naming each flagged row of rows stacked B per
-        path (input X, target Y) by its sample and path."""
-        if self.policy == "raise" and flagged.any():
-            bad = [f"{i % B} ({('input X', 'target Y')[i // B]})" for i in np.flatnonzero(flagged)]
-            raise mf.ProjectionError(f"projection flagged for batch samples {', '.join(bad)}")
-
-    def project_batch(self, w: "ad.Tensor", B: int):
-        """Project noisy codes stacked B rows per path (input X, target Y); a
-        sample is valid if all its rows are."""
+    def project_batch(self, w: np.ndarray, B: int):
+        """(z, J, valid) for codes w stacked B rows per path (input X, target
+        Y): the projected codes, the per-row Jacobians of the projection
+        (None for a euclidean latent, whose z is w) and a per-sample mask, a
+        sample being valid if all its rows are.  Under "raise" a flagged row
+        fails, naming its sample and path."""
         if self.manifold is None:
-            return w, np.ones(B, dtype=bool)
-        z, valid = mf.manifold_encode_layer(w, self.manifold)
-        self.raise_if_flagged(~valid, B)
-        return z, valid.reshape(-1, B).all(axis=0)
+            return w, None, np.ones(B, dtype=bool)
+        z, J, valid = mf.manifold_encode_layer(w, self.manifold)
+        if self.policy == "raise" and not valid.all():
+            bad = [f"{i % B} ({('input X', 'target Y')[i // B]})" for i in np.flatnonzero(~valid)]
+            raise mf.ProjectionError(f"projection flagged for batch samples {', '.join(bad)}")
+        return z, J, valid.reshape(-1, B).all(axis=0) if B else valid
 
 
 def make_latent(kind: str, policy: str = "raise", dim: int = 2,
@@ -263,28 +263,35 @@ def _mlp_tape(model: VaeModel, prefix: str, sizes, x: "ad.Tensor") -> "ad.Tensor
     return x.tape.record("mlp", out, (x,), backward, params)
 
 
-def _flow_tape(model: VaeModel, z: "ad.Tensor", n_rows: int) -> "ad.Tensor":
-    """The exp-decay flow z' = exp(-lambda0 tau) z on the first n_rows rows
-    of z, as one node over z and lambda0; the other rows pass unchanged."""
-    factor, tau, zd = flow_factor(model), model.tau, z.data
-    rows = np.where(np.arange(len(zd)) < n_rows, factor, 1.0)[:, None]
+def _latent_tape(model: VaeModel, a: "ad.Tensor", noise: np.ndarray, B: int):
+    """(z', valid): the latent layer as one node over the encoder means a and,
+    with the exp-decay flow, lambda0.  Forward: w = a + noise, z = the
+    projection of w (``LatentSpec.project_batch``), and z' = exp(-lambda0
+    tau) z on the first B rows (the input path), the other rows unchanged.
+    Backward runs the three adjoints in reverse: lambda0's gradient and the
+    flow's row scale, then J^T on a manifold latent."""
+    w = a.data + noise
+    if not np.all(np.isfinite(w)):
+        raise ad.NonFiniteError("non-finite noisy latent code")
+    z, jac, valid = model.latent.project_batch(w, B)
+    factor, tau = flow_factor(model), model.tau
+    rows = np.where(np.arange(len(z)) < B, factor, 1.0)[:, None]  # ones under the identity flow
+    params = {} if model.flow == "identity" else {"lambda0": model.params["lambda0"]}
 
-    def backward(g, lam_grad):
-        lam_grad[...] = (np.sum(g[:n_rows] * zd[:n_rows]) * factor) * -tau
-        return (g * rows,)
+    def backward(g, *lam_grad):
+        for dest in lam_grad:
+            dest[...] = (np.sum(g[:B] * z[:B]) * factor) * -tau
+        g = g * rows
+        return (g if jac is None else np.einsum("bpn,bp->bn", jac, g),)
 
-    return z.tape.record("flow", zd * rows, (z,), backward, {"lambda0": model.params["lambda0"]})
+    return a.tape.record("latent", z * rows, (a,), backward, params), valid
 
 
 def encode(model: VaeModel, X: np.ndarray) -> np.ndarray:
     """Mean encoding z: the encoder mean, projected onto a manifold latent."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     a = mlp_forward(model, "enc_", model.encoder_sizes, X)
-    if model.latent.manifold is None:
-        return a
-    z, _, flagged = model.latent.manifold.project(a)
-    model.latent.raise_if_flagged(flagged, len(a))
-    return z
+    return model.latent.project_batch(a, len(a))[0]
 
 
 def decode(model: VaeModel, z: np.ndarray) -> np.ndarray:
@@ -299,23 +306,14 @@ def flow_factor(model: VaeModel) -> float:
     return float(np.exp(-model.params["lambda0"] * model.tau))
 
 
-def latent_step(model: VaeModel, z: np.ndarray, n_steps: int = 1) -> np.ndarray:
-    """Apply the linear latent flow n_steps times (exact semigroup by composition)."""
+def latent_rollout(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
+    """Mean encodings of the rows of X (B, n) after k = 0..n_steps flow steps,
+    each step one multiplication by ``flow_factor``: (n_steps + 1, B, d)."""
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a nonnegative integer")
-    z = np.asarray(z, dtype=np.float64).copy()
-    factor = flow_factor(model)
+    steps, factor = [encode(model, X)], flow_factor(model)
     for _ in range(int(n_steps)):
-        z = z * factor
-    return z
-
-
-def latent_rollout(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarray:
-    """Mean encodings of the rows of X (B, n) after k = 0..n_steps flow steps:
-    (n_steps + 1, B, d)."""
-    steps = [encode(model, X)]
-    for _ in range(n_steps):
-        steps.append(latent_step(model, steps[-1], 1))
+        steps.append(steps[-1] * factor)
     return np.stack(steps)
 
 
@@ -341,14 +339,16 @@ def predict_multistep(model: VaeModel, X: np.ndarray, n_steps: int) -> np.ndarra
 def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
          rng: np.random.Generator):
     """Build the loss graph for one batch; returns (objective, tape, breakdown)
-    as ``_objective_tape`` does.  With RR on (gamma > 0) each MLP runs once
-    over the stacked rows [X; Y] and the flow scales the X rows only.  Under
-    "skip" flagged samples get zero weight w, the mean renormalized over
-    surviving samples.  The MLP and flow nodes read ``model.params``
-    unchecked, and the tape's ``backward`` has them write the parameter
-    gradients into the arrays it is handed.  Checked per call: the data
-    rows and noise, every pre-activation and node output, and the loss;
-    backward checks the adjoints passed between nodes."""
+    as ``_objective_tape`` does.  The tape has four nodes: the encoder, the
+    latent layer (``_latent_tape``), the decoder and the objective.  With RR
+    on (gamma > 0) each MLP runs once over the stacked rows [X; Y] and the
+    flow scales the X rows only.  Under "skip" flagged samples get zero
+    weight w, the mean renormalized over surviving samples.  The MLP and
+    latent nodes read ``model.params`` unchecked, and the tape's
+    ``backward`` has them write the parameter gradients into the arrays it
+    is handed.  Checked per call: the data rows, the noisy codes, every
+    pre-activation and node output, and the loss; backward checks the
+    adjoints passed between nodes."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -360,9 +360,7 @@ def loss(model: VaeModel, X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     rows = np.concatenate([X, Y][:paths])
     noise = sig_e * rng.standard_normal((paths * B, d_lat))
     a = _mlp_tape(model, "enc_", model.encoder_sizes, tape.constant(rows))
-    z, valid = model.latent.project_batch(ad.add(a, tape.constant(noise)), B)
-    if model.flow == "exp-decay":
-        z = _flow_tape(model, z, B)
+    z, valid = _latent_tape(model, a, noise, B)
     x_hat = _mlp_tape(model, "dec_", model.decoder_sizes, z)
     return _objective_tape(model, x_hat, a, Y, valid, config)
 

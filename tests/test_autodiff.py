@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvrom import autodiff as ad
+from mvrom import manifold as mf
 from mvrom import vae
 
 import oracles
@@ -34,7 +35,9 @@ def assert_grad_close(g_ad, g_fd, tol=1e-6):
 
 ROW_W = np.array([0.5, 1.0, 0.0, 2.0])
 TARGET = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 2))
+NOISE = np.random.default_rng(8).normal(scale=0.1, size=(4, 2))
 FLOW = vae.build_vae(2, vae.make_latent("euclidean", dim=2), hidden=(), lambda0_init=0.3)
+IDENTITY = vae.build_vae(2, vae.make_latent("euclidean", dim=2), hidden=(), flow="identity")
 
 
 def scalar_loss(loss_builder):
@@ -131,8 +134,8 @@ def test_backward_matvec_column_sums():
 def test_backward_requires_scalar():
     tape = ad.Tape()
     x = tape.leaf("x", [1.0, 2.0])
-    with pytest.raises(ad.ShapeError):
-        tape.backward(ad.add(x, x))
+    with pytest.raises(ad.ShapeError, match=r"scalar output, got shape \(2,\)"):
+        tape.backward(x)
 
 
 def test_off_path_leaf_gets_zeros():
@@ -151,40 +154,36 @@ def test_backward_independent_of_unrelated_nodes():
         x = tape.leaf("x", [[1.5, -0.5, 2.0]])
         out = oracles.sq_sum(x)
         if extra:
+            model = mlp_model([2, 3])
             z = tape.leaf("z", [[5.0, 5.0]])
-            oracles.sq_sum(ad.add(z, z))  # dangling subgraph
+            oracles.sq_sum(vae._mlp_tape(model, "enc_", model.encoder_sizes, z))  # dangling subgraph
         return tape.backward(out)["x"]
 
     np.testing.assert_array_equal(grads_with_extra(False), grads_with_extra(True))
-
-
-def test_shape_errors_name_op_and_shapes():
-    tape = ad.Tape()
-    a = tape.leaf("a", np.ones((2, 3)))
-    with pytest.raises(ad.ShapeError, match=r"add: \(2, 3\) vs \(3,\)"):
-        ad.add(a, tape.constant(np.ones(3)))
 
 
 def test_check_finite_rejects_nan():
     tape = ad.Tape()
     with pytest.raises(ad.NonFiniteError, match="leaf:x"):
         tape.leaf("x", [np.nan])
-    x = tape.leaf("y", [1e308])
-    with pytest.raises(ad.NonFiniteError, match="add"), np.errstate(over="ignore"):
-        ad.add(x, x)
+    x = tape.leaf("y", [[1e308]])
+    with pytest.raises(ad.NonFiniteError, match="sq_sum"), np.errstate(over="ignore"):
+        oracles.sq_sum(x)
 
 
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("add", lambda x: oracles.sq_sum(ad.add(x, x), ROW_W)),
+        # the latent node over a euclidean latent, through its input a = x:
+        # the noise sum alone under the identity flow, one path of 4 rows
+        ("add", lambda x: oracles.sq_sum(vae._latent_tape(IDENTITY, x, NOISE, 4)[0], ROW_W)),
         # the reducer the gradient checks end in: a difference to a target,
         # a product with the row weights and a square
         ("sub", lambda x: oracles.sq_sum(x, ROW_W, TARGET)),
         ("mul", lambda x: oracles.sq_sum(x, ROW_W)),
-        # exp-decay flow on the first two rows, through its latent input
-        # (lambda0 is checked in test_vae)
-        ("exp", lambda x: oracles.sq_sum(vae._flow_tape(FLOW, x, 2), ROW_W)),
+        # and the exp-decay flow on the first of two paths of 2 rows
+        # (lambda0 is checked with the manifold latents below)
+        ("exp", lambda x: oracles.sq_sum(vae._latent_tape(FLOW, x, NOISE, 2)[0], ROW_W)),
         ("square", lambda x: oracles.sq_sum(x)),
     ],
 )
@@ -289,46 +288,88 @@ def test_composed_mlp_matches_finite_differences():
     check_mlp_gradients(model, X, np.full(4, 1.0 / Y.size), Y)
 
 
-def test_custom_jacobian_identity_passthrough():
+class _IdentityProjection:
+    """Z = W with identity Jacobians, flagging the rows ``flag``; the latent
+    layer zeroes a flagged row's Jacobian."""
+
+    def __init__(self, flag=()):
+        self.flag = list(flag)
+
+    def project(self, W):
+        flagged = np.zeros(len(W), dtype=bool)
+        flagged[self.flag] = True
+        return W.copy(), np.repeat(np.eye(W.shape[1])[None], len(W), axis=0), flagged
+
+
+def latent_model(kind, manifold=None, flow="exp-decay"):
+    """A model whose latent node is under test: ``kind`` under "skip", with
+    its manifold replaced by ``manifold`` if given."""
+    latent = vae.make_latent(kind, "skip", dim=4, klein=mf.KleinConfig())
+    if manifold is not None:
+        latent.manifold = manifold
+    return vae.build_vae(3, latent, hidden=(), flow=flow, lambda0_init=0.3)
+
+
+def latent_loss(model, A, noise, B, row_w, target, want_grads=False):
+    """Row-weighted squared error of the latent node over the leaf a = A."""
     tape = ad.Tape()
-    x = tape.leaf("x", [[1.0, 2.0, 3.0]])
-    y = ad.batch_custom_jacobian(x, x.data * 2.0, 2.0 * np.eye(3)[None])
-    grads = tape.backward(oracles.sq_sum(y, [0.25]))
-    np.testing.assert_allclose(grads["x"], [[2.0, 4.0, 6.0]])  # J^T (2 * 0.25 * y)
+    z, _ = vae._latent_tape(model, tape.leaf("a", A), noise, B)
+    out = oracles.sq_sum(z, row_w, target)
+    return tape.backward(out) if want_grads else out.data.item()
+
+
+def check_latent_gradients(model, A, noise, B, row_w, target, rows=slice(None)):
+    """The gradients of a (on ``rows``) and lambda0 against central differences."""
+    grads = latent_loss(model, A, noise, B, row_w, target, want_grads=True)
+    assert set(grads) == {"a"} | ({"lambda0"} & set(model.params))
+    value = lambda _: latent_loss(model, A, noise, B, row_w, target)  # noqa: E731
+    assert_grad_close(grads["a"][rows], central_diff(value, A)[rows])
+    if "lambda0" in grads:  # perturbed in place, then restored
+        assert_grad_close(grads["lambda0"], central_diff(value, model.params["lambda0"]))
+    return grads
+
+
+LATENT_A = np.random.default_rng(13).uniform(-1.5, 1.5, size=(6, 4))
+LATENT_NOISE = np.random.default_rng(14).normal(scale=0.05, size=(6, 4))
+LATENT_W = np.array([0.5, 1.0, 2.0, 0.25, 0.0, 1.5])
+LATENT_TARGET = np.random.default_rng(15).uniform(-1.0, 1.0, size=(6, 4))
+
+
+def test_custom_jacobian_identity_passthrough():
+    # the latent node over an identity projection: J^T passes the adjoint on
+    # unchanged, so a and lambda0 get the euclidean latent's gradients bit for bit
+    args = (LATENT_A, LATENT_NOISE, 3, LATENT_W, LATENT_TARGET)
+    grads = check_latent_gradients(latent_model("torus", _IdentityProjection()), *args)
+    euclidean = latent_loss(latent_model("euclidean"), *args, want_grads=True)
+    for name in ("a", "lambda0"):
+        np.testing.assert_array_equal(grads[name], euclidean[name])
 
 
 def test_custom_jacobian_zero_blocks_gradient():
-    tape = ad.Tape()
-    x = tape.leaf("x", [[1.0, 2.0], [3.0, 4.0]])
-    jacs = np.stack([np.zeros((2, 2)), np.eye(2)])
-    y = ad.batch_custom_jacobian(x, np.full((2, 2), 5.0), jacs)
-    grads = tape.backward(oracles.sq_sum(y))
-    np.testing.assert_array_equal(grads["x"], [[0.0, 0.0], [10.0, 10.0]])
-
-
-def test_custom_jacobian_shape_validation():
-    tape = ad.Tape()
-    x = tape.leaf("x", [[1.0, 2.0]])
-    with pytest.raises(ad.ShapeError):
-        ad.batch_custom_jacobian(x, np.array([[1.0]]), np.eye(2)[None])
-    with pytest.raises(ad.ShapeError):
-        ad.batch_custom_jacobian(x, np.array([1.0, 2.0]), np.eye(2)[None])
+    # a flagged row's Jacobian is zeroed: its code still moves the value (rows
+    # 1 and 3 carry weight), but no gradient reaches its encoder mean; the
+    # other rows, and lambda0, match central differences, under either flow
+    for flow in ("exp-decay", "identity"):
+        model = latent_model("torus", _IdentityProjection(flag=[1, 3]), flow)
+        grads = check_latent_gradients(model, LATENT_A, LATENT_NOISE, 3, LATENT_W, LATENT_TARGET,
+                                       np.array([0, 2, 4, 5]))
+        np.testing.assert_array_equal(grads["a"][[1, 3]], 0.0)
 
 
 def test_batch_custom_jacobian_matches_loop():
-    rng = np.random.default_rng(0)
-    jacs = rng.normal(size=(5, 3, 4))
-    X = rng.normal(size=(5, 4))
-    outs = np.einsum("bpn,bn->bp", jacs, X)
-
-    tape = ad.Tape()
-    x = tape.leaf("x", X)
-    y = ad.batch_custom_jacobian(x, outs, jacs)
-    g_batch = tape.backward(oracles.sq_sum(y))["x"]
-
-    for b in range(5):
-        # d/dx_b sum |J_b x_b|^2 = 2 J_b^T (J_b x_b)
-        np.testing.assert_allclose(g_batch[b], 2.0 * jacs[b].T @ outs[b], rtol=1e-12)
+    # the analytic torus and the Klein bottle: the latent node's gradient of a
+    # is J_b^T applied row by row to the flowed adjoint, and it matches
+    # central differences, as does lambda0's
+    B = 3
+    for kind in ("torus", "klein"):
+        model = latent_model(kind)
+        grads = check_latent_gradients(model, LATENT_A, LATENT_NOISE, B, LATENT_W, LATENT_TARGET)
+        Z, J, flagged = model.latent.manifold.project(LATENT_A + LATENT_NOISE)
+        assert not flagged.any()
+        rows = np.where(np.arange(2 * B) < B, vae.flow_factor(model), 1.0)[:, None]
+        g = 2.0 * LATENT_W[:, None] * (Z * rows - LATENT_TARGET) * rows
+        for b in range(2 * B):
+            np.testing.assert_allclose(grads["a"][b], J[b].T @ g[b], rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_each_training_step_reaches_the_timed_spans_once():
     # The benchmark times a training step as vae.loss, Tape.backward and
     # adam_step, and reads the tape's node count at backward: one euclidean
     # step with RR on is one loss, one backward and one Adam update over
-    # five nodes (encoder, noise, flow, decoder and the objective).
+    # four nodes (encoder, latent layer, decoder and the objective).
     mods = workloads.MODULES
     model = mods.vae.build_vae(6, mods.vae.make_latent("euclidean", dim=2), hidden=(8,), seed=1)
     X = np.random.default_rng(0).normal(size=(12, 6))
@@ -62,4 +62,4 @@ def test_each_training_step_reaches_the_timed_spans_once():
     assert tracer.absent == []
     for span in ("vae.loss", "autodiff.Tape.backward", "autodiff.adam_step"):
         assert tracer.counts[span + ".calls"] == steps
-    assert tracer.counts["autodiff.tape_nodes"] == 5 * steps
+    assert tracer.counts["autodiff.tape_nodes"] == 4 * steps

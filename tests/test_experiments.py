@@ -555,6 +555,16 @@ def test_cli_bad_setting_exits_2_naming_it_before_any_cell(tmp_path, capsys, com
     assert not [p for p in out.iterdir() if p.is_dir()]
 
 
+@pytest.mark.parametrize("key, value", [("train.lr", "nan"), ("sweep.horizons", "1,x")])
+def test_cli_run_refused_in_set_up_writes_no_config_ini(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    sets = ["dataset.m_train=8", "dataset.m_test=4", "model.hidden=4", "train.epochs=1",
+            f"{key}={value}"]
+    assert cli.main(["train", "--out", str(out)] + [a for i in sets for a in ("--set", i)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_prepares_shared_data_and_latents_once(tmp_path, monkeypatch):
     # every cell of a run shares one read of dataset.file, one drawn test
     # set, one clean mechanics set, one noisy split per sigma and one cloud

@@ -76,33 +76,46 @@ def test_decode_is_deterministic_and_shaped():
     assert out1.shape == (5, 6)
 
 
-def test_latent_step_identity_cases():
+def test_latent_rollout_identity_cases():
     model = small_model()
-    z = np.array([[1.0, -2.0]])
-    np.testing.assert_array_equal(vae.latent_step(model, z, 0), z)
+    X, _ = toy_batch(model, B=3)
+    z = vae.encode(model, X)
+    np.testing.assert_array_equal(vae.latent_rollout(model, X, 0), z[None])
     model.params["lambda0"] = np.array(0.0)
-    np.testing.assert_array_equal(vae.latent_step(model, z, 5), z)
+    np.testing.assert_array_equal(vae.latent_rollout(model, X, 5), np.stack([z] * 6))
 
 
-def test_latent_step_semigroup_exact():
+def test_latent_rollout_semigroup_exact():
+    # step k is k multiplications by the flow factor, so it continues step
+    # k - 1 exactly, and the prediction at horizon k decodes it
     model = small_model()
     model.params["lambda0"] = np.array(0.83)
-    z = np.array([[0.7, -1.3]])
-    once_twice = vae.latent_step(model, vae.latent_step(model, z, 1), 1)
-    np.testing.assert_array_equal(once_twice, vae.latent_step(model, z, 2))
+    X, _ = toy_batch(model, B=3)
+    factor = vae.flow_factor(model)
+    rollout = vae.latent_rollout(model, X, 3)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(rollout[k], rollout[k - 1] * factor)
+    np.testing.assert_array_equal(vae.latent_rollout(model, X, 2), rollout[:3])
+    np.testing.assert_array_equal(vae.predict_multistep(model, X, 3)[3],
+                                  vae.decode(model, rollout[2] * factor))
 
 
-def test_latent_step_validates_steps():
+def test_latent_rollout_validates_steps():
     model = small_model()
-    with pytest.raises(ValueError):
-        vae.latent_step(model, np.zeros((1, 2)), -1)
+    for rollout in (vae.latent_rollout, vae.predict_multistep):
+        for n_steps in (-1, 1.5):
+            with pytest.raises(ValueError, match="n_steps must be a nonnegative integer"):
+                rollout(model, np.zeros((1, 6)), n_steps)
 
 
 def test_identity_flow_has_no_lambda_parameter():
     model = small_model(flow="identity")
     assert "lambda0" not in model.params
-    z = np.array([[2.0, 3.0]])
-    np.testing.assert_array_equal(vae.latent_step(model, z, 4), z)
+    X, _ = toy_batch(model, B=2)
+    z = vae.encode(model, X)
+    np.testing.assert_array_equal(vae.latent_rollout(model, X, 4), np.stack([z] * 5))
+    np.testing.assert_array_equal(vae.predict_multistep(model, X, 2),
+                                  np.stack([vae.decode(model, z)] * 3))
 
 
 def test_mlp_forward_cache_is_bit_identical():
@@ -138,14 +151,18 @@ def test_nan_preactivation_reaches_the_inference_output():
 
 
 def test_flow_node_lambda_gradient_matches_finite_differences():
-    # the flow scales the first two rows only; the third passes unchanged
+    # the latent node's flow scales the first two rows only (the input path);
+    # the third passes unchanged.  Zero noise: its codes are z itself
     model = small_model()
     z = np.random.default_rng(6).normal(size=(3, 2))
     target = np.random.default_rng(7).normal(size=(3, 2))
 
+    def latent(tape):
+        return vae._latent_tape(model, tape.constant(z), np.zeros_like(z), 2)[0]
+
     def run(want_grad=False):
         tape = ad.Tape()
-        out = oracles.sq_sum(vae._flow_tape(model, tape.constant(z), 2), target=target)
+        out = oracles.sq_sum(latent(tape), target=target)
         return tape.backward(out)["lambda0"] if want_grad else out.data.item()
 
     for lam in (0.0, 0.5, -1.3):
@@ -157,8 +174,7 @@ def test_flow_node_lambda_gradient_matches_finite_differences():
         fm = run()
         model.params["lambda0"] = np.array(lam)
         assert run(want_grad=True) == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
-        tape = ad.Tape()
-        out = vae._flow_tape(model, tape.constant(z), 2)
+        out = latent(ad.Tape())
         np.testing.assert_array_equal(out.data, np.concatenate([z[:2] * np.exp(-lam / 4), z[2:]]))
 
 
@@ -270,7 +286,9 @@ def test_loss_terms_agree_with_direct_formula():
 
 
 def test_reparameterized_gradient_matches_analytic():
-    # gradient of E[|z|^2] with respect to a is 2a; estimate over many draws
+    # gradient of E[|z|^2] with respect to a is 2a, z = a + sigma eps the
+    # latent node's code (euclidean, identity flow); estimate over many draws
+    model = small_model(flow="identity")
     a_val = np.array([[0.3, -0.8]])
     sigma = 0.5
     n = 10_000
@@ -280,7 +298,7 @@ def test_reparameterized_gradient_matches_analytic():
     for i in range(0, n, 500):
         tape = ad.Tape()
         a = tape.leaf("a", np.repeat(a_val, 500, axis=0))
-        z = ad.add(a, tape.constant(sigma * eps[i : i + 500]))
+        z, _ = vae._latent_tape(model, a, sigma * eps[i : i + 500], 500)
         out = oracles.sq_sum(z, np.full(500, 1.0 / 500))
         grads += tape.backward(out)["a"].sum(axis=0) / (n / 500)
     band = 3 * 2 * sigma / np.sqrt(n)
