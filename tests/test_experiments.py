@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from mvrom import mechanics as mech
 from mvrom import vae
 
 from oracles import build_torus_pointcloud, table_complete, write_pointcloud
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,13 @@ def test_config_resolved_write_roundtrip(tmp_path):
     cfg.write(out)
     cfg2 = ex.ExperimentConfig.from_file(out)
     assert cfg2.get_int("train", "epochs") == 7
+
+
+def test_default_config_is_written_byte_identical(tmp_path):
+    # tests/data/default_config.ini pins every key, its default text and their order
+    out = tmp_path / "config.ini"
+    ex.ExperimentConfig.from_file(None).write(out)
+    assert out.read_bytes() == (DATA / "default_config.ini").read_bytes()
 
 
 def test_output_root_env(tmp_path, monkeypatch):
