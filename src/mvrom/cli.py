@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, train, eval, baselines, sweep, export-trace.
 Exit codes: 0 success, 1 partial cell failure or a table refused for a NaN or
-Inf, 2 configuration error (a bad setting, or one the data or latents cannot
-be prepared from, before any cell runs) or a missing or damaged input file
-(the loader's message names the file).
+Inf, 2 configuration error (any config key or flag outside its domain, named
+in the message, or a setting the data or latents cannot be prepared from,
+before any cell runs) or a missing or damaged input file (the loader's
+message names the file).
 Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 """
 
@@ -46,14 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate a paired dataset file")
     g.add_argument("--kind", choices=["burgers", "arm-torus", "klein"], required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--m", type=int, default=512)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n-x", type=int, default=100)
-    g.add_argument("--nu", type=float, default=0.02)
-    g.add_argument("--tau", type=float, default=0.25)
+    g.add_argument("--m", default="512")
+    g.add_argument("--seed", default="0")
+    g.add_argument("--n-x", default="100")
+    g.add_argument("--nu", default="0.02")
+    g.add_argument("--tau", default="0.25")
     g.add_argument("--alpha-range", default="0,1")
     g.add_argument("--t-range", default="0,0.75")
-    g.add_argument("--sigma", type=float, default=0.0)
+    g.add_argument("--sigma", default="0.0")
     g.add_argument("--text", help="also write a plain-text columnar export here")
 
     t = sub.add_parser("train", help="train one model (sweep lists are ignored)")
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="re-evaluate a checkpoint, or roll out a custom field")
     e.add_argument("--checkpoint", required=True)
     _add_config_args(e)  # the config rebuilds the test set
-    e.add_argument("--steps", type=int, default=4)
+    e.add_argument("--steps", default="4")
     e.add_argument("--input-field", help="text file with one field value per line")
 
     b = sub.add_parser("baselines", help="run the linear/spectral baseline table")
@@ -76,63 +77,60 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--checkpoint", required=True)
     x.add_argument("--out", required=True)
     x.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
-    x.add_argument("--t", type=float, default=0.0)
-    x.add_argument("--steps", type=int, default=4)
-    x.add_argument("--nu", type=float, default=0.02)
+    x.add_argument("--t", default="0.0")
+    x.add_argument("--steps", default="4")
+    x.add_argument("--nu", default="0.02")
     return parser
 
 
-def _parse_floats(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        values = [np.nan]
-    ex.require(all(np.isfinite(values)), flag, "comma-separated finite numbers", raw)
-    return values
+def _range(flag: str, text: str, item) -> list:
+    """``text``, a range 'lo,hi' of ``item`` values; a ConfigError naming ``flag`` if not."""
+    return ex.check_range(flag, ex.comma_list(item)(flag, text))
 
 
 def cmd_gen_data(args) -> int:
-    ex.require(args.m >= 1, "--m", "at least 1", args.m)  # every flag before any evolution
+    # every flag before any evolution, through the parser of the config key it sets there
+    m, seed = ex.COUNT("--m", args.m), ex.NATURAL("--seed", args.seed)
     if args.kind == "burgers":
-        alpha_range = _parse_floats(args.alpha_range, "--alpha-range")
-        t_range = _parse_floats(args.t_range, "--t-range")
-        ex.check_burgers(("--nu", args.nu), ("--tau", args.tau), ("--n-x", args.n_x),
-                         ("--alpha-range", alpha_range), ("--t-range", t_range))
+        config = bg.BurgersConfig(ex.POSITIVE("--nu", args.nu), ex.POSITIVE("--tau", args.tau),
+                                  ex.GRID("--n-x", args.n_x))
+        alpha_range = _range("--alpha-range", args.alpha_range, ex.FINITE)
+        t_range = _range("--t-range", args.t_range, ex.NONNEGATIVE)
     else:
-        ex.require(0 <= args.sigma < np.inf, "--sigma", "nonnegative and finite", args.sigma)
+        sigma = ex.NONNEGATIVE("--sigma", args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "burgers":
-        config = bg.BurgersConfig(nu=args.nu, tau=args.tau, n_x=args.n_x)
-        data = bg.generate_burgers_dataset(config, args.m, alpha_range, t_range, args.seed)
+        data = bg.generate_burgers_dataset(config, m, alpha_range, t_range, seed)
         X, Y = data.X, data.Y
         datafiles.save_pairs(out, X, Y, config.nu, config.tau)
     else:
         if args.kind == "arm-torus":
-            clean = mech.generate_arm_torus(mech.ArmConfig(), args.m, args.seed)
+            clean = mech.generate_arm_torus(mech.ArmConfig(), m, seed)
         else:
-            clean = mech.generate_klein(KleinConfig(), args.m, args.seed)
-        ds = mech.add_noise(clean, args.sigma, args.seed + 7)
+            clean = mech.generate_klein(KleinConfig(), m, seed)
+        ds = mech.add_noise(clean, sigma, seed + 7)
         X, Y = ds.noisy, ds.clean
-        datafiles.save_pairs(out, X, Y, args.sigma, 0.0)
+        datafiles.save_pairs(out, X, Y, sigma, 0.0)
     if args.text:
         datafiles.export_pairs_text(args.text, X, Y)
-    print(f"wrote {args.m} pairs to {out}")
+    print(f"wrote {m} pairs to {out}")
     return 0
 
 
 def cmd_run(args) -> int:
     """train (sweep lists collapsed to one cell), baselines and sweep: run
-    the configured experiment."""
-    cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
+    the configured experiment.  The command's own settings are the last
+    overrides; the output directory exists before the config is read."""
+    out = ex.resolve_output_dir(args.out)
     if args.command == "train":
-        for key in ("beta", "gamma", "sigma", "latent", "eval_epochs"):
-            cfg.sections["sweep"][key] = ""
+        last = [f"sweep.{key}=" for key in ("beta", "gamma", "sigma", "latent", "eval_epochs")]
     elif args.command == "baselines":
-        cfg.sections["experiment"]["kind"] = "burgers-baselines"
-    elif args.workers is not None:
-        cfg.sections["experiment"]["workers"] = str(args.workers)
-    _, failed = ex.run_experiment(cfg, args.out)
+        last = ["experiment.kind=burgers-baselines"]
+    else:
+        last = [] if args.workers is None else [f"experiment.workers={args.workers}"]
+    cfg = ex.ExperimentConfig.from_file(args.config, args.overrides + last)
+    _, failed = ex.run_experiment(cfg, out)
     return 1 if failed else 0
 
 
@@ -154,7 +152,7 @@ def _read_field(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    ex.require(args.steps >= 0, "--steps", "nonnegative", args.steps)
+    steps = ex.NATURAL("--steps", args.steps)
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
@@ -163,21 +161,21 @@ def cmd_eval(args) -> int:
             raise ex.ConfigError(
                 f"input field must have {model.input_dim} values, got {len(u0)}"
             )
-        preds = vae.predict_multistep(model, u0[None], args.steps)[:, 0]
+        preds = vae.predict_multistep(model, u0[None], steps)[:, 0]
         x = np.arange(model.input_dim) / model.input_dim
         rows = [
             {"step": k, "x": x[j], "u_pred": preds[k, j]}
-            for k in range(args.steps + 1)
+            for k in range(steps + 1)
             for j in range(model.input_dim)
         ]
         datafiles.write_table_csv(out / "rollout.csv", rows, ["step", "x", "u_pred"])
-        print(f"wrote rollout of {args.steps} steps to {out / 'rollout.csv'}")
+        print(f"wrote rollout of {steps} steps to {out / 'rollout.csv'}")
         return 0
     if not args.config:
         raise ex.ConfigError("eval needs --config (for the test set) or --input-field")
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
-    config, test = ex.prepare(ex.burgers_test_set, cfg, cfg.get_int("experiment", "seed"))
-    horizons = cfg.get_list("sweep", "horizons", int)
+    config, test = ex.prepare(ex.burgers_test_set, cfg, cfg.get("experiment", "seed"))
+    horizons = cfg.get("sweep", "horizons")
     errors = ex.evaluate_burgers_model(model, test, config, horizons)
     table = ex.ErrorTable(list(errors))
     for col, val in errors.items():
@@ -194,13 +192,12 @@ def cmd_export_trace(args) -> int:
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     ex.require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
                "dimensions (traces are for plotting)", model.latent_dim)
-    alphas = np.array(_parse_floats(args.alphas, "--alphas"))
-    ex.require(0 <= args.t < np.inf, "--t", "nonnegative and finite", args.t)
-    ex.require(0 < args.nu < np.inf, "--nu", "positive and finite", args.nu)
-    ex.require(args.steps >= 0, "--steps", "nonnegative", args.steps)
-    X = bg.sample_u1(alphas, args.t, args.nu, model.input_dim)
+    alphas = np.array(ex.comma_list(ex.FINITE)("--alphas", args.alphas))
+    t, nu = ex.NONNEGATIVE("--t", args.t), ex.POSITIVE("--nu", args.nu)
+    steps = ex.NATURAL("--steps", args.steps)
+    X = bg.sample_u1(alphas, t, nu, model.input_dim)
     out = Path(args.out)
-    n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), args.t), out, args.steps)
+    n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), t), out, steps)
     print(f"wrote {n_rows} trace rows to {out}")
     return 0
 

@@ -55,19 +55,6 @@ def require(ok: bool, name: str, need: str, value) -> None:
         raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
-def check_burgers(nu, tau, n_x, alpha, *times) -> None:
-    """The checks gen-data's flags and the [dataset] keys share.  Each
-    argument is (flag or key, value); alpha's and each start time's value is
-    a (lo, hi) range, and start times are nonnegative."""
-    for name, value in (nu, tau):
-        require(0 < value < math.inf, name, "positive and finite", value)
-    require(n_x[1] >= 16 and n_x[1] % 2 == 0, n_x[0], "even and at least 16", n_x[1])
-    for i, (name, bounds) in enumerate((alpha, *times)):
-        require(len(bounds) == 2 and -math.inf < bounds[0] <= bounds[1] < math.inf, name,
-                "a finite range lo, hi with lo <= hi", bounds)
-        require(i == 0 or bounds[0] >= 0, name, "nonnegative", bounds[0])
-
-
 # ---------------------------------------------------------------------------
 # error metrics
 
@@ -168,75 +155,146 @@ def read_table_csv(path) -> ErrorTable:
 # configuration files (INI sections, flat string values, CLI overrides)
 
 
-DEFAULTS = {
-    "experiment": {"kind": "burgers-vae", "seed": "0", "workers": "1"},
+def domain(conv, need: str, ok):
+    """The parser of ``conv(text)`` values for which ``ok`` holds.  A parser
+    takes (name, text), a config key or a flag and its text, and returns the
+    value or raises a ConfigError naming ``name``; text ``conv`` cannot read
+    is refused as not an integer, or not a number."""
+    def parse(name: str, text):
+        text = str(text).strip()
+        try:
+            value = conv(text)
+        except ValueError:
+            require(False, name, "an integer" if conv is int else "a number", text)
+        require(ok(value), name, need, value)
+        return value
+    return parse
+
+
+def comma_list(item, distinct: bool = False, required: bool = False):
+    """The parser of comma-separated ``item`` values: no value twice when
+    ``distinct``, and at least one when ``required``."""
+    need = ("one or more entries" if required else "a list") + " with no entry repeated" * distinct
+
+    def parse(name: str, text):
+        values = [item(name, part) for part in str(text).split(",") if part.strip()]
+        unique = len(set(values)) if distinct else len(values)
+        require(unique == len(values) >= required, name, need, str(text).strip())
+        return values
+    return parse
+
+
+def check_range(name: str, bounds) -> list:
+    """``bounds`` if it is a range [lo, hi] with lo <= hi; a ConfigError naming ``name`` if not."""
+    require(len(bounds) == 2 and bounds[0] <= bounds[1], name, "a range lo, hi with lo <= hi",
+            bounds)
+    return bounds
+
+
+def one_of(*choices):
+    return domain(str, "one of " + ", ".join(choices), choices.__contains__)
+
+
+def even_at_least(least: int):
+    return domain(int, f"even and at least {least}", lambda v: v >= least and v % 2 == 0)
+
+
+TEXT = domain(str, "text", lambda v: True)
+FINITE = domain(float, "finite", math.isfinite)
+POSITIVE = domain(float, "positive and finite", lambda v: 0 < v < math.inf)
+NONNEGATIVE = domain(float, "nonnegative and finite", lambda v: 0 <= v < math.inf)
+COUNT = domain(int, "at least 1", lambda v: v >= 1)
+NATURAL = domain(int, "nonnegative", lambda v: v >= 0)
+GRID = even_at_least(16)
+# a latent kind, or rN (N >= 1), the sweep shorthand for a euclidean R^N
+LATENT = domain(str, "euclidean, torus, klein, pointcloud or rN with N >= 1",
+                lambda v: v in ("euclidean", "torus", "klein", "pointcloud")
+                or v[:1] == "r" and v[1:].isdecimal() and int(v[1:]) > 0)
+
+# section -> key -> (default text, parser): the one declaration of every key
+KEYS = {
+    "experiment": {
+        "kind": ("burgers-vae", one_of("burgers-vae", "burgers-baselines", "mech-recon")),
+        "seed": ("0", NATURAL),
+        "workers": ("1", COUNT),
+    },
     "dataset": {
-        "n_x": "100",
-        "nu": "0.02",
-        "tau": "0.25",
-        "m_train": "512",
-        "m_test": "128",
-        "alpha_min": "0.0",
-        "alpha_max": "1.0",
-        "t_min": "0.0",
-        "t_max": "0.75",
-        "test_t_min": "0.0",
-        "test_t_max": "0.0",
-        "file": "",
-        "kind": "arm-torus",
-        "m": "2000",
-        "sigma": "0.0",
-        "train_fraction": "0.8",
+        "n_x": ("100", GRID),
+        "nu": ("0.02", POSITIVE), "tau": ("0.25", POSITIVE),
+        "m_train": ("512", COUNT), "m_test": ("128", COUNT),
+        "alpha_min": ("0.0", FINITE), "alpha_max": ("1.0", FINITE),
+        "t_min": ("0.0", NONNEGATIVE), "t_max": ("0.75", NONNEGATIVE),
+        "test_t_min": ("0.0", NONNEGATIVE), "test_t_max": ("0.0", NONNEGATIVE),
+        "file": ("", TEXT),
+        "kind": ("arm-torus", one_of("arm-torus", "klein")),
+        "m": ("2000", COUNT),
+        "sigma": ("0.0", NONNEGATIVE),
+        "train_fraction": ("0.8", domain(float, "in (0, 1)", lambda v: 0 < v < 1)),
     },
     "model": {
-        "variant": "nonlinear",
-        "latent": "euclidean",
-        "latent_dim": "2",
-        "hidden": "400,400",
-        "activation": "relu",
-        "leaky_slope": "1e-6",
-        "sigma_e": "4e-3",
-        "sigma_d": "4e-3",
-        "sigma_0": "1.0",
-        "flow": "exp-decay",
-        "lambda0_init": "0.5",
-        "projection_policy": "skip",
-        "klein_a": "2.0",
-        "klein_b": "1.0",
+        "variant": ("nonlinear", one_of("linear", "nonlinear")),
+        "latent": ("euclidean", LATENT),
+        "latent_dim": ("2", COUNT),
+        "hidden": ("400,400", comma_list(COUNT)),
+        "activation": ("relu", one_of("relu", "leaky_relu")),
+        "leaky_slope": ("1e-6", domain(float, "in [0, 1)", lambda v: 0 <= v < 1)),
+        "sigma_e": ("4e-3", POSITIVE), "sigma_d": ("4e-3", POSITIVE), "sigma_0": ("1.0", POSITIVE),
+        "flow": ("exp-decay", one_of("exp-decay", "identity")),
+        "lambda0_init": ("0.5", FINITE),
+        "projection_policy": ("skip", one_of("raise", "skip")),
+        "klein_a": ("2.0", POSITIVE), "klein_b": ("1.0", POSITIVE),
         # sizes only manifold.build_klein_pointcloud: a Klein latent has
         # analytic charts and builds no cloud; the value is still validated
         # and written into Klein checkpoint headers
-        "klein_resolution": "256",
-        "pointcloud_file": "",
+        "klein_resolution": ("256", domain(int, "at least 64", lambda v: v >= 64)),
+        "pointcloud_file": ("", TEXT),
     },
     "train": {
-        "beta": "1.0",
-        "gamma": "0.5",
-        "lr": "1e-3",
-        "batch_size": "32",
-        "epochs": "3000",
-        "eval_every": "0",
+        "beta": ("1.0", NONNEGATIVE), "gamma": ("0.5", NONNEGATIVE),
+        "lr": ("1e-3", POSITIVE),
+        "batch_size": ("32", COUNT),
+        "epochs": ("3000", NATURAL), "eval_every": ("0", NATURAL),
     },
     "sweep": {
-        "beta": "",
-        "gamma": "",
-        "sigma": "",
-        "latent": "",
-        "dmd_ranks": "3",
-        "pod_ranks": "3",
-        "ch_dims": "2,4,6",
-        "horizons": "1,2,3,4",
-        "eval_epochs": "",
+        "beta": ("", comma_list(NONNEGATIVE, distinct=True)),
+        "gamma": ("", comma_list(NONNEGATIVE, distinct=True)),
+        "sigma": ("", comma_list(NONNEGATIVE, distinct=True)),
+        "latent": ("", comma_list(LATENT, distinct=True)),
+        "dmd_ranks": ("3", comma_list(COUNT, distinct=True)),
+        "pod_ranks": ("3", comma_list(COUNT, distinct=True)),
+        "ch_dims": ("2,4,6", comma_list(even_at_least(2), distinct=True)),
+        "horizons": ("1,2,3,4", comma_list(COUNT, distinct=True, required=True)),
+        "eval_epochs": ("", comma_list(COUNT, distinct=True)),
     },
 }
+DEFAULTS = {name: {key: text for key, (text, _) in keys.items()} for name, keys in KEYS.items()}
+
+
+def check_rules(values: dict) -> None:
+    """The cross-key rules over {'section.key': parsed value}."""
+    for r in ("dataset.alpha", "dataset.t", "dataset.test_t"):
+        check_range(f"{r}_min, {r}_max", [values[f"{r}_min"], values[f"{r}_max"]])
+    epochs, marks = values["train.epochs"], values["sweep.eval_epochs"]
+    require(epochs >= max(marks, default=0), "train.epochs", "at least the last "
+            f"sweep.eval_epochs mark, {max(marks, default=0)}", epochs)
+    a, b = values["model.klein_a"], values["model.klein_b"]
+    require(a > b, "model.klein_a", f"greater than model.klein_b, {b!r}", a)
 
 
 @dataclass
 class ExperimentConfig:
+    """Flat string values by section and key, as a config file and its
+    overrides set them; ``KEYS`` is the one reference for the keys, their
+    defaults and their domains, and ``get`` parses a value as it declares."""
+
     sections: dict
 
     @classmethod
     def from_file(cls, path=None, overrides=()) -> "ExperimentConfig":
+        """The defaults, then ``path``'s values, then ``overrides``
+        (section.key=value) in order; once all are applied, every key is
+        parsed once and the cross-key rules checked, so a bad value is a
+        ConfigError naming its key before any data are drawn."""
         sections = {name: dict(values) for name, values in DEFAULTS.items()}
         if path is not None:
             parser = configparser.ConfigParser(interpolation=None)
@@ -258,32 +316,15 @@ class ExperimentConfig:
             if section not in sections or key not in sections[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             sections[section][key] = value
+        check_rules({f"{section}.{key}": KEYS[section][key][1](f"{section}.{key}", text)
+                     for section, values in sections.items() for key, text in values.items()})
         return cls(sections)
 
-    def get(self, section: str, key: str) -> str:
-        return self.sections[section][key]
+    def get(self, section: str, key: str):
+        """``section.key``, parsed as ``KEYS`` declares (each call parses)."""
+        return KEYS[section][key][1](f"{section}.{key}", self.sections[section][key])
 
-    def get_int(self, section: str, key: str) -> int:
-        return self._convert(section, key, self.get(section, key), int)
-
-    def get_float(self, section: str, key: str) -> float:
-        return self._convert(section, key, self.get(section, key), float)
-
-    def get_list(self, section: str, key: str, conv=float) -> list:
-        raw = self.get(section, key)
-        return [self._convert(section, key, part, conv) for part in raw.split(",") if part.strip()]
-
-    @staticmethod
-    def _convert(section: str, key: str, text: str, conv):
-        """``conv(text)``; a ConfigError naming ``section.key`` if that
-        raises a ValueError or gives a float that is NaN or infinite."""
-        try:
-            value = conv(text.strip())
-        except ValueError:
-            value = None
-        ok = value is not None and (conv is not float or math.isfinite(value))
-        require(ok, f"{section}.{key}", "an integer" if conv is int else "a finite number", text.strip())
-        return value
+    get_int = get  # the name bench/workloads.py reads integers by
 
     def write(self, path):
         parser = configparser.ConfigParser(interpolation=None)
@@ -309,21 +350,12 @@ def resolve_output_dir(out) -> Path:
 
 
 def burgers_config(cfg: ExperimentConfig) -> bg.BurgersConfig:
-    """The Burgers config, once each [dataset] key of a Burgers set passes ``check_burgers``."""
-    get = functools.partial(cfg.get_float, "dataset")
-    nu, tau, n_x = get("nu"), get("tau"), cfg.get_int("dataset", "n_x")
-    ranges = [(f"dataset.{r}_min, dataset.{r}_max", (get(f"{r}_min"), get(f"{r}_max")))
-              for r in ("alpha", "t", "test_t")]
-    check_burgers(("dataset.nu", nu), ("dataset.tau", tau), ("dataset.n_x", n_x), *ranges)
-    return bg.BurgersConfig(nu, tau, n_x)
+    """The [dataset] keys of the Burgers equation; ``from_file`` checked each."""
+    return bg.BurgersConfig(*(cfg.get("dataset", key) for key in ("nu", "tau", "n_x")))
 
 
 def klein_config(cfg: ExperimentConfig) -> mf.KleinConfig:
-    return mf.KleinConfig(
-        cfg.get_float("model", "klein_a"),
-        cfg.get_float("model", "klein_b"),
-        cfg.get_int("model", "klein_resolution"),
-    )
+    return mf.KleinConfig(*(cfg.get("model", f"klein_{key}") for key in ("a", "b", "resolution")))
 
 
 def prepare(build, *args):
@@ -341,13 +373,13 @@ def latent_from_config(cfg: ExperimentConfig, latent_kind: str | None = None) ->
     ``rN`` is the sweep shorthand for a euclidean R^N, and a pointcloud
     latent reads ``model.pointcloud_file``."""
     kind = latent_kind or cfg.get("model", "latent")
-    dim = cfg.get_int("model", "latent_dim")
-    if kind.startswith("r") and kind[1:].isdigit():  # r2 / r4 / r10
+    dim = cfg.get("model", "latent_dim")
+    if kind.startswith("r"):  # r2 / r4 / r10
         kind, dim = "euclidean", int(kind[1:])
     path = cfg.get("model", "pointcloud_file")
     if kind == "pointcloud" and not path:
         raise ConfigError("model.pointcloud_file required for pointcloud latent")
-    klein = prepare(klein_config, cfg) if kind == "klein" else None
+    klein = klein_config(cfg) if kind == "klein" else None
     cloud = prepare(mf.load_pointcloud, path) if kind == "pointcloud" else None
     return prepare(vae.make_latent, kind, cfg.get("model", "projection_policy"), dim, klein, cloud)
 
@@ -363,46 +395,25 @@ def build_model_from_config(
     or over the ``LatentSpec`` given, as a runner builds once for its cells."""
     latent = (latent_kind if isinstance(latent_kind, vae.LatentSpec)
               else latent_from_config(cfg, latent_kind))
-    settings = model_settings(cfg)
-    settings["flow"] = flow or settings["flow"]
-    return vae.build_vae(input_dim, latent, seed=seed, **settings)
-
-
-def model_settings(cfg: ExperimentConfig) -> dict:
-    """The keyword arguments ``vae.build_vae`` takes from the config."""
-    variant = cfg.get("model", "variant")
-    if variant == "linear":
-        hidden = ()
-    elif variant == "nonlinear":
-        hidden = tuple(cfg.get_list("model", "hidden", int))
-    else:
-        raise ConfigError(f"unknown model variant '{variant}'")
-    floats = ("leaky_slope", "sigma_e", "sigma_d", "sigma_0", "lambda0_init")
-    return dict(hidden=hidden, activation=cfg.get("model", "activation"),
-                flow=cfg.get("model", "flow"), tau=cfg.get_float("dataset", "tau"),
-                **{key: cfg.get_float("model", key) for key in floats})
-
-
-def train_settings(cfg: ExperimentConfig) -> dict:
-    """The [train] keys, as ``vae.TrainConfig`` takes them."""
-    settings = {key: cfg.get_float("train", key) for key in ("beta", "gamma", "lr")}
-    ints = ("batch_size", "epochs", "eval_every")
-    return {**settings, **{key: cfg.get_int("train", key) for key in ints}}
+    hidden = () if cfg.get("model", "variant") == "linear" else tuple(cfg.get("model", "hidden"))
+    keys = ("activation", "leaky_slope", "sigma_e", "sigma_d", "sigma_0", "lambda0_init")
+    return vae.build_vae(input_dim, latent, hidden=hidden, tau=cfg.get("dataset", "tau"),
+                         flow=flow or cfg.get("model", "flow"), seed=seed,
+                         **{key: cfg.get("model", key) for key in keys})
 
 
 def train_config_from(cfg: ExperimentConfig, seed: int, **over) -> vae.TrainConfig:
-    return vae.TrainConfig(**{**train_settings(cfg), "seed": seed, **over})
+    """The [train] keys and ``seed``, each key of ``over`` replacing one."""
+    return vae.TrainConfig(**{**{key: cfg.get("train", key) for key in KEYS["train"]},
+                              "seed": seed, **over})
 
 
 def _draw_burgers_set(draw, cfg: ExperimentConfig, config, size: str, times: str, seed: int):
     """``draw`` (``bg.sample_burgers_states`` or ``bg.generate_burgers_dataset``)
     of ``dataset.<size>`` rows, alpha and start times in their configured ranges."""
-    count = cfg.get_int("dataset", size)
-    if count < 1:
-        raise ConfigError(f"dataset.{size} must be at least 1, got {count}")
-    ranges = [(cfg.get_float("dataset", f"{key}_min"), cfg.get_float("dataset", f"{key}_max"))
+    ranges = [(cfg.get("dataset", f"{key}_min"), cfg.get("dataset", f"{key}_max"))
               for key in ("alpha", times)]
-    return draw(config, count, *ranges, seed)
+    return draw(config, cfg.get("dataset", size), *ranges, seed)
 
 
 def burgers_test_set(cfg: ExperimentConfig, seed: int):
@@ -508,7 +519,7 @@ def _burgers_vae_cell(cfg: ExperimentConfig, out: Path, prepared, beta, gamma, s
     tc = train_config_from(cfg, seed, beta=beta, gamma=gamma)
     model, history = vae.train(model, train.X, train.Y, tc)
 
-    horizons = cfg.get_list("sweep", "horizons", int)
+    horizons = cfg.get("sweep", "horizons")
     errors = evaluate_burgers_model(model, test, config, horizons)
 
     cell_dir = out / f"beta={beta:g}_gamma={gamma:g}"
@@ -542,8 +553,8 @@ def _mech_cell(cfg: ExperimentConfig, out: Path, prepared, latent_kind: str, sig
     latents, splits = prepared
     train_set, test_set = splits[sigma]
     model = build_model_from_config(cfg, 4, latents[latent_kind], flow="identity", seed=seed)
-    marks = cfg.get_list("sweep", "eval_epochs", int)
-    eval_every = int(np.gcd.reduce(marks)) if marks else cfg.get_int("train", "eval_every")
+    marks = cfg.get("sweep", "eval_epochs")
+    eval_every = int(np.gcd.reduce(marks)) if marks else cfg.get("train", "eval_every")
     tc = train_config_from(cfg, seed, eval_every=eval_every)
 
     eval_fn = lambda mdl: mech_reconstruction_error(mdl, test_set)  # noqa: E731
@@ -589,18 +600,16 @@ def _run_grid(cfg: ExperimentConfig, cell, outer, inner, table: ErrorTable, row)
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
     names its table row as (method, dim, sweep).  Two cells that share a
-    row, or a model or train setting that does not parse or is not finite,
-    are a ConfigError before any cell runs.  A cell that raised or
+    row are a ConfigError before any cell runs.  A cell that raised or
     returned a non-finite value is marked failed with its error; otherwise
     its values are added.  Rows and failures come in cell order.
     """
-    seed = cfg.get_int("experiment", "seed")
-    model_settings(cfg), train_settings(cfg)
+    seed = cfg.get("experiment", "seed")
     cells = [(a, b, seed + 100 * i + j) for i, a in enumerate(outer) for j, b in enumerate(inner)]
     rows = [row(a, b) for a, b, _ in cells]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"two sweep cells write table row {max(rows, key=rows.count)}")
-    results = _run_cells(cell, cells, cfg.get_int("experiment", "workers"))
+    results = _run_cells(cell, cells, cfg.get("experiment", "workers"))
     for (method, dim, sweep), res in zip(rows, results):
         error = res if isinstance(res, str) else next(
             (f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
@@ -620,10 +629,10 @@ def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     """A beta x gamma sweep; the data are read or drawn, and the latent
     built, once for all cells."""
     latent = latent_from_config(cfg)
-    config, train, test = prepare(generate_burgers_sets, cfg, cfg.get_int("experiment", "seed"))
-    betas = cfg.get_list("sweep", "beta") or [cfg.get_float("train", "beta")]
-    gammas = cfg.get_list("sweep", "gamma") or [cfg.get_float("train", "gamma")]
-    horizons = cfg.get_list("sweep", "horizons", int)
+    config, train, test = prepare(generate_burgers_sets, cfg, cfg.get("experiment", "seed"))
+    betas = cfg.get("sweep", "beta") or [cfg.get("train", "beta")]
+    gammas = cfg.get("sweep", "gamma") or [cfg.get("train", "gamma")]
+    horizons = cfg.get("sweep", "horizons")
     columns = [horizon_label(0)] + [horizon_label(k * config.tau) for k in horizons]
     method = f"vae-{cfg.get('model', 'variant')}"
 
@@ -641,11 +650,11 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     failed rank, or a failed Cole-Hopf column, is marked failed in the
     table with its error, as failed sweep cells are.
     """
-    seed = cfg.get_int("experiment", "seed")
+    seed = cfg.get("experiment", "seed")
     config, train, test = prepare(generate_burgers_sets, cfg, seed)
     xmat, xpmat = train.X.T, train.Y.T
     factors = functools.cache(lambda: lb.svd(xmat))  # an error reaches every rank
-    horizons = cfg.get_list("sweep", "horizons", int)
+    horizons = cfg.get("sweep", "horizons")
     columns = [horizon_label(k * config.tau) for k in horizons]
     table = ErrorTable(columns)
     truths = burgers_truth_at_horizons(test.X, config, horizons)
@@ -655,14 +664,14 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
         for k, truth, col in zip(horizons, truths, columns):
             table.add(method, dim, "", col, l1_relative_error(preds[k], truth))
 
-    for rank in cfg.get_list("sweep", "dmd_ranks", int):
+    for rank in cfg.get("sweep", "dmd_ranks"):
         try:
             model = lb.fit_dmd(factors(), xpmat, rank)
             add_rollout("dmd", rank, lb.dmd_predict(model, test.X, max(horizons)))
         except Exception as exc:  # recorded; the other ranks still run
             table.mark_failed("dmd", rank, "", _error_text(exc))
 
-    for rank in cfg.get_list("sweep", "pod_ranks", int):
+    for rank in cfg.get("sweep", "pod_ranks"):
         try:
             model = lb.fit_pod(factors(), rank, config.nu, config.tau)
             add_rollout("pod", rank, lb.pod_predict(model, test.X, max(horizons)))
@@ -670,7 +679,7 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
             table.mark_failed("pod", rank, "", _error_text(exc))
 
     times = np.asarray(horizons, dtype=np.float64)[:, None] * config.tau
-    for n_f in cfg.get_list("sweep", "ch_dims", int):
+    for n_f in cfg.get("sweep", "ch_dims"):
         try:
             preds = bg.evolve_exact(test.X, config.nu, times, n_f=n_f)
         except Exception as exc:  # an invalid mode count fails each of its columns
@@ -689,14 +698,12 @@ def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
 def _mech_splits(cfg: ExperimentConfig, sigmas, seed: int) -> dict:
     """{sigma: (train, test)}: one clean ``dataset.kind`` set drawn from seed,
     noised per sigma from seed + 7 and split from seed + 13."""
-    kind, m = cfg.get("dataset", "kind"), cfg.get_int("dataset", "m")
-    if kind == "arm-torus":
+    m = cfg.get("dataset", "m")
+    if cfg.get("dataset", "kind") == "arm-torus":
         clean = mech.generate_arm_torus(mech.ArmConfig(), m, seed)
-    elif kind == "klein":
-        clean = mech.generate_klein(klein_config(cfg), m, seed)
     else:
-        raise ConfigError(f"unknown mechanics dataset kind '{kind}'")
-    fraction = cfg.get_float("dataset", "train_fraction")
+        clean = mech.generate_klein(klein_config(cfg), m, seed)
+    fraction = cfg.get("dataset", "train_fraction")
     noisy = {sigma: mech.add_noise(clean, sigma, seed + 7) for sigma in sigmas}
     return {sigma: mech.train_test_split(data, fraction, seed + 13) for sigma, data in noisy.items()}
 
@@ -704,15 +711,11 @@ def _mech_splits(cfg: ExperimentConfig, sigmas, seed: int) -> dict:
 def run_mech_recon(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     """A latent x sigma sweep; row ``vae-<label>``, dim, ``latent=<kind>;sigma=<sigma>``.
     One LatentSpec per kind and one noisy split per sigma serve every cell."""
-    sigmas = cfg.get_list("sweep", "sigma") or [cfg.get_float("dataset", "sigma")]
-    kinds = cfg.get_list("sweep", "latent", str) or [cfg.get("model", "latent")]
-    marks = cfg.get_list("sweep", "eval_epochs", int)
-    if marks and min(marks) < 1:
-        raise ConfigError(f"sweep.eval_epochs entries must be at least 1, got {min(marks)}")
-    if marks and cfg.get_int("train", "epochs") < max(marks):
-        raise ConfigError("train.epochs must reach the last sweep.eval_epochs mark")
+    sigmas = cfg.get("sweep", "sigma") or [cfg.get("dataset", "sigma")]
+    kinds = cfg.get("sweep", "latent") or [cfg.get("model", "latent")]
+    marks = cfg.get("sweep", "eval_epochs")
     latents = {kind: latent_from_config(cfg, kind) for kind in kinds}
-    splits = prepare(_mech_splits, cfg, sigmas, cfg.get_int("experiment", "seed"))
+    splits = prepare(_mech_splits, cfg, sigmas, cfg.get("experiment", "seed"))
 
     def row(kind, sigma):
         return f"vae-{latents[kind].label}", latents[kind].dim, f"latent={kind};sigma={sigma:g}"
@@ -737,11 +740,8 @@ def run_experiment(cfg: ExperimentConfig, out) -> tuple[ErrorTable, int]:
     neither; reruns with identical config and seed rewrite identical
     artifacts.
     """
-    kind = cfg.get("experiment", "kind")
-    if kind not in RUNNERS:
-        raise ConfigError(f"unknown experiment kind '{kind}'")
     out = resolve_output_dir(out)
-    table = RUNNERS[kind](cfg, out)
+    table = RUNNERS[cfg.get("experiment", "kind")](cfg, out)
     cfg.write(out / "config.ini")
     table.write(out)
     return table, table.num_failed

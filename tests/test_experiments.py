@@ -93,9 +93,9 @@ def test_config_defaults_and_overrides(tmp_path):
     path.write_text("[experiment]\nkind = burgers-baselines\nseed = 3\n")
     cfg = ex.ExperimentConfig.from_file(path, overrides=["dataset.n_x=64"])
     assert cfg.get("experiment", "kind") == "burgers-baselines"
-    assert cfg.get_int("experiment", "seed") == 3
-    assert cfg.get_int("dataset", "n_x") == 64
-    assert cfg.get_float("dataset", "nu") == pytest.approx(0.02)
+    assert cfg.get("experiment", "seed") == 3
+    assert cfg.get("dataset", "n_x") == 64
+    assert cfg.get("dataset", "nu") == pytest.approx(0.02)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -114,7 +114,7 @@ def test_config_resolved_write_roundtrip(tmp_path):
     out = tmp_path / "resolved.ini"
     cfg.write(out)
     cfg2 = ex.ExperimentConfig.from_file(out)
-    assert cfg2.get_int("train", "epochs") == 7
+    assert cfg2.get("train", "epochs") == 7
 
 
 def test_default_config_is_written_byte_identical(tmp_path):
@@ -178,8 +178,8 @@ def test_baselines_share_one_snapshot_svd(tmp_path, monkeypatch):
         ["experiment.kind=burgers-baselines", "sweep.dmd_ranks=2,3", "sweep.pod_ranks=2,3"]))
     table, failed = ex.run_experiment(cfg, tmp_path)
     assert (len(calls), failed) == (1, 0)
-    config, train, test = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
-    horizons = cfg.get_list("sweep", "horizons", int)
+    config, train, test = ex.generate_burgers_sets(cfg, cfg.get("experiment", "seed"))
+    horizons = cfg.get("sweep", "horizons")
     truths = ex.burgers_truth_at_horizons(test.X, config, horizons)
     for rank in (2, 3):
         fits = {"dmd": lb.dmd_predict(lb.fit_dmd(lb.svd(train.X.T), train.Y.T, rank), test.X, 4),
@@ -233,7 +233,7 @@ def test_burgers_vae_cell_recompute_matches_table(tmp_path):
     cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides())
     table, _ = ex.run_experiment(cfg, tmp_path / "run")
     model = vae.load_checkpoint(tmp_path / "run" / "beta=1_gamma=0.5" / "model.ckpt")
-    config, _, test_pairs = ex.generate_burgers_sets(cfg, cfg.get_int("experiment", "seed"))
+    config, _, test_pairs = ex.generate_burgers_sets(cfg, cfg.get("experiment", "seed"))
     errors = ex.evaluate_burgers_model(model, test_pairs, config, [1, 4])
     for col, val in errors.items():
         assert table.cell("vae-nonlinear", 2, "beta=1;gamma=0.5", col) == val
@@ -639,6 +639,61 @@ def test_bad_shared_setting_exits_2_before_any_cell(tmp_path, capsys, case):
     assert not (out / "errors.csv").exists()
 
 
+# one value outside the domain ex.KEYS declares, for every key it declares
+OUT_OF_DOMAIN = {
+    "experiment.kind": "pendulum", "experiment.seed": "-1", "experiment.workers": "0",
+    "dataset.n_x": "15", "dataset.nu": "0", "dataset.tau": "-1", "dataset.m_train": "0",
+    "dataset.m_test": "0", "dataset.alpha_min": "nan", "dataset.alpha_max": "inf",
+    "dataset.t_min": "-1", "dataset.t_max": "-0.5", "dataset.test_t_min": "-1",
+    "dataset.test_t_max": "x", "dataset.kind": "pendulum", "dataset.m": "0",
+    "dataset.sigma": "-1", "dataset.train_fraction": "1.5",
+    "model.variant": "quadratic", "model.latent": "r0", "model.latent_dim": "0",
+    "model.hidden": "0,8", "model.activation": "tanh", "model.leaky_slope": "1",
+    "model.sigma_e": "-1", "model.sigma_d": "0", "model.sigma_0": "0", "model.flow": "linear",
+    "model.lambda0_init": "inf", "model.projection_policy": "warn", "model.klein_a": "0",
+    "model.klein_b": "-1", "model.klein_resolution": "63",
+    "train.beta": "-1", "train.gamma": "-0.5", "train.lr": "-1", "train.batch_size": "0",
+    "train.epochs": "-1", "train.eval_every": "-1",
+    "sweep.beta": "1,1", "sweep.gamma": "0.5,-1", "sweep.sigma": "0,0", "sweep.latent": "torus,r0",
+    "sweep.dmd_ranks": "3,3", "sweep.pod_ranks": "0", "sweep.ch_dims": "3",
+    "sweep.horizons": "0,-1", "sweep.eval_epochs": "1,1",
+}
+# keys every value of which is in their domain
+NO_OUT_OF_DOMAIN = {
+    "dataset.file": "a path: a missing or damaged file is refused where it is read",
+    "model.pointcloud_file": "a path: a missing or damaged file is refused where it is read",
+}
+
+
+@pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in ex.KEYS.items()
+                                 for key in keys if f"{section}.{key}" not in NO_OUT_OF_DOMAIN])
+def test_every_key_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
+    out = tmp_path / "out"
+    sets = tiny_overrides(["dataset.m=40", "model.hidden=4", "train.epochs=1",
+                           f"{key}={OUT_OF_DOMAIN[key]}"])
+    assert cli.main(["sweep", "--out", str(out)] + [a for i in sets for a in ("--set", i)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--workers", "0"], "experiment.workers"),
+    (["baselines", "--set", "sweep.horizons=1,1"], "sweep.horizons"),
+    (["baselines", "--set", "sweep.dmd_ranks=3,3"], "sweep.dmd_ranks"),
+    (["sweep", "--set", "sweep.horizons="], "sweep.horizons"),
+])
+def test_command_setting_or_repeated_entry_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
+                                                                 argv, key):
+    # --workers is an override applied last and checked like any other; a
+    # repeated sweep entry would write one column or row twice
+    monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+    assert list(out.iterdir()) == []
+
+
 def test_cli_mech_recon_sweep_over_klein_and_pointcloud(tmp_path, monkeypatch):
     cloud_file = tmp_path / "torus.cloud"
     _save_quadratic_torus_cloud(cloud_file)
@@ -902,7 +957,7 @@ def test_cli_eval_epochs_below_one_names_its_setting(tmp_path, capsys, marks, lo
         argv += ["--set", item]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert f"config error: sweep.eval_epochs entries must be at least 1, got {low}" in err
+    assert f"config error: sweep.eval_epochs must be at least 1, got {low}" in err
     assert not (out / "errors.csv").exists()
 
 
@@ -954,7 +1009,7 @@ def _evolution_forbidden(*args, **kwargs):
 @pytest.mark.parametrize("kind,flag,value", [
     ("burgers", "--nu", "0"), ("burgers", "--tau", "0"), ("burgers", "--m", "0"),
     ("burgers", "--n-x", "15"), ("burgers", "--t-range", "0,-1"),
-    ("burgers", "--alpha-range", "0,x"), ("arm-torus", "--sigma", "-1"),
+    ("burgers", "--alpha-range", "0,x"), ("arm-torus", "--sigma", "-1"), ("burgers", "--seed", "-1"),
 ])
 def test_cli_gen_data_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, kind, flag, value):
     monkeypatch.setattr(bg, "evolve_exact", _evolution_forbidden)
