@@ -274,9 +274,9 @@ def check_rules(values: dict) -> None:
     """The cross-key rules over {'section.key': parsed value}."""
     for r in ("dataset.alpha", "dataset.t", "dataset.test_t"):
         check_range(f"{r}_min, {r}_max", [values[f"{r}_min"], values[f"{r}_max"]])
-    epochs, marks = values["train.epochs"], values["sweep.eval_epochs"]
-    require(epochs >= max(marks, default=0), "train.epochs", "at least the last "
-            f"sweep.eval_epochs mark, {max(marks, default=0)}", epochs)
+    epochs, last = values["train.epochs"], max(values["sweep.eval_epochs"], default=0)
+    require(epochs >= last, "train.epochs", f"at least the last sweep.eval_epochs mark, {last}",
+            epochs)
     a, b = values["model.klein_a"], values["model.klein_b"]
     require(a > b, "model.klein_a", f"greater than model.klein_b, {b!r}", a)
 
