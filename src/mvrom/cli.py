@@ -178,11 +178,7 @@ def cmd_eval(args) -> int:
     horizons = cfg.get("sweep", "horizons")
     errors = ex.evaluate_burgers_model(model, test, config, horizons)
     table = ex.ErrorTable(list(errors))
-    for col, val in errors.items():
-        if np.isfinite(val):
-            table.add("vae-checkpoint", model.latent_dim, "", col, val)
-        else:
-            table.mark_failed("vae-checkpoint", model.latent_dim, "", f"non-finite {col}", col)
+    table.record("vae-checkpoint", model.latent_dim, "", errors)
     table.write(out)
     print(f"wrote errors to {out / 'errors.csv'}")
     return 1 if table.num_failed else 0

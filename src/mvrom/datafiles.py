@@ -9,6 +9,7 @@ columnar export exists for inspection and external plotting.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import struct
@@ -87,14 +88,17 @@ def export_pairs_text(path, X: np.ndarray, Y: np.ndarray):
 
 
 def write_table_csv(path, rows: list[dict], columns: list[str]):
-    """Small deterministic CSV writer used for error tables and traces.  A
-    NaN or Inf raises ``NonFiniteValueError`` naming the file, the row (1 is
-    the first after the header) and the column, before the file is opened."""
+    """Small deterministic CSV writer used for error tables, failure lists
+    and traces: each line ends in a bare newline, and a field holding a
+    comma, a quote or a line break is quoted as the ``csv`` module quotes
+    it.  A NaN or Inf raises ``NonFiniteValueError`` naming the file, the row
+    (1 is the first after the header) and the column, before the file is
+    opened."""
     path = Path(path)
-    lines = [",".join(columns)] + [",".join(_fmt(row.get(c), path, i, c) for c in columns)
-                                   for i, row in enumerate(rows, 1)]
+    lines = [[_fmt(row.get(c), path, i, c) for c in columns] for i, row in enumerate(rows, 1)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([columns, *lines])
 
 
 def _fmt(v, path, row: int, column: str) -> str:

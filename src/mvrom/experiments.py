@@ -1,11 +1,14 @@
 """Experiment drivers: dataset generation, training, evaluation, sweeps.
 
 Everything here is deterministic under the configured seed: sweep cells own
-derived seeds and output subdirectories, a failed cell is marked in the
-table and its error written to ``failures.csv`` without aborting the run,
-and any cell can be recomputed in isolation from its checkpoint plus the
-resolved config written next to it.  The config only names a latent;
-``vae.make_latent`` builds it, and its ``label`` names its row ``vae-<label>``.
+derived seeds and output subdirectories, and any cell can be recomputed in
+isolation from its checkpoint plus the resolved config written next to it.
+Every row of an error table -- a sweep cell, a baseline rank or mode count,
+an evaluated checkpoint -- reaches it through one rule, ``ErrorTable.record``:
+an error fails the row, and a non-finite value fails only its own column,
+each with a line in ``failures.csv``, and the run goes on.  The config only
+names a latent; ``vae.make_latent`` builds it, and its ``label`` names its
+row ``vae-<label>``.
 
 A runner prepares once what its cells share (the data, and one LatentSpec
 per latent kind: a cloud file is read and its charts fitted once) and hands
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import configparser
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -84,12 +86,14 @@ def l2_relative_error(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 FAILED = "failed"
+_KEY = ["method", "dim", "sweep"]
 
 
 @dataclass
 class ErrorTable:
     """Rows keyed by (method, dim, sweep); columns by horizon or epoch;
-    ``failures`` has the (method, dim, sweep, error) of each failed mark."""
+    ``failures`` has the (method, dim, sweep, error) of each failed mark.
+    ``record`` is how a row's outcome becomes cells."""
 
     columns: list
     rows: dict = field(default_factory=dict)
@@ -110,6 +114,20 @@ class ErrorTable:
             row[col] = FAILED
         self.failures.append((method, str(dim), sweep, error))
 
+    def record(self, method: str, dim, sweep: str, outcome):
+        """The one rule from a row's outcome to its cells.  ``outcome`` is
+        either the text of the error that ended the row, which fails the
+        whole row with one failures entry, or a {column: value} dict, in
+        which each non-finite value fails only its own column, as
+        ``non-finite <column>``, and every finite value is added."""
+        if isinstance(outcome, str):
+            return self.mark_failed(method, dim, sweep, outcome)
+        for col, value in outcome.items():
+            if math.isfinite(value):
+                self.add(method, dim, sweep, col, value)
+            else:
+                self.mark_failed(method, dim, sweep, f"non-finite {col}", col)
+
     def cell(self, method: str, dim, sweep: str, column: str):
         return self.rows[(method, str(dim), sweep)][column]
 
@@ -120,34 +138,22 @@ class ErrorTable:
     def write(self, out: Path):
         """``errors.csv`` under ``out``, and ``failures.csv`` when some cell
         failed; a stale ``failures.csv`` is removed."""
-        rows = []
-        for (method, dim, sweep) in sorted(self.rows):
-            entry = {"method": method, "dim": dim, "sweep": sweep}
-            stored = self.rows[(method, dim, sweep)]
-            for col in self.columns:
-                entry[col] = stored.get(col, FAILED)
-            rows.append(entry)
-        columns = ["method", "dim", "sweep", *self.columns]
-        datafiles.write_table_csv(out / "errors.csv", rows, columns)
+        rows = [dict(zip(_KEY, key)) | {c: self.rows[key].get(c, FAILED) for c in self.columns}
+                for key in sorted(self.rows)]
+        datafiles.write_table_csv(out / "errors.csv", rows, [*_KEY, *self.columns])
         path = out / "failures.csv"
         path.unlink(missing_ok=True)
         if self.failures:
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows([("method", "dim", "sweep", "error"), *self.failures])
+            columns = [*_KEY, "error"]
+            datafiles.write_table_csv(path, [dict(zip(columns, f)) for f in self.failures], columns)
 
 
 def read_table_csv(path) -> ErrorTable:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    columns = header[3:]
-    table = ErrorTable(columns)
-    for line in lines[1:]:
-        parts = line.split(",")
-        key = (parts[0], parts[1], parts[2])
-        row = {}
-        for col, raw in zip(columns, parts[3:]):
-            row[col] = FAILED if raw == FAILED else float(raw)
-        table.rows[key] = row
+    lines = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
+    table = ErrorTable(lines[0][3:])
+    for parts in lines[1:]:
+        table.rows[tuple(parts[:3])] = {col: FAILED if raw == FAILED else float(raw)
+                                        for col, raw in zip(table.columns, parts[3:])}
     return table
 
 
@@ -279,6 +285,13 @@ def check_rules(values: dict) -> None:
             epochs)
     a, b = values["model.klein_a"], values["model.klein_b"]
     require(a > b, "model.klein_a", f"greater than model.klein_b, {b!r}", a)
+    n_x, dims = values["dataset.n_x"], values["sweep.ch_dims"]
+    require(max(dims, default=0) <= n_x, "sweep.ch_dims", f"mode counts at most dataset.n_x, {n_x}",
+            dims)
+    # mechanics.train_test_split cuts at this rounding
+    m, fraction = values["dataset.m"], values["dataset.train_fraction"]
+    require(0 < int(round(m * fraction)) < m, "dataset.m", "large enough that both parts of "
+            f"the dataset.train_fraction {fraction!r} split are non-empty", m)
 
 
 @dataclass
@@ -580,7 +593,7 @@ def _cell_outcome(cell, args):
     try:
         return cell(*args)
     except Exception as exc:  # cell failures recorded, run continues
-        return _error_text(exc)
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _run_cells(cell, cells, workers: int) -> list:
@@ -592,37 +605,26 @@ def _run_cells(cell, cells, workers: int) -> list:
 
 
 def _run_grid(cfg: ExperimentConfig, cell, outer, inner, table: ErrorTable, row):
-    """Run ``cell(a, b, seed)`` on every (a, b) in outer x inner and reduce
-    into ``table``.  ``cell`` is ``functools.partial(cell_fn, cfg, out,
-    prepared)``: a cell function gets the config, the output directory and
-    what its runner prepared once for all cells, then its two sweep values
-    and its seed, and returns its error columns.
+    """Run ``cell(a, b, seed)`` on every (a, b) in outer x inner and record
+    each outcome in ``table``.  ``cell`` is ``functools.partial(cell_fn, cfg,
+    out, prepared)``: a cell function gets the config, the output directory
+    and what its runner prepared once for all cells, then its two sweep
+    values and its seed, and returns its error columns.
 
     Cell (i, j) gets seed ``experiment.seed + 100*i + j``; ``row(a, b)``
     names its table row as (method, dim, sweep).  Two cells that share a
-    row are a ConfigError before any cell runs.  A cell that raised or
-    returned a non-finite value is marked failed with its error; otherwise
-    its values are added.  Rows and failures come in cell order.
+    row are a ConfigError before any cell runs.  ``ErrorTable.record`` turns
+    each outcome into cells: a cell that raised fails its row, and a
+    non-finite value only its column.  Rows and failures come in cell order.
     """
     seed = cfg.get("experiment", "seed")
     cells = [(a, b, seed + 100 * i + j) for i, a in enumerate(outer) for j, b in enumerate(inner)]
     rows = [row(a, b) for a, b, _ in cells]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"two sweep cells write table row {max(rows, key=rows.count)}")
-    results = _run_cells(cell, cells, cfg.get("experiment", "workers"))
-    for (method, dim, sweep), res in zip(rows, results):
-        error = res if isinstance(res, str) else next(
-            (f"non-finite {c}" for c, v in res.items() if not math.isfinite(v)), None)
-        if error is None:
-            for col, val in res.items():
-                table.add(method, dim, sweep, col, val)
-        else:
-            table.mark_failed(method, dim, sweep, error)
+    for key, outcome in zip(rows, _run_cells(cell, cells, cfg.get("experiment", "workers"))):
+        table.record(*key, outcome)
     return table
-
-
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
@@ -646,52 +648,36 @@ def run_burgers_vae(cfg: ExperimentConfig, out: Path) -> ErrorTable:
 def run_burgers_baselines(cfg: ExperimentConfig, out: Path) -> ErrorTable:
     """DMD and POD per rank and truncated Cole-Hopf per mode count.
 
-    One SVD of the training snapshots serves every DMD and POD rank.  A
-    failed rank, or a failed Cole-Hopf column, is marked failed in the
-    table with its error, as failed sweep cells are.
+    One SVD of the training snapshots serves every DMD and POD rank.  Each
+    method's ``predict`` gives the test inputs' predictions at the horizons,
+    (H, B, n); a rank or mode count is one row, recorded by
+    ``ErrorTable.record`` as a sweep cell is: an error fails its row, and a
+    column with any non-finite prediction (its error is not finite) fails
+    only that column.
     """
-    seed = cfg.get("experiment", "seed")
-    config, train, test = prepare(generate_burgers_sets, cfg, seed)
+    config, train, test = prepare(generate_burgers_sets, cfg, cfg.get("experiment", "seed"))
     xmat, xpmat = train.X.T, train.Y.T
     factors = functools.cache(lambda: lb.svd(xmat))  # an error reaches every rank
     horizons = cfg.get("sweep", "horizons")
     columns = [horizon_label(k * config.tau) for k in horizons]
     table = ErrorTable(columns)
     truths = burgers_truth_at_horizons(test.X, config, horizons)
-
-    def add_rollout(method, dim, preds):
-        """preds (max horizon + 1, B, n) from one rollout of the test inputs."""
-        for k, truth, col in zip(horizons, truths, columns):
-            table.add(method, dim, "", col, l1_relative_error(preds[k], truth))
-
-    for rank in cfg.get("sweep", "dmd_ranks"):
-        try:
-            model = lb.fit_dmd(factors(), xpmat, rank)
-            add_rollout("dmd", rank, lb.dmd_predict(model, test.X, max(horizons)))
-        except Exception as exc:  # recorded; the other ranks still run
-            table.mark_failed("dmd", rank, "", _error_text(exc))
-
-    for rank in cfg.get("sweep", "pod_ranks"):
-        try:
-            model = lb.fit_pod(factors(), rank, config.nu, config.tau)
-            add_rollout("pod", rank, lb.pod_predict(model, test.X, max(horizons)))
-        except Exception as exc:
-            table.mark_failed("pod", rank, "", _error_text(exc))
-
     times = np.asarray(horizons, dtype=np.float64)[:, None] * config.tau
-    for n_f in cfg.get("sweep", "ch_dims"):
-        try:
-            preds = bg.evolve_exact(test.X, config.nu, times, n_f=n_f)
-        except Exception as exc:  # an invalid mode count fails each of its columns
-            for col in columns:
-                table.mark_failed("cole-hopf", n_f, "", _error_text(exc), col)
-            continue
-        for pred, truth, col in zip(preds, truths, columns):
-            finite = np.all(np.isfinite(pred), axis=1)
-            if finite.any():
-                table.add("cole-hopf", n_f, "", col, l1_relative_error(pred[finite], truth[finite]))
-            else:
-                table.mark_failed("cole-hopf", n_f, "", f"non-finite {col}", col)
+    predict = {  # method -> (sweep key, rank or mode count -> (H, B, n))
+        "dmd": ("dmd_ranks", lambda rank: lb.dmd_predict(
+            lb.fit_dmd(factors(), xpmat, rank), test.X, max(horizons))[horizons]),
+        "pod": ("pod_ranks", lambda rank: lb.pod_predict(
+            lb.fit_pod(factors(), rank, config.nu, config.tau), test.X, max(horizons))[horizons]),
+        "cole-hopf": ("ch_dims", lambda n_f: bg.evolve_exact(test.X, config.nu, times, n_f=n_f)),
+    }
+
+    def errors(fn, dim):
+        return {col: l1_relative_error(pred, truth)
+                for col, pred, truth in zip(columns, fn(dim), truths)}
+
+    for method, (key, fn) in predict.items():
+        for dim in cfg.get("sweep", key):
+            table.record(method, dim, "", _cell_outcome(errors, (fn, dim)))
     return table
 
 

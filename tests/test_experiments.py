@@ -70,6 +70,18 @@ def test_error_table_roundtrip(tmp_path):
     with open(tmp_path / "failures.csv", newline="") as fh:
         assert list(csv.reader(fh)) == [["method", "dim", "sweep", "error"],
                                         ["pod", "3", "", "ValueError: rank"]]
+    # record: error text fails the whole row with one failures row; in a
+    # dict, a non-finite value fails only its own column
+    recorded = ex.ErrorTable(["0.25s", "0.50s"])
+    recorded.record("cole-hopf", 4, "", "ValueError: n_f, 200")
+    recorded.record("cole-hopf", 6, "", {"0.25s": 0.3, "0.50s": float("nan")})
+    recorded.write(tmp_path / "recorded")
+    assert recorded.rows == {("cole-hopf", "4", ""): {"0.25s": ex.FAILED, "0.50s": ex.FAILED},
+                             ("cole-hopf", "6", ""): {"0.25s": 0.3, "0.50s": ex.FAILED}}
+    assert recorded.num_failed == 3
+    with open(tmp_path / "recorded" / "failures.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["cole-hopf", "4", "", "ValueError: n_f, 200"],
+                                            ["cole-hopf", "6", "", "non-finite 0.50s"]]
 
 
 def test_error_table_validation():
@@ -189,6 +201,62 @@ def test_baselines_share_one_snapshot_svd(tmp_path, monkeypatch):
             for k, truth in zip(horizons, truths):
                 assert table.cell(method, rank, "", ex.horizon_label(k * config.tau)) == (
                     ex.l1_relative_error(preds[k], truth))
+
+
+def _baselines_with(tmp_path, monkeypatch, module, name, wrap):
+    """The rank-3 DMD and POD and default Cole-Hopf baselines, with
+    ``module.name`` replaced by ``wrap(original)``; (table, failures rows)."""
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides(
+        ["experiment.kind=burgers-baselines"]))
+    table, _ = ex.run_experiment(cfg, tmp_path)
+    with open(tmp_path / "failures.csv", newline="") as fh:
+        return table, list(csv.reader(fh))[1:]
+
+
+def test_cole_hopf_error_writes_one_failures_row(tmp_path, monkeypatch):
+    def wrap(evolve):
+        def evolve_exact(U0, nu, t, n_f=None):
+            if n_f == 4:
+                raise RuntimeError("no modes")
+            return evolve(U0, nu, t, n_f=n_f)
+        return evolve_exact
+
+    table, failures = _baselines_with(tmp_path, monkeypatch, bg, "evolve_exact", wrap)
+    assert table.num_failed == len(table.columns)
+    assert set(table.rows[("cole-hopf", "4", "")].values()) == {ex.FAILED}
+    assert failures == [["cole-hopf", "4", "", "RuntimeError: no modes"]]
+
+
+def test_nonfinite_dmd_horizon_fails_only_its_column(tmp_path, monkeypatch):
+    def wrap(predict):
+        def dmd_predict(model, U, n_steps):
+            preds = predict(model, U, n_steps)
+            preds[4, 0, 0] = np.nan  # horizon 4 of the first test input
+            return preds
+        return dmd_predict
+
+    table, failures = _baselines_with(tmp_path, monkeypatch, lb, "dmd_predict", wrap)
+    row = table.rows[("dmd", "3", "")]
+    assert row["1.00s"] == ex.FAILED and np.isfinite(row["0.25s"])
+    assert table.num_failed == 1
+    assert failures == [["dmd", "3", "", "non-finite 1.00s"]]
+
+
+def test_cole_hopf_column_with_one_nonfinite_row_fails(tmp_path, monkeypatch):
+    def wrap(evolve):
+        def evolve_exact(U0, nu, t, n_f=None):
+            preds = evolve(U0, nu, t, n_f=n_f)
+            if n_f == 6:
+                preds[0, 2] = np.inf  # the third test input at the first horizon
+            return preds
+        return evolve_exact
+
+    table, failures = _baselines_with(tmp_path, monkeypatch, bg, "evolve_exact", wrap)
+    row = table.rows[("cole-hopf", "6", "")]
+    assert row["0.25s"] == ex.FAILED and np.isfinite(row["1.00s"])
+    assert table.num_failed == 1
+    assert failures == [["cole-hopf", "6", "", "non-finite 0.25s"]]
 
 
 def test_failed_baseline_keeps_its_error(tmp_path):
@@ -400,8 +468,9 @@ def test_nonfinite_cell_result_is_marked_failed(tmp_path, monkeypatch):
     monkeypatch.setattr(ex, "_burgers_vae_cell", nan_cell)
     cfg = ex.ExperimentConfig.from_file(None, overrides=tiny_overrides())
     table, failed = ex.run_experiment(cfg, tmp_path / "nan")
-    assert failed == 3
-    assert set(table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")].values()) == {ex.FAILED}
+    assert failed == 1  # the NaN's column; the row's finite values are kept
+    assert table.rows[("vae-nonlinear", "2", "beta=1;gamma=0.5")] == {
+        "0.00s": 0.1, "0.25s": ex.FAILED, "1.00s": 0.2}
     assert "nan" not in (tmp_path / "nan" / "errors.csv").read_text()
 
 
@@ -439,7 +508,9 @@ def test_failed_cells_keep_their_error(tmp_path, monkeypatch):
     )
     out = tmp_path / "sweep"
     table, failed = ex.run_experiment(cfg, out)
-    assert failed == 3 * 3  # beta=2 (both gammas) and gamma=0 at beta=1, three columns each
+    assert failed == 2 * 3 + 1  # beta=2's two rows, and the Inf's column at beta=1, gamma=0
+    assert table.rows[("vae-nonlinear", "2", "beta=1;gamma=0")] == {
+        "0.00s": 0.1, "0.25s": ex.FAILED, "1.00s": 0.2}
     with open(out / "failures.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [
@@ -682,6 +753,13 @@ def test_every_key_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, monkeyp
     (["baselines", "--set", "sweep.horizons=1,1"], "sweep.horizons"),
     (["baselines", "--set", "sweep.dmd_ranks=3,3"], "sweep.dmd_ranks"),
     (["sweep", "--set", "sweep.horizons="], "sweep.horizons"),
+    # a mode count above the grid size, and a mechanics set too small to split
+    (["baselines", "--set", "sweep.ch_dims=200", "--set", "dataset.m_test=4",
+      "--set", "dataset.m_train=16"], "sweep.ch_dims"),
+    (["sweep", "--set", "experiment.kind=mech-recon", "--set", "dataset.m=1"], "dataset.m"),
+    (["sweep", "--set", "experiment.kind=mech-recon", "--set", "dataset.m=2"], "dataset.m"),
+    (["sweep", "--set", "experiment.kind=mech-recon", "--set", "dataset.m=10",
+      "--set", "dataset.train_fraction=0.01"], "dataset.m"),
 ])
 def test_command_setting_or_repeated_entry_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
                                                                  argv, key):
