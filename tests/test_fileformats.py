@@ -6,6 +6,7 @@ column count and non-finite values.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mvrom import vae
 
 from oracles import write_pointcloud
 
+DATA = Path(__file__).parent / "data"
 SETTINGS = settings(
     max_examples=150,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -95,6 +97,29 @@ def test_pointcloud_checkpoint_rejects_a_nonfinite_point(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'pointcloud' "
                                                    "has non-finite values")):
         vae.load_checkpoint(path)
+
+
+def test_version_1_files_load_and_are_written_again_byte_for_byte(tmp_path):
+    # tests/data/pairs_v1.bin and klein_v1.ckpt were written from these
+    # inputs when both formats were first pinned: they still load, and the
+    # writers still write their exact bytes
+    pairs_v1, klein_v1 = DATA / "pairs_v1.bin", DATA / "klein_v1.ckpt"
+    X = np.arange(15.0).reshape(3, 5) / 7
+    X2, Y2, header = datafiles.load_pairs(pairs_v1)
+    assert X2.tobytes() == X.tobytes() and Y2.tobytes() == (X + 0.5).tobytes()
+    assert header == datafiles.PairHeader(5, 3, 0.02, 0.25)
+    datafiles.save_pairs(tmp_path / "pairs.bin", X, X + 0.5, 0.02, 0.25)
+    assert (tmp_path / "pairs.bin").read_bytes() == pairs_v1.read_bytes()
+
+    model = vae.build_vae(4, vae.make_latent("klein", klein=mf.KleinConfig()), hidden=(8,), seed=1)
+    loaded = vae.load_checkpoint(klein_v1)
+    assert (loaded.latent.kind, loaded.latent.klein) == ("klein", mf.KleinConfig())
+    assert loaded.params.keys() == model.params.keys()
+    for k in model.params:
+        assert loaded.params[k].tobytes() == model.params[k].tobytes()
+    for written in (model, loaded):
+        vae.save_checkpoint(written, tmp_path / "model.ckpt")
+        assert (tmp_path / "model.ckpt").read_bytes() == klein_v1.read_bytes()
 
 
 def damaged_cloud(text: str, data) -> str:
