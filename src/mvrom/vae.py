@@ -21,16 +21,19 @@ residual pass.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
-import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import datafiles
 from . import manifold as mf
 
 
@@ -172,6 +175,11 @@ class VaeModel:
         return self.encoder_sizes[-1]
 
 
+# VaeModel's settings, its fields with a default: build_vae takes them, a checkpoint stores them
+_SETTINGS = tuple(f.name for f in dataclasses.fields(VaeModel)
+                  if f.default is not dataclasses.MISSING)
+
+
 def _mlp_params(rng: np.random.Generator, prefix: str, sizes) -> dict:
     params = {}
     for i, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -180,32 +188,20 @@ def _mlp_params(rng: np.random.Generator, prefix: str, sizes) -> dict:
     return params
 
 
-def build_vae(
-    input_dim: int,
-    latent: LatentSpec,
-    hidden=(400, 400),
-    output_dim: int | None = None,
-    activation: str = "relu",
-    leaky_slope: float = 1e-6,
-    tau: float = 0.25,
-    sigma_e: float = 4e-3,
-    sigma_d: float = 4e-3,
-    sigma_0: float = 1.0,
-    flow: str = "exp-decay",
-    lambda0_init: float = 0.5,
-    seed: int = 0,
-) -> VaeModel:
-    """Assemble a model; ``hidden=()`` gives the single-affine linear variant."""
+def build_vae(input_dim: int, latent: LatentSpec, hidden=(400, 400), output_dim: int | None = None,
+              lambda0_init: float = 0.5, seed: int = 0, **settings) -> VaeModel:
+    """Assemble a model; ``hidden=()`` gives the single-affine linear variant.
+    ``settings`` are ``VaeModel``'s own, its defaults filling the rest."""
     output_dim = input_dim if output_dim is None else output_dim
     encoder_sizes = [input_dim, *hidden, latent.dim]
     decoder_sizes = [latent.dim, *hidden, output_dim]
     rng = np.random.default_rng(seed)
     params = _mlp_params(rng, "enc_", encoder_sizes)
     params.update(_mlp_params(rng, "dec_", decoder_sizes))
-    if flow == "exp-decay":
+    model = VaeModel(encoder_sizes, decoder_sizes, latent, params, **settings)
+    if model.flow == "exp-decay":
         params["lambda0"] = np.array(lambda0_init)
-    return VaeModel(encoder_sizes, decoder_sizes, latent, params, activation, leaky_slope, tau,
-                    sigma_e, sigma_d, sigma_0, flow)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -467,50 +463,6 @@ _CKPT_MAGIC = b"MVAECKPT"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(model: VaeModel, path):
-    """Versioned binary: header (architecture, latent kind, scalars) + weights.
-
-    A pointcloud latent's points follow the weights, with [m, point count,
-    ``k_neighbors``] in the header field ``pointcloud``, which no other latent
-    writes.  A plain-text sidecar `<path>.meta.txt` summarizes the model.
-    """
-    path = Path(path)
-    names = sorted(model.params)
-    header = {
-        "encoder_sizes": list(model.encoder_sizes),
-        "decoder_sizes": list(model.decoder_sizes),
-        "activation": model.activation,
-        "leaky_slope": model.leaky_slope,
-        "latent_kind": model.latent.kind,
-        "latent_dim": model.latent.dim,
-        "latent_policy": model.latent.policy,
-        "tau": model.tau,
-        "sigma_e": model.sigma_e,
-        "sigma_d": model.sigma_d,
-        "sigma_0": model.sigma_0,
-        "flow": model.flow,
-        "params": [[n, list(model.params[n].shape)] for n in names],
-    }
-    if model.latent.kind == "klein":
-        klein = model.latent.klein
-        header["klein"] = [klein.a, klein.b, klein.resolution]
-    arrays = [model.params[n] for n in names]
-    if model.latent.kind == "pointcloud":
-        cloud = model.latent.manifold
-        header["pointcloud"] = [cloud.m, cloud.num_points, cloud.k_neighbors]
-        arrays.append(cloud.points)
-    blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    lines = [f"{k}: {v}" for k, v in header.items() if k != "params"]
-    lines.append(f"parameters: {sum(model.params[n].size for n in names)}")
-    path.with_name(path.name + ".meta.txt").write_text("\n".join(lines) + "\n")
-
-
 # parsers of checkpoint header fields: each returns the value or raises
 
 
@@ -560,6 +512,91 @@ def _klein_config(value):
     return mf.KleinConfig(_number(a), _number(b), _count(resolution))
 
 
+# Every field of a checkpoint's JSON header in the order written: its key,
+# its value for a model, and its parser.  "klein" and "pointcloud" are
+# written for a latent of that kind alone.
+_HEADER = (
+    ("encoder_sizes", attrgetter("encoder_sizes"), _sizes),
+    ("decoder_sizes", attrgetter("decoder_sizes"), _sizes),
+    ("activation", attrgetter("activation"), _text),
+    ("leaky_slope", attrgetter("leaky_slope"), _number),
+    ("latent_kind", attrgetter("latent.kind"), _one_of("euclidean", "torus", "klein", "pointcloud")),
+    ("latent_dim", attrgetter("latent.dim"), _count),
+    ("latent_policy", attrgetter("latent.policy"), _one_of("raise", "skip")),
+    ("tau", attrgetter("tau"), _number),
+    ("sigma_e", attrgetter("sigma_e"), _number),
+    ("sigma_d", attrgetter("sigma_d"), _number),
+    ("sigma_0", attrgetter("sigma_0"), _number),
+    ("flow", attrgetter("flow"), _text),
+    ("params", lambda m: [[n, list(m.params[n].shape)] for n in sorted(m.params)],
+     lambda v: [(_text(name), tuple(map(_count, shape))) for name, shape in v]),
+    ("klein", lambda m: list(astuple(m.latent.klein)), _klein_config),
+    ("pointcloud", lambda m: [*attrgetter("m", "num_points", "k_neighbors")(m.latent.manifold)],
+     _cloud_shape),
+)
+_OF_ONE_KIND = ("klein", "pointcloud")
+
+
+def save_checkpoint(model: VaeModel, path):
+    """Versioned binary: header (architecture, latent kind, scalars) + weights.
+
+    A pointcloud latent's points follow the weights, with [m, point count,
+    ``k_neighbors``] in the header field ``pointcloud``, which no other latent
+    writes.  A plain-text sidecar `<path>.meta.txt` summarizes the model.
+    """
+    path = Path(path)
+    header = {key: write(model) for key, write, _ in _HEADER
+              if key not in _OF_ONE_KIND or key == model.latent.kind}
+    arrays = [model.params[name] for name, _ in header["params"]]
+    if "pointcloud" in header:
+        arrays.append(model.latent.manifold.points)
+    blob = json.dumps(header).encode()
+    datafiles.write_values(path, _CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(blob)) + blob,
+                           arrays)
+    lines = [f"{k}: {v}" for k, v in header.items() if k != "params"]
+    lines.append(f"parameters: {sum(p.size for p in model.params.values())}")
+    path.with_name(path.name + ".meta.txt").write_text("\n".join(lines) + "\n")
+
+
+def _read_header(read):
+    """(fields, value count): a checkpoint's header fields, read through
+    ``read`` and parsed by ``_HEADER``; "params" lists each (name, shape) in
+    file order, a pointcloud latent's points last."""
+    version, blob_len = struct.unpack("<II", read(8))
+    if version != _CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    blob = read(blob_len)
+    try:
+        header = json.loads(blob.decode())
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError("corrupt checkpoint header (not a JSON object)")
+    if header.get("learn_sigmas", False):
+        raise ValueError("learnable noise scales are no longer supported")
+    fields = {}
+    for key, _, parse in _HEADER:
+        if key in _OF_ONE_KIND and key != fields["latent_kind"]:
+            continue
+        if key not in header:
+            if key == "pointcloud":  # an older file: the cloud is in a sidecar
+                continue
+            raise ValueError(f"checkpoint header has no '{key}' field")
+        try:
+            fields[key] = parse(header[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint header field '{key}': {exc}") from None
+    if "pointcloud" in fields:
+        fields["params"].append(("pointcloud", (fields["pointcloud"][1], fields["latent_dim"])))
+    return fields, sum(math.prod(shape) for _, shape in fields["params"])
+
+
+def _bad_parameter(fields, index: int) -> str:
+    ends = itertools.accumulate(math.prod(shape) for _, shape in fields["params"])
+    name = next(name for (name, _), end in zip(fields["params"], ends) if index < end)
+    return f"parameter '{name}' has non-finite values"
+
+
 def load_checkpoint(path) -> VaeModel:
     """Read a checkpoint; its size must match its header, its weights be
     finite, every header field be present with the type ``save_checkpoint``
@@ -572,85 +609,33 @@ def load_checkpoint(path) -> VaeModel:
     The file is read once: the weights land in one array, and each parameter
     is a view of it."""
     path = Path(path)
-
-    def field(key, parse):
-        """``parse(header[key])``; a missing or unparsable field raises a
-        ValueError naming the file and the field."""
-        if key not in header:
-            raise ValueError(f"{path}: checkpoint header has no '{key}' field")
-        try:
-            return parse(header[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: checkpoint header field '{key}': {exc}") from None
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        version, blob_len = struct.unpack("<II", head)
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) < blob_len:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        try:
-            header = json.loads(blob.decode())
-            shapes = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: corrupt checkpoint header ({exc})") from None
-        kind = field("latent_kind", _one_of("euclidean", "torus", "klein", "pointcloud"))
-        dim = field("latent_dim", _count)
-        cloud = None
-        if kind == "pointcloud" and "pointcloud" in header:  # its points follow the weights
-            cloud = field("pointcloud", _cloud_shape)  # [m, points, k_neighbors]
-            shapes.append(("pointcloud", (cloud[1], dim)))
-        counts = [math.prod(shape) for _, shape in shapes]
-        size = os.fstat(fh.fileno()).st_size
-        expected = len(_CKPT_MAGIC) + 8 + blob_len + 8 * sum(counts)
-        if size != expected:
-            raise ValueError(f"{path}: {size} bytes, but its header implies {expected}")
-        if header.get("learn_sigmas", False):
-            raise ValueError(f"{path}: learnable noise scales are no longer supported")
-        weights = np.fromfile(fh, "<f8", sum(counts))
-    params = {}
-    offset = 0
-    for (name, shape), count in zip(shapes, counts):
-        params[name] = weights[offset : offset + count].reshape(shape)
-        offset += count
-        if not np.all(np.isfinite(params[name])):
-            raise ValueError(f"{path}: parameter '{name}' has non-finite values")
-    if cloud:
-        try:
-            cloud = mf.PointCloudManifold(cloud[0], dim, params.pop("pointcloud"), "quadratic",
-                                          k_neighbors=cloud[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: checkpoint header field 'pointcloud': {exc}") from None
-    elif kind == "pointcloud":  # written before checkpoints carried their cloud
-        cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
-    latent = make_latent(kind, field("latent_policy", _one_of("raise", "skip")), dim,
-                         field("klein", _klein_config) if kind == "klein" else None, cloud)
-    sizes = [field(key, _sizes) for key in ("encoder_sizes", "decoder_sizes")]
-    for key, prefix, layers in zip(("encoder_sizes", "decoder_sizes"), ("enc_", "dec_"), sizes):
-        if {n: p.shape for n, p in params.items() if n.startswith(prefix)} != {
-                f"{prefix}{kind}{i}": shape for i, (fi, fo) in enumerate(zip(layers, layers[1:]))
-                for kind, shape in (("W", (fi, fo)), ("b", (fo,)))}:
-            raise ValueError(f"{path}: checkpoint header field '{key}' {layers} does not match "
-                             f"the shapes of the '{prefix}' parameters")
-    if not latent.dim == sizes[0][-1] == sizes[1][0]:
-        raise ValueError(f"{path}: checkpoint header field 'latent_kind' {kind!r} gives a latent "
-                         f"of dimension {latent.dim}, but the encoder's output width is "
-                         f"{sizes[0][-1]} and the decoder's input width {sizes[1][0]}")
-    activation, flow = (field(key, _text) for key in ("activation", "flow"))
-    leaky_slope, tau, sigma_e, sigma_d, sigma_0 = (
-        field(key, _number) for key in ("leaky_slope", "tau", "sigma_e", "sigma_d", "sigma_0")
-    )
-
+    fields, weights = datafiles.read_values(path, _CKPT_MAGIC, "model checkpoint", _read_header,
+                                            _bad_parameter)
+    shapes = fields["params"]
+    parts = np.split(weights, np.cumsum([math.prod(shape) for _, shape in shapes])[:-1])
+    params = {name: part.reshape(shape) for (name, shape), part in zip(shapes, parts)}
+    kind, dim, cloud = fields["latent_kind"], fields["latent_dim"], fields.get("pointcloud")
     try:
-        return VaeModel(
-            *sizes, latent, params, activation, leaky_slope, tau, sigma_e, sigma_d, sigma_0, flow
-        )
+        if cloud:
+            try:
+                cloud = mf.PointCloudManifold(cloud[0], dim, params.pop("pointcloud"),
+                                              "quadratic", k_neighbors=cloud[2])
+            except ValueError as exc:
+                raise ValueError(f"checkpoint header field 'pointcloud': {exc}") from None
+        elif kind == "pointcloud":  # written before checkpoints carried their cloud
+            cloud = mf.load_pointcloud(path.with_name(path.name + ".manifold"))
+        latent = make_latent(kind, fields["latent_policy"], dim, fields.get("klein"), cloud)
+        sizes = [fields["encoder_sizes"], fields["decoder_sizes"]]
+        for key, prefix, layers in zip(("encoder_sizes", "decoder_sizes"), ("enc_", "dec_"), sizes):
+            if {n: p.shape for n, p in params.items() if n.startswith(prefix)} != {
+                    f"{prefix}{kind}{i}": shape for i, (fi, fo) in enumerate(zip(layers, layers[1:]))
+                    for kind, shape in (("W", (fi, fo)), ("b", (fo,)))}:
+                raise ValueError(f"checkpoint header field '{key}' {layers} does not match the "
+                                 f"shapes of the '{prefix}' parameters")
+        if not latent.dim == sizes[0][-1] == sizes[1][0]:
+            raise ValueError(f"checkpoint header field 'latent_kind' {kind!r} gives a latent of "
+                             f"dimension {latent.dim}, but the encoder's output width is "
+                             f"{sizes[0][-1]} and the decoder's input width {sizes[1][0]}")
+        return VaeModel(*sizes, latent, params, **{key: fields[key] for key in _SETTINGS})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

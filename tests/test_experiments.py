@@ -586,6 +586,21 @@ def test_cli_pair_file_with_a_nan_exits_2_naming_file_pair_and_path(tmp_path, ca
         f"config error: {path}: non-finite value in pair 3, target Y\n")
 
 
+@pytest.mark.parametrize("command", ["train", "baselines"])
+def test_cli_pair_file_with_no_pairs_exits_2_naming_it_before_any_cell(tmp_path, capsys,
+                                                                      command):
+    # without the count check, train ends in a NaN loss and baselines fails every rank
+    path = tmp_path / "empty.bin"
+    datafiles.save_pairs(path, np.zeros((0, 100)), np.zeros((0, 100)), 0.02, 0.25)
+    assert path.stat().st_size == 38
+    out = tmp_path / "out"
+    argv = [command, "--set", f"dataset.file={path}", "--set", "dataset.m_test=4",
+            "--set", "model.hidden=8", "--set", "train.epochs=2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {path}: holds no pairs\n"
+    assert not [p for p in out.iterdir() if p.is_dir()]
+
+
 @pytest.mark.parametrize("header", ["2 4 3 klein 2 1", "2 4 3 circles 1 1"])
 def test_cli_analytic_cloud_file_exits_2_naming_it(tmp_path, capsys, header):
     # the closed-form latents are settings (model.latent=klein|torus), not files

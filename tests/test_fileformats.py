@@ -5,7 +5,10 @@ non-finite value; the point-cloud text format rejects truncation, a wrong
 column count and non-finite values.
 """
 
+import json
+import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,50 @@ def test_pointcloud_checkpoint_rejects_a_nonfinite_point(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'pointcloud' "
                                                    "has non-finite values")):
         vae.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("latent", sorted(LATENTS))
+def test_a_nonfinite_value_in_each_checkpoint_parameter_is_named_as_it(tmp_path, latent):
+    # a NaN as the first or the last value of each parameter in file order,
+    # a pointcloud latent's points last
+    path = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(6, LATENTS[latent], hidden=(4,), seed=0), path)
+    blob = path.read_bytes()
+    offset = 16 + struct.unpack_from("<I", blob, 12)[0]
+    header = json.loads(blob[16:offset])
+    shapes = header["params"]
+    if latent == "pointcloud":
+        shapes.append(["pointcloud", [header["pointcloud"][1], 2]])
+    for name, shape in shapes:
+        count = math.prod(shape)
+        for at in {offset, offset + 8 * (count - 1)}:
+            path.write_bytes(blob[:at] + np.array(np.nan, "<f8").tobytes() + blob[at + 8:])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: parameter '{name}' has non-finite values")):
+                vae.load_checkpoint(path)
+        offset += 8 * count
+    assert offset == len(blob)
+
+
+def test_an_interrupted_save_leaves_the_earlier_checkpoint_whole(tmp_path):
+    # the second array's write fails: the file at the path keeps its bytes,
+    # and no temp file is left beside it
+    path = tmp_path / "model.ckpt"
+    model = vae.build_vae(6, LATENTS["euclidean"], hidden=(4,), seed=0)
+    vae.save_checkpoint(model, path)
+    before = path.read_bytes()
+
+    class Unwritable:
+        shape = model.params["dec_W1"].shape  # dec_W0 is written first
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    model.params["dec_W1"] = Unwritable()
+    with pytest.raises(OSError, match="disk full"):
+        vae.save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.meta.txt"]
 
 
 def test_version_1_files_load_and_are_written_again_byte_for_byte(tmp_path):
