@@ -156,6 +156,7 @@ class AdamState:
     update is a multiply and an add of the gradient (or its square)."""
 
     CHUNK = 32768  # elements per pass: the chunk of every operand stays in cache
+    FLUSH_EVERY, FLUSH_BELOW = 64, 1e-290  # adam_step zeroes such first moments that often
 
     def __init__(self, like: dict):
         self.names, self.ends = list(like), np.cumsum([np.size(v) for v in like.values()])
@@ -190,7 +191,14 @@ def adam_step(
     Inf gradient raises ``NonFiniteError`` naming its parameter before
     anything moves; one dot product screens for it, and only a non-finite
     g.g (which a finite gradient above about 1e154 also gives) runs the
-    elementwise check."""
+    elementwise check.
+
+    Every ``FLUSH_EVERY`` steps, two more passes zero each first moment below
+    ``FLUSH_BELOW`` in magnitude.  A moment whose gradient stays zero (a dead ReLU
+    unit) would turn subnormal after about 6,700 steps and slow each later
+    step several times over; 64 steps take 1e-290 only to 1e-293.  A zeroed
+    moment would have moved its parameter by at most about lr * 1e-290 / eps
+    in all.  ``v`` needs hundreds of thousands of steps to turn subnormal."""
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
     if not np.isfinite(np.dot(grads, grads)):
@@ -204,6 +212,8 @@ def adam_step(
         s = state.scratch[: len(p)]
         m *= beta1
         m += g
+        if state.step % state.FLUSH_EVERY == 0:
+            m[np.abs(m, out=s) < state.FLUSH_BELOW] = 0.0
         v *= beta2
         v += np.multiply(g, g, out=s)
         np.sqrt(v, out=s)

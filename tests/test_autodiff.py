@@ -485,6 +485,32 @@ def test_flat_adam_matches_per_parameter_oracle_bit_for_bit():
     assert state.step == 7
 
 
+def test_adam_keeps_dead_first_moments_normal_and_the_parameters_bit_identical():
+    # a third of the gradient entries are zero from step 21 on, as a dead
+    # ReLU unit's are: without the flush their first moments turn subnormal
+    # near step 6,700.  Over 7,000 steps no moment of the flushed state is
+    # ever subnormal, and every parameter matches the unflushed oracle's bits
+    rng = np.random.default_rng(30)
+    params = {"w": rng.normal(size=(4, 6)), "b": np.zeros(6)}
+    reference = {name: value.copy() for name, value in params.items()}
+    dead = {name: np.arange(value.size).reshape(value.shape) % 3 == 0
+            for name, value in params.items()}
+    flat, views, state = adam(params)
+    M, V = {}, {}
+    tiny = np.finfo(np.float64).tiny
+    for t in range(1, 7001):
+        grads = {name: np.where(dead[name] & (t > 20), 0.0, rng.normal(size=value.shape))
+                 for name, value in params.items()}
+        ad.adam_step(flat, np.concatenate([np.ravel(g) for g in grads.values()]), state)
+        oracles.dict_adam_step(reference, grads, M, V, t)
+        magnitude = np.abs(state.m)
+        assert not np.any((magnitude > 0) & (magnitude < tiny)), f"subnormal moment at step {t}"
+    unflushed = np.abs(np.concatenate([np.ravel(m) for m in M.values()]))
+    assert np.any((unflushed > 0) & (unflushed < tiny))  # the oracle's moments did turn
+    for name in params:
+        np.testing.assert_array_equal(views[name], reference[name])
+
+
 def test_folded_adam_tracks_the_textbook_update():
     # over 50 steps at gradient scales 1e-6..1e3 the folded form stays within
     # 1e-14 of the textbook one, relative to each array's largest magnitude
