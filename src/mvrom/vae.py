@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -530,7 +530,7 @@ _HEADER = (
     ("flow", attrgetter("flow"), _text),
     ("params", lambda m: [[n, list(m.params[n].shape)] for n in sorted(m.params)],
      lambda v: [(_text(name), tuple(map(_count, shape))) for name, shape in v]),
-    ("klein", lambda m: list(astuple(m.latent.klein)), _klein_config),
+    ("klein", lambda m: [*attrgetter("a", "b", "resolution")(m.latent.klein)], _klein_config),
     ("pointcloud", lambda m: [*attrgetter("m", "num_points", "k_neighbors")(m.latent.manifold)],
      _cloud_shape),
 )
