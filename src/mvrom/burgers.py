@@ -24,16 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domains as dm
+
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid x_j = j/n_x on [0, 1)."""
 
-    n_x: int
+    n_x: int = dm.setting(dm.GRID)
 
-    def __post_init__(self):
-        if self.n_x < 16 or self.n_x % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 16, got {self.n_x}")
+    __post_init__ = dm.check_fields
 
     @property
     def points(self) -> np.ndarray:
@@ -42,15 +42,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class BurgersConfig:
-    nu: float = 2e-2
-    tau: float = 2.5e-1
-    n_x: int = 100
+    nu: float = dm.setting(dm.POSITIVE, 2e-2)
+    tau: float = dm.setting(dm.POSITIVE, 2.5e-1)
+    n_x: int = dm.setting(dm.GRID, 100)
 
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
-        if self.tau <= 0:
-            raise ValueError("prediction time-scale must be positive")
+    __post_init__ = dm.check_fields
 
 
 @dataclass
@@ -253,8 +249,7 @@ def sample_burgers_states(
     seed: int = 0,
 ) -> BurgersStates:
     """m fields u1(alpha_i) at t_i, with alpha_i and then t_i drawn uniformly."""
-    if m < 1:
-        raise ValueError("need at least one sample")
+    dm.COUNT.check("m", m)
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(alpha_range[0], alpha_range[1], size=m)
     times = rng.uniform(t_range[0], t_range[1], size=m)

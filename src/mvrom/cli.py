@@ -4,8 +4,11 @@ Subcommands: gen-data, train, eval, baselines, sweep, export-trace.
 Exit codes: 0 success, 1 partial cell failure or a table refused for a NaN or
 Inf, 2 configuration error (any config key or flag outside its domain, named
 in the message, or a setting the data or latents cannot be prepared from,
-before any cell runs) or a missing or damaged input file (the loader's
-message names the file).
+before any cell runs), an --out whose directory cannot be made (a file of
+that name exists; the message names the flag and the path, and no cell
+directory is left), or a missing or damaged input file (the loader's
+message names the file): a checkpoint whose header holds a setting outside
+its config key's domain, or a text input that does not decode.
 Relative output paths resolve under $MVROM_OUTPUT_ROOT when it is set.
 """
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import burgers as bg
 from . import datafiles
+from . import domains as dm
 from . import experiments as ex
 from . import mechanics as mech
 from . import vae
@@ -85,21 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _range(flag: str, text: str, item) -> list:
     """``text``, a range 'lo,hi' of ``item`` values; a ConfigError naming ``flag`` if not."""
-    return ex.check_range(flag, ex.comma_list(item)(flag, text))
+    return dm.check_range(flag, dm.comma_list(item)(flag, text))
 
 
 def cmd_gen_data(args) -> int:
     # every flag before any evolution, through the parser of the config key it sets there
-    m, seed = ex.COUNT("--m", args.m), ex.NATURAL("--seed", args.seed)
+    m, seed = dm.COUNT("--m", args.m), dm.NATURAL("--seed", args.seed)
     if args.kind == "burgers":
-        config = bg.BurgersConfig(ex.POSITIVE("--nu", args.nu), ex.POSITIVE("--tau", args.tau),
-                                  ex.GRID("--n-x", args.n_x))
-        alpha_range = _range("--alpha-range", args.alpha_range, ex.FINITE)
-        t_range = _range("--t-range", args.t_range, ex.NONNEGATIVE)
+        config = bg.BurgersConfig(dm.POSITIVE("--nu", args.nu), dm.POSITIVE("--tau", args.tau),
+                                  dm.GRID("--n-x", args.n_x))
+        alpha_range = _range("--alpha-range", args.alpha_range, dm.FINITE)
+        t_range = _range("--t-range", args.t_range, dm.NONNEGATIVE)
     else:
-        sigma = ex.NONNEGATIVE("--sigma", args.sigma)
+        sigma = dm.NONNEGATIVE("--sigma", args.sigma)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    ex.make_dir("--out", out.parent)
     if args.kind == "burgers":
         data = bg.generate_burgers_dataset(config, m, alpha_range, t_range, seed)
         X, Y = data.X, data.Y
@@ -137,28 +141,28 @@ def cmd_run(args) -> int:
 def _read_field(path) -> np.ndarray:
     """One finite value per line; blank lines and '#' comments are skipped."""
     values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(datafiles.read_text(path).splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
             value = float(text)
         except ValueError:
-            raise ex.ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
+            raise dm.ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
         if not np.isfinite(value):
-            raise ex.ConfigError(f"{path}:{lineno}: non-finite value {text!r}")
+            raise dm.ConfigError(f"{path}:{lineno}: non-finite value {text!r}")
         values.append(value)
     return np.array(values)
 
 
 def cmd_eval(args) -> int:
-    steps = ex.NATURAL("--steps", args.steps)
+    steps = dm.NATURAL("--steps", args.steps)
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
     out = ex.resolve_output_dir(args.out)
     if args.input_field:
         u0 = ex.prepare(_read_field, args.input_field)
         if len(u0) != model.input_dim:
-            raise ex.ConfigError(
+            raise dm.ConfigError(
                 f"input field must have {model.input_dim} values, got {len(u0)}"
             )
         preds = vae.predict_multistep(model, u0[None], steps)[:, 0]
@@ -172,7 +176,7 @@ def cmd_eval(args) -> int:
         print(f"wrote rollout of {steps} steps to {out / 'rollout.csv'}")
         return 0
     if not args.config:
-        raise ex.ConfigError("eval needs --config (for the test set) or --input-field")
+        raise dm.ConfigError("eval needs --config (for the test set) or --input-field")
     cfg = ex.ExperimentConfig.from_file(args.config, args.overrides)
     config, test = ex.prepare(ex.burgers_test_set, cfg, cfg.get("experiment", "seed"))
     horizons = cfg.get("sweep", "horizons")
@@ -186,13 +190,14 @@ def cmd_eval(args) -> int:
 
 def cmd_export_trace(args) -> int:
     model = ex.prepare(vae.load_checkpoint, args.checkpoint)
-    ex.require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
+    dm.require(model.latent_dim <= 3, "--checkpoint", "a model whose latent has at most 3 "
                "dimensions (traces are for plotting)", model.latent_dim)
-    alphas = np.array(ex.comma_list(ex.FINITE)("--alphas", args.alphas))
-    t, nu = ex.NONNEGATIVE("--t", args.t), ex.POSITIVE("--nu", args.nu)
-    steps = ex.NATURAL("--steps", args.steps)
+    alphas = np.array(dm.comma_list(dm.FINITE)("--alphas", args.alphas))
+    t, nu = dm.NONNEGATIVE("--t", args.t), dm.POSITIVE("--nu", args.nu)
+    steps = dm.NATURAL("--steps", args.steps)
     X = bg.sample_u1(alphas, t, nu, model.input_dim)
     out = Path(args.out)
+    ex.make_dir("--out", out.parent)
     n_rows = ex.export_latent_trace(model, X, alphas, np.full(len(alphas), t), out, steps)
     print(f"wrote {n_rows} trace rows to {out}")
     return 0
@@ -213,7 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ex.ConfigError as exc:
+    except dm.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except datafiles.NonFiniteValueError as exc:

@@ -114,6 +114,15 @@ def load_pairs(path) -> tuple[np.ndarray, np.ndarray, PairHeader]:
     return pairs[:, 0], pairs[:, 1], header
 
 
+def read_text(path) -> str:
+    """The text of ``path``; a file that does not decode is a ValueError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        where = f"byte {exc.start}: {exc.reason}"
+        raise ValueError(f"{path}: not {exc.encoding} text ({where})") from None
+
+
 def export_pairs_text(path, X: np.ndarray, Y: np.ndarray):
     """Comma-separated columns x0..x{d-1},y0..y{d-1}, one pair per line."""
     X = np.asarray(X, dtype=np.float64)

@@ -43,18 +43,11 @@ from . import datafiles
 from . import manifold as mf
 from . import mechanics as mech
 from . import vae
+from .domains import (ACTIVATION, COUNT, FINITE, FLOW, FRACTION, GRID, KLEIN_RESOLUTION, LATENT,
+                      NATURAL, NONNEGATIVE, POLICY, POSITIVE, SLOPE, TEXT, ConfigError,
+                      check_range, comma_list, even_at_least, one_of, require)
 
 ENV_OUTPUT_ROOT = "MVROM_OUTPUT_ROOT"
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete experiment configuration."""
-
-
-def require(ok: bool, name: str, need: str, value) -> None:
-    """A ConfigError naming the flag or config key ``name`` unless ``ok``."""
-    if not ok:
-        raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,62 +154,6 @@ def read_table_csv(path) -> ErrorTable:
 # configuration files (INI sections, flat string values, CLI overrides)
 
 
-def domain(conv, need: str, ok):
-    """The parser of ``conv(text)`` values for which ``ok`` holds.  A parser
-    takes (name, text), a config key or a flag and its text, and returns the
-    value or raises a ConfigError naming ``name``; text ``conv`` cannot read
-    is refused as not an integer, or not a number."""
-    def parse(name: str, text):
-        text = str(text).strip()
-        try:
-            value = conv(text)
-        except ValueError:
-            require(False, name, "an integer" if conv is int else "a number", text)
-        require(ok(value), name, need, value)
-        return value
-    return parse
-
-
-def comma_list(item, distinct: bool = False, required: bool = False):
-    """The parser of comma-separated ``item`` values: no value twice when
-    ``distinct``, and at least one when ``required``."""
-    need = ("one or more entries" if required else "a list") + " with no entry repeated" * distinct
-
-    def parse(name: str, text):
-        values = [item(name, part) for part in str(text).split(",") if part.strip()]
-        unique = len(set(values)) if distinct else len(values)
-        require(unique == len(values) >= required, name, need, str(text).strip())
-        return values
-    return parse
-
-
-def check_range(name: str, bounds) -> list:
-    """``bounds`` if it is a range [lo, hi] with lo <= hi; a ConfigError naming ``name`` if not."""
-    require(len(bounds) == 2 and bounds[0] <= bounds[1], name, "a range lo, hi with lo <= hi",
-            bounds)
-    return bounds
-
-
-def one_of(*choices):
-    return domain(str, "one of " + ", ".join(choices), choices.__contains__)
-
-
-def even_at_least(least: int):
-    return domain(int, f"even and at least {least}", lambda v: v >= least and v % 2 == 0)
-
-
-TEXT = domain(str, "text", lambda v: True)
-FINITE = domain(float, "finite", math.isfinite)
-POSITIVE = domain(float, "positive and finite", lambda v: 0 < v < math.inf)
-NONNEGATIVE = domain(float, "nonnegative and finite", lambda v: 0 <= v < math.inf)
-COUNT = domain(int, "at least 1", lambda v: v >= 1)
-NATURAL = domain(int, "nonnegative", lambda v: v >= 0)
-GRID = even_at_least(16)
-# a latent kind, or rN (N >= 1), the sweep shorthand for a euclidean R^N
-LATENT = domain(str, "euclidean, torus, klein, pointcloud or rN with N >= 1",
-                lambda v: v in ("euclidean", "torus", "klein", "pointcloud")
-                or v[:1] == "r" and v[1:].isdecimal() and int(v[1:]) > 0)
-
 # section -> key -> (default text, parser): the one declaration of every key
 KEYS = {
     "experiment": {
@@ -235,24 +172,24 @@ KEYS = {
         "kind": ("arm-torus", one_of("arm-torus", "klein")),
         "m": ("2000", COUNT),
         "sigma": ("0.0", NONNEGATIVE),
-        "train_fraction": ("0.8", domain(float, "in (0, 1)", lambda v: 0 < v < 1)),
+        "train_fraction": ("0.8", FRACTION),
     },
     "model": {
         "variant": ("nonlinear", one_of("linear", "nonlinear")),
         "latent": ("euclidean", LATENT),
         "latent_dim": ("2", COUNT),
         "hidden": ("400,400", comma_list(COUNT)),
-        "activation": ("relu", one_of("relu", "leaky_relu")),
-        "leaky_slope": ("1e-6", domain(float, "in [0, 1)", lambda v: 0 <= v < 1)),
+        "activation": ("relu", ACTIVATION),
+        "leaky_slope": ("1e-6", SLOPE),
         "sigma_e": ("4e-3", POSITIVE), "sigma_d": ("4e-3", POSITIVE), "sigma_0": ("1.0", POSITIVE),
-        "flow": ("exp-decay", one_of("exp-decay", "identity")),
+        "flow": ("exp-decay", FLOW),
         "lambda0_init": ("0.5", FINITE),
-        "projection_policy": ("skip", one_of("raise", "skip")),
+        "projection_policy": ("skip", POLICY),
         "klein_a": ("2.0", POSITIVE), "klein_b": ("1.0", POSITIVE),
         # sizes only manifold.build_klein_pointcloud: a Klein latent has
         # analytic charts and builds no cloud; the value is still validated
         # and written into Klein checkpoint headers
-        "klein_resolution": ("256", domain(int, "at least 64", lambda v: v >= 64)),
+        "klein_resolution": ("256", KLEIN_RESOLUTION),
         "pointcloud_file": ("", TEXT),
     },
     "train": {
@@ -283,8 +220,7 @@ def check_rules(values: dict) -> None:
     epochs, last = values["train.epochs"], max(values["sweep.eval_epochs"], default=0)
     require(epochs >= last, "train.epochs", f"at least the last sweep.eval_epochs mark, {last}",
             epochs)
-    a, b = values["model.klein_a"], values["model.klein_b"]
-    require(a > b, "model.klein_a", f"greater than model.klein_b, {b!r}", a)
+    mf.KleinConfig.check_radii(values["model.klein_a"], values["model.klein_b"], "model.klein_")
     n_x, dims = values["dataset.n_x"], values["sweep.ch_dims"]
     require(max(dims, default=0) <= n_x, "sweep.ch_dims", f"mode counts at most dataset.n_x, {n_x}",
             dims)
@@ -349,13 +285,21 @@ class ExperimentConfig:
             parser.write(fh)
 
 
+def make_dir(flag: str, path: Path) -> Path:
+    """``path``, a directory made if missing; a ConfigError naming ``flag``
+    and the path if it cannot be made (a file of that name exists, say)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot make the directory {path} ({exc.strerror})") from None
+    return path
+
+
 def resolve_output_dir(out) -> Path:
+    """The ``--out`` directory, under $MVROM_OUTPUT_ROOT when relative and that is set."""
     out = Path(out)
     root = os.environ.get(ENV_OUTPUT_ROOT)
-    if root and not out.is_absolute():
-        out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return make_dir("--out", Path(root) / out if root and not out.is_absolute() else out)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,11 @@ chart fit and its projections).  The torus and analytic latents never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import datafiles
+from . import domains as dm
 
 CENTER_EPS = 1e-8
 NEWTON_TOL = 1e-10
@@ -134,8 +136,7 @@ class KleinSurface:
     _node_frames = np.stack([np.cos(_nodes), np.sin(_nodes), np.cos(_nodes / 2), np.sin(_nodes / 2)])
 
     def __init__(self, a: float, b: float):
-        if not a > b > 0:
-            raise ValueError(f"klein surface requires a > b > 0, got a={a}, b={b}")
+        KleinConfig(a, b)  # the radii's domains and rule
         self.a = float(a)
         self.b = float(b)
 
@@ -448,7 +449,7 @@ def load_pointcloud(path) -> PointCloudManifold:
     accepts; any other file, and a cloud of any other kind (the closed-form
     latents are ``model.latent=klein|torus``), raises a ValueError naming it.
     """
-    text = Path(path).read_text()
+    text = datafiles.read_text(path)
     if not text.endswith("\n"):
         raise ValueError(f"{path}: truncated point-cloud file (no final newline)")
     header_line, _, body = text.partition("\n")
@@ -483,17 +484,21 @@ def load_pointcloud(path) -> PointCloudManifold:
 
 @dataclass(frozen=True)
 class KleinConfig:
-    """Klein-bottle radii; ``resolution`` sizes only ``build_klein_pointcloud``."""
+    """Klein-bottle radii, a > b; ``resolution`` sizes only ``build_klein_pointcloud``."""
 
-    a: float = 2.0
-    b: float = 1.0
-    resolution: int = 256
+    a: float = dm.setting(dm.POSITIVE, 2.0)
+    b: float = dm.setting(dm.POSITIVE, 1.0)
+    resolution: int = dm.setting(dm.KLEIN_RESOLUTION, 256)
 
     def __post_init__(self):
-        if not self.a > self.b > 0:
-            raise ValueError(f"klein bottle needs a > b > 0, got a={self.a}, b={self.b}")
-        if self.resolution < 64:
-            raise ValueError("need at least 64 samples per parameter direction")
+        dm.check_fields(self)
+        self.check_radii(self.a, self.b)
+
+    @staticmethod
+    def check_radii(a, b, prefix: str = "") -> None:
+        """The radii's one cross-field rule, a > b, which keeps the surface
+        embedded; a ConfigError names ``<prefix>a``."""
+        dm.require(a > b, f"{prefix}a", f"greater than {prefix}b, {b!r}", a)
 
 
 def build_klein_pointcloud(config: KleinConfig) -> PointCloudManifold:

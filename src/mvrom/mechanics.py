@@ -13,17 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domains as dm
 from .manifold import KleinConfig, KleinSurface
 
 
 @dataclass(frozen=True)
 class ArmConfig:
-    l1: float = 1.0
-    l2: float = 1.0
+    l1: float = dm.setting(dm.POSITIVE, 1.0)
+    l2: float = dm.setting(dm.POSITIVE, 1.0)
 
-    def __post_init__(self):
-        if self.l1 <= 0 or self.l2 <= 0:
-            raise ValueError("segment lengths must be positive")
+    __post_init__ = dm.check_fields
 
 
 @dataclass
@@ -40,8 +39,7 @@ class MechDataset:
 
 def generate_arm_torus(config: ArmConfig, m: int, seed: int = 0) -> np.ndarray:
     """Uniform joint angles; returns clean configurations (m, 4)."""
-    if m < 1:
-        raise ValueError("need at least one sample")
+    dm.COUNT.check("m", m)
     theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(m, 2))
     x1 = config.l1 * np.stack([np.cos(theta[:, 0]), np.sin(theta[:, 0])], axis=1)
     x2 = x1 + config.l2 * np.stack([np.cos(theta[:, 1]), np.sin(theta[:, 1])], axis=1)
@@ -50,8 +48,7 @@ def generate_arm_torus(config: ArmConfig, m: int, seed: int = 0) -> np.ndarray:
 
 def generate_klein(config: KleinConfig, m: int, seed: int = 0) -> np.ndarray:
     """Uniform parameters mapped through the Klein-bottle embedding; (m, 4)."""
-    if m < 1:
-        raise ValueError("need at least one sample")
+    dm.COUNT.check("m", m)
     params = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(m, 2))
     points, _, _ = KleinSurface(config.a, config.b).frames(params)
     return points
@@ -59,8 +56,7 @@ def generate_klein(config: KleinConfig, m: int, seed: int = 0) -> np.ndarray:
 
 def add_noise(samples: np.ndarray, sigma: float, seed: int = 0) -> MechDataset:
     """Independent Gaussian noise per coordinate; clean targets retained."""
-    if sigma < 0:
-        raise ValueError("noise scale must be nonnegative")
+    dm.NONNEGATIVE.check("sigma", sigma)
     clean = np.asarray(samples, dtype=np.float64)
     if sigma == 0:
         return MechDataset(clean, clean.copy(), 0.0)
@@ -70,8 +66,7 @@ def add_noise(samples: np.ndarray, sigma: float, seed: int = 0) -> MechDataset:
 
 def train_test_split(data: MechDataset, train_fraction: float = 0.8, seed: int = 0):
     """Deterministic shuffle split preserving (noisy, clean) pairing."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train fraction must be in (0, 1)")
+    dm.FRACTION.check("train_fraction", train_fraction)
     m = len(data)
     perm = np.random.default_rng(seed).permutation(m)
     cut = int(round(m * train_fraction))

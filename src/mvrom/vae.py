@@ -34,6 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datafiles
+from . import domains as dm
 from . import manifold as mf
 
 
@@ -57,15 +58,13 @@ class LatentSpec:
     sample from the loss.
     """
 
-    kind: str  # euclidean | torus | klein | pointcloud
-    dim: int  # embedding dimension seen by encoder/decoder
+    kind: str = dm.setting(dm.LATENT_KIND)
+    dim: int = dm.setting(dm.COUNT)  # embedding dimension seen by encoder/decoder
     manifold: mf.AnalyticTorus | mf.PointCloudManifold | None
-    policy: str
+    policy: str = dm.setting(dm.POLICY)
     klein: mf.KleinConfig | None = None  # the Klein radii, written to checkpoints
 
-    def __post_init__(self):
-        if self.policy not in ("raise", "skip"):
-            raise ValueError(f"unknown projection policy '{self.policy}'")
+    __post_init__ = dm.check_fields
 
     @property
     def label(self) -> str:
@@ -91,9 +90,8 @@ def make_latent(kind: str, policy: str = "raise", dim: int = 2,
                 klein: mf.KleinConfig | None = None, cloud=None) -> LatentSpec:
     """The latent of ``kind``: R^dim (euclidean), the unit torus in R^4, the
     Klein bottle in R^4 with the radii of ``klein`` (analytic charts; no
-    cloud is built), or the quadratic-chart cloud ``cloud`` (pointcloud)."""
-    if kind == "euclidean":
-        return LatentSpec(kind, dim, None, policy)
+    cloud is built), or the quadratic-chart cloud ``cloud`` (pointcloud);
+    ``LatentSpec`` refuses any other kind."""
     if kind == "torus":
         return LatentSpec(kind, 4, mf.AnalyticTorus(), policy)
     if kind == "klein":
@@ -104,22 +102,20 @@ def make_latent(kind: str, policy: str = "raise", dim: int = 2,
         if cloud.chart_kind != "quadratic":
             raise ValueError("a pointcloud latent needs a cloud with quadratic charts")
         return LatentSpec(kind, cloud.n, cloud, policy)
-    raise ValueError(f"unknown latent kind '{kind}'")
+    return LatentSpec(kind, dim, None, policy)
 
 
 @dataclass
 class TrainConfig:
-    beta: float = 1.0
-    gamma: float = 0.5
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 1000
-    seed: int = 0
-    eval_every: int = 0  # 0: never; else epochs between eval_fn calls
+    beta: float = dm.setting(dm.NONNEGATIVE, 1.0)
+    gamma: float = dm.setting(dm.NONNEGATIVE, 0.5)
+    lr: float = dm.setting(dm.POSITIVE, 1e-3)
+    batch_size: int = dm.setting(dm.COUNT, 32)
+    epochs: int = dm.setting(dm.NATURAL, 1000)
+    seed: int = dm.setting(dm.NATURAL, 0)
+    eval_every: int = dm.setting(dm.NATURAL, 0)  # 0: never; else epochs between eval_fn calls
 
-    def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be nonnegative")
+    __post_init__ = dm.check_fields
 
 
 @dataclass
@@ -139,28 +135,23 @@ class EpochStats:
 
 @dataclass
 class VaeModel:
-    """Sizes, latent, parameters and settings; construction checks the
-    activation, the leaky slope's domain and the flow."""
+    """Sizes, latent, parameters and settings; construction checks each
+    setting's domain, the leaky slope's only under leaky_relu, which reads it."""
 
     encoder_sizes: list
     decoder_sizes: list
     latent: LatentSpec
     params: dict
-    activation: str = "relu"  # relu | leaky_relu
-    leaky_slope: float = 1e-6
-    tau: float = 0.25
-    sigma_e: float = 4e-3
-    sigma_d: float = 4e-3
-    sigma_0: float = 1.0
-    flow: str = "exp-decay"  # exp-decay | identity
+    activation: str = dm.setting(dm.ACTIVATION, "relu")
+    leaky_slope: float = dm.setting(dm.SLOPE, 1e-6)
+    tau: float = dm.setting(dm.POSITIVE, 0.25)
+    sigma_e: float = dm.setting(dm.POSITIVE, 4e-3)
+    sigma_d: float = dm.setting(dm.POSITIVE, 4e-3)
+    sigma_0: float = dm.setting(dm.POSITIVE, 1.0)
+    flow: str = dm.setting(dm.FLOW, "exp-decay")
 
     def __post_init__(self):
-        if self.activation not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation '{self.activation}'")
-        if self.activation == "leaky_relu" and not 0.0 <= self.leaky_slope < 1.0:
-            raise ValueError(f"leaky_relu: slope must be in [0, 1), got {self.leaky_slope}")
-        if self.flow not in ("exp-decay", "identity"):
-            raise ValueError(f"unknown flow '{self.flow}'")
+        dm.check_fields(self, () if self.activation == "leaky_relu" else ("leaky_slope",))
 
     @property
     def input_dim(self) -> int:
@@ -463,76 +454,38 @@ _CKPT_MAGIC = b"MVAECKPT"
 _CKPT_VERSION = 1
 
 
-# parsers of checkpoint header fields: each returns the value or raises
-
-
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
-def _count(value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
-    return value
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _sizes(value):
-    if not isinstance(value, list) or len(value) < 2:
-        raise ValueError(f"expected a list of at least two layer sizes, got {value!r}")
-    return [_count(v) for v in value]
-
-
-def _one_of(*choices):
-    def parse(value):
-        if not isinstance(value, str) or value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _cloud_shape(value):
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"expected [m, points, k_neighbors], got {value!r}")
-    return [_count(v) for v in value]
-
-
-def _klein_config(value):
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"expected [a, b, resolution], got {value!r}")
-    a, b, resolution = value
-    return mf.KleinConfig(_number(a), _number(b), _count(resolution))
+# the shapes of checkpoint header fields that are no model setting
+_SIZES = dm.Domain(list, "a list of at least two layer sizes",
+                   lambda v: len(v) >= 2 and all(map(dm.COUNT.holds, v)))
+_PARAMS = dm.Domain(list, "a list of [name, shape] pairs, each shape a list of sizes",
+                    lambda v: all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                                  and isinstance(p[1], list) and all(map(dm.COUNT.holds, p[1]))
+                                  for p in v))
+_CLOUD_SHAPE = dm.Domain(list, "[m, points, k_neighbors], each at least 1",
+                         lambda v: len(v) == 3 and all(map(dm.COUNT.holds, v)))
 
 
 # Every field of a checkpoint's JSON header in the order written: its key,
-# its value for a model, and its parser.  "klein" and "pointcloud" are
-# written for a latent of that kind alone.
+# its value for a model, and its domain, a model setting's the one its field
+# declares.  "klein" and "pointcloud" are written for a latent of that kind alone.
 _HEADER = (
-    ("encoder_sizes", attrgetter("encoder_sizes"), _sizes),
-    ("decoder_sizes", attrgetter("decoder_sizes"), _sizes),
-    ("activation", attrgetter("activation"), _text),
-    ("leaky_slope", attrgetter("leaky_slope"), _number),
-    ("latent_kind", attrgetter("latent.kind"), _one_of("euclidean", "torus", "klein", "pointcloud")),
-    ("latent_dim", attrgetter("latent.dim"), _count),
-    ("latent_policy", attrgetter("latent.policy"), _one_of("raise", "skip")),
-    ("tau", attrgetter("tau"), _number),
-    ("sigma_e", attrgetter("sigma_e"), _number),
-    ("sigma_d", attrgetter("sigma_d"), _number),
-    ("sigma_0", attrgetter("sigma_0"), _number),
-    ("flow", attrgetter("flow"), _text),
-    ("params", lambda m: [[n, list(m.params[n].shape)] for n in sorted(m.params)],
-     lambda v: [(_text(name), tuple(map(_count, shape))) for name, shape in v]),
-    ("klein", lambda m: [*attrgetter("a", "b", "resolution")(m.latent.klein)], _klein_config),
+    ("encoder_sizes", attrgetter("encoder_sizes"), _SIZES),
+    ("decoder_sizes", attrgetter("decoder_sizes"), _SIZES),
+    ("activation", attrgetter("activation"), dm.ACTIVATION),
+    ("leaky_slope", attrgetter("leaky_slope"), dm.SLOPE),
+    ("latent_kind", attrgetter("latent.kind"), dm.LATENT_KIND),
+    ("latent_dim", attrgetter("latent.dim"), dm.COUNT),
+    ("latent_policy", attrgetter("latent.policy"), dm.POLICY),
+    ("tau", attrgetter("tau"), dm.POSITIVE),
+    ("sigma_e", attrgetter("sigma_e"), dm.POSITIVE),
+    ("sigma_d", attrgetter("sigma_d"), dm.POSITIVE),
+    ("sigma_0", attrgetter("sigma_0"), dm.POSITIVE),
+    ("flow", attrgetter("flow"), dm.FLOW),
+    ("params", lambda m: [[n, list(m.params[n].shape)] for n in sorted(m.params)], _PARAMS),
+    ("klein", lambda m: [*attrgetter("a", "b", "resolution")(m.latent.klein)],
+     dm.Record(mf.KleinConfig)),
     ("pointcloud", lambda m: [*attrgetter("m", "num_points", "k_neighbors")(m.latent.manifold)],
-     _cloud_shape),
+     _CLOUD_SHAPE),
 )
 _OF_ONE_KIND = ("klein", "pointcloud")
 
@@ -575,17 +528,14 @@ def _read_header(read):
     if header.get("learn_sigmas", False):
         raise ValueError("learnable noise scales are no longer supported")
     fields = {}
-    for key, _, parse in _HEADER:
+    for key, _, domain in _HEADER:
         if key in _OF_ONE_KIND and key != fields["latent_kind"]:
             continue
         if key not in header:
             if key == "pointcloud":  # an older file: the cloud is in a sidecar
                 continue
             raise ValueError(f"checkpoint header has no '{key}' field")
-        try:
-            fields[key] = parse(header[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint header field '{key}': {exc}") from None
+        fields[key] = domain.json(f"checkpoint header field '{key}'", header[key])
     if "pointcloud" in fields:
         fields["params"].append(("pointcloud", (fields["pointcloud"][1], fields["latent_dim"])))
     return fields, sum(math.prod(shape) for _, shape in fields["params"])
@@ -600,9 +550,11 @@ def _bad_parameter(fields, index: int) -> str:
 def load_checkpoint(path) -> VaeModel:
     """Read a checkpoint; its size must match its header, its weights be
     finite, every header field be present with the type ``save_checkpoint``
-    writes, its latent's dimension be the encoder's output and the decoder's
-    input width, and its activation, leaky slope and flow pass ``VaeModel``'s
-    checks.  A Klein latent is rebuilt from its radii; no cloud is built.  A
+    writes, and its latent's dimension be the encoder's output and the
+    decoder's input width.  Each header setting is checked against the same
+    domain as its config key (``_HEADER``), leaky_slope's whatever the
+    activation; a value outside it names the field and the file.  A Klein
+    latent is rebuilt from its radii, a > b checked; no cloud is built.  A
     pointcloud latent's points are read and checked as a parameter, and its
     charts fitted again; older files keep them in a `<path>.manifold` sidecar.
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -601,6 +602,44 @@ def test_cli_pair_file_with_no_pairs_exits_2_naming_it_before_any_cell(tmp_path,
     assert not [p for p in out.iterdir() if p.is_dir()]
 
 
+@pytest.mark.parametrize("command", ["train", "baselines", "sweep", "eval", "gen-data"])
+def test_cli_out_at_an_existing_file_exits_2_naming_flag_and_path(tmp_path, capsys, command):
+    # train, baselines, sweep and eval make --out itself; gen-data makes the
+    # directory its --out file goes in, here a regular file
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(4,)), ckpt)
+    before = sorted(tmp_path.iterdir())
+    argv = {
+        "eval": ["eval", "--checkpoint", str(ckpt), "--out", str(taken)],
+        "gen-data": ["gen-data", "--kind", "burgers", "--m", "4", "--out", str(taken / "x.bin")],
+    }.get(command, [command, "--set", "train.epochs=1", "--out", str(taken)])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out: cannot make the directory {taken} (File exists)\n")
+    assert taken.read_text() == "a file\n" and sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["input-field", "pointcloud-file"])
+def test_cli_text_input_that_does_not_decode_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"1 2 4 quadratic\n\x94\xb2\xff\n")
+    ckpt = tmp_path / "model.ckpt"
+    vae.save_checkpoint(vae.build_vae(64, vae.make_latent("euclidean", dim=2), hidden=(4,)), ckpt)
+    out = tmp_path / "out"
+    argv = {
+        "input-field": ["eval", "--checkpoint", str(ckpt), "--input-field", str(path)],
+        "pointcloud-file": ["sweep", "--set", "experiment.kind=mech-recon",
+                            "--set", "model.latent=pointcloud",
+                            "--set", f"model.pointcloud_file={path}"],
+    }[command]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: not utf-8 text (byte 16: invalid start byte)\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("header", ["2 4 3 klein 2 1", "2 4 3 circles 1 1"])
 def test_cli_analytic_cloud_file_exits_2_naming_it(tmp_path, capsys, header):
     # the closed-form latents are settings (model.latent=klein|torus), not files
@@ -761,6 +800,42 @@ def test_every_key_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, monkeyp
     assert cli.main(["sweep", "--out", str(out)] + [a for i in sets for a in ("--set", i)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
     assert list(out.iterdir()) == []
+
+
+# (dataclass, field, its config key, its checkpoint header field), None where
+# there is none; model.latent also takes the sweep shorthand rN, so it is not
+# a LatentSpec kind's domain
+_DECLARED = [
+    *((vae.VaeModel, name, f"model.{name}", name)
+      for name in ("activation", "leaky_slope", "sigma_e", "sigma_d", "sigma_0", "flow")),
+    (vae.VaeModel, "tau", "dataset.tau", "tau"),
+    (vae.LatentSpec, "kind", None, "latent_kind"),
+    (vae.LatentSpec, "dim", "model.latent_dim", "latent_dim"),
+    (vae.LatentSpec, "policy", "model.projection_policy", "latent_policy"),
+    *((mf.KleinConfig, name, f"model.klein_{name}", "klein") for name in ("a", "b", "resolution")),
+    *((vae.TrainConfig, name, f"train.{name}", None)
+      for name in ("beta", "gamma", "lr", "batch_size", "epochs", "eval_every")),
+    (vae.TrainConfig, "seed", "experiment.seed", None),
+    *((bg.BurgersConfig, name, f"dataset.{name}", None) for name in ("nu", "tau", "n_x")),
+    (bg.Grid, "n_x", "dataset.n_x", None),
+    (mech.ArmConfig, "l1", None, None), (mech.ArmConfig, "l2", None, None),
+]
+
+
+def test_each_setting_has_one_domain_object_for_field_key_and_header():
+    header = {key: domain for key, _, domain in vae._HEADER}
+    declared = {(cls, f.name): f.metadata["domain"] for cls, *_ in _DECLARED
+                for f in dataclasses.fields(cls) if "domain" in f.metadata}
+    assert sorted(declared, key=str) == sorted(((c, n) for c, n, *_ in _DECLARED), key=str)
+    for cls, name, key, header_key in _DECLARED:
+        domain = declared[cls, name]
+        if key is not None:
+            section, option = key.split(".")
+            assert ex.KEYS[section][option][1] is domain, key
+        if header_key == "klein":  # a record of KleinConfig's fields, each read by its domain
+            assert header[header_key].cls is cls
+        elif header_key is not None:
+            assert header[header_key] is domain, header_key
 
 
 @pytest.mark.parametrize("argv, key", [

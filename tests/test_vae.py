@@ -64,7 +64,7 @@ def test_manifold_encode_stays_on_torus():
 
 
 def test_latent_policy_validated_at_construction():
-    with pytest.raises(ValueError, match="policy 'drop'"):
+    with pytest.raises(ValueError, match="policy must be one of raise, skip, got 'drop'"):
         vae.make_latent("torus", "drop")
 
 
@@ -696,6 +696,15 @@ def test_pointcloud_checkpoint_carries_its_cloud_and_projects_bit_identically(tm
         np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
 
 
+def test_checkpoint_sidecar_that_does_not_decode_is_named(tmp_path):
+    path, sidecar = tmp_path / "old.ckpt", tmp_path / "old.ckpt.manifold"
+    path.write_bytes((Path(__file__).parent / "data" / "pointcloud_sidecar.ckpt").read_bytes())
+    sidecar.write_bytes(b"1 2 16 quadratic 4\n\xff\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {sidecar}: not utf-8 text (byte 19: invalid start byte)")):
+        vae.load_checkpoint(path)
+
+
 def test_checkpoint_with_a_cloud_sidecar_still_loads():
     # tests/data/pointcloud_sidecar.ckpt was written when a pointcloud
     # checkpoint kept its cloud in a `<path>.manifold` text file beside it:
@@ -774,9 +783,9 @@ def test_checkpoint_with_fixed_sigmas_flag_loads_and_learned_raises(tmp_path):
 @pytest.mark.parametrize(
     "header, message",
     [
-        ({"leaky_slope": 5.0}, "slope must be in"),
-        ({"activation": "tanh"}, "unknown activation"),
-        ({"flow": "spiral"}, "unknown flow"),
+        ({"leaky_slope": 5.0}, re.escape("'leaky_slope' must be in [0, 1), got 5.0")),
+        ({"activation": "tanh"}, "'activation' must be one of relu, leaky_relu, got 'tanh'"),
+        ({"flow": "spiral"}, "'flow' must be one of exp-decay, identity, got 'spiral'"),
     ],
     ids=["leaky_slope", "activation", "flow"],
 )
@@ -788,6 +797,59 @@ def test_checkpoint_header_outside_model_domain_raises(tmp_path, header, message
     _rewrite_header(path, **header)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
         vae.load_checkpoint(path)
+
+
+def _circle_cloud_latent():
+    theta = np.arange(32) * 2 * np.pi / 32
+    points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return vae.make_latent("pointcloud", cloud=mf.PointCloudManifold(1, 2, points, "quadratic"))
+
+
+# header field (and entry) -> (the checkpoint's latent, a value outside the
+# setting's domain, and its config key and text; the cloud file sets the
+# cloud's shape, so it has none)
+_OUTSIDE_ITS_DOMAIN = {
+    "tau": ("euclidean", -1, "dataset.tau", "-1"),
+    "sigma_e": ("euclidean", -3, "model.sigma_e", "-3"),
+    "sigma_d": ("euclidean", 0, "model.sigma_d", "0"),
+    "sigma_0": ("euclidean", 0, "model.sigma_0", "0"),
+    "leaky_slope": ("euclidean", 1.5, "model.leaky_slope", "1.5"),
+    "activation": ("euclidean", "tanh", "model.activation", "tanh"),
+    "flow": ("euclidean", "spiral", "model.flow", "spiral"),
+    "latent_kind": ("euclidean", "sphere", "model.latent", "sphere"),
+    "latent_policy": ("euclidean", "warn", "model.projection_policy", "warn"),
+    "latent_dim": ("euclidean", 0, "model.latent_dim", "0"),
+    "klein.a": ("klein", [0.0, 1.0, 256], "model.klein_a", "0"),
+    "klein.b": ("klein", [2.0, -1.0, 256], "model.klein_b", "-1"),
+    "klein.resolution": ("klein", [2.0, 1.0, 63], "model.klein_resolution", "63"),
+    "pointcloud": ("pointcloud", [1, 32, 0], None, None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OUTSIDE_ITS_DOMAIN))
+def test_checkpoint_setting_outside_its_domain_is_refused_as_its_config_key_is(
+        tmp_path, capsys, field):
+    # a relu model's leaky_slope too: its domain is the config key's, whatever the activation
+    kind, value, key, text = _OUTSIDE_ITS_DOMAIN[field]
+    latent = {"euclidean": None, "klein": vae.make_latent("klein", klein=mf.KleinConfig()),
+              "pointcloud": _circle_cloud_latent()}[kind]
+    path = tmp_path / "model.ckpt"
+    vae.save_checkpoint(small_model(latent), path)
+    vae.load_checkpoint(path)
+    header_key, _, entry = field.partition(".")
+    _rewrite_header(path, **{header_key: value})
+    message = (re.escape(f"{path}: checkpoint header field '{header_key}'")
+               + (f" entry '{entry}'" if entry else "") + " must be ")
+    with pytest.raises(ValueError, match=message):
+        vae.load_checkpoint(path)
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert re.match("config error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "eval").exists()
+    if key is not None:
+        out = tmp_path / "run"
+        assert cli.main(["train", "--set", f"{key}={text}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
